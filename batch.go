@@ -121,7 +121,7 @@ func (b *BatchBuilder) buildJob(ctx context.Context, i int, job BuildJob) BuildO
 	}
 	opts := core.Options{
 		Mode:         cfg.Mode,
-		Engine:       cfg.engine(),
+		Engine:       cfg.Engine,
 		KeepClusters: cfg.KeepClusters,
 		Runtime:      b.rt,
 		RoundBudget:  cfg.RoundBudget,

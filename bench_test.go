@@ -242,12 +242,10 @@ func benchEngine(b *testing.B, engine congest.Engine) {
 		if err := sim.Run(rounds); err != nil {
 			b.Fatal(err)
 		}
-		sim.Close()
 	}
 }
 
 func BenchmarkEngineSequential(b *testing.B) { benchEngine(b, congest.EngineSequential) }
-func BenchmarkEngineGoroutine(b *testing.B)  { benchEngine(b, congest.EngineGoroutine) }
 func BenchmarkEngineParallel(b *testing.B)   { benchEngine(b, congest.EngineParallel) }
 
 // --- Sparse-activity (frontier) benchmarks ---
@@ -272,7 +270,6 @@ func BenchmarkFrontier(b *testing.B) {
 				if _, err := sim.RunUntilQuiet(protocols.ClimbMaxRounds(1, n)); err != nil {
 					b.Fatal(err)
 				}
-				sim.Close()
 			}
 		})
 	}
@@ -289,7 +286,6 @@ func BenchmarkFrontier(b *testing.B) {
 			if err := sim.Run(rounds); err != nil {
 				b.Fatal(err)
 			}
-			sim.Close()
 		}
 	})
 }
@@ -298,9 +294,8 @@ func BenchmarkFrontier(b *testing.B) {
 
 // BenchmarkNetworkReuse quantifies what the persistent network runtime
 // removes: the per-step simulator construction (O(m·B) message arenas +
-// twin table) and engine pool start/teardown that the pre-session world
-// paid for every protocol step. "per-step-sim" builds and closes a
-// fresh simulator for each of the three fixed-schedule protocol steps
+// twin table) that the pre-session world paid for every protocol step.
+// "per-step-sim" builds a fresh simulator for each of the three fixed-schedule protocol steps
 // of a phase; "persistent-network" attaches the same three steps as
 // sessions to one long-lived network (constructed outside the timed
 // loop, as core.Build constructs one per spanner build). Compare
@@ -332,7 +327,6 @@ func BenchmarkNetworkReuse(b *testing.B) {
 					if err := sim.Run(r.rounds); err != nil {
 						b.Fatal(err)
 					}
-					sim.Close()
 				}
 			}
 		})
@@ -341,7 +335,6 @@ func BenchmarkNetworkReuse(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer net.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -58,7 +58,7 @@ func gate(freshPath, basePath string) error {
 func main() {
 	quick := flag.Bool("quick", false, "run the reduced workload suite")
 	engine := flag.String("engine", "parallel",
-		"CONGEST engine for distributed builds: sequential|parallel|goroutine (wall clock only; measurements are engine-independent)")
+		"CONGEST engine for distributed builds: sequential|parallel (wall clock only; measurements are engine-independent)")
 	timeout := flag.Duration("timeout", 0, "abort the suite after this duration (0 = no limit); sections already printed stay valid")
 	benchJSON := flag.String("bench-json", "",
 		"instead of the suite, run the assembly + engine + frontier benchmarks and write the machine-readable perf baseline (ns/op, B/op, allocs/op) to this path")

@@ -26,7 +26,7 @@ func main() {
 		eps     = flag.Float64("eps", def.Eps, "internal epsilon")
 		kappa   = flag.Int("kappa", def.Kappa, "kappa")
 		rho     = flag.Float64("rho", def.Rho, "rho")
-		engine  = flag.String("engine", "", "run the figure build distributedly on this CONGEST engine (sequential|parallel|goroutine); empty = fast centralized build")
+		engine  = flag.String("engine", "", "run the figure build distributedly on this CONGEST engine (sequential|parallel); empty = fast centralized build")
 		timeout = flag.Duration("timeout", 0, "abort the figure build after this duration (0 = no limit)")
 	)
 	flag.Parse()

@@ -52,8 +52,8 @@ func run() error {
 		eps     = flag.Float64("eps", 1.0/3, "internal epsilon (0 < eps <= 1)")
 		kappa   = flag.Int("kappa", 3, "size exponent kappa (>= 2)")
 		rho     = flag.Float64("rho", 0.49, "round exponent rho (1/kappa <= rho < 1/2)")
-		mode    = flag.String("mode", "centralized", "execution mode: centralized|distributed (goroutine is a deprecated alias for distributed -engine goroutine)")
-		engine  = flag.String("engine", "sequential", "CONGEST engine for distributed mode: sequential|parallel|goroutine")
+		mode    = flag.String("mode", "centralized", "execution mode: centralized|distributed")
+		engine  = flag.String("engine", "sequential", "CONGEST engine for distributed mode: sequential|parallel")
 		verify  = flag.Bool("verify", true, "verify the stretch bound exactly (O(n(m_G+m_H)))")
 		csv     = flag.Bool("csv", false, "emit phase table as CSV")
 		phases  = flag.Bool("phases", false, "print the per-phase protocol-step breakdown (rounds, messages, peak round traffic)")
@@ -83,12 +83,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	engineSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "engine" {
-			engineSet = true
-		}
-	})
 	cfg := nearspan.Config{Eps: *eps, Kappa: *kappa, Rho: *rho, KeepClusters: false,
 		KeepRebuildState: *deltaK > 0}
 	cfg.Engine, err = nearspan.ParseEngine(*engine)
@@ -100,13 +94,6 @@ func run() error {
 		cfg.Mode = nearspan.CentralizedMode
 	case "distributed":
 		cfg.Mode = nearspan.DistributedMode
-	case "goroutine": // deprecated alias, kept for old invocations
-		if engineSet && cfg.Engine != nearspan.EngineGoroutine {
-			return fmt.Errorf("-mode goroutine conflicts with -engine %s; use -mode distributed -engine %s",
-				cfg.Engine, cfg.Engine)
-		}
-		cfg.Mode = nearspan.DistributedMode
-		cfg.Engine = nearspan.EngineGoroutine
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}

@@ -5,8 +5,8 @@
 // The oracle preprocesses the graph once; each query then runs BFS over
 // the sparse spanner, traversing a fraction of the edges, and the answer
 // carries the (1+eps', beta) guarantee. The spanner is immutable after
-// the build, so the query tier (OraclePool) fans concurrent queries
-// over lock-free read replicas.
+// the build, so the oracle's query pool fans concurrent queries over
+// lock-free read replicas.
 package main
 
 import (
@@ -37,12 +37,11 @@ func main() {
 	fmt.Printf("preprocessing: %v; spanner %d edges (saves %d per full-graph BFS); guarantee (%.1f, %d)\n",
 		time.Since(start).Round(time.Millisecond), o.Spanner().M(), o.EdgeSavings(), alpha, beta)
 
-	// The concurrent query tier: replicas share the immutable spanner,
-	// hot sources are cached once and read lock-free, point queries run
-	// a bidirectional BFS in a preallocated workspace.
-	pool := nearspan.NewOraclePool(o.Spanner(), nearspan.OraclePoolOptions{CacheSources: 64})
-
-	// Batch queries through the pool: 16 hot sources, so the grouped
+	// The oracle is the concurrent query tier: replicas share the
+	// immutable spanner, hot sources are cached once and read lock-free,
+	// point queries run a bidirectional BFS in a preallocated workspace.
+	//
+	// Batch queries: 16 hot sources, so the grouped
 	// path answers each group from one shared BFS and admits the sources
 	// to the cache for the point queries below.
 	queries := make([][2]int, 0, 1000)
@@ -50,7 +49,7 @@ func main() {
 		queries = append(queries, [2]int{(i % 16) * 90, (i*53 + 11) % g.N()})
 	}
 	start = time.Now()
-	answers := pool.PairsBatch(queries)
+	answers := o.PairsBatch(queries)
 	elapsed := time.Since(start)
 
 	// Measure the answers' real error on a sample.
@@ -67,7 +66,7 @@ func main() {
 	fmt.Printf("example answers: d(%d,%d)=%d, d(%d,%d)=%d\n",
 		queries[0][0], queries[0][1], answers[0], queries[1][0], queries[1][1], answers[1])
 
-	// Concurrent point queries: 8 goroutines hammer the shared pool; the
+	// Concurrent point queries: 8 goroutines hammer the shared oracle; the
 	// answers are exact spanner distances regardless of which replica or
 	// cache path served them.
 	start = time.Now()
@@ -78,13 +77,13 @@ func main() {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				pool.Dist((w*997+i*37)%g.N(), (i*53+w)%g.N())
+				o.Dist((w*997+i*37)%g.N(), (i*53+w)%g.N())
 			}
 		}(w)
 	}
 	wg.Wait()
 	total = 8 * 2000
-	st := pool.Stats()
+	st := o.Stats()
 	fmt.Printf("%d concurrent point queries in %v (%d replicas, %d cached sources, %d bidi misses)\n",
-		total, time.Since(start).Round(time.Microsecond), pool.Replicas(), st.CachedSources, st.Misses)
+		total, time.Since(start).Round(time.Microsecond), o.Replicas(), st.CachedSources, st.Misses)
 }

@@ -4,9 +4,9 @@
 // The workload is a torus "road network": every intersection is a
 // processor that can only talk to adjacent intersections, one O(1)-word
 // message per road per round. The example runs the full protocol stack
-// on the simulator three times — the sequential round loop, the shared
-// sharded runtime, and a goroutine per intersection — and shows all
-// engines produce the identical spanner with the identical round count.
+// on the simulator twice — the sequential round loop and the shared
+// sharded runtime — and shows both engines produce the identical spanner
+// with the identical round count.
 // It then sweeps a parameter grid with BuildBatch: the sweep's builds
 // run concurrently on one bounded worker pool.
 package main
@@ -28,7 +28,6 @@ func main() {
 	for _, engine := range []nearspan.Engine{
 		nearspan.EngineSequential,
 		nearspan.EngineParallel,
-		nearspan.EngineGoroutine,
 	} {
 		start := time.Now()
 		res, err := nearspan.BuildSpanner(roads, nearspan.Config{

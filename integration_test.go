@@ -82,33 +82,6 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 }
 
-// TestDeprecatedGoroutineEngineAlias exercises the deprecated boolean
-// and the mixed alias+enum config end to end through the public API.
-// (Which engine each config resolves to is pinned by the white-box
-// TestConfigEngineResolution — outputs alone cannot distinguish
-// engines, by design.)
-func TestDeprecatedGoroutineEngineAlias(t *testing.T) {
-	g := nearspan.Grid(8, 8)
-	build := func(cfg nearspan.Config) *nearspan.Result {
-		cfg.Eps, cfg.Kappa, cfg.Rho = 0.5, 4, 0.45
-		cfg.Mode = nearspan.DistributedMode
-		res, err := nearspan.BuildSpanner(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	old := build(nearspan.Config{GoroutineEngine: true})
-	enum := build(nearspan.Config{Engine: nearspan.EngineGoroutine})
-	both := build(nearspan.Config{Engine: nearspan.EngineParallel, GoroutineEngine: true})
-	if old.EdgeCount() != enum.EdgeCount() || old.TotalRounds != enum.TotalRounds {
-		t.Error("deprecated GoroutineEngine alias diverges from Engine: EngineGoroutine")
-	}
-	if both.EdgeCount() != enum.EdgeCount() || both.TotalRounds != enum.TotalRounds {
-		t.Error("engines disagree on output — determinism contract broken")
-	}
-}
-
 // TestCrossAlgorithmComparison pins the qualitative relationships the
 // paper's tables assert, as an executable integration check.
 func TestCrossAlgorithmComparison(t *testing.T) {

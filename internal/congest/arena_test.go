@@ -20,11 +20,9 @@ func TestBandwidthCapRejected(t *testing.T) {
 	if _, err := New(g, progs, Options{Bandwidth: MaxBandwidth + 1}); err == nil {
 		t.Fatal("New accepted bandwidth 65536, which wraps the uint16 slot counters")
 	}
-	sim, err := New(g, progs, Options{Bandwidth: MaxBandwidth})
-	if err != nil {
+	if _, err := New(g, progs, Options{Bandwidth: MaxBandwidth}); err != nil {
 		t.Fatalf("New rejected bandwidth %d: %v", MaxBandwidth, err)
 	}
-	sim.Close()
 }
 
 // maxSender sends exactly MaxBandwidth messages on port 0 in round 1 and
@@ -106,7 +104,6 @@ func TestArenaBytesMeasuredAndDeterministic(t *testing.T) {
 	for i, opts := range []Options{
 		{Engine: EngineSequential, ArenaFraction: -1},
 		{Engine: EngineParallel, ArenaFraction: -1},
-		{Engine: EngineGoroutine, ArenaFraction: -1},
 	} {
 		sim, err := NewUniform(g, newProg, opts)
 		if err != nil {
@@ -129,7 +126,6 @@ func TestArenaBytesMeasuredAndDeterministic(t *testing.T) {
 			t.Errorf("%s (frac %v): ArenaBytes = %d, want %d (deterministic across engines and fractions)",
 				opts.Engine, opts.ArenaFraction, got, want)
 		}
-		sim.Close()
 	}
 
 	// Full preallocation reproduces the legacy fixed footprint.

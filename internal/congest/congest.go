@@ -3,7 +3,7 @@
 // communication with graph neighbors in synchronous rounds, and messages
 // limited to O(1) words per edge per round.
 //
-// Three interchangeable engines execute node programs:
+// Two interchangeable engines execute node programs:
 //
 //   - EngineSequential: a single-threaded round loop — the reference
 //     execution.
@@ -11,14 +11,11 @@
 //     the shared execution runtime (package sched) each round — uses all
 //     cores, the engine for large experiments; any number of concurrent
 //     simulators share one bounded worker pool.
-//   - EngineGoroutine: one goroutine per vertex with channel-based round
-//     barriers — the natural Go rendering of message-passing processors,
-//     used to demonstrate and cross-check model fidelity.
 //
-// All engines are deterministic and produce bit-identical executions for
-// the same program (tested pairwise), so round counts measured on any of
-// them are the paper's "running time". See parallel.go for the
-// determinism argument.
+// Both engines are deterministic and produce bit-identical executions
+// for the same program (tested), so round counts measured on either are
+// the paper's "running time". See parallel.go for the determinism
+// argument.
 //
 // Bandwidth is enforced: a node may send at most Options.Bandwidth
 // messages (default 1) of at most MessageWords words over each incident
@@ -84,12 +81,9 @@ type Engine int
 const (
 	// EngineSequential runs all vertices in a single goroutine.
 	EngineSequential Engine = iota + 1
-	// EngineGoroutine runs one goroutine per vertex with round barriers.
-	EngineGoroutine
 	// EngineParallel runs vertex shards on the shared execution runtime
-	// (see Options.Runtime), amortizing the per-goroutine overhead that
-	// makes EngineGoroutine impractical at scale and letting concurrent
-	// simulators share one bounded worker pool.
+	// (see Options.Runtime), letting concurrent simulators share one
+	// bounded worker pool.
 	EngineParallel
 )
 
@@ -97,8 +91,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineSequential:
 		return "sequential"
-	case EngineGoroutine:
-		return "goroutine"
 	case EngineParallel:
 		return "parallel"
 	default:
@@ -108,17 +100,19 @@ func (e Engine) String() string {
 
 // Engines lists the available engines in display order.
 func Engines() []Engine {
-	return []Engine{EngineSequential, EngineParallel, EngineGoroutine}
+	return []Engine{EngineSequential, EngineParallel}
 }
 
 // ParseEngine parses an engine name as printed by Engine.String.
 func ParseEngine(name string) (Engine, error) {
+	var names []string
 	for _, e := range Engines() {
 		if e.String() == name {
 			return e, nil
 		}
+		names = append(names, e.String())
 	}
-	return 0, fmt.Errorf("congest: unknown engine %q (want sequential|parallel|goroutine)", name)
+	return 0, fmt.Errorf("congest: unknown engine %q (want %s)", name, strings.Join(names, "|"))
 }
 
 // DeliveryOrder controls the order in which a round's messages are
@@ -248,10 +242,10 @@ const (
 // the slots that received their first unicast (in program send order) and
 // the vertices that issued compact broadcasts. Each engine gives every
 // concurrently-running scope its own log — the sequential engine one
-// (merged after every vertex), the parallel engine one per shard, the
-// goroutine engine one per vertex — so the send path needs no
-// synchronization, and the coordinator merges logs in ascending frontier
-// order at the barrier, making the global lists engine-independent.
+// (merged after every vertex), the parallel engine one per shard — so
+// the send path needs no synchronization, and the coordinator merges
+// logs in ascending frontier order at the barrier, making the global
+// lists engine-independent.
 type sendLog struct {
 	dirty []int32 // slots first-touched by a unicast this round
 	bcast []int32 // vertices with pending compact broadcasts
@@ -347,7 +341,6 @@ type Simulator struct {
 	seqLog     sendLog   // sequential engine's (and Init's) send log
 	seqEnv     Env       // sequential engine's reused vertex handle
 	seqScratch []Inbound // sequential engine's gather buffer
-	glogs      []sendLog // goroutine engine's per-vertex send logs
 
 	// denseGather flags a round where most slots carry messages: building
 	// and sorting per-vertex inboxes would cost more than the dense port
@@ -369,8 +362,7 @@ type Simulator struct {
 	violRound      int
 	violVertex     int
 
-	workers *workerPool     // lazily started for EngineGoroutine
-	par     *parallelShards // lazily built for EngineParallel
+	par *parallelShards // lazily built for EngineParallel
 }
 
 // New creates a simulator running progs[v] at vertex v. The construction
@@ -499,10 +491,9 @@ func (s *Simulator) curSlot(slot int) []Message {
 // Reset swaps in new per-vertex programs and rewinds the simulator to
 // its pre-Init state while retaining every piece of graph-derived
 // machinery: the twin table, the message arenas (including every lazily
-// allocated page — the high-water is monotone), the shard layout, and —
-// for the goroutine engine — the already-started per-vertex workers. A
+// allocated page — the high-water is monotone), and the shard layout. A
 // sequence of protocols on the same topology therefore pays the
-// construction and pool-start cost exactly once.
+// construction cost exactly once.
 //
 // Metrics, the round counter, the halted flags, any recorded violation,
 // and any still-buffered messages are cleared: after Reset the
@@ -512,7 +503,6 @@ func (s *Simulator) curSlot(slot int) []Message {
 // should check Pending before resetting (protocols.Session does).
 //
 // Reset must not be called concurrently with Run; between runs the
-// goroutine-engine workers are parked on their start channels and the
 // shared runtime's workers hold no reference to this simulator, so the
 // next round's batch submission orders Reset's writes before any worker
 // reads them.
@@ -562,9 +552,6 @@ func (s *Simulator) reset() {
 	s.woken = s.woken[:0]
 	s.mail = s.mail[:0]
 	s.seqLog.reset()
-	for i := range s.glogs {
-		s.glogs[i].reset()
-	}
 	if s.par != nil {
 		for _, st := range s.par.shards {
 			st.log.reset()
@@ -665,8 +652,8 @@ func (s *Simulator) Program(v int) Program { return s.progs[v] }
 // Env is a vertex's handle to the simulator: identity, the topology
 // access permitted by the model, and message sending. An Env is only
 // valid inside the Program callbacks it is passed to. Envs are owned by
-// execution scopes (one per shard on the parallel engine, one per worker
-// on the goroutine engine, one total on the sequential engine), not by
+// execution scopes (one per shard on the parallel engine, one total on
+// the sequential engine), not by
 // vertices: the engine points the Env at the current vertex before each
 // callback, so n vertices cost O(scopes) handle state, and each scope's
 // handle plus send log live on their own cache lines.
@@ -933,8 +920,6 @@ func (s *Simulator) step() {
 	s.round++
 	s.buildFrontier()
 	switch s.opts.Engine {
-	case EngineGoroutine:
-		s.stepGoroutine()
 	case EngineParallel:
 		s.stepParallel()
 	default:

@@ -46,7 +46,6 @@ func runFlood(t *testing.T, g *graph.Graph, src int, opts Options) (*Simulator, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	if _, err := sim.RunUntilQuiet(10 * g.N()); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +219,6 @@ func runGossip(t *testing.T, g *graph.Graph, opts Options, horizon int) ([][]int
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	if err := sim.Run(horizon + 1); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +242,6 @@ func TestEnginesProduceIdenticalExecutions(t *testing.T) {
 	}
 	engines := map[string]Options{
 		"sequential":  {Engine: EngineSequential},
-		"goroutine":   {Engine: EngineGoroutine},
 		"parallel":    {Engine: EngineParallel},
 		"parallel-w7": {Engine: EngineParallel, Workers: 7},
 	}
@@ -325,12 +322,10 @@ func TestMetricsCountMessages(t *testing.T) {
 func TestConcurrentEnginesOnFlood(t *testing.T) {
 	g := gen.GNP(50, 0.1, 3, true)
 	_, seqD := runFlood(t, g, 7, Options{Engine: EngineSequential})
-	for _, eng := range []Engine{EngineGoroutine, EngineParallel} {
-		_, d := runFlood(t, g, 7, Options{Engine: eng})
-		for v := range seqD {
-			if seqD[v] != d[v] {
-				t.Errorf("vertex %d: seq dist %d, %s dist %d", v, seqD[v], eng, d[v])
-			}
+	_, d := runFlood(t, g, 7, Options{Engine: EngineParallel})
+	for v := range seqD {
+		if seqD[v] != d[v] {
+			t.Errorf("vertex %d: seq dist %d, parallel dist %d", v, seqD[v], d[v])
 		}
 	}
 }
@@ -374,8 +369,7 @@ func (p *portOrderProg) Round(env *Env, recv []Inbound) {
 }
 
 func TestEngineString(t *testing.T) {
-	if EngineSequential.String() != "sequential" || EngineGoroutine.String() != "goroutine" ||
-		EngineParallel.String() != "parallel" {
+	if EngineSequential.String() != "sequential" || EngineParallel.String() != "parallel" {
 		t.Error("Engine.String broken")
 	}
 	if Engine(99).String() != "Engine(99)" {
@@ -392,21 +386,6 @@ func TestParseEngine(t *testing.T) {
 	}
 	if _, err := ParseEngine("quantum"); err == nil {
 		t.Error("unknown engine name accepted")
-	}
-}
-
-func TestCloseIdempotent(t *testing.T) {
-	for _, eng := range []Engine{EngineGoroutine, EngineParallel} {
-		g := gen.Path(4)
-		sim, err := NewUniform(g, newFlood(0), Options{Engine: eng})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sim.Run(3); err != nil {
-			t.Fatal(err)
-		}
-		sim.Close()
-		sim.Close() // must not panic or deadlock
 	}
 }
 
@@ -446,7 +425,7 @@ func TestFloodOrderIndependent(t *testing.T) {
 	}
 }
 
-// panicProg panics at round 2 on one vertex; the goroutine engine must
+// panicProg panics at round 2 on one vertex; the parallel engine must
 // re-raise the panic on the coordinating goroutine (not deadlock or
 // swallow it).
 type panicProg struct{ boom bool }
@@ -460,7 +439,7 @@ func (p *panicProg) Round(env *Env, recv []Inbound) {
 }
 
 func TestConcurrentEnginesRepropagatePanic(t *testing.T) {
-	for _, eng := range []Engine{EngineGoroutine, EngineParallel} {
+	for _, eng := range []Engine{EngineParallel} {
 		t.Run(eng.String(), func(t *testing.T) {
 			g := gen.Path(4)
 			sim, err := NewUniform(g, func(v int) Program { return &panicProg{boom: v == 2} },
@@ -507,7 +486,6 @@ func TestViolationDeterministicAcrossEngines(t *testing.T) {
 		var want string
 		for _, opts := range []Options{
 			{Engine: EngineSequential},
-			{Engine: EngineGoroutine},
 			{Engine: EngineParallel},
 			{Engine: EngineParallel, Workers: 5},
 		} {
@@ -517,7 +495,6 @@ func TestViolationDeterministicAcrossEngines(t *testing.T) {
 				t.Fatal(err)
 			}
 			err = sim.Run(2)
-			sim.Close()
 			if !errors.Is(err, ErrBandwidth) {
 				t.Fatalf("%s/%s: Run error = %v, want ErrBandwidth", name, opts.Engine, err)
 			}

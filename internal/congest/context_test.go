@@ -57,7 +57,6 @@ func TestRunContextCancelsWithinOneRound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer sim.Close()
 			err = sim.RunContext(ctx, 100)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("RunContext = %v, want context.Canceled", err)

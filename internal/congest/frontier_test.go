@@ -377,7 +377,6 @@ func fzEngines() map[string]Options {
 		"sequential":  {Engine: EngineSequential},
 		"parallel":    {Engine: EngineParallel},
 		"parallel-w5": {Engine: EngineParallel, Workers: 5},
-		"goroutine":   {Engine: EngineGoroutine},
 	}
 }
 
@@ -398,7 +397,6 @@ func compareRun(t *testing.T, g *graph.Graph, cfg fzConfig, opts Options, label 
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	var runErr error
 	if untilQuiet {
 		_, runErr = sim.RunUntilQuiet(maxRounds)
@@ -526,9 +524,6 @@ func FuzzFrontierVsDense(f *testing.F) {
 			cfg.horizon = 6
 		}
 		for ename, opts := range fzEngines() {
-			if ename == "goroutine" && testing.Short() {
-				continue
-			}
 			compareRun(t, g, cfg, opts, ename, cfg.horizon > 0, 12)
 		}
 	})

@@ -142,7 +142,6 @@ func (s *Simulator) stepParallel() {
 		}
 		s.runShard(ps, 0, n, ps.shards[0])
 		if ps.panicked != nil { // inline: no other writers, no lock needed
-			s.Close()
 			panic(ps.panicked)
 		}
 		s.collectLog(&ps.shards[0].log)
@@ -169,7 +168,6 @@ func (s *Simulator) stepParallel() {
 	p := ps.panicked
 	ps.panicMu.Unlock()
 	if p != nil {
-		s.Close()
 		panic(p) // re-raise program panics on the coordinating goroutine
 	}
 	// Merge in shard order = ascending frontier order: bit-identical to

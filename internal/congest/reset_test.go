@@ -17,7 +17,6 @@ func TestResetMatchesFreshRun(t *testing.T) {
 	g := gen.GNP(60, 0.08, 11, true)
 	for _, opts := range []Options{
 		{Engine: EngineSequential},
-		{Engine: EngineGoroutine},
 		{Engine: EngineParallel},
 		{Engine: EngineParallel, Workers: 3},
 	} {
@@ -46,7 +45,6 @@ func TestResetMatchesFreshRun(t *testing.T) {
 				}
 			}
 		}
-		sim.Close()
 	}
 }
 
@@ -128,7 +126,6 @@ func TestResetRewindsDirtyLists(t *testing.T) {
 	for _, opts := range []Options{
 		{Engine: EngineSequential},
 		{Engine: EngineParallel},
-		{Engine: EngineGoroutine},
 	} {
 		// Fresh run for the comparison target.
 		fresh, err := NewUniform(g, newProg, opts)
@@ -164,9 +161,6 @@ func TestResetRewindsDirtyLists(t *testing.T) {
 				opts.Engine, len(sim.curBcastL), len(sim.nxBcastL))
 		}
 		logs := map[string]*sendLog{"seq": &sim.seqLog}
-		for i := range sim.glogs {
-			logs[fmt.Sprintf("goroutine-%d", i)] = &sim.glogs[i]
-		}
 		if sim.par != nil {
 			for i, st := range sim.par.shards {
 				logs[fmt.Sprintf("shard-%d", i)] = &st.log
@@ -202,8 +196,6 @@ func TestResetRewindsDirtyLists(t *testing.T) {
 					opts.Engine, v, got.transcript, got.invoked, want.transcript, want.invoked)
 			}
 		}
-		sim.Close()
-		fresh.Close()
 	}
 }
 
@@ -253,40 +245,6 @@ func goroutinesSettle(t *testing.T, want int) int {
 	return n
 }
 
-// The goroutine-engine worker pool must be started once, survive any
-// number of Resets without spawning replacements, and be fully torn
-// down by Close — the goroutine-leak regression guard for the
-// persistent-network runtime.
-func TestPoolsNotLeakedAcrossResetAndClose(t *testing.T) {
-	g := gen.Grid(5, 5)
-	base := runtime.NumGoroutine()
-	sim, err := NewUniform(g, newFlood(0), Options{Engine: EngineGoroutine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.RunUntilQuiet(10 * g.N()); err != nil {
-		t.Fatal(err)
-	}
-	running := runtime.NumGoroutine()
-	if running <= base {
-		t.Fatalf("no pool goroutines observed (base %d, running %d)", base, running)
-	}
-	for i := 0; i < 5; i++ {
-		sim.ResetUniform(newFlood(i))
-		if _, err := sim.RunUntilQuiet(10 * g.N()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Reset must reuse the pool, not stack new goroutines on top.
-	if after := runtime.NumGoroutine(); after > running {
-		t.Errorf("goroutines grew across Resets: %d -> %d", running, after)
-	}
-	sim.Close()
-	if after := goroutinesSettle(t, base); after > base {
-		t.Errorf("Close leaked goroutines: base %d, after close %d", base, after)
-	}
-}
-
 // EngineParallel owns no goroutines: its rounds execute on the shared
 // scheduler, which starts its workers once, survives any number of
 // simulators and Resets, and dies with sched.Runtime.Close — the
@@ -313,7 +271,6 @@ func TestSchedulerLifecycleAcrossSimulators(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sim.Close() // a no-op for the parallel engine; the pool is the runtime's
 	}
 	runSim()
 	running := goroutinesSettle(t, base+3)

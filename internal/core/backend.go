@@ -31,8 +31,6 @@ func newDistributedBackend(g *graph.Graph, nEst int, opts congest.Options) (*dis
 	return &distributedBackend{g: g, nEst: nEst, net: net}, nil
 }
 
-func (d *distributedBackend) close() { d.net.Close() }
-
 func (d *distributedBackend) beginPhase(i int) { d.phase = i }
 
 func (d *distributedBackend) steps() []protocols.StepMetrics { return d.net.Steps() }

@@ -26,8 +26,9 @@ func TestConcurrentBuildsBitIdenticalToSequential(t *testing.T) {
 		eng congest.Engine
 	}
 	var jobs []job
+	engines := congest.Engines()
 	for i := 0; i < 8; i++ {
-		jobs = append(jobs, job{cfgs[i%4], congest.Engines()[i%3]})
+		jobs = append(jobs, job{cfgs[i%4], engines[i%len(engines)]})
 	}
 
 	sequential := make([]*Result, len(jobs))

@@ -264,7 +264,6 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 		}
 		db.net.SetOnStep(opts.OnStep)
 		db.net.SetRoundBudget(opts.RoundBudget)
-		defer db.close()
 		bk = db
 	default:
 		return nil, fmt.Errorf("core: unknown mode %d", opts.Mode)

@@ -78,7 +78,6 @@ func TestRebuildMatchesFullBuild(t *testing.T) {
 	}{
 		{"centralized", Options{Mode: ModeCentralized}},
 		{"distributed", Options{Mode: ModeDistributed}},
-		{"goroutine", Options{Mode: ModeDistributed, Engine: congest.EngineGoroutine}},
 		{"parallel", Options{Mode: ModeDistributed, Engine: congest.EngineParallel}},
 	}
 	for _, c := range testConfigs(t) {
@@ -161,7 +160,6 @@ func TestRebuildChurnEngines(t *testing.T) {
 	}{
 		{"centralized", Options{Mode: ModeCentralized}},
 		{"distributed", Options{Mode: ModeDistributed}},
-		{"goroutine", Options{Mode: ModeDistributed, Engine: congest.EngineGoroutine}},
 		{"parallel", Options{Mode: ModeDistributed, Engine: congest.EngineParallel}},
 	}
 	for _, m := range modes {

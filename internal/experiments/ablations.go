@@ -128,10 +128,10 @@ func AblationA2(ctx context.Context, w io.Writer) error {
 	return nil
 }
 
-// AblationA3 runs the identical distributed construction on all three
+// AblationA3 runs the identical distributed construction on both
 // CONGEST engines and reports the wall-clock cost of each execution
-// strategy (goroutine-per-vertex model fidelity vs sharded parallelism),
-// verifying output equality. The engine runs stay sequential on purpose:
+// strategy (the sequential reference vs sharded parallelism), verifying
+// output equality. The engine runs stay sequential on purpose:
 // each row is a wall-clock measurement and must not share cores with a
 // concurrent sibling.
 func AblationA3(ctx context.Context, w io.Writer) error {

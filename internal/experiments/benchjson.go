@@ -141,7 +141,6 @@ func BenchJSON(w io.Writer) error {
 			if _, err := sim.RunUntilQuiet(protocols.ClimbMaxRounds(1, fn)); err != nil {
 				b.Fatal(err)
 			}
-			sim.Close()
 		}
 	})
 	isMember, q, c := FrontierRulingWorkload()
@@ -156,42 +155,22 @@ func BenchJSON(w io.Writer) error {
 			if err := sim.Run(protocols.RulingSetRounds(q, c, fn)); err != nil {
 				b.Fatal(err)
 			}
-			sim.Close()
 		}
 	})
 
 	// --- Oracle query tier on the 500k-edge assembly graph ---
 	og := AssembleColumnar(an, stream)
-	// The warm working set: 256 hot sources, cache capacity matching on
-	// both sides. The legacy hit path pays an O(capacity) recency scan
-	// per query, so its cost grows with the working set; the pool's
-	// (atomic load + array index) does not — that gap is the point.
+	// The warm working set: 256 hot sources, all resident in the pool's
+	// source cache, so every read is an atomic load plus an array index.
 	const hot = 256
 	qr := rng.New(0x0DDBA11)
 	warmPairs := make([][2]int, 4096)
 	for i := range warmPairs {
 		warmPairs[i] = [2]int{int(qr.Uint64() % hot), int(qr.Uint64() % uint64(an))}
 	}
-	// Warm single-source reads: the pre-pool oracle's hit path (map
-	// lookup + O(capacity) recency-slice memmove) against the pool's
-	// (atomic pointer load + array index). Both loops walk warmPairs
-	// with a plain wrapping counter so harness overhead (which the
-	// single-digit-ns pool row is sensitive to) stays minimal and equal.
-	legacy := newLegacyOracleLRU(og, hot)
-	for s := 0; s < hot; s++ {
-		legacy.levels(s)
-	}
-	record("oracle/warm-source/legacy-500k", func(b *testing.B) {
-		b.ReportAllocs()
-		j := 0
-		for i := 0; i < b.N; i++ {
-			q := warmPairs[j]
-			if j++; j == len(warmPairs) {
-				j = 0
-			}
-			benchSink = legacy.dist(q[0], q[1])
-		}
-	})
+	// Warm single-source reads. The loop walks warmPairs with a plain
+	// wrapping counter so harness overhead (which the single-digit-ns
+	// row is sensitive to) stays minimal.
 	pool := oracle.NewPool(og, oracle.PoolOptions{Replicas: 1, CacheSources: hot})
 	for s := 0; s < hot; s++ {
 		pool.Sources(s)
@@ -362,49 +341,6 @@ func BenchJSON(w io.Writer) error {
 
 // benchSink defeats dead-code elimination in the query benchmarks.
 var benchSink int32
-
-// legacyOracleLRU replicates the pre-pool Oracle's query path, kept as
-// the benchmark reference the same way AssembleMapPlane preserves the
-// map plane: a map[int][]int32 level cache whose hit path pays a map
-// lookup plus an O(capacity) recency-slice memmove per query.
-type legacyOracleLRU struct {
-	g        *graph.Graph
-	cache    map[int][]int32
-	capacity int
-	order    []int
-}
-
-func newLegacyOracleLRU(g *graph.Graph, capacity int) *legacyOracleLRU {
-	return &legacyOracleLRU{g: g, cache: make(map[int][]int32, capacity), capacity: capacity}
-}
-
-func (o *legacyOracleLRU) dist(u, v int) int32 { return o.levels(u)[v] }
-
-func (o *legacyOracleLRU) levels(u int) []int32 {
-	if lv, ok := o.cache[u]; ok {
-		o.touch(u)
-		return lv
-	}
-	lv := o.g.BFS(u)
-	if len(o.order) >= o.capacity {
-		evict := o.order[0]
-		o.order = o.order[1:]
-		delete(o.cache, evict)
-	}
-	o.cache[u] = lv
-	o.order = append(o.order, u)
-	return lv
-}
-
-func (o *legacyOracleLRU) touch(u int) {
-	for i, x := range o.order {
-		if x == u {
-			copy(o.order[i:], o.order[i+1:])
-			o.order[len(o.order)-1] = u
-			return
-		}
-	}
-}
 
 // FrontierClimbWorkload builds the long-path climb workload shared by
 // BenchmarkFrontier and the bench-json baseline: a single trace

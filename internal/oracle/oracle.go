@@ -12,19 +12,16 @@
 //
 //	d_G(u,v) <= Dist(u,v) <= (1+ε)·d_G(u,v) + β.
 //
-// For repeated queries from the same source the oracle caches BFS
-// levels; Sources/Pairs batch APIs expose that reuse.
-//
-// Oracle is the single-threaded convenience API. For the high-QPS
-// serving path — lock-free sharded reads, a shared source cache, batch
-// grouping, and a bidirectional-BFS point-query fast path — see Pool.
+// Oracle is Pool plus the input graph and parameters behind the
+// guarantee: queries go to the embedded Pool — lock-free sharded
+// reads, a shared source cache, batch grouping, and a
+// bidirectional-BFS point-query fast path — so an Oracle is safe for
+// concurrent use.
 package oracle
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 
 	"nearspan/internal/congest"
 	"nearspan/internal/core"
@@ -32,26 +29,14 @@ import (
 	"nearspan/internal/params"
 )
 
-// Oracle answers approximate distance queries over a preprocessed graph.
-// Not safe for concurrent use (the level cache is shared); clone one
-// oracle per goroutine via Clone, or use Pool for concurrent serving.
+// Oracle answers approximate distance queries over a preprocessed graph
+// through its embedded Pool (Dist, Sources, Path, PairsBatch, Stats).
+// It adds only what the pool cannot know: the input graph and the
+// spanner parameters, for Guarantee and EdgeSavings.
 type Oracle struct {
-	g       *graph.Graph
-	spanner *graph.Graph
-	p       *params.Params
-
-	cache      map[int]*lruEntry // BFS levels in the spanner, by source
-	capacity   int
-	head, tail *lruEntry // intrusive recency list: head = MRU, tail = LRU
-}
-
-// lruEntry is one cached source: its BFS levels plus intrusive recency
-// links, so a cache hit relinks in O(1) instead of scanning a recency
-// slice (the old order-slice made every hit linear in capacity).
-type lruEntry struct {
-	key        int
-	levels     []int32
-	prev, next *lruEntry
+	*Pool
+	g *graph.Graph
+	p *params.Params
 }
 
 // Options configure the oracle.
@@ -60,7 +45,8 @@ type Options struct {
 	Eps   float64
 	Kappa int
 	Rho   float64
-	// CacheSources bounds the per-source BFS cache (default 16).
+	// CacheSources bounds the pool's source cache (see
+	// PoolOptions.CacheSources).
 	CacheSources int
 	// Mode selects the spanner construction backend (zero =
 	// centralized, the fast default). Both modes build the identical
@@ -81,39 +67,21 @@ func New(g *graph.Graph, opts Options) (*Oracle, error) {
 	if err != nil {
 		return nil, err
 	}
-	capacity := opts.CacheSources
-	if capacity <= 0 {
-		capacity = 16
-	}
-	return &Oracle{
-		g:        g,
-		spanner:  res.Spanner,
-		p:        p,
-		cache:    make(map[int]*lruEntry, capacity),
-		capacity: capacity,
-	}, nil
+	return FromSpanner(g, res, opts.CacheSources)
 }
 
 // FromSpanner wraps an already-built spanner (e.g. from a distributed
-// run) in an oracle.
+// run) in an oracle whose pool caches up to cacheSources sources.
 func FromSpanner(g *graph.Graph, res *core.Result, cacheSources int) (*Oracle, error) {
 	if res.Spanner.N() != g.N() {
 		return nil, fmt.Errorf("oracle: spanner for n=%d, graph n=%d", res.Spanner.N(), g.N())
 	}
-	if cacheSources <= 0 {
-		cacheSources = 16
-	}
 	return &Oracle{
-		g:        g,
-		spanner:  res.Spanner,
-		p:        res.Params,
-		cache:    make(map[int]*lruEntry, cacheSources),
-		capacity: cacheSources,
+		Pool: NewPool(res.Spanner, PoolOptions{CacheSources: cacheSources}),
+		g:    g,
+		p:    res.Params,
 	}, nil
 }
-
-// Spanner returns the underlying spanner.
-func (o *Oracle) Spanner() *graph.Graph { return o.spanner }
 
 // Guarantee returns the oracle's error bound (alpha, beta):
 // answers satisfy d_G <= answer <= alpha*d_G + beta.
@@ -122,114 +90,4 @@ func (o *Oracle) Guarantee() (alpha float64, beta int32) {
 }
 
 // EdgeSavings returns |E_G| - |E_H|, the per-query traversal saving.
-func (o *Oracle) EdgeSavings() int { return o.g.M() - o.spanner.M() }
-
-// Dist returns the approximate distance from u to v
-// (graph.Infinity if disconnected).
-func (o *Oracle) Dist(u, v int) int32 {
-	return o.levels(u)[v]
-}
-
-// Sources returns the approximate distances from u to every vertex.
-// The returned slice is the caller's to keep: it is a copy, not the
-// cache's backing array, so mutating it cannot corrupt later answers.
-func (o *Oracle) Sources(u int) []int32 {
-	return slices.Clone(o.levels(u))
-}
-
-// Pairs answers a batch of queries, reusing per-source BFS work. The
-// batch is grouped by source internally (a single index sort — no
-// per-source map or slice churn), so callers need not sort; the result
-// is allocated once up front.
-func (o *Oracle) Pairs(queries [][2]int) []int32 {
-	out := make([]int32, len(queries))
-	idx := make([]int, len(queries))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortFunc(idx, func(a, b int) int {
-		if c := cmp.Compare(queries[a][0], queries[b][0]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	for i := 0; i < len(idx); {
-		src := queries[idx[i]][0]
-		lv := o.levels(src)
-		for ; i < len(idx) && queries[idx[i]][0] == src; i++ {
-			out[idx[i]] = lv[queries[idx[i]][1]]
-		}
-	}
-	return out
-}
-
-// Clone returns an oracle sharing the immutable spanner but with its own
-// cache, for concurrent use.
-func (o *Oracle) Clone() *Oracle {
-	return &Oracle{
-		g:        o.g,
-		spanner:  o.spanner,
-		p:        o.p,
-		cache:    make(map[int]*lruEntry, o.capacity),
-		capacity: o.capacity,
-	}
-}
-
-// levels returns the BFS level array for source u through the bounded
-// LRU cache: a hit moves u to the most-recently-used position, a miss
-// computes the BFS and evicts the least recently used source if the
-// cache is full. LRU (rather than FIFO) keeps hot sources resident under
-// the skewed query mixes the batch APIs see — repeated Pairs batches
-// over a working set larger than one batch would otherwise evict their
-// own sources between batches. The returned slice is cache-owned;
-// exported callers copy (Sources) or read through it (Dist, Pairs).
-func (o *Oracle) levels(u int) []int32 {
-	if e, ok := o.cache[u]; ok {
-		o.touch(e)
-		return e.levels
-	}
-	if len(o.cache) >= o.capacity && o.tail != nil {
-		evict := o.tail
-		o.unlink(evict)
-		delete(o.cache, evict.key)
-	}
-	e := &lruEntry{key: u, levels: o.spanner.BFS(u)}
-	o.cache[u] = e
-	o.pushFront(e)
-	return e.levels
-}
-
-// touch moves e to the most-recently-used end of the recency list in
-// O(1) via its intrusive links.
-func (o *Oracle) touch(e *lruEntry) {
-	if o.head == e {
-		return
-	}
-	o.unlink(e)
-	o.pushFront(e)
-}
-
-func (o *Oracle) unlink(e *lruEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		o.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		o.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (o *Oracle) pushFront(e *lruEntry) {
-	e.next = o.head
-	if o.head != nil {
-		o.head.prev = e
-	}
-	o.head = e
-	if o.tail == nil {
-		o.tail = e
-	}
-}
+func (o *Oracle) EdgeSavings() int { return o.g.M() - o.Spanner().M() }

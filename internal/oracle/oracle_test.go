@@ -56,7 +56,7 @@ func TestOracleDistMatchesSources(t *testing.T) {
 func TestOraclePairsBatch(t *testing.T) {
 	o, g := newTestOracle(t)
 	queries := [][2]int{{0, 5}, {0, 9}, {17, 3}, {0, 5}, {17, 100 % g.N()}}
-	got := o.Pairs(queries)
+	got := o.PairsBatch(queries)
 	for i, q := range queries {
 		if want := o.Dist(q[0], q[1]); got[i] != want {
 			t.Errorf("query %v: %d, want %d", q, got[i], want)
@@ -70,42 +70,16 @@ func TestOracleCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Touch more sources than the cache holds; answers stay correct.
+	// Query more sources than the cache admits; answers stay correct
+	// and the cache stays within CacheSources.
 	for src := 0; src < 10; src++ {
 		d := o.Dist(src, 63)
 		if d < g.Distance(src, 63) {
-			t.Fatalf("underestimate after eviction: src %d", src)
+			t.Fatalf("underestimate past the cache capacity: src %d", src)
 		}
 	}
-	if len(o.cache) > 2 {
-		t.Errorf("cache grew to %d entries, capacity 2", len(o.cache))
-	}
-}
-
-// The cache is LRU, not FIFO: re-querying a resident source refreshes
-// it, so the next eviction removes the colder entry.
-func TestOracleCacheLRU(t *testing.T) {
-	g := gen.Grid(8, 8)
-	o, err := New(g, Options{Eps: 0.5, Kappa: 4, Rho: 0.45, CacheSources: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Dist(0, 63) // cache: [0]
-	o.Dist(1, 63) // cache: [0, 1]
-	o.Dist(0, 63) // hit refreshes 0 -> cache: [1, 0]
-	o.Dist(2, 63) // evicts 1, not 0 -> cache: [0, 2]
-	if _, ok := o.cache[0]; !ok {
-		t.Error("LRU evicted the recently touched source 0")
-	}
-	if _, ok := o.cache[1]; ok {
-		t.Error("LRU kept the least recently used source 1")
-	}
-	if _, ok := o.cache[2]; !ok {
-		t.Error("newly queried source 2 not cached")
-	}
-	// Answers stay correct throughout.
-	if o.Dist(1, 63) < g.Distance(1, 63) {
-		t.Error("underestimate after LRU churn")
+	if got := o.Stats().CachedSources; got > 2 {
+		t.Errorf("cache grew to %d entries, capacity 2", got)
 	}
 }
 
@@ -129,18 +103,6 @@ func TestOracleFromSpanner(t *testing.T) {
 	// Mismatched graph rejected.
 	if _, err := FromSpanner(gen.Path(5), res, 4); err == nil {
 		t.Error("graph/spanner size mismatch accepted")
-	}
-}
-
-func TestOracleCloneIndependentCache(t *testing.T) {
-	o, _ := newTestOracle(t)
-	c := o.Clone()
-	_ = o.Dist(0, 1)
-	if len(c.cache) != 0 {
-		t.Error("clone shares cache state")
-	}
-	if c.Dist(0, 1) != o.Dist(0, 1) {
-		t.Error("clone answers differ")
 	}
 }
 

@@ -258,8 +258,8 @@ func TestPoolSourcesReturnsCopy(t *testing.T) {
 	}
 }
 
-// The legacy Oracle fix rides the same contract: Sources hands out a
-// copy, not the cache's backing array.
+// The Oracle rides the same contract: Sources hands out a copy, not the
+// cache's backing array.
 func TestOracleSourcesReturnsCopy(t *testing.T) {
 	g := gen.Grid(8, 8)
 	o, err := New(g, Options{Eps: 0.5, Kappa: 4, Rho: 0.45})

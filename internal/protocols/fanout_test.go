@@ -122,7 +122,6 @@ func TestStepFanoutDuringNetworkSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer net.Close()
 	var fan StepFanout
 	net.SetOnStep(fan.Emit)
 

@@ -36,7 +36,6 @@ func runSim(t *testing.T, g *graph.Graph, factory func(v int) congest.Program, r
 		t.Fatal(err)
 	}
 	if err := sim.Run(rounds); err != nil {
-		sim.Close()
 		t.Fatalf("run: %v", err)
 	}
 	return sim
@@ -84,15 +83,13 @@ func TestBFSForestEnginesAgree(t *testing.T) {
 	isRoot := func(v int) bool { return v%11 == 0 }
 	simSeq := runSim(t, g, NewBFSForest(isRoot, 6), ForestRounds(6), congest.EngineSequential)
 	a := ExtractForest(simSeq)
-	for _, eng := range []congest.Engine{congest.EngineGoroutine, congest.EngineParallel} {
-		sim := runSim(t, g, NewBFSForest(isRoot, 6), ForestRounds(6), eng)
-		b := ExtractForest(sim)
-		sim.Close()
-		for v := 0; v < g.N(); v++ {
-			if a.Dist[v] != b.Dist[v] || a.Root[v] != b.Root[v] || a.ParentPort[v] != b.ParentPort[v] {
-				t.Errorf("%s v%d: engines disagree: %+v vs %+v", eng,
-					v, []any{a.Dist[v], a.Root[v], a.ParentPort[v]}, []any{b.Dist[v], b.Root[v], b.ParentPort[v]})
-			}
+	eng := congest.EngineParallel
+	sim := runSim(t, g, NewBFSForest(isRoot, 6), ForestRounds(6), eng)
+	b := ExtractForest(sim)
+	for v := 0; v < g.N(); v++ {
+		if a.Dist[v] != b.Dist[v] || a.Root[v] != b.Root[v] || a.ParentPort[v] != b.ParentPort[v] {
+			t.Errorf("%s v%d: engines disagree: %+v vs %+v", eng,
+				v, []any{a.Dist[v], a.Root[v], a.ParentPort[v]}, []any{b.Dist[v], b.Root[v], b.ParentPort[v]})
 		}
 	}
 }
@@ -128,7 +125,6 @@ func runNN(t *testing.T, g *graph.Graph, centers []int, deg int, delta int32, en
 	}
 	sim := runSim(t, g, NewNearNeighbors(func(v int) bool { return isC[v] }, deg, delta),
 		NearNeighborsRounds(deg, delta), eng)
-	defer sim.Close()
 	return ExtractNN(sim)
 }
 
@@ -175,20 +171,19 @@ func TestNearNeighborsEnginesAgree(t *testing.T) {
 	g := gen.Grid(7, 7)
 	centers := nnCenters(g, 3)
 	a := runNN(t, g, centers, 3, 4, congest.EngineSequential)
-	for _, eng := range []congest.Engine{congest.EngineGoroutine, congest.EngineParallel} {
-		b := runNN(t, g, centers, 3, 4, eng)
-		for v := 0; v < g.N(); v++ {
-			aKeys, aDist := a.Known(v)
-			bKeys, bDist := b.Known(v)
-			if len(aKeys) != len(bKeys) || a.Popular[v] != b.Popular[v] {
-				t.Fatalf("%s v%d: engines disagree", eng, v)
-			}
-			for i, c := range aKeys {
-				aPort, _ := a.Port(v, c)
-				bPort, _ := b.Port(v, c)
-				if bKeys[i] != c || bDist[i] != aDist[i] || aPort != bPort {
-					t.Errorf("%s v%d center %d: engines disagree", eng, v, c)
-				}
+	eng := congest.EngineParallel
+	b := runNN(t, g, centers, 3, 4, eng)
+	for v := 0; v < g.N(); v++ {
+		aKeys, aDist := a.Known(v)
+		bKeys, bDist := b.Known(v)
+		if len(aKeys) != len(bKeys) || a.Popular[v] != b.Popular[v] {
+			t.Fatalf("%s v%d: engines disagree", eng, v)
+		}
+		for i, c := range aKeys {
+			aPort, _ := a.Port(v, c)
+			bPort, _ := b.Port(v, c)
+			if bKeys[i] != c || bDist[i] != aDist[i] || aPort != bPort {
+				t.Errorf("%s v%d center %d: engines disagree", eng, v, c)
 			}
 		}
 	}
@@ -317,7 +312,6 @@ func runRulingSet(t *testing.T, g *graph.Graph, members []int, q int32, c int, e
 	}
 	sim := runSim(t, g, NewRulingSet(func(v int) bool { return isM[v] }, q, c, g.N()),
 		RulingSetRounds(q, c, g.N()), eng)
-	defer sim.Close()
 	return ExtractRulingSet(sim)
 }
 
@@ -379,15 +373,14 @@ func TestRulingSetEnginesAgree(t *testing.T) {
 	g := gen.Torus(6, 6)
 	members := nnCenters(g, 1)
 	a := runRulingSet(t, g, members, 3, 2, congest.EngineSequential)
-	for _, eng := range []congest.Engine{congest.EngineGoroutine, congest.EngineParallel} {
-		b := runRulingSet(t, g, members, 3, 2, eng)
-		if len(a) != len(b) {
+	eng := congest.EngineParallel
+	b := runRulingSet(t, g, members, 3, 2, eng)
+	if len(a) != len(b) {
+		t.Fatalf("%s: engines disagree: %v vs %v", eng, a, b)
+	}
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatalf("%s: engines disagree: %v vs %v", eng, a, b)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: engines disagree: %v vs %v", eng, a, b)
-			}
 		}
 	}
 }

@@ -47,14 +47,11 @@ type StepMetrics struct {
 // session run on it. The paper's construction is a sequence of
 // protocols on the same graph (ℓ phases × 4 steps); constructing a
 // simulator per step would reallocate the O(m·Bandwidth) message
-// arenas, the twin table, and restart the engine worker pools every
-// time. A Network pays those costs once and additionally keeps the
-// per-step metrics stream the per-phase accounting is built from.
-//
-// Close releases the goroutine engine's per-vertex workers; it is a
-// no-op for the other engines (the parallel engine executes on the
-// shared runtime, whose lifecycle is independent of any one network).
-// Always call it when done with a goroutine-engine network.
+// arenas and the twin table every time. A Network pays those costs
+// once and additionally keeps the per-step metrics stream the per-phase
+// accounting is built from. It owns no goroutines: the parallel engine
+// executes on the shared runtime, whose lifecycle is independent of any
+// one network.
 type Network struct {
 	sim    *congest.Simulator
 	steps  []StepMetrics
@@ -155,10 +152,6 @@ func (n *Network) RecordReplayed(phase int, step string, rounds int) error {
 	n.record(StepMetrics{Phase: phase, Step: step, Rounds: rounds, Replayed: true})
 	return nil
 }
-
-// Close releases the simulator's goroutine-engine workers, if any (see
-// the type comment).
-func (n *Network) Close() { n.sim.Close() }
 
 // Session is one protocol run attached to the network. Each session
 // owns a message-kind namespace: after its rounds complete, any message

@@ -88,7 +88,6 @@ func TestSessionsMatchFreshSimulators(t *testing.T) {
 		if steps[1].Step != StepRulingSet || steps[2].Step != StepForest {
 			t.Errorf("%s: step order wrong: %+v", eng, steps)
 		}
-		net.Close()
 	}
 }
 

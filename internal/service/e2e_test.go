@@ -204,7 +204,7 @@ func TestServiceE2EGoldenFingerprint(t *testing.T) {
 	}
 }
 
-// Eight simultaneous jobs across all three engines, submitted over
+// Eight simultaneous jobs across both engines, submitted over
 // HTTP, must produce spanners bit-identical to the same builds run
 // sequentially through core.Build — the PR 3 Concurrent suite lifted to
 // the HTTP layer. Run under -race in CI.
@@ -361,6 +361,7 @@ func TestServiceBadRequests(t *testing.T) {
 		"missing eps":        {Graph: GraphSpec{Type: "path", N: 8}, Kappa: 3, Rho: 0.49},
 		"bad mode":           {Graph: GraphSpec{Type: "path", N: 8}, Eps: 0.5, Kappa: 3, Rho: 0.49, Mode: "quantum"},
 		"bad engine":         {Graph: GraphSpec{Type: "path", N: 8}, Eps: 0.5, Kappa: 3, Rho: 0.49, Engine: "warp"},
+		"removed engine":     {Graph: GraphSpec{Type: "path", N: 8}, Eps: 0.5, Kappa: 3, Rho: 0.49, Engine: "goroutine"},
 	} {
 		resp, _ := postJSON(t, url+"/v1/jobs", spec)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -108,7 +108,7 @@ type JobSpec struct {
 	Rho            float64 `json:"rho"`
 
 	Mode   string `json:"mode,omitempty"`   // centralized|distributed (default distributed)
-	Engine string `json:"engine,omitempty"` // sequential|parallel|goroutine (default parallel)
+	Engine string `json:"engine,omitempty"` // sequential|parallel (default parallel)
 
 	// TimeoutMS bounds the job's wall-clock build time; 0 applies the
 	// server default.
@@ -223,8 +223,10 @@ type Job struct {
 
 	// patchMu serializes PATCH …/edges rebuilds: one delta applies at a
 	// time, and each rebuild reads the state the previous one installed.
-	// It is never held while answering queries — readers see either the
-	// old snapshot or the new one, swapped atomically under mu.
+	// The build worker also holds it while persisting the done record,
+	// so the first delta is journaled after it. It is never held while
+	// answering queries — readers see either the old snapshot or the new
+	// one, swapped atomically under mu.
 	patchMu sync.Mutex
 
 	mu         sync.Mutex

@@ -35,6 +35,7 @@ type metrics struct {
 	recoveredRebuild    atomic.Int64 // boot recoveries that rebuilt from journaled inputs
 	recoveredRequeue    atomic.Int64 // interrupted jobs re-enqueued at boot
 	recoveredTerminal   atomic.Int64 // failed/cancelled jobs restored at boot
+	recoveredDropped    atomic.Int64 // journaled jobs whose spec no longer validates
 	snapshotCorruptions atomic.Int64 // snapshots that failed verification at boot
 
 	arenaHighWater atomic.Int64 // largest per-build arena footprint seen
@@ -151,6 +152,7 @@ func (m *metrics) render(queueDepth int, draining bool, qp oracle.PoolStats, ps 
 	fmt.Fprintf(&sb, "spannerd_recoveries_total{kind=\"rebuild\"} %d\n", m.recoveredRebuild.Load())
 	fmt.Fprintf(&sb, "spannerd_recoveries_total{kind=\"requeue\"} %d\n", m.recoveredRequeue.Load())
 	fmt.Fprintf(&sb, "spannerd_recoveries_total{kind=\"terminal\"} %d\n", m.recoveredTerminal.Load())
+	fmt.Fprintf(&sb, "spannerd_recoveries_total{kind=\"dropped\"} %d\n", m.recoveredDropped.Load())
 	counter("spannerd_snapshot_corruptions_total",
 		"Snapshots that failed checksum or fingerprint verification at boot (each cost a rebuild).",
 		m.snapshotCorruptions.Load())

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"log"
 	"time"
 
 	"nearspan/internal/core"
@@ -101,10 +102,22 @@ func (s *Server) replayJournal() {
 
 func (s *Server) restoreJob(jj *journaledJob) {
 	job, err := newJob(jj.id, jj.spec, s.opts.DefaultTimeout, s.opts.MaxTimeout, jj.submitted)
+	if err != nil && jj.spec.Engine != "" {
+		// A data dir written by an older binary may name an engine this
+		// one no longer has. Engines are bit-identical and a restored
+		// spanner is re-verified against its journaled fingerprint, so
+		// the job recovers soundly on the default engine.
+		spec := jj.spec
+		spec.Engine = ""
+		job, err = newJob(jj.id, spec, s.opts.DefaultTimeout, s.opts.MaxTimeout, jj.submitted)
+	}
 	if err != nil {
 		// Specs are validated before they are journaled, so this means
 		// the journal predates an incompatible spec change. The job
-		// cannot even materialize a graph for its view; drop it.
+		// cannot even materialize a graph for its view; drop it, but
+		// visibly.
+		s.met.recoveredDropped.Add(1)
+		log.Printf("spannerd: recovery dropped job %s: journaled spec no longer validates: %v", jj.id, err)
 		return
 	}
 	s.mu.Lock()

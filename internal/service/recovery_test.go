@@ -243,6 +243,71 @@ func TestServiceRecoveryCorruptSnapshotRebuilds(t *testing.T) {
 	drainServer(t, s3)
 }
 
+// A data dir written by an older binary can journal a spec naming an
+// engine this binary no longer has. Recovery must bring such a job back
+// done on the default engine with its journaled fingerprint, and a spec
+// that no longer validates for any other reason must be counted as
+// dropped rather than vanish without a trace.
+func TestServiceRecoveryRemovedEngineFallsBack(t *testing.T) {
+	// Produce the journaled outcome the older binary would have recorded.
+	st := openStore(t, t.TempDir())
+	s1 := New(Options{Builds: 1, SchedWorkers: 2, Store: st})
+	waitReady(t, s1)
+	job, err := s1.Submit(recoverySpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, job)
+	want := job.View().Result
+	drainServer(t, s1)
+	st.Close()
+
+	dir := t.TempDir()
+	st = openStore(t, dir)
+	legacy := recoverySpec
+	legacy.Engine = "goroutine"
+	invalid := recoverySpec
+	invalid.Mode = "quantum"
+	now := time.Now().UTC().Format(time.RFC3339Nano)
+	for _, rec := range []struct {
+		typ, job string
+		data     any
+	}{
+		{recAccepted, "j000001", acceptedData{Spec: legacy}},
+		{recDone, "j000001", doneData{Result: want}},
+		{recAccepted, "j000002", acceptedData{Spec: invalid}},
+	} {
+		data, _ := json.Marshal(rec.data)
+		if err := st.Append(store.Record{Type: rec.typ, Job: rec.job, Time: now, Data: data}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+
+	st = openStore(t, dir)
+	defer st.Close()
+	s2 := New(Options{Builds: 1, SchedWorkers: 2, Store: st})
+	defer drainServer(t, s2)
+	waitReady(t, s2)
+	r := s2.Job("j000001")
+	if r == nil || r.State() != StateDone {
+		t.Fatalf("goroutine-engine job after restart: %v", r)
+	}
+	if got := r.View().Result; got.Fingerprint != want.Fingerprint || got.Edges != want.Edges {
+		t.Fatalf("recovered (m=%d, %s), journal records (m=%d, %s)",
+			got.Edges, got.Fingerprint, want.Edges, want.Fingerprint)
+	}
+	if s2.met.recoveredRebuild.Load() != 1 {
+		t.Fatalf("recoveredRebuild = %d, want 1 (no snapshot in the hand-written dir)", s2.met.recoveredRebuild.Load())
+	}
+	if s2.Job("j000002") != nil {
+		t.Fatal("job with an invalid journaled spec was restored")
+	}
+	if got := s2.met.recoveredDropped.Load(); got != 1 {
+		t.Fatalf("recoveredDropped = %d, want 1", got)
+	}
+}
+
 // /readyz gates traffic while recovery runs: 503 "recovering" with
 // /healthz already 200, submissions and patches shed with 503, then 200
 // "ready" once the (gated) replay completes.

@@ -367,6 +367,11 @@ func (s *Server) runJob(job *Job) {
 		ArenaBytes:  res.ArenaBytes,
 		BuildMS:     dur.Milliseconds(),
 	}
+	// Holding patchMu until the done record is journaled orders it
+	// before any delta record: a PATCH arriving the moment the job turns
+	// done waits for the snapshot instead of racing it on the same file.
+	job.patchMu.Lock()
+	defer job.patchMu.Unlock()
 	job.finishOK(result, s.newPool(res), res, time.Now())
 	s.met.done.Add(1)
 	s.persistDone(job, result, res.Spanner)

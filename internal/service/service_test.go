@@ -494,16 +494,15 @@ func TestServiceHealthz(t *testing.T) {
 	}
 }
 
-// A full daemon lifecycle — builds on every engine, including the
-// goroutine engine's pools, on a private scheduler — must return the
-// process to its baseline goroutine count after drain: no leaked
-// workers, simulators, or HTTP plumbing.
+// A full daemon lifecycle — builds on every engine, on a private
+// scheduler — must return the process to its baseline goroutine count
+// after drain: no leaked workers, simulators, or HTTP plumbing.
 func TestServiceShutdownLeaksNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	_, url, shutdown := startDaemon(t, Options{Builds: 2, SchedWorkers: 4})
 	var wg sync.WaitGroup
-	for _, engine := range []string{"sequential", "parallel", "goroutine"} {
+	for _, engine := range []string{"sequential", "parallel"} {
 		wg.Add(1)
 		go func(engine string) {
 			defer wg.Done()

@@ -82,7 +82,7 @@ const (
 )
 
 // Engine selects the CONGEST simulator execution engine used by
-// DistributedMode. All engines are deterministic and produce the
+// DistributedMode. Both engines are deterministic and produce the
 // bit-identical spanner, round count, and message count; they differ
 // only in wall-clock speed.
 type Engine = congest.Engine
@@ -93,17 +93,13 @@ type Engine = congest.Engine
 //   - EngineParallel: vertex shards fanned out to a fixed worker pool
 //     sized to GOMAXPROCS — the engine for large graphs on multi-core
 //     hardware.
-//   - EngineGoroutine: one goroutine per graph vertex — the literal
-//     message-passing-processors rendering, for model-fidelity
-//     cross-checks; impractical beyond small graphs.
 const (
 	EngineSequential = congest.EngineSequential
 	EngineParallel   = congest.EngineParallel
-	EngineGoroutine  = congest.EngineGoroutine
 )
 
-// ParseEngine parses an engine name ("sequential", "parallel",
-// "goroutine") as printed by Engine.String — for CLI flags.
+// ParseEngine parses an engine name ("sequential", "parallel") as
+// printed by Engine.String — for CLI flags.
 func ParseEngine(name string) (Engine, error) { return congest.ParseEngine(name) }
 
 // Config configures BuildSpanner.
@@ -124,14 +120,8 @@ type Config struct {
 	// Mode selects the execution backend (default CentralizedMode).
 	Mode Mode
 	// Engine selects the CONGEST simulator engine in DistributedMode:
-	// EngineSequential (default), EngineParallel, or EngineGoroutine.
+	// EngineSequential (default) or EngineParallel.
 	Engine Engine
-	// GoroutineEngine runs the distributed mode with one goroutine per
-	// vertex instead of the sequential round loop.
-	//
-	// Deprecated: set Engine to EngineGoroutine instead. Ignored when
-	// Engine is non-zero.
-	GoroutineEngine bool
 	// KeepClusters retains per-phase cluster collections in the result.
 	KeepClusters bool
 	// OnStep, when set, receives each protocol step's metrics as it
@@ -192,7 +182,7 @@ func BuildSpannerContext(ctx context.Context, g *Graph, cfg Config) (*Result, er
 func (cfg Config) options() core.Options {
 	return core.Options{
 		Mode:                cfg.Mode,
-		Engine:              cfg.engine(),
+		Engine:              cfg.Engine,
 		KeepClusters:        cfg.KeepClusters,
 		OnStep:              cfg.OnStep,
 		RoundBudget:         cfg.RoundBudget,
@@ -238,18 +228,6 @@ func (cfg Config) params(n int) (*Params, error) {
 	default:
 		return nil, fmt.Errorf("nearspan: set Config.Eps or Config.TargetEpsPrime")
 	}
-}
-
-// engine resolves the Engine selection, honoring the deprecated
-// GoroutineEngine flag when Engine is unset.
-func (cfg Config) engine() Engine {
-	if cfg.Engine != 0 {
-		return cfg.Engine
-	}
-	if cfg.GoroutineEngine {
-		return EngineGoroutine
-	}
-	return EngineSequential
 }
 
 // NewParams exposes the parameter derivation for callers that want to
@@ -322,7 +300,8 @@ func BuildGreedy(g *Graph, kappa int) (*Graph, error) {
 }
 
 // DistanceOracle answers approximate distance queries over a
-// preprocessed spanner with the (1+ε', β) guarantee.
+// preprocessed spanner with the (1+ε', β) guarantee. It embeds an
+// OraclePool, so it is safe for concurrent use.
 type DistanceOracle = oracle.Oracle
 
 // OracleOptions configure NewDistanceOracle.
