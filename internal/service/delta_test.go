@@ -20,6 +20,13 @@ import (
 	"nearspan/internal/params"
 )
 
+// jobGraph reads the job's current input graph (swapped by each delta).
+func jobGraph(j *Job) *graph.Graph {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.g
+}
+
 // sampleBatch builds a small delta that agrees with the given graph:
 // the first k sampled edges deleted, k absent pairs
 // inserted. Deterministic so the test's from-scratch reference patches
@@ -304,7 +311,7 @@ func TestServiceDeltaQueryDuringSwapRace(t *testing.T) {
 		}()
 	}
 
-	g := job.rebuildBase().Rebuild.Graph
+	g := jobGraph(job)
 	for step := 0; step < 6; step++ {
 		b := sampleBatch(t, g, 2)
 		g2, err := delta.Apply(g, b)

@@ -223,10 +223,10 @@ type Job struct {
 
 	// patchMu serializes PATCH …/edges rebuilds: one delta applies at a
 	// time, and each rebuild reads the state the previous one installed.
-	// The build worker also holds it while persisting the done record,
-	// so the first delta is journaled after it. It is never held while
-	// answering queries — readers see either the old snapshot or the new
-	// one, swapped atomically under mu.
+	// It also serializes the job's snapshot writes: the build worker
+	// holds it while installing the done snapshot. It is never held
+	// while answering queries — readers see either the old snapshot or
+	// the new one, swapped atomically under mu.
 	patchMu sync.Mutex
 
 	mu         sync.Mutex
@@ -329,29 +329,6 @@ func (j *Job) Cancel() {
 	}
 }
 
-func (j *Job) setRunning(cancel context.CancelFunc, now time.Time) (alreadyCancelled bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.cancelSeen {
-		return true
-	}
-	j.state = StateRunning
-	j.started = now
-	j.cancel = cancel
-	return false
-}
-
-func (j *Job) finishOK(res *JobResult, pool *oracle.Pool, build *core.Result, now time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.state = StateDone
-	j.result = res
-	j.pool = pool
-	j.buildRes = build
-	j.finished = now
-	close(j.done)
-}
-
 // QueryPool returns the job's distance-query pool, or nil while the job
 // has not finished with a spanner (queued, running, failed, cancelled).
 // After a delta rebuild it returns the pool over the latest spanner.
@@ -359,67 +336,6 @@ func (j *Job) QueryPool() *oracle.Pool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.pool
-}
-
-// restoreDone installs a recovered terminal success without touching
-// the job's lifecycle channel semantics: the job looks exactly like one
-// that finished before the restart, except build may be nil (snapshot
-// reload) — in which case the first PATCH takes the full-build path.
-func (j *Job) restoreDone(g *graph.Graph, res *JobResult, pool *oracle.Pool, build *core.Result, finished time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.g = g
-	j.state = StateDone
-	j.result = res
-	j.pool = pool
-	j.buildRes = build
-	j.finished = finished
-	close(j.done)
-}
-
-// restoreErr installs a recovered terminal failure.
-func (j *Job) restoreErr(jerr *JobError, finished time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if jerr.Kind == "cancelled" {
-		j.state = StateCancelled
-	} else {
-		j.state = StateFailed
-	}
-	j.jobErr = jerr
-	j.finished = finished
-	close(j.done)
-}
-
-// graphSnapshot reads the job's current graph pointer (swapped on
-// rebuild, so the read takes the lock).
-func (j *Job) graphSnapshot() *graph.Graph {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.g
-}
-
-// rebuildBase snapshots the retained build a delta replays against
-// (nil until the job is done). Callers hold patchMu across the whole
-// read-rebuild-swap cycle, so the snapshot cannot go stale under them.
-func (j *Job) rebuildBase() *core.Result {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.buildRes
-}
-
-// swapSpanner atomically installs a rebuilt spanner: the patched graph,
-// the updated result document, the fresh query pool, and the rebuild
-// state the next delta chains from. The old pool is not closed — it
-// owns no goroutines, and queries in flight on it finish against their
-// (still immutable) old snapshot before it is collected.
-func (j *Job) swapSpanner(g *graph.Graph, res *JobResult, pool *oracle.Pool, build *core.Result) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.g = g
-	j.result = res
-	j.pool = pool
-	j.buildRes = build
 }
 
 // Guarantee returns the (alpha, beta) error bound every query answer
@@ -435,19 +351,6 @@ func (j *Job) GraphN() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.g.N()
-}
-
-func (j *Job) finishErr(jerr *JobError, now time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if jerr.Kind == "cancelled" {
-		j.state = StateCancelled
-	} else {
-		j.state = StateFailed
-	}
-	j.jobErr = jerr
-	j.finished = now
-	close(j.done)
 }
 
 // JobView is the wire form of a job — everything a status poll needs.

@@ -28,7 +28,7 @@ type metrics struct {
 	builds     atomic.Int64 // builds attempted, rebuilds included (duration denominator)
 	buildNanos atomic.Int64 // cumulative wall-clock build time
 
-	rebuilds         atomic.Int64 // PATCH edge-delta rebuilds attempted
+	rebuilds         atomic.Int64 // PATCH edge-delta rebuilds applied
 	rebuildFallbacks atomic.Int64 // rebuilds that fell back to a full build
 
 	recoveredSnapshot   atomic.Int64 // boot recoveries served from a verified snapshot
@@ -140,7 +140,7 @@ func (m *metrics) render(queueDepth int, draining bool, qp oracle.PoolStats, ps 
 	fmt.Fprintf(&sb, "spannerd_build_seconds_sum %g\n", float64(m.buildNanos.Load())/1e9)
 	fmt.Fprintf(&sb, "spannerd_build_seconds_count %d\n", m.builds.Load())
 
-	counter("spannerd_rebuilds_total", "Edge-delta rebuilds attempted (PATCH .../edges).", m.rebuilds.Load())
+	counter("spannerd_rebuilds_total", "Edge-delta rebuilds applied (PATCH .../edges).", m.rebuilds.Load())
 	counter("spannerd_rebuild_fallbacks_total",
 		"Delta rebuilds whose dirty frontier exceeded the threshold and fell back to a full build.",
 		m.rebuildFallbacks.Load())

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,7 +11,6 @@ import (
 
 	"nearspan/internal/core"
 	"nearspan/internal/delta"
-	"nearspan/internal/graph"
 )
 
 // Boot-time recovery replays the journal into live server state. The
@@ -23,6 +23,14 @@ import (
 // inputs (spec + deltas) and expected outcomes (fingerprints), and the
 // construction reproduces any spanner bit-identically from its inputs,
 // so even a corrupt snapshot costs a rebuild, never a wrong answer.
+//
+// Replay folds the journal per job, then hands the folded outcome to
+// the same (*Server).apply live operation uses, with journaling off:
+// memory and the job-state counters come out exactly as if the events
+// had just happened, and the replay itself writes no record, so a crash
+// during recovery replays again from the same journal. Only a rebuilt
+// spanner is written back, as its snapshot. Re-enqueued jobs run as
+// live jobs and journal their outcome like any other.
 //
 // Recovery runs on its own goroutine so the HTTP listener can come up
 // immediately: /healthz answers 200 (the process is alive) while
@@ -80,7 +88,6 @@ func (s *Server) replayJournal() {
 			var d deltaData
 			if jj := byID[rec.Job]; jj != nil && jj.done != nil && json.Unmarshal(rec.Data, &d) == nil && d.Result != nil {
 				jj.deltas = append(jj.deltas, d)
-				jj.finished = at
 			}
 		case recFailed:
 			var d failedData
@@ -127,12 +134,7 @@ func (s *Server) restoreJob(jj *journaledJob) {
 
 	switch {
 	case jj.failed != nil:
-		job.restoreErr(jj.failed, jj.finished)
-		if jj.failed.Kind == "cancelled" {
-			s.met.cancelled.Add(1)
-		} else {
-			s.met.failed.Add(1)
-		}
+		s.apply(job, jobEvent{kind: recFailed, at: jj.finished, err: jj.failed, replay: true})
 		s.met.recoveredTerminal.Add(1)
 	case jj.done != nil:
 		s.restoreDone(job, jj)
@@ -149,30 +151,34 @@ func (s *Server) restoreJob(jj *journaledJob) {
 // restoreDone brings a completed job back: the input graph is the
 // journaled spec patched by every journaled delta, and the spanner
 // comes from the snapshot when it verifies — or from a deterministic
-// rebuild of the journaled inputs when it does not.
+// rebuild of the journaled inputs when it does not. A recovery that
+// fails leaves the job failed in memory but journals nothing, so the
+// next boot retries it.
 func (s *Server) restoreDone(job *Job, jj *journaledJob) {
-	g := job.g
-	res := jj.done
+	fail := func(jerr *JobError) {
+		s.apply(job, jobEvent{kind: recFailed, err: jerr, replay: true})
+	}
+	g, res := job.g, jj.done
 	for _, d := range jj.deltas {
-		batch := &delta.Batch{Insert: edgeList(d.Insert), Delete: edgeList(d.Delete)}
-		patched, err := delta.Apply(g, batch)
+		patched, err := delta.Apply(g, &delta.Batch{Insert: edgeList(d.Insert), Delete: edgeList(d.Delete)})
 		if err != nil {
-			job.restoreErr(&JobError{
+			fail(&JobError{
 				Kind:       "error",
 				Message:    fmt.Sprintf("recovery: journaled delta %d does not apply: %v", d.Seq, err),
 				HTTPStatus: 500,
-			}, time.Now())
-			s.met.failed.Add(1)
+			})
 			return
 		}
-		g = patched
-		res = d.Result
+		g, res = patched, d.Result
 	}
+	ev := jobEvent{kind: recDone, at: jj.finished, res: res, g: g, replay: true}
 
 	if spanner, err := s.st.LoadSnapshot(job.ID, res.Fingerprint); err == nil {
-		job.restoreDone(g, res, s.poolFor(spanner), nil, jj.finished)
+		// Snapshot reload carries no rebuild state: the first PATCH takes
+		// the full-build path.
+		ev.spanner = spanner
+		s.apply(job, ev)
 		s.met.recoveredSnapshot.Add(1)
-		s.met.done.Add(1)
 		return
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		// A snapshot that exists but fails checksum or fingerprint
@@ -182,46 +188,42 @@ func (s *Server) restoreDone(job *Job, jj *journaledJob) {
 	}
 
 	// Deterministic rebuild from the journaled inputs, verified against
-	// the journaled fingerprint, then re-snapshotted so the next boot is
-	// fast again.
-	res2, err := core.Build(s.buildCtx, g, job.p, s.buildOptions(job))
+	// the journaled fingerprint; apply re-snapshots it, so the next boot
+	// is fast again. Drain during boot interrupts it like any build.
+	built, got, err := s.build(s.buildCtx, job, func(ctx context.Context) (*core.Result, error) {
+		return core.Build(ctx, g, job.p, s.buildOptions(job))
+	})
 	if err != nil {
-		// Interrupted (drain during boot) or failed: leave the job
-		// failed in memory but journal nothing, so the next boot
-		// retries the recovery.
-		job.restoreErr(classifyErr(err), time.Now())
-		s.met.failed.Add(1)
+		fail(classifyErr(err))
 		return
 	}
-	m, fp := graph.Fingerprint(res2.Spanner)
-	if fp != res.Fingerprint || m != res.Edges {
-		job.restoreErr(&JobError{
+	if got.Fingerprint != res.Fingerprint || got.Edges != res.Edges {
+		fail(&JobError{
 			Kind: "error",
 			Message: fmt.Sprintf("recovery: rebuilt spanner is (m=%d, %s), journal records (m=%d, %s)",
-				m, fp, res.Edges, res.Fingerprint),
+				got.Edges, got.Fingerprint, res.Edges, res.Fingerprint),
 			HTTPStatus: 500,
-		}, time.Now())
-		s.met.failed.Add(1)
+		})
 		return
 	}
-	s.st.WriteSnapshot(job.ID, fp, res2.Spanner)
-	job.restoreDone(g, res, s.newPool(res2), res2, jj.finished)
+	ev.build = built
+	s.apply(job, ev)
 	s.met.recoveredRebuild.Add(1)
-	s.met.done.Add(1)
 }
 
 // enqueueRecovered feeds an interrupted job back into the build queue,
 // yielding to a concurrent drain exactly like Submit does.
 func (s *Server) enqueueRecovered(job *Job) {
+	const msg = "cancelled: server draining before recovered build restarted"
 	select {
 	case <-s.drainCh:
-		s.finishCancelled(job, "cancelled: server draining before recovered build restarted")
+		s.apply(job, cancelledEvent(msg))
 		return
 	default:
 	}
 	select {
 	case s.queue <- job:
 	case <-s.drainCh:
-		s.finishCancelled(job, "cancelled: server draining before recovered build restarted")
+		s.apply(job, cancelledEvent(msg))
 	}
 }

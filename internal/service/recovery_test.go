@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -13,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"nearspan/internal/core"
 	"nearspan/internal/delta"
+	"nearspan/internal/graph"
 	"nearspan/internal/store"
 )
 
@@ -81,7 +84,7 @@ func TestServiceRecoveryRestartRestoresJobs(t *testing.T) {
 	if job1.State() != StateDone {
 		t.Fatalf("job1 finished %q", job1.State())
 	}
-	batch := sampleBatch(t, job1.graphSnapshot(), 3)
+	batch := sampleBatch(t, jobGraph(job1), 3)
 	if jerr := s1.RebuildJob(job1, batch); jerr != nil {
 		t.Fatalf("patch: %+v", jerr)
 	}
@@ -134,6 +137,12 @@ func TestServiceRecoveryRestartRestoresJobs(t *testing.T) {
 	}
 	if rv1.Result.Deltas != 1 {
 		t.Fatalf("job1 lost its delta count: %d", rv1.Result.Deltas)
+	}
+	// The done record carries the instant the job turned done, so the
+	// restored document is the live one, timestamps included.
+	if rv1.Finished != v1.Finished || rv1.Submitted != v1.Submitted {
+		t.Fatalf("job1 timestamps after restart (%s, %s), want (%s, %s)",
+			rv1.Submitted, rv1.Finished, v1.Submitted, v1.Finished)
 	}
 	if s2.met.recoveredSnapshot.Load() != 1 {
 		t.Fatalf("recoveredSnapshot = %d, want 1", s2.met.recoveredSnapshot.Load())
@@ -226,6 +235,12 @@ func TestServiceRecoveryCorruptSnapshotRebuilds(t *testing.T) {
 	if s2.met.snapshotCorruptions.Load() != 1 || s2.met.recoveredRebuild.Load() != 1 {
 		t.Fatalf("corruptions=%d rebuilds=%d, want 1/1",
 			s2.met.snapshotCorruptions.Load(), s2.met.recoveredRebuild.Load())
+	}
+	// The recovery rebuild is a build like any other: counted, and its
+	// arena measured.
+	if s2.met.builds.Load() != 1 || s2.met.arenaHighWater.Load() <= 0 {
+		t.Fatalf("recovery rebuild accounting: builds=%d arenaHighWater=%d, want 1 and > 0",
+			s2.met.builds.Load(), s2.met.arenaHighWater.Load())
 	}
 	drainServer(t, s2)
 	st.Close()
@@ -414,7 +429,7 @@ func TestServicePersistenceErrorDegradesToReadOnly(t *testing.T) {
 	if _, err := s.Submit(recoverySpec); !errors.Is(err, ErrPersistence) {
 		t.Fatalf("submit after degrade returned %v, want ErrPersistence", err)
 	}
-	if jerr := s.RebuildJob(job, sampleBatch(t, job.graphSnapshot(), 2)); jerr == nil || jerr.HTTPStatus != 503 {
+	if jerr := s.RebuildJob(job, sampleBatch(t, jobGraph(job), 2)); jerr == nil || jerr.HTTPStatus != 503 {
 		t.Fatalf("patch on degraded store: %+v", jerr)
 	}
 	// The query tier is untouched.
@@ -531,6 +546,198 @@ func TestServiceMetricsExposeRecoveryCounters(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// boundaryTear tears the next write of one store writer kind
+// ("journal" or "snapshot") once armed — at byte 0 or mid-frame — and
+// passes every other write through, like a disk that dies at exactly
+// one event boundary.
+type boundaryTear struct {
+	kind  string
+	mid   bool
+	armed atomic.Bool
+}
+
+func (b *boundaryTear) wrap(kind, _ string, w io.Writer) io.Writer {
+	if kind != b.kind {
+		return w
+	}
+	return &boundaryTearWriter{b: b, w: w}
+}
+
+type boundaryTearWriter struct {
+	b *boundaryTear
+	w io.Writer
+}
+
+func (t *boundaryTearWriter) Write(p []byte) (int, error) {
+	if !t.b.armed.CompareAndSwap(true, false) {
+		return t.w.Write(p)
+	}
+	n := 0
+	if t.b.mid {
+		n = len(p) / 2
+	}
+	return store.NewTearWriter(t.w, n, nil).Write(p)
+}
+
+// spannerEdgeBatch deletes one edge of the job's current spanner. The
+// patched spanner is a subgraph of the patched graph, so it must change.
+func spannerEdgeBatch(j *Job) *delta.Batch {
+	b := &delta.Batch{}
+	j.QueryPool().Spanner().Edges(func(u, v int) {
+		if len(b.Delete) == 0 {
+			b.Delete = append(b.Delete, delta.Edge{U: int32(u), V: int32(v)})
+		}
+	})
+	return b
+}
+
+// requireJobsTotalMatches pins that the job-state counters derive from
+// the same events as the job states: spannerd_jobs_total{state} must
+// equal the registry's per-state count once every job is terminal.
+func requireJobsTotalMatches(t *testing.T, s *Server) {
+	t.Helper()
+	count := map[string]int{}
+	for _, j := range s.Jobs() {
+		waitTerminal(t, j)
+		count[j.State()]++
+	}
+	text := s.met.render(s.QueueDepth(), s.Draining(), s.queryPoolStats(), s.persistSnapshotStats())
+	for _, state := range []string{StateDone, StateFailed, StateCancelled} {
+		if want := fmt.Sprintf("spannerd_jobs_total{state=%q} %d\n", state, count[state]); !strings.Contains(text, want) {
+			t.Errorf("/metrics disagrees with Jobs(): want %q", strings.TrimSpace(want))
+		}
+	}
+}
+
+// A crash can tear the store at every event boundary: the accepted
+// record, the done record and snapshot, the delta record and snapshot,
+// and the failed record of a cancel. Each is torn at byte 0 and
+// mid-frame; the live event still applies in memory, and a restart on
+// the reopened store must show the last durable state. Torn accepted:
+// no job. Torn done record: re-run to the same fingerprint. Torn delta
+// record: the pre-delta fingerprint and delta count. Torn failed
+// record: re-run. A torn snapshot follows a durable record, so the job
+// comes back at that record's state, rebuilt from the journal.
+func TestServiceRecoveryTornEventBoundaries(t *testing.T) {
+	ref, err := newJob("ref", recoverySpec, 0, 0, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := core.Build(context.Background(), ref.g, ref.p, core.Options{Mode: ref.mode, Engine: ref.engine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wantFP := graph.Fingerprint(built.Spanner)
+
+	for _, c := range []struct {
+		name, kind, event string
+	}{
+		{"accepted-record", "journal", recAccepted},
+		{"done-record", "journal", recDone},
+		{"done-snapshot", "snapshot", recDone},
+		{"delta-record", "journal", recDelta},
+		{"delta-snapshot", "snapshot", recDelta},
+		{"failed-record", "journal", recFailed},
+	} {
+		for _, mid := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/mid=%v", c.name, mid), func(t *testing.T) {
+				dir := t.TempDir()
+				tear := &boundaryTear{kind: c.kind, mid: mid}
+				st, err := store.Open(store.Options{Dir: dir, Fsync: store.FsyncNever, WrapWriter: tear.wrap})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s1 := New(Options{Builds: 1, SchedWorkers: 2, Store: st, QueryReplicas: 1})
+				waitReady(t, s1)
+				switch c.event {
+				case recAccepted:
+					tear.armed.Store(true)
+				case recDone:
+					s1.beforeBuild = func(*Job) { tear.armed.Store(true) }
+				case recFailed:
+					s1.beforeBuild = func(j *Job) { tear.armed.Store(true); j.Cancel() }
+				}
+
+				job, err := s1.Submit(recoverySpec)
+				wantDeltas, fp := 0, wantFP
+				switch c.event {
+				case recAccepted:
+					if !errors.Is(err, ErrPersistence) {
+						t.Fatalf("submit with a torn accepted record returned %v, want ErrPersistence", err)
+					}
+				case recDelta:
+					if err != nil {
+						t.Fatal(err)
+					}
+					waitTerminal(t, job)
+					if jerr := s1.RebuildJob(job, spannerEdgeBatch(job)); jerr != nil {
+						t.Fatalf("first patch: %+v", jerr)
+					}
+					wantDeltas, fp = 1, job.View().Result.Fingerprint
+					tear.armed.Store(true)
+					if jerr := s1.RebuildJob(job, spannerEdgeBatch(job)); jerr != nil {
+						t.Fatalf("torn patch must still apply in memory: %+v", jerr)
+					}
+					v := job.View()
+					if v.Result.Deltas != 2 || v.Result.Fingerprint == fp {
+						t.Fatalf("torn patch: in-memory (%s, deltas=%d), want a new spanner and deltas=2",
+							v.Result.Fingerprint, v.Result.Deltas)
+					}
+					if c.kind == "snapshot" {
+						wantDeltas, fp = 2, v.Result.Fingerprint
+					}
+				default:
+					if err != nil {
+						t.Fatal(err)
+					}
+					waitTerminal(t, job)
+					if want := map[string]string{recDone: StateDone, recFailed: StateCancelled}[c.event]; job.State() != want {
+						t.Fatalf("torn %s event left the job %s in memory, want %s", c.event, job.State(), want)
+					}
+				}
+				requireJobsTotalMatches(t, s1)
+				drainServer(t, s1)
+				if st.ReadOnly() == nil {
+					t.Fatal("the armed tear never fired: store not degraded")
+				}
+				st.Close()
+
+				st = openStore(t, dir)
+				defer st.Close()
+				if torn := st.TailDamage() != nil; torn != (c.kind == "journal" && mid) {
+					t.Errorf("journal tail damage %v, want torn=%v", st.TailDamage(), c.kind == "journal" && mid)
+				}
+				s2 := New(Options{Builds: 1, SchedWorkers: 2, Store: st, QueryReplicas: 1})
+				defer drainServer(t, s2)
+				waitReady(t, s2)
+				requireJobsTotalMatches(t, s2)
+
+				r := s2.Job("j000001")
+				if c.event == recAccepted {
+					if r != nil || len(s2.Jobs()) != 0 {
+						t.Fatalf("torn accepted record restored job %v", r)
+					}
+					return
+				}
+				if r == nil {
+					t.Fatal("job not restored")
+				}
+				v := r.View()
+				if v.State != StateDone || v.Result == nil {
+					t.Fatalf("restored job %s (%+v), want done", v.State, v.Error)
+				}
+				if v.Result.Fingerprint != fp || v.Result.Deltas != wantDeltas {
+					t.Fatalf("restored (%s, deltas=%d), want last durable (%s, deltas=%d)",
+						v.Result.Fingerprint, v.Result.Deltas, fp, wantDeltas)
+				}
+				if rebuilt := s2.met.recoveredRebuild.Load() == 1; rebuilt != (c.kind == "snapshot") {
+					t.Errorf("recovery rebuilds %d, want one exactly when the snapshot was torn", s2.met.recoveredRebuild.Load())
+				}
+			})
 		}
 	}
 }

@@ -264,7 +264,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		s.met.rejected.Add(1)
 		return nil, ErrQueueFull
 	}
-	if err := s.journalAccepted(job); err != nil {
+	if err := s.apply(job, jobEvent{kind: recAccepted, at: job.submitted}); err != nil {
 		s.mu.Unlock()
 		s.met.rejected.Add(1)
 		return nil, fmt.Errorf("%w: %v", ErrPersistence, err)
@@ -322,7 +322,7 @@ func (s *Server) worker() {
 			return
 		case job := <-s.queue:
 			if s.draining.Load() {
-				s.finishCancelled(job, "cancelled: server draining before build started")
+				s.apply(job, cancelledEvent("cancelled: server draining before build started"))
 				continue
 			}
 			s.runJob(job)
@@ -335,74 +335,67 @@ func (s *Server) worker() {
 func (s *Server) runJob(job *Job) {
 	ctx, cancel := context.WithCancel(s.buildCtx)
 	defer cancel()
-	if job.setRunning(cancel, time.Now()) {
-		s.finishCancelled(job, "cancelled before build started")
+	if s.apply(job, jobEvent{kind: evRunning, cancel: cancel}) != nil {
+		s.apply(job, cancelledEvent("cancelled before build started"))
 		return
 	}
+	res, result, err := s.build(ctx, job, func(ctx context.Context) (*core.Result, error) {
+		if s.beforeBuild != nil {
+			s.beforeBuild(job)
+		}
+		return core.Build(ctx, job.g, job.p, s.buildOptions(job))
+	})
+	if err != nil {
+		s.apply(job, jobEvent{kind: recFailed, err: classifyErr(err)})
+		return
+	}
+	// A PATCH that sees the job done waits until its snapshot is in.
+	job.patchMu.Lock()
+	defer job.patchMu.Unlock()
+	s.apply(job, jobEvent{kind: recDone, res: result, build: res})
+}
+
+// build is the one build tail every spanner goes through — first
+// builds, delta rebuilds and recovery rebuilds alike: run under the
+// job's wall-clock limit, counted in the build metrics, fingerprinted
+// into a JobResult. A panic in run becomes an ordinary error: one
+// poisoned job must not take the daemon (and every other job's
+// spanner) down with it, so the panic value and stack land in the
+// job's terminal record instead.
+func (s *Server) build(ctx context.Context, job *Job, run func(context.Context) (*core.Result, error)) (res *core.Result, result *JobResult, err error) {
 	if job.timeout > 0 {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, job.timeout)
-		defer tcancel()
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, job.timeout)
+		defer cancel()
 	}
 	s.met.active.Add(1)
 	start := time.Now()
-	res, err := s.executeBuild(ctx, job)
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				res, err = nil, &buildPanicError{val: r, stack: string(debug.Stack())}
+			}
+		}()
+		res, err = run(ctx)
+	}()
 	dur := time.Since(start)
 	s.met.active.Add(-1)
 	s.met.buildNanos.Add(int64(dur))
 	s.met.builds.Add(1)
-
 	if err != nil {
-		s.finishFailed(job, classifyErr(err))
-		return
+		return nil, nil, err
 	}
 	m, fp := graph.Fingerprint(res.Spanner)
 	s.met.highWater(res.ArenaBytes)
-	// The spanner is immutable from here on: hand it to the query tier.
-	result := &JobResult{
+	return res, &JobResult{
 		Edges:       m,
 		TotalRounds: res.TotalRounds,
 		Messages:    res.Messages,
 		Fingerprint: fp,
 		ArenaBytes:  res.ArenaBytes,
 		BuildMS:     dur.Milliseconds(),
-	}
-	// Holding patchMu until the done record is journaled orders it
-	// before any delta record: a PATCH arriving the moment the job turns
-	// done waits for the snapshot instead of racing it on the same file.
-	job.patchMu.Lock()
-	defer job.patchMu.Unlock()
-	job.finishOK(result, s.newPool(res), res, time.Now())
-	s.met.done.Add(1)
-	s.persistDone(job, result, res.Spanner)
-}
-
-// executeBuild runs one build, converting a worker panic into an
-// ordinary error: one poisoned job must not take the daemon (and every
-// other job's spanner) down with it. The panic value and stack land in
-// the job's terminal record.
-func (s *Server) executeBuild(ctx context.Context, job *Job) (res *core.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, &buildPanicError{val: r, stack: string(debug.Stack())}
-		}
-	}()
-	if s.beforeBuild != nil {
-		s.beforeBuild(job)
-	}
-	return core.Build(ctx, job.g, job.p, s.buildOptions(job))
-}
-
-// finishFailed records a terminal failure in memory, in the metrics,
-// and in the journal.
-func (s *Server) finishFailed(job *Job, jerr *JobError) {
-	job.finishErr(jerr, time.Now())
-	if jerr.Kind == "cancelled" {
-		s.met.cancelled.Add(1)
-	} else {
-		s.met.failed.Add(1)
-	}
-	s.persistFailed(job, jerr)
+		Incremental: res.Incremental,
+	}, nil
 }
 
 // buildOptions is the one place job limits and the metrics fan-out turn
@@ -426,12 +419,7 @@ func (s *Server) buildOptions(job *Job) core.Options {
 	}
 }
 
-func (s *Server) newPool(res *core.Result) *oracle.Pool {
-	return s.poolFor(res.Spanner)
-}
-
-// poolFor builds the query tier over a spanner that arrived without a
-// core.Result — a snapshot reload at recovery.
+// poolFor builds the query tier over an immutable spanner.
 func (s *Server) poolFor(spanner *graph.Graph) *oracle.Pool {
 	return oracle.NewPool(spanner, oracle.PoolOptions{
 		Replicas:     s.opts.QueryReplicas,
@@ -441,11 +429,12 @@ func (s *Server) poolFor(spanner *graph.Graph) *oracle.Pool {
 
 // RebuildJob applies one edge-delta batch to a done job: it rebuilds
 // the spanner incrementally from the job's retained state (core.Rebuild
-// — bit-identical to a from-scratch build of the patched graph) and
-// atomically swaps in the patched graph, the updated result document,
-// and a fresh query pool. Queries in flight during the rebuild answer
-// from the old snapshot; queries that start after the swap see the new
-// one. Batches serialize per job; concurrent PATCHes queue.
+// — bit-identical to a from-scratch build of the patched graph) and,
+// once the delta is journaled, atomically swaps in the patched graph,
+// the updated result document, and a fresh query pool. Queries in
+// flight during the rebuild answer from the old snapshot; queries that
+// start after the swap see the new one. Batches serialize per job;
+// concurrent PATCHes queue.
 //
 // The returned *JobError (nil on success) carries the HTTP status:
 // 404 while the job has no spanner, 409 when the batch disagrees with
@@ -468,67 +457,42 @@ func (s *Server) RebuildJob(job *Job, b *delta.Batch) *JobError {
 	job.patchMu.Lock()
 	defer job.patchMu.Unlock()
 
-	prev := job.rebuildBase()
-	if prev == nil {
-		// A job restored from a snapshot carries no retained rebuild
-		// state (the snapshot holds only the spanner CSR). Its first
-		// patch takes the full-build path — bit-identical to the
-		// incremental one — and re-establishes the state every later
-		// delta chains from.
-		if job.State() == StateDone {
-			return s.rebuildFromScratch(job, b)
-		}
+	job.mu.Lock()
+	g, prev, cur := job.g, job.buildRes, job.result
+	job.mu.Unlock()
+	if cur == nil {
 		return &JobError{Kind: "not-ready", Message: "job has no spanner to patch (not finished)", HTTPStatus: 404}
 	}
 	// Validate up front against the graph the delta claims to patch so a
 	// disagreeing batch is a clean 409, not a failed build. patchMu makes
 	// the check-then-rebuild atomic: nothing else swaps the graph under us.
-	g := prev.Rebuild.Graph
 	if jerr := validateBatch(g, b); jerr != nil {
 		return jerr
 	}
 
 	// The rebuild runs under the drain umbrella (buildCancel aborts it at
 	// a round boundary) and the job's wall-clock limit, like any build.
-	ctx := s.buildCtx
-	if job.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, job.timeout)
-		defer cancel()
-	}
-	s.met.active.Add(1)
-	start := time.Now()
-	res, err := core.Rebuild(ctx, prev, b, s.buildOptions(job))
-	dur := time.Since(start)
-	s.met.active.Add(-1)
-	s.met.buildNanos.Add(int64(dur))
-	s.met.builds.Add(1)
-	s.met.rebuilds.Add(1)
+	res, result, err := s.build(s.buildCtx, job, func(ctx context.Context) (*core.Result, error) {
+		if prev != nil {
+			return core.Rebuild(ctx, prev, b, s.buildOptions(job))
+		}
+		// A job restored from a snapshot carries no retained rebuild
+		// state (the snapshot holds only the spanner CSR). Its first
+		// patch builds the patched graph from scratch — bit-identical to
+		// the incremental path — and re-establishes the state every later
+		// delta chains from.
+		patched, err := delta.Apply(g, b)
+		if err != nil {
+			return nil, err
+		}
+		return core.Build(ctx, patched, job.p, s.buildOptions(job))
+	})
 	if err != nil {
 		// The job keeps its current spanner; only the patch fails.
 		return classifyErr(err)
 	}
-	if !res.Incremental {
-		s.met.rebuildFallbacks.Add(1)
-	}
-
-	m, fp := graph.Fingerprint(res.Spanner)
-	s.met.highWater(res.ArenaBytes)
-	job.mu.Lock()
-	deltas := job.result.Deltas + 1
-	job.mu.Unlock()
-	result := &JobResult{
-		Edges:       m,
-		TotalRounds: res.TotalRounds,
-		Messages:    res.Messages,
-		Fingerprint: fp,
-		ArenaBytes:  res.ArenaBytes,
-		BuildMS:     dur.Milliseconds(),
-		Deltas:      deltas,
-		Incremental: res.Incremental,
-	}
-	job.swapSpanner(res.Rebuild.Graph, result, s.newPool(res), res)
-	s.persistDelta(job, b, result, res.Spanner)
+	result.Deltas = cur.Deltas + 1
+	s.apply(job, jobEvent{kind: recDelta, res: result, build: res, g: res.Rebuild.Graph, batch: b})
 	return nil
 }
 
@@ -552,59 +516,6 @@ func validateBatch(g *graph.Graph, b *delta.Batch) *JobError {
 	return nil
 }
 
-// rebuildFromScratch is the patch path for a job whose rebuild state
-// was lost to a restart: apply the delta to the job graph and run a
-// full build of the patched graph. Determinism makes the outcome
-// bit-identical to the incremental path, and KeepRebuildState means the
-// job's next patch is incremental again.
-func (s *Server) rebuildFromScratch(job *Job, b *delta.Batch) *JobError {
-	g := job.graphSnapshot()
-	if jerr := validateBatch(g, b); jerr != nil {
-		return jerr
-	}
-	patched, err := delta.Apply(g, b)
-	if err != nil {
-		return &JobError{Kind: "conflict", Message: err.Error(), HTTPStatus: 409}
-	}
-
-	ctx := s.buildCtx
-	if job.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, job.timeout)
-		defer cancel()
-	}
-	s.met.active.Add(1)
-	start := time.Now()
-	res, err := core.Build(ctx, patched, job.p, s.buildOptions(job))
-	dur := time.Since(start)
-	s.met.active.Add(-1)
-	s.met.buildNanos.Add(int64(dur))
-	s.met.builds.Add(1)
-	s.met.rebuilds.Add(1)
-	s.met.rebuildFallbacks.Add(1)
-	if err != nil {
-		return classifyErr(err)
-	}
-
-	m, fp := graph.Fingerprint(res.Spanner)
-	s.met.highWater(res.ArenaBytes)
-	job.mu.Lock()
-	deltas := job.result.Deltas + 1
-	job.mu.Unlock()
-	result := &JobResult{
-		Edges:       m,
-		TotalRounds: res.TotalRounds,
-		Messages:    res.Messages,
-		Fingerprint: fp,
-		ArenaBytes:  res.ArenaBytes,
-		BuildMS:     dur.Milliseconds(),
-		Deltas:      deltas,
-	}
-	job.swapSpanner(res.Rebuild.Graph, result, s.newPool(res), res)
-	s.persistDelta(job, b, result, res.Spanner)
-	return nil
-}
-
 // queryPoolStats aggregates the per-job query-pool counters for
 // /metrics.
 func (s *Server) queryPoolStats() (agg oracle.PoolStats) {
@@ -620,10 +531,6 @@ func (s *Server) queryPoolStats() (agg oracle.PoolStats) {
 		}
 	}
 	return agg
-}
-
-func (s *Server) finishCancelled(job *Job, msg string) {
-	s.finishFailed(job, &JobError{Kind: "cancelled", Message: msg, HTTPStatus: 409})
 }
 
 // Drain shuts the server down without ever emitting a partial spanner:
@@ -648,7 +555,7 @@ func (s *Server) Drain(ctx context.Context) {
 		for {
 			select {
 			case job := <-s.queue:
-				s.finishCancelled(job, "cancelled: server draining before build started")
+				s.apply(job, cancelledEvent("cancelled: server draining before build started"))
 				continue
 			default:
 			}
