@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nearspan"
+	"nearspan/internal/congest"
 	"nearspan/internal/core"
 	"nearspan/internal/edgeset"
 	"nearspan/internal/experiments"
@@ -80,6 +81,35 @@ func TestAllocBudgetCentralizedBuild(t *testing.T) {
 	const budget = 30_000
 	if avg > budget {
 		t.Errorf("centralized Build allocates %v per run (budget %d)", avg, budget)
+	}
+}
+
+// The distributed build (Algorithm 1 on the simulator, then the
+// protocol sessions of every later step) stays within a fixed budget on
+// the same reference workload, sequential engine. Algorithm 1 keeps its
+// per-vertex state in flat reused slices (NNState) and measures 10,296
+// allocations per build. With a map per vertex for its known centers
+// and Via pointers plus a fresh map per phase for its hearings, the
+// same build allocated 20,720 times, well over the budget.
+func TestAllocBudgetDistributedBuild(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	g := gen.GNP(256, 16.0/256, 256, true)
+	p, err := params.New(1.0/3, 3, 0.49, g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(5, func() {
+		if _, err := core.Build(context.Background(), g, p, core.Options{
+			Mode: core.ModeDistributed, Engine: congest.EngineSequential,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 15_000
+	if avg > budget {
+		t.Errorf("distributed Build allocates %v per run (budget %d)", avg, budget)
 	}
 }
 

@@ -327,7 +327,7 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 				return nil, fmt.Errorf("core: phase %d near-neighbors: %w", i, err)
 			}
 			if rec != nil {
-				tr = rec.Finish(p.Delta[i] - 1)
+				tr = rec.Finish()
 			}
 		}
 		if state != nil {

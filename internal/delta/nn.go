@@ -24,8 +24,8 @@ type NNDiff struct {
 // The soundness of the frontier scoping rests on one structural fact of
 // the protocol: the only state a vertex exports is its per-phase forward
 // list (and, at phase 0, its center announcement). A vertex's hearings —
-// and therefore its forwards and its stored Known/Via entries — are a
-// pure function of its neighbor set and its neighbors' forwards. So a
+// and therefore its forwards and its stored centers and Via ports — are
+// a pure function of its neighbor set and its neighbors' forwards. So a
 // vertex whose neighborhood is unchanged and whose neighbors' forwards
 // match the previous run hears exactly what it heard before, and its
 // entire row can be spliced verbatim.
@@ -62,8 +62,7 @@ func DiffNN(gNew *graph.Graph, prevNN *protocols.NNResult, prevT *protocols.NNTr
 	tracked := make([]bool, n)
 	joinPhase := make([]int32, n)
 	var order []int32
-	known := make([]map[int64]int32, n)
-	via := make([]map[int64]int32, n)
+	st := make([]protocols.NNState, n)        // replay state (tracked only)
 	rows := make([][]protocols.ForwardSeg, n) // rebuilt transcript rows (tracked only)
 	curList := make([][]int64, n)             // RLE state: list of the latest row segment
 	prevFwd := make([][]int64, n)             // tracked forwards at the last processed phase
@@ -85,15 +84,7 @@ func DiffNN(gNew *graph.Graph, prevNN *protocols.NNResult, prevT *protocols.NNTr
 		// share with the previous run: stored entries of distance < p,
 		// and transcript segments starting before p.
 		keys, dist, ports := prevNN.Row(v)
-		k := make(map[int64]int32)
-		vi := make(map[int64]int32)
-		for i, c := range keys {
-			if dist[i] < p {
-				k[c] = dist[i]
-				vi[c] = ports[i]
-			}
-		}
-		known[v], via[v] = k, vi
+		st[v].Seed(keys, dist, ports, p)
 		segs := prevT.Segs[v]
 		cut := 0
 		for cut < len(segs) && segs[cut].From < p {
@@ -133,13 +124,6 @@ func DiffNN(gNew *graph.Graph, prevNN *protocols.NNResult, prevT *protocols.NNTr
 		}
 	}
 
-	type cand struct {
-		id   int64
-		port int32
-	}
-	var heard []cand
-	var fwds []int64
-
 	for p := int32(1); p <= delta && !overflow; p++ {
 		if len(order) == 0 {
 			break
@@ -155,56 +139,21 @@ func DiffNN(gNew *graph.Graph, prevNN *protocols.NNResult, prevT *protocols.NNTr
 			// what neighbors forwarded at p-1 — recomputed lists for
 			// tracked neighbors already replaying, transcript entries for
 			// everyone else.
-			heard = heard[:0]
-			if p == 1 {
-				for pos, u := range gNew.Neighbors(v) {
+			s := &st[v]
+			for pos, u := range gNew.Neighbors(v) {
+				if p == 1 {
 					if isC[u] {
-						heard = append(heard, cand{id: int64(u), port: int32(pos)})
+						s.Hear(int64(u), int32(pos), deg)
 					}
-				}
-			} else {
-				for pos, u := range gNew.Neighbors(v) {
-					var fl []int64
-					if tracked[u] && joinPhase[u] < p {
-						fl = prevFwd[u]
-					} else {
-						fl = prevT.ForwardsAt(int(u), p-1)
-					}
-					for _, c := range fl {
-						if c != int64(v) {
-							heard = append(heard, cand{id: c, port: int32(pos)})
-						}
-					}
-				}
-			}
-			// Neighbors are scanned in ascending ID order, so a stable
-			// sort by center ID leaves each center's first (= smallest
-			// sender) hearing in front — the protocol's tie-break.
-			slices.SortStableFunc(heard, func(a, b cand) int {
-				switch {
-				case a.id < b.id:
-					return -1
-				case a.id > b.id:
-					return 1
-				}
-				return 0
-			})
-			fwds = fwds[:0]
-			kv, vv := known[v], via[v]
-			prevID := int64(-1)
-			for _, h := range heard {
-				if h.id == prevID {
 					continue
 				}
-				prevID = h.id
-				if len(fwds) < deg+1 && p < delta {
-					fwds = append(fwds, h.id)
+				fl := prevFwd[u]
+				if !tracked[u] || joinPhase[u] >= p {
+					fl = prevT.ForwardsAt(int(u), p-1)
 				}
-				if _, ok := kv[h.id]; !ok && len(kv) < deg {
-					kv[h.id] = p
-					vv[h.id] = h.port
-				}
+				s.HearRun(fl, int32(pos), deg, int64(v))
 			}
+			fwds, _ := s.Finalize(p, deg, delta)
 			if len(fwds) > 0 {
 				anyFwd = true
 			}
@@ -240,42 +189,13 @@ func DiffNN(gNew *graph.Graph, prevNN *protocols.NNResult, prevT *protocols.NNTr
 
 	// Splice: clean rows verbatim from the previous table, tracked rows
 	// from the replay state; popularity from the patched center set.
-	off := make([]int32, n+1)
-	total := 0
-	for v := 0; v < n; v++ {
+	nn := protocols.NewNNResult(n, func(v int) ([]int64, []int32, []int32, bool) {
+		keys, dist, ports := prevNN.Row(v)
 		if tracked[v] {
-			total += len(known[v])
-		} else {
-			total += prevNN.Count(v)
+			keys, dist, ports = st[v].Known()
 		}
-		off[v+1] = int32(total)
-	}
-	keys := make([]int64, total)
-	dist := make([]int32, total)
-	ports := make([]int32, total)
-	popular := make([]bool, n)
-	for v := 0; v < n; v++ {
-		lo, hi := off[v], off[v+1]
-		run := keys[lo:hi]
-		if tracked[v] {
-			i := 0
-			for c := range known[v] {
-				run[i] = c
-				i++
-			}
-			slices.Sort(run)
-			for j, c := range run {
-				dist[int(lo)+j] = known[v][c]
-				ports[int(lo)+j] = via[v][c]
-			}
-		} else {
-			pk, pd, pp := prevNN.Row(v)
-			copy(run, pk)
-			copy(dist[lo:hi], pd)
-			copy(ports[lo:hi], pp)
-		}
-		popular[v] = isC[v] && int(hi-lo) >= deg
-	}
+		return keys, dist, ports, isC[v] && len(keys) >= deg
+	})
 	segs := make([][]protocols.ForwardSeg, n)
 	for v := 0; v < n; v++ {
 		if tracked[v] {
@@ -285,7 +205,7 @@ func DiffNN(gNew *graph.Graph, prevNN *protocols.NNResult, prevT *protocols.NNTr
 		}
 	}
 	return NNDiff{
-		NN:         protocols.SpliceNNResult(off, keys, dist, ports, popular),
+		NN:         nn,
 		Transcript: protocols.NNTranscript{Segs: segs},
 		Tracked:    len(order),
 	}, true

@@ -55,36 +55,40 @@ import (
 //     — dropping the center's wave from its forward set or storage —
 //     its >= Deg stored centers would all lie within Delta of the
 //     downstream center, forcing it to be popular by Lemma A.1.)
+//
+// A vertex's state is an NNState, the kernel the centralized twin and the
+// delta replay drive too. It holds no maps:
+//
+//   - Known centers are an ascending run of at most Deg IDs, with the
+//     distance and the Via port beside each. Via is the port toward the
+//     neighbor that announced the center: the next hop of the path its
+//     wave travelled.
+//   - A phase's hearings are a sorted buffer of distinct centers, capped
+//     at the K = Deg+1+|known| smallest. The cap is exact. Finalize reads
+//     the heard centers smallest first and stops at Deg+1 forwards and at
+//     Deg stored entries. At most |known| of the K smallest are known
+//     already, so at least Deg+1 are new, and both quotas are met inside
+//     the buffer. A center evicted from a full buffer has K smaller ones
+//     ahead of it, and the buffer's maximum only falls from then on, so
+//     its later hearings are rejected too: every center left in the
+//     buffer has seen all of its hearings.
+//   - A center heard on several ports keeps the smallest port. Ports
+//     index the sorted adjacency (see graph.Neighbor), so the smallest
+//     port is the smallest sender ID, and no hearing needs a neighbor-ID
+//     lookup.
 type NearNeighbors struct {
 	IsCenter bool
 	Deg      int   // popularity threshold (paper deg_i)
 	Delta    int32 // exploration radius (paper delta_i)
 
-	// Known maps center ID -> distance from this vertex, for up to Deg
-	// centers (own ID excluded). Distances are exact at unpopular
-	// vertices (see above).
-	Known map[int64]int32
-	// Via maps center ID -> port toward the neighbor that announced it:
-	// the next hop of the path the announcement travelled.
-	Via map[int64]int
-
-	buffer map[int64]hearing // centers heard during the current phase
-	queue  []int64           // forward queue for the current phase
-	qdist  int32             // distance carried by this phase's forwards
+	state NNState // known centers, hearings and forwards
+	qdist int32   // distance carried by this phase's forwards
 
 	// rec, when non-nil, receives this vertex's per-phase forward
 	// selections (the delta-rebuild transcript). Each program instance
 	// writes only its own vertex's row, so the shared recorder is safe
 	// under the sharded engines.
 	rec *TranscriptRecorder
-}
-
-// hearing records the best (smallest sender ID) announcement of a center
-// during one phase. All announcements within a phase carry the same
-// traversed distance.
-type hearing struct {
-	sender int
-	port   int
 }
 
 var _ congest.Program = (*NearNeighbors)(nil)
@@ -121,14 +125,11 @@ func (nn *NearNeighbors) forwardBudget() int { return nn.Deg + 1 }
 // Popular reports whether this vertex detected itself as a popular
 // center.
 func (nn *NearNeighbors) Popular() bool {
-	return nn.IsCenter && len(nn.Known) >= nn.Deg
+	return nn.IsCenter && len(nn.state.keys) >= nn.Deg
 }
 
 // Init implements congest.Program.
 func (nn *NearNeighbors) Init(env *congest.Env) {
-	nn.Known = make(map[int64]int32)
-	nn.Via = make(map[int64]int)
-	nn.buffer = make(map[int64]hearing)
 	if nn.IsCenter {
 		// Announce <own ID, distance 0>; neighbors hear it in phase 0.
 		_ = env.Broadcast(nnMsg(int64(env.ID()), 0))
@@ -149,62 +150,191 @@ func (nn *NearNeighbors) Round(env *congest.Env, recv []congest.Inbound) {
 	// 1. Phase start: process the previous phase's hearings. Phase p
 	// starts at round (p-1)*phaseLen+2, so the hearings carry distance p.
 	if sending && slot == 0 {
-		nn.finalize(env.ID(), int32((env.Round()-2)/phaseLen)+1)
+		dist := int32((env.Round()-2)/phaseLen) + 1
+		fwd, _ := nn.state.Finalize(dist, nn.Deg, nn.Delta)
+		if nn.rec != nil && dist < nn.Delta {
+			nn.rec.Set(env.ID(), dist, fwd)
+		}
+		nn.qdist = dist
 	}
 
 	// 2. Buffer this round's arrivals (all hearings of a phase carry the
-	// same distance; keep the smallest sender ID per center).
-	for _, in := range recv {
-		if in.Msg.Kind != kindNN {
-			continue
-		}
-		c := in.Msg.Words[0]
-		if c == int64(env.ID()) {
-			continue
-		}
-		sender := env.NeighborID(in.Port)
-		h, buffered := nn.buffer[c]
-		if !buffered || sender < h.sender {
-			nn.buffer[c] = hearing{sender: sender, port: in.Port}
+	// same distance).
+	self := int64(env.ID())
+	for i := range recv {
+		in := &recv[i]
+		if in.Msg.Kind == kindNN && in.Msg.Words[0] != self {
+			nn.state.Hear(in.Msg.Words[0], int32(in.Port), nn.Deg)
 		}
 	}
 
 	// 3. Send slot: forward one selected center over every edge.
-	if sending && slot < nn.forwardBudget() && slot < len(nn.queue) {
-		_ = env.Broadcast(nnMsg(nn.queue[slot], nn.qdist))
+	if fwd := nn.state.fwd; sending && slot < len(fwd) {
+		_ = env.Broadcast(nnMsg(fwd[slot], nn.qdist))
 	}
 }
 
-// finalize processes the hearings of the phase that just ended, whose
-// traversed distance is dist: store first-heard centers smallest-ID-first
-// up to the storage cap, and select up to Deg heard centers (known or
-// not) as the next phase's forwards.
-func (nn *NearNeighbors) finalize(v int, dist int32) {
-	nn.queue = nn.queue[:0]
-	if len(nn.buffer) > 0 {
-		ids := make([]int64, 0, len(nn.buffer))
-		for c := range nn.buffer {
-			ids = append(ids, c)
+// NNState is one vertex's Algorithm 1 state and the only implementation
+// of its hear and finalize rules: the distributed program, the
+// centralized twin (CentralNearNeighborsRec) and the delta replay
+// (delta.DiffNN) all drive it. See NearNeighbors for its layout and why
+// the bounded hearing buffer is exact. Every slice is reused across
+// phases.
+type NNState struct {
+	keys  []int64 // known centers, ascending; at most deg
+	dist  []int32 // distance to keys[i]
+	ports []int32 // Via port toward keys[i]
+	bufC  []int64 // centers heard this phase: distinct, ascending, at most K
+	bufP  []int32 // smallest port bufC[i] was heard on
+	hint  int     // buffer slot of the last single hearing
+	fwd   []int64 // forward selection of the last finalized phase
+}
+
+// Hear buffers one announcement of center c that arrived on port, under
+// the popularity threshold deg.
+func (s *NNState) Hear(c int64, port int32, deg int) {
+	// One round's arrivals often repeat a center: try the last slot first.
+	if h := s.hint; h < len(s.bufC) && s.bufC[h] == c {
+		if port < s.bufP[h] {
+			s.bufP[h] = port
 		}
-		slices.Sort(ids)
-		for _, c := range ids {
-			// Forward set: first Deg+1 heard, independent of storage.
-			if len(nn.queue) < nn.forwardBudget() && dist < nn.Delta {
-				nn.queue = append(nn.queue, c)
-			}
-			// Storage: first Deg ever learned.
-			if _, known := nn.Known[c]; !known && len(nn.Known) < nn.Deg {
-				h := nn.buffer[c]
-				nn.Known[c] = dist
-				nn.Via[c] = h.port
+		return
+	}
+	if i := s.hear(c, port, deg, 0, false); i > 0 {
+		s.hint = i - 1
+	}
+}
+
+// HearRun buffers a neighbor's forward list — an ascending run of
+// centers that arrived on one port — skipping self. It is Hear applied
+// to each center in turn, but each search resumes where the previous one
+// ended, and the run stops at the first center a full buffer rejects.
+func (s *NNState) HearRun(ids []int64, port int32, deg int, self int64) {
+	from := 0
+	for _, c := range ids {
+		if c == self {
+			continue
+		}
+		if from = s.hear(c, port, deg, from, true); from < 0 {
+			return
+		}
+	}
+}
+
+// hear buffers c, whose slot is at index from or later, and returns the
+// index just past that slot, or -1 if the full buffer rejected c.
+func (s *NNState) hear(c int64, port int32, deg int, from int, gallop bool) int {
+	n, k := len(s.bufC), deg+1+len(s.keys)
+	if n == k && c > s.bufC[n-1] {
+		return -1
+	}
+	// Lower bound over bufC[from:n], written by hand: this is the
+	// protocol's innermost loop, and a generic search's closure does not
+	// inline. Inside a run the next center usually sits just past the
+	// previous one, so a run's searches gallop forward first.
+	lo, hi := from, n
+	for step := 1; gallop && lo+step <= hi; step <<= 1 {
+		if probe := lo + step - 1; s.bufC[probe] >= c {
+			hi = probe
+			break
+		}
+		lo += step
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.bufC[mid] < c {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < n && s.bufC[lo] == c {
+		if port < s.bufP[lo] {
+			s.bufP[lo] = port
+		}
+		return lo + 1
+	}
+	if n < k {
+		s.bufC, s.bufP = append(s.bufC, 0), append(s.bufP, 0)
+		n++
+	}
+	// Shift the tail right by one; a full buffer drops its largest.
+	copy(s.bufC[lo+1:n], s.bufC[lo:n-1])
+	copy(s.bufP[lo+1:n], s.bufP[lo:n-1])
+	s.bufC[lo], s.bufP[lo] = c, port
+	return lo + 1
+}
+
+// Finalize closes the phase whose hearings traversed dist edges. It
+// selects the forwards — the smallest deg+1 heard centers, known or
+// not, while dist < delta — and stores the first-heard centers, smallest
+// first, up to deg stored entries. The buffer is emptied for the next
+// phase. It returns the forward list, which aliases the state until the
+// next Finalize, and whether it differs from the previous one.
+func (s *NNState) Finalize(dist int32, deg int, delta int32) (fwd []int64, changed bool) {
+	sel := s.bufC[:0]
+	if dist < delta {
+		sel = s.bufC[:min(deg+1, len(s.bufC))]
+	}
+	changed = !slices.Equal(s.fwd, sel)
+	if changed {
+		s.fwd = append(s.fwd[:0], sel...)
+	}
+	// One merge walk against the known run compacts the centers to store
+	// to the buffer's front.
+	m, k := 0, 0
+	for i := 0; i < len(s.bufC) && len(s.keys)+m < deg; i++ {
+		c := s.bufC[i]
+		for k < len(s.keys) && s.keys[k] < c {
+			k++
+		}
+		if k < len(s.keys) && s.keys[k] == c {
+			continue
+		}
+		s.bufC[m], s.bufP[m] = c, s.bufP[i]
+		m++
+	}
+	if m > 0 {
+		// Merge them into the known run from the back.
+		i := len(s.keys) - 1
+		w := i + m
+		s.keys = slices.Grow(s.keys, m)[:w+1]
+		s.dist = slices.Grow(s.dist, m)[:w+1]
+		s.ports = slices.Grow(s.ports, m)[:w+1]
+		for j := m - 1; j >= 0; w-- {
+			if i >= 0 && s.keys[i] > s.bufC[j] {
+				s.keys[w], s.dist[w], s.ports[w] = s.keys[i], s.dist[i], s.ports[i]
+				i--
+			} else {
+				s.keys[w], s.dist[w], s.ports[w] = s.bufC[j], dist, s.bufP[j]
+				j--
 			}
 		}
-		nn.buffer = make(map[int64]hearing)
 	}
-	if nn.rec != nil && dist < nn.Delta {
-		nn.rec.Set(v, dist, nn.queue)
+	s.bufC, s.bufP = s.bufC[:0], s.bufP[:0]
+	return s.fwd, changed
+}
+
+// Known returns the stored centers (ascending), their distances and
+// their Via ports as parallel slices aliasing the state.
+func (s *NNState) Known() (keys []int64, dist []int32, ports []int32) {
+	return s.keys, s.dist, s.ports
+}
+
+// Seed resets the state to the entries of a stored row (ascending keys,
+// parallel dist and ports) whose distance is below phase. Entries are
+// stored in the phase equal to their distance, so this is the state the
+// vertex held when that phase began.
+func (s *NNState) Seed(keys []int64, dist, ports []int32, phase int32) {
+	s.keys, s.dist, s.ports = s.keys[:0], s.dist[:0], s.ports[:0]
+	s.bufC, s.bufP = s.bufC[:0], s.bufP[:0]
+	for i, c := range keys {
+		if dist[i] < phase {
+			s.keys = append(s.keys, c)
+			s.dist = append(s.dist, dist[i])
+			s.ports = append(s.ports, ports[i])
+		}
 	}
-	nn.qdist = dist
 }
 
 func nnMsg(center int64, dist int32) congest.Message {
@@ -233,20 +363,12 @@ func (r *NNResult) Known(v int) (centers []int64, dist []int32) {
 }
 
 // Row returns v's full table row — known center IDs (ascending),
-// distances, and Via ports as parallel slices aliasing the table. This
-// is the read face of the delta-rebuild splice: clean vertices' rows are
-// copied verbatim into the rebuilt table.
+// distances, and Via ports as parallel slices aliasing the table. The
+// delta-rebuild splice copies clean vertices' rows verbatim into the
+// rebuilt table.
 func (r *NNResult) Row(v int) (keys []int64, dist []int32, ports []int32) {
 	lo, hi := r.off[v], r.off[v+1]
 	return r.keys[lo:hi], r.Dist[lo:hi], r.ports[lo:hi]
-}
-
-// SpliceNNResult assembles an NNResult directly from flat columnar
-// arrays (off is the n+1 CSR offset array; keys must be ascending within
-// each vertex's run, dist and ports parallel to keys). It is the write
-// face of the delta-rebuild splice; the arrays are adopted, not copied.
-func SpliceNNResult(off []int32, keys []int64, dist []int32, ports []int32, popular []bool) NNResult {
-	return NNResult{Routing: Routing{off: off, keys: keys, ports: ports}, Dist: dist, Popular: popular}
 }
 
 // DistTo returns v's stored distance to center c, if stored.
@@ -267,48 +389,37 @@ func EmptyNNResult(n int) NNResult {
 	}
 }
 
-// buildNNResult flattens per-vertex known/via maps into the canonical
-// columnar layout (each vertex's run sorted ascending by center ID).
-// Shared by the distributed extraction and the centralized oracle, so
-// both produce bit-identical tables when their decisions agree.
-func buildNNResult(n int, known []map[int64]int32, via []map[int64]int, popular []bool) NNResult {
+// NewNNResult assembles the columnar table from per-vertex rows: row(v)
+// returns v's known centers (ascending) with their distances and Via
+// ports, and whether v is popular. It is called twice per vertex; the
+// rows are copied.
+func NewNNResult(n int, row func(v int) (keys []int64, dist, ports []int32, popular bool)) NNResult {
 	off := make([]int32, n+1)
-	total := 0
 	for v := 0; v < n; v++ {
-		total += len(known[v])
-		off[v+1] = int32(total)
+		keys, _, _, _ := row(v)
+		off[v+1] = off[v] + int32(len(keys))
 	}
-	keys := make([]int64, total)
-	dist := make([]int32, total)
-	ports := make([]int32, total)
+	r := NNResult{
+		Routing: Routing{off: off, keys: make([]int64, off[n]), ports: make([]int32, off[n])},
+		Dist:    make([]int32, off[n]),
+		Popular: make([]bool, n),
+	}
 	for v := 0; v < n; v++ {
-		run := keys[off[v]:off[v+1]]
-		i := 0
-		for c := range known[v] {
-			run[i] = c
-			i++
-		}
-		slices.Sort(run)
-		for j, c := range run {
-			dist[int(off[v])+j] = known[v][c]
-			ports[int(off[v])+j] = int32(via[v][c])
-		}
+		keys, dist, ports, popular := row(v)
+		copy(r.keys[off[v]:], keys)
+		copy(r.Dist[off[v]:], dist)
+		copy(r.ports[off[v]:], ports)
+		r.Popular[v] = popular
 	}
-	return NNResult{Routing: Routing{off: off, keys: keys, ports: ports}, Dist: dist, Popular: popular}
+	return r
 }
 
 // ExtractNN collects results from a finished simulator whose programs
 // are *NearNeighbors.
 func ExtractNN(sim *congest.Simulator) NNResult {
-	n := sim.Graph().N()
-	known := make([]map[int64]int32, n)
-	via := make([]map[int64]int, n)
-	popular := make([]bool, n)
-	for v := 0; v < n; v++ {
+	return NewNNResult(sim.Graph().N(), func(v int) ([]int64, []int32, []int32, bool) {
 		p := sim.Program(v).(*NearNeighbors)
-		known[v] = p.Known
-		via[v] = p.Via
-		popular[v] = p.Popular()
-	}
-	return buildNNResult(n, known, via, popular)
+		keys, dist, ports := p.state.Known()
+		return keys, dist, ports, p.Popular()
+	})
 }

@@ -1,0 +1,242 @@
+package protocols
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"nearspan/internal/congest"
+	"nearspan/internal/graph"
+)
+
+// This file holds the map-based implementation of Algorithm 1's phase
+// rules that the centralized twin used before the three paths (the
+// distributed program, CentralNearNeighborsRec and delta.DiffNN) came to
+// share one NNState kernel. It keeps every hearing in an unbounded
+// per-vertex map, breaks ties by sender ID, sorts the whole heard set and
+// finalizes every vertex that heard anything each phase, so it checks
+// the kernel's bounded buffer, its port tie-break and the twin's
+// change-driven phase loop rather than restating them.
+
+// refHearing records the best (smallest sender ID) announcement of a
+// center during one phase.
+type refHearing struct {
+	sender int
+	port   int
+}
+
+// ReferenceNearNeighbors exports the reference to the external test
+// package, which also drives delta.DiffNN.
+var ReferenceNearNeighbors = referenceNearNeighbors
+
+// referenceNearNeighbors is the map-based Algorithm 1. capped counts the
+// (vertex, phase) pairs that heard more than deg+1+|known| distinct
+// centers: the phases in which the kernel's bounded buffer must evict.
+func referenceNearNeighbors(g *graph.Graph, centers []int, deg int, delta int32, rec *TranscriptRecorder) (nn NNResult, tr NNTranscript, capped int) {
+	n := g.N()
+	known := make([]map[int64]int32, n)
+	via := make([]map[int64]int, n)
+	popular := make([]bool, n)
+	for v := 0; v < n; v++ {
+		known[v] = make(map[int64]int32)
+		via[v] = make(map[int64]int)
+	}
+	isCenter := make([]bool, n)
+	for _, c := range centers {
+		isCenter[c] = true
+	}
+
+	// buffer[v] holds this phase's hearings: center -> best sender.
+	buffer := make([]map[int64]refHearing, n)
+	for v := range buffer {
+		buffer[v] = make(map[int64]refHearing)
+	}
+	hear := func(v int, c int64, sender int) {
+		if c == int64(v) {
+			return
+		}
+		h, ok := buffer[v][c]
+		if !ok || sender < h.sender {
+			buffer[v][c] = refHearing{sender: sender, port: g.PortOf(v, sender)}
+		}
+	}
+
+	// Phase 0: announcements.
+	for _, c := range centers {
+		for _, u := range g.Neighbors(c) {
+			hear(int(u), int64(c), c)
+		}
+	}
+
+	var scratch []int64 // one vertex's forward list, reused across vertices
+	for p := int32(1); p <= delta; p++ {
+		// Process phase-p hearings (distance p), then deliver forwards.
+		type fwd struct {
+			v int
+			c int64
+		}
+		var forwards []fwd
+		for v := 0; v < n; v++ {
+			if len(buffer[v]) == 0 {
+				if rec != nil && p < delta {
+					rec.Set(v, p, nil) // every vertex is recorded every phase
+				}
+				continue
+			}
+			if len(buffer[v]) > deg+1+len(known[v]) {
+				capped++
+			}
+			ids := make([]int64, 0, len(buffer[v]))
+			for c := range buffer[v] {
+				ids = append(ids, c)
+			}
+			slices.Sort(ids)
+			scratch = scratch[:0]
+			for _, c := range ids {
+				if len(scratch) < deg+1 && p < delta {
+					scratch = append(scratch, c)
+				}
+				if _, stored := known[v][c]; !stored && len(known[v]) < deg {
+					h := buffer[v][c]
+					known[v][c] = p
+					via[v][c] = h.port
+				}
+			}
+			for _, c := range scratch {
+				forwards = append(forwards, fwd{v: v, c: c})
+			}
+			if rec != nil && p < delta {
+				rec.Set(v, p, scratch)
+			}
+			buffer[v] = make(map[int64]refHearing)
+		}
+		for _, f := range forwards {
+			for _, u := range g.Neighbors(f.v) {
+				hear(int(u), f.c, f.v)
+			}
+		}
+		if len(forwards) == 0 {
+			break
+		}
+	}
+	for v := 0; v < n; v++ {
+		popular[v] = isCenter[v] && len(known[v]) >= deg
+	}
+	if rec != nil {
+		tr = rec.Finish()
+	}
+	return refFlatten(n, known, via, popular), tr, capped
+}
+
+// refFlatten flattens per-vertex known/via maps into the columnar
+// layout (each vertex's run sorted ascending by center ID).
+func refFlatten(n int, known []map[int64]int32, via []map[int64]int, popular []bool) NNResult {
+	off := make([]int32, n+1)
+	total := 0
+	for v := 0; v < n; v++ {
+		total += len(known[v])
+		off[v+1] = int32(total)
+	}
+	keys := make([]int64, total)
+	dist := make([]int32, total)
+	ports := make([]int32, total)
+	for v := 0; v < n; v++ {
+		run := keys[off[v]:off[v+1]]
+		i := 0
+		for c := range known[v] {
+			run[i] = c
+			i++
+		}
+		slices.Sort(run)
+		for j, c := range run {
+			dist[int(off[v])+j] = known[v][c]
+			ports[int(off[v])+j] = int32(via[v][c])
+		}
+	}
+	return NNResult{Routing: Routing{off: off, keys: keys, ports: ports}, Dist: dist, Popular: popular}
+}
+
+// DiffNNTables returns a description of the first difference between two
+// near-neighbors outcomes (rows, popularity, and the forward transcripts
+// over phases 1..delta-1), or "" when they are equal.
+func DiffNNTables(n int, delta int32, got NNResult, gotT NNTranscript, want NNResult, wantT NNTranscript) string {
+	for v := 0; v < n; v++ {
+		gk, gd, gp := got.Row(v)
+		wk, wd, wp := want.Row(v)
+		if !slices.Equal(gk, wk) || !slices.Equal(gd, wd) || !slices.Equal(gp, wp) {
+			return fmt.Sprintf("vertex %d row: got %v %v %v, want %v %v %v", v, gk, gd, gp, wk, wd, wp)
+		}
+		if got.Popular[v] != want.Popular[v] {
+			return fmt.Sprintf("vertex %d popular: got %v, want %v", v, got.Popular[v], want.Popular[v])
+		}
+		for p := int32(1); p < delta; p++ {
+			if g, w := gotT.ForwardsAt(v, p), wantT.ForwardsAt(v, p); !slices.Equal(g, w) {
+				return fmt.Sprintf("vertex %d forwards at phase %d: got %v, want %v", v, p, g, w)
+			}
+		}
+	}
+	return ""
+}
+
+// FuzzNearNeighborsVsReference decodes bytes into a small graph (n <= 48),
+// a center mask, deg and delta, and requires the distributed program and
+// the centralized twin to reproduce the reference exactly: rows,
+// popularity and forward transcripts.
+func FuzzNearNeighborsVsReference(f *testing.F) {
+	f.Add([]byte{10, 0xff, 0x0f, 2, 3, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 0, 5})
+	f.Add([]byte{0, 0, 0, 0, 0})
+	// A star whose hub hears every leaf's announcement in phase 0.
+	star := []byte{20, 0xfe, 0xff, 0, 1}
+	for v := byte(1); v < 20; v++ {
+		star = append(star, 0, v)
+	}
+	f.Add(star)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		n := 2 + int(data[0])%47
+		mask := uint64(data[1]) | uint64(data[2])<<8
+		deg := 1 + int(data[3])%4
+		delta := int32(1 + int(data[4])%5)
+		b := graph.NewBuilder(n)
+		for i := 5; i+1 < len(data); i += 2 {
+			u, v := int(data[i])%n, int(data[i+1])%n
+			if u != v && !b.HasEdge(u, v) {
+				if err := b.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		g := b.Build()
+		var centers []int
+		for v := 0; v < n; v++ {
+			// The 16-bit mask repeats over larger vertex sets.
+			if mask&(1<<(v%16)) != 0 {
+				centers = append(centers, v)
+			}
+		}
+		want, wantT, _ := referenceNearNeighbors(g, centers, deg, delta, NewTranscriptRecorder(n))
+
+		central, centralT := CentralNearNeighborsRec(g, centers, deg, delta, NewTranscriptRecorder(n))
+		if d := DiffNNTables(n, delta, central, centralT, want, wantT); d != "" {
+			t.Fatalf("central vs reference (deg %d, delta %d, centers %v): %s", deg, delta, centers, d)
+		}
+
+		isC := make([]bool, n)
+		for _, c := range centers {
+			isC[c] = true
+		}
+		rec := NewTranscriptRecorder(n)
+		sim, err := congest.NewUniform(g, NewNearNeighborsRec(func(v int) bool { return isC[v] }, deg, delta, rec), congest.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(NearNeighborsRounds(deg, delta)); err != nil {
+			t.Fatal(err)
+		}
+		if d := DiffNNTables(n, delta, ExtractNN(sim), rec.Finish(), want, wantT); d != "" {
+			t.Fatalf("distributed vs reference (deg %d, delta %d, centers %v): %s", deg, delta, centers, d)
+		}
+	})
+}

@@ -14,15 +14,15 @@ import (
 // whose output must be identical to the distributed one.
 
 // CentralNearNeighbors is the phase-level simulation of Algorithm 1: it
-// reproduces the distributed NearNeighbors protocol's Known/Via/Popular
-// outputs exactly (tested), without the round machinery.
+// reproduces the distributed NearNeighbors protocol's outputs (known
+// centers, distances, Via ports, popularity) exactly, without the round
+// machinery.
 //
 // Phase p delivers announcements that traversed p edges. Each vertex
 // selects up to deg+1 of the phase's heard centers (smallest IDs first,
 // known or not; see the forward-budget finding on NearNeighbors) as the
 // next phase's forwards, and stores first-heard centers up to deg stored
-// entries — the same rules, in the same order, as the distributed
-// protocol.
+// entries. Both modes apply these rules through the same NNState.
 func CentralNearNeighbors(g *graph.Graph, centers []int, deg int, delta int32) NNResult {
 	nn, _ := CentralNearNeighborsRec(g, centers, deg, delta, nil)
 	return nn
@@ -36,96 +36,70 @@ func CentralNearNeighbors(g *graph.Graph, centers []int, deg int, delta int32) N
 // are bit-equal across modes, and the encoder is shared.
 func CentralNearNeighborsRec(g *graph.Graph, centers []int, deg int, delta int32, rec *TranscriptRecorder) (NNResult, NNTranscript) {
 	n := g.N()
-	known := make([]map[int64]int32, n)
-	via := make([]map[int64]int, n)
-	popular := make([]bool, n)
-	for v := 0; v < n; v++ {
-		known[v] = make(map[int64]int32)
-		via[v] = make(map[int64]int)
-	}
+	st := make([]NNState, n)
 	isCenter := make([]bool, n)
 	for _, c := range centers {
 		isCenter[c] = true
 	}
 
-	// buffer[v] holds this phase's hearings: center -> best sender.
-	buffer := make([]map[int64]hearing, n)
-	for v := range buffer {
-		buffer[v] = make(map[int64]hearing)
-	}
-	hear := func(v int, c int64, sender int) {
-		if c == int64(v) {
-			return
+	// A vertex's hearings change only when a neighbor's forward list
+	// does, and a vertex that hears what it heard in the phase before
+	// forwards the same list and stores nothing new: that phase stored
+	// every center it heard or filled the storage quota. So a phase
+	// recomputes only the neighbors of the vertices whose list changed in
+	// the phase before, and costs O(their degrees + hearings), not O(n).
+	// The rest keep their lists, which the recorder repeats. Phase 0's
+	// lists are the centers' announcements, which every center's phase-1
+	// selection replaces.
+	heardIn := make([]int32, n)
+	var receivers, changed []int32
+	wake := func(u int32, p int32) {
+		if heardIn[u] != p {
+			heardIn[u] = p
+			receivers = append(receivers, u)
 		}
-		h, ok := buffer[v][c]
-		if !ok || sender < h.sender {
-			buffer[v][c] = hearing{sender: sender, port: g.PortOf(v, sender)}
-		}
 	}
-
-	// Phase 0: announcements.
 	for _, c := range centers {
+		st[c].fwd = append(st[c].fwd, int64(c))
+		wake(int32(c), 1)
 		for _, u := range g.Neighbors(c) {
-			hear(int(u), int64(c), c)
+			wake(u, 1)
 		}
 	}
-
-	var scratch []int64 // one vertex's forward list, reused across vertices
-	for p := int32(1); p <= delta; p++ {
-		// Process phase-p hearings (distance p), then deliver forwards.
-		type fwd struct {
-			v int
-			c int64
-		}
-		var forwards []fwd
-		for v := 0; v < n; v++ {
-			if len(buffer[v]) == 0 {
-				continue
-			}
-			ids := make([]int64, 0, len(buffer[v]))
-			for c := range buffer[v] {
-				ids = append(ids, c)
-			}
-			slices.Sort(ids)
-			scratch = scratch[:0]
-			for _, c := range ids {
-				if len(scratch) < deg+1 && p < delta {
-					scratch = append(scratch, c)
-				}
-				if _, stored := known[v][c]; !stored && len(known[v]) < deg {
-					h := buffer[v][c]
-					known[v][c] = p
-					via[v][c] = h.port
+	for p := int32(1); p <= delta && len(receivers) > 0; p++ {
+		// Each receiver pulls its neighbors' forward lists; the port
+		// toward a neighbor is its position in the sorted adjacency.
+		for _, u := range receivers {
+			for port, v := range g.Neighbors(int(u)) {
+				if len(st[v].fwd) > 0 {
+					st[u].HearRun(st[v].fwd, int32(port), deg, int64(u))
 				}
 			}
-			for _, c := range scratch {
-				forwards = append(forwards, fwd{v: v, c: c})
-			}
-			if rec != nil && p < delta {
-				rec.Set(v, p, scratch)
-			}
-			buffer[v] = make(map[int64]hearing)
 		}
-		for _, f := range forwards {
-			for _, u := range g.Neighbors(f.v) {
-				hear(int(u), f.c, f.v)
+		changed = changed[:0]
+		for _, u := range receivers {
+			if fwd, moved := st[u].Finalize(p, deg, delta); moved {
+				changed = append(changed, u)
+				if rec != nil && p < delta {
+					rec.Set(int(u), p, fwd)
+				}
 			}
 		}
-		if len(forwards) == 0 {
-			// No waves remain: later phases hear nothing. The distributed
-			// schedule still ticks through them, but the knowledge state
-			// is final, so the simulation can stop.
-			break
+		receivers = receivers[:0]
+		for _, v := range changed {
+			for _, u := range g.Neighbors(int(v)) {
+				wake(u, p+1)
+			}
 		}
-	}
-	for v := 0; v < n; v++ {
-		popular[v] = isCenter[v] && len(known[v]) >= deg
 	}
 	var tr NNTranscript
 	if rec != nil {
-		tr = rec.Finish(delta - 1)
+		tr = rec.Finish()
 	}
-	return buildNNResult(n, known, via, popular), tr
+	return NewNNResult(n, func(v int) ([]int64, []int32, []int32, bool) {
+		keys, dist, ports := st[v].Known()
+		return keys, dist, ports, isCenter[v] && len(keys) >= deg
+	}), tr
 }
 
 // TracePath follows Via pointers from v toward center c using the

@@ -441,8 +441,8 @@ func TestDigits(t *testing.T) {
 
 // buildRouting flattens per-vertex (key -> port) maps into a Routing —
 // the test-side constructor for hand-written routing tables. It rides
-// the production flatten (buildNNResult) with dummy distances, so the
-// tests always exercise the same layout the extraction produces.
+// the reference's map flatten (refFlatten) with dummy distances, which
+// produces the same layout as the extraction.
 func buildRouting(n int, via []map[int64]int) Routing {
 	known := make([]map[int64]int32, n)
 	for v := range known {
@@ -451,7 +451,7 @@ func buildRouting(n int, via []map[int64]int) Routing {
 			known[v][k] = 0
 		}
 	}
-	return buildNNResult(n, known, via, make([]bool, n)).Routing
+	return refFlatten(n, known, via, make([]bool, n)).Routing
 }
 
 func TestForestClimbMarksRootPaths(t *testing.T) {

@@ -70,53 +70,34 @@ func (t *NNTranscript) Segments() int {
 }
 
 // TranscriptRecorder builds an NNTranscript incrementally. Set may be
-// called sparsely: phases between two Set calls for the same vertex are
-// implicitly empty-forward phases (the centralized oracle skips vertices
-// with empty hearing buffers; the distributed program calls Set every
-// phase — both call patterns encode to the same segments). Rows are
-// per-vertex, so concurrent Set calls for distinct vertices are safe —
-// the invariant the sharded simulator engines rely on.
+// called sparsely: phases between two Set calls for the same vertex
+// repeat the earlier list (the centralized twin records a vertex only
+// when its list changes; the distributed program calls Set every phase —
+// both call patterns encode to the same segments). Rows are per-vertex,
+// so concurrent Set calls for distinct vertices are safe — the invariant
+// the sharded simulator engines rely on.
 type TranscriptRecorder struct {
-	segs    [][]ForwardSeg
-	cur     [][]int64 // last recorded list per vertex (aliases its segment)
-	lastSet []int32
+	segs [][]ForwardSeg
+	cur  [][]int64 // last recorded list per vertex (aliases its segment)
 }
 
 // NewTranscriptRecorder returns a recorder for n vertices.
 func NewTranscriptRecorder(n int) *TranscriptRecorder {
-	return &TranscriptRecorder{
-		segs:    make([][]ForwardSeg, n),
-		cur:     make([][]int64, n),
-		lastSet: make([]int32, n),
-	}
+	return &TranscriptRecorder{segs: make([][]ForwardSeg, n), cur: make([][]int64, n)}
 }
 
-// Set records v's forward list for protocol phase p >= 1. Calls for one
-// vertex must have ascending p; ids need not survive the call (it is
+// Set records v's forward list from protocol phase p >= 1 on. Calls for
+// one vertex must have ascending p; ids need not survive the call (it is
 // cloned when a new segment is cut).
 func (r *TranscriptRecorder) Set(v int, p int32, ids []int64) {
-	if r.lastSet[v] < p-1 && len(r.cur[v]) > 0 {
-		// Implicit empty phases since the last Set: close the run.
-		r.segs[v] = append(r.segs[v], ForwardSeg{From: r.lastSet[v] + 1})
-		r.cur[v] = nil
-	}
 	if !slices.Equal(r.cur[v], ids) {
 		seg := ForwardSeg{From: p, IDs: slices.Clone(ids)}
 		r.segs[v] = append(r.segs[v], seg)
 		r.cur[v] = seg.IDs
 	}
-	r.lastSet[v] = p
 }
 
-// Finish closes trailing implicit-empty runs (a vertex last Set with a
-// non-empty list before phase last forwarded nothing afterwards) and
-// returns the transcript. The recorder must not be reused.
-func (r *TranscriptRecorder) Finish(last int32) NNTranscript {
-	for v := range r.segs {
-		if r.lastSet[v] < last && len(r.cur[v]) > 0 {
-			r.segs[v] = append(r.segs[v], ForwardSeg{From: r.lastSet[v] + 1})
-			r.cur[v] = nil
-		}
-	}
+// Finish returns the transcript. The recorder must not be reused.
+func (r *TranscriptRecorder) Finish() NNTranscript {
 	return NNTranscript{Segs: r.segs}
 }
