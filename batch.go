@@ -119,14 +119,8 @@ func (b *BatchBuilder) buildJob(ctx context.Context, i int, job BuildJob) BuildO
 	if err != nil {
 		return fail(err)
 	}
-	opts := core.Options{
-		Mode:         cfg.Mode,
-		Engine:       cfg.Engine,
-		KeepClusters: cfg.KeepClusters,
-		Runtime:      b.rt,
-		RoundBudget:  cfg.RoundBudget,
-		OnStep:       cfg.OnStep,
-	}
+	opts := cfg.options()
+	opts.Runtime = b.rt
 	if b.onStep != nil {
 		// The per-job OnStep slot is a single function; fan it out so the
 		// job's own callback and the batch-level callback are independent

@@ -172,3 +172,69 @@ func TestBatchBuilderReuse(t *testing.T) {
 		t.Errorf("Close leaked goroutines: base %d, after %d", base, got)
 	}
 }
+
+// A batch build honours every Config field, not a hand-copied subset:
+// a BuildBatch result built with KeepRebuildState seeds RebuildSpanner
+// exactly like the same Config through BuildSpanner does.
+func TestBuildBatchKeepsRebuildState(t *testing.T) {
+	g := nearspan.GNP(200, 0.05, 17, true)
+	cfg := nearspan.Config{Eps: 1.0 / 3, Kappa: 3, Rho: 0.49, KeepRebuildState: true}
+	out, err := nearspan.BuildBatch(context.Background(),
+		[]nearspan.BuildJob{{Graph: g, Config: cfg}}, nearspan.BatchOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0].Err != nil {
+		t.Fatal(out[0].Err)
+	}
+
+	// Two present edges out, two absent edges in.
+	batch := &nearspan.DeltaBatch{}
+	drop := map[[2]int]bool{}
+	g.Edges(func(u, v int) {
+		if len(batch.Delete) < 2 && u%7 == 0 {
+			batch.Delete = append(batch.Delete, nearspan.DeltaEdge{U: int32(u), V: int32(v)})
+			drop[[2]int{u, v}] = true
+		}
+	})
+	for u, v := 1, 150; len(batch.Insert) < 2; u, v = u+1, v+1 {
+		if !g.HasEdge(u, v) {
+			batch.Insert = append(batch.Insert, nearspan.DeltaEdge{U: int32(u), V: int32(v)})
+		}
+	}
+	if len(batch.Delete) != 2 {
+		t.Fatalf("fixture: %d deletions, want 2", len(batch.Delete))
+	}
+
+	rebuilt, err := nearspan.RebuildSpanner(out[0].Result, batch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b := nearspan.NewBuilder(g.N())
+	g.Edges(func(u, v int) {
+		if !drop[[2]int{u, v}] {
+			mustAdd(t, b, u, v)
+		}
+	})
+	for _, e := range batch.Insert {
+		mustAdd(t, b, int(e.U), int(e.V))
+	}
+	want, err := nearspan.BuildSpanner(b.Build(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotM, gotHash := nearspan.Fingerprint(rebuilt.Spanner)
+	wantM, wantHash := nearspan.Fingerprint(want.Spanner)
+	if gotM != wantM || gotHash != wantHash {
+		t.Errorf("rebuild of the batch result: %d edges %s, fresh build: %d edges %s",
+			gotM, gotHash, wantM, wantHash)
+	}
+}
+
+func mustAdd(t *testing.T, b *nearspan.Builder, u, v int) {
+	t.Helper()
+	if err := b.AddEdge(u, v); err != nil {
+		t.Fatal(err)
+	}
+}

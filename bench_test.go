@@ -183,10 +183,10 @@ func BenchmarkFigure7SegmentStretch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	alpha, beta := res.Params.Guarantee()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = nearspan.VerifyStretchSampled(g, res.Spanner, 1+res.Params.EpsPrime(),
-			res.Params.BetaInt(), 25, 1)
+		_ = nearspan.VerifyStretchSampled(g, res.Spanner, alpha, beta, 25, 1)
 	}
 }
 
@@ -198,9 +198,10 @@ func BenchmarkFigure8EndToEndStretch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	alpha, beta := res.Params.Guarantee()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = nearspan.VerifyStretch(g, res.Spanner, 1+res.Params.EpsPrime(), res.Params.BetaInt())
+		_ = nearspan.VerifyStretch(g, res.Spanner, alpha, beta)
 	}
 }
 

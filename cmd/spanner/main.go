@@ -143,7 +143,8 @@ func run() error {
 	}
 
 	if *verify {
-		rep := nearspan.VerifyStretch(g, res.Spanner, 1+pp.EpsPrime(), pp.BetaInt())
+		alpha, beta := pp.Guarantee()
+		rep := nearspan.VerifyStretch(g, res.Spanner, alpha, beta)
 		fmt.Printf("verification: %s\n", rep)
 		if !rep.OK() {
 			return fmt.Errorf("stretch bound violated")

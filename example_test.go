@@ -88,8 +88,8 @@ func ExampleVerifyStretch() {
 	if err != nil {
 		panic(err)
 	}
-	rep := nearspan.VerifyStretch(g, res.Spanner,
-		1+res.Params.EpsPrime(), res.Params.BetaInt())
+	alpha, beta := res.Params.Guarantee()
+	rep := nearspan.VerifyStretch(g, res.Spanner, alpha, beta)
 	fmt.Println("stretch ok:", rep.OK())
 	fmt.Println("subgraph:", nearspan.IsSubgraph(res.Spanner, g))
 	// Output:
@@ -97,21 +97,24 @@ func ExampleVerifyStretch() {
 	// subgraph: true
 }
 
-// ExampleNewDistanceOracle preprocesses a graph into an approximate
-// distance oracle: queries traverse the sparse spanner instead of the
-// graph, and every answer carries the (1+ε', β) guarantee.
-func ExampleNewDistanceOracle() {
+// ExampleNewOraclePool puts an approximate distance oracle over a built
+// spanner: queries traverse the sparse spanner instead of the graph, and
+// every answer carries the spanner's (1+ε', β) guarantee.
+func ExampleNewOraclePool() {
 	g := nearspan.Torus(16, 16)
-	o, err := nearspan.NewDistanceOracle(g, nearspan.OracleOptions{
+	res, err := nearspan.BuildSpanner(g, nearspan.Config{
 		Eps: 0.5, Kappa: 4, Rho: 0.45,
 	})
 	if err != nil {
 		panic(err)
 	}
+	o := nearspan.NewOraclePool(res.Spanner, nearspan.OraclePoolOptions{})
+	alpha, beta := res.Params.Guarantee()
 	exact := g.Distance(0, 136)
 	approx := o.Dist(0, 136)
 	fmt.Println("exact:", exact)
-	fmt.Println("approx within guarantee:", approx >= exact)
+	fmt.Println("approx within guarantee:", approx >= exact &&
+		float64(approx) <= alpha*float64(exact)+float64(beta))
 	// Output:
 	// exact: 16
 	// approx within guarantee: true

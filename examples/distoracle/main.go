@@ -26,16 +26,17 @@ func main() {
 	// Preprocess on the real CONGEST protocol stack, with the parallel
 	// engine driving the simulator across all cores.
 	start := time.Now()
-	o, err := nearspan.NewDistanceOracle(g, nearspan.OracleOptions{
-		Eps: 1.0 / 3, Kappa: 3, Rho: 0.49, CacheSources: 64,
+	res, err := nearspan.BuildSpanner(g, nearspan.Config{
+		Eps: 1.0 / 3, Kappa: 3, Rho: 0.49,
 		Mode: nearspan.DistributedMode, Engine: nearspan.EngineParallel,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	alpha, beta := o.Guarantee()
+	o := nearspan.NewOraclePool(res.Spanner, nearspan.OraclePoolOptions{CacheSources: 64})
+	alpha, beta := res.Params.Guarantee()
 	fmt.Printf("preprocessing: %v; spanner %d edges (saves %d per full-graph BFS); guarantee (%.1f, %d)\n",
-		time.Since(start).Round(time.Millisecond), o.Spanner().M(), o.EdgeSavings(), alpha, beta)
+		time.Since(start).Round(time.Millisecond), res.EdgeCount(), g.M()-res.EdgeCount(), alpha, beta)
 
 	// The oracle is the concurrent query tier: replicas share the
 	// immutable spanner, hot sources are cached once and read lock-free,

@@ -34,8 +34,9 @@ func main() {
 
 	// Verify the paper's guarantee d_H <= (1+eps')*d_G + beta over all
 	// vertex pairs.
-	rep := nearspan.VerifyStretch(g, res.Spanner, 1+res.Params.EpsPrime(), res.Params.BetaInt())
-	fmt.Printf("guarantee (1+%.2f)d+%d holds: %v\n", res.Params.EpsPrime(), res.Params.BetaInt(), rep.OK())
+	alpha, beta := res.Params.Guarantee()
+	rep := nearspan.VerifyStretch(g, res.Spanner, alpha, beta)
+	fmt.Printf("guarantee (1+%.2f)d+%d holds: %v\n", alpha-1, beta, rep.OK())
 	fmt.Printf("measured: worst additive error %d, worst ratio %.2f, mean ratio %.3f\n",
 		rep.WorstAdditive, rep.WorstRatio, rep.MeanRatio)
 }

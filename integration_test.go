@@ -9,7 +9,7 @@ import (
 
 // TestEndToEndPipeline exercises the full public surface as a downstream
 // user would: serialize a workload, reload it, build the spanner
-// distributedly, wrap it in a distance oracle, and verify every layer's
+// distributedly, put a query pool over it, and verify every layer's
 // guarantees against the original graph.
 func TestEndToEndPipeline(t *testing.T) {
 	original := nearspan.Communities(5, 30, 0.3, 0.01, 99)
@@ -45,17 +45,14 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// Stretch guarantee against the ORIGINAL graph (not the reloaded
 	// copy) — the formats and construction must compose transparently.
-	alpha, beta := 1+res.Params.EpsPrime(), res.Params.BetaInt()
+	alpha, beta := res.Params.Guarantee()
 	rep := nearspan.VerifyStretch(original, res.Spanner, alpha, beta)
 	if !rep.OK() {
 		t.Errorf("stretch violated: %v", rep)
 	}
 
 	// Oracle over the distributed result.
-	o, err := nearspan.OracleFromResult(g, res, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := nearspan.NewOraclePool(res.Spanner, nearspan.OraclePoolOptions{CacheSources: 8})
 	for u := 0; u < g.N(); u += 17 {
 		for v := 0; v < g.N(); v += 23 {
 			exact := original.Distance(u, v)

@@ -161,8 +161,10 @@ type Options struct {
 	// worst-case arena (the pre-scale-up behavior); negative values
 	// preallocate nothing. The setting never affects the execution —
 	// only when pages are allocated — so all values produce bit-identical
-	// runs (and identical final ArenaBytes, since the touched-page set is
-	// deterministic).
+	// runs. Preallocated pages count toward the high-water whether or not
+	// traffic touches them, so the final ArenaBytes is deterministic and
+	// engine-independent for a fixed setting but differs between
+	// settings.
 	ArenaFraction float64
 }
 

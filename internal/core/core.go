@@ -102,8 +102,9 @@ type Options struct {
 	// message arena is preallocated in ModeDistributed (see
 	// congest.Options.ArenaFraction): 0 means the small default reserve,
 	// negative means fully lazy, and values >= 1 restore the legacy full
-	// preallocation. Purely a memory/latency trade — the build result is
-	// bit-identical for every setting.
+	// preallocation. Purely a memory/latency trade — the spanner, rounds
+	// and messages are bit-identical for every setting; Result.ArenaBytes
+	// is not, since it counts the preallocated pages.
 	ArenaFraction float64
 	// KeepRebuildState retains, in Result.Rebuild, the state a later
 	// Rebuild replays against: the source graph, the per-phase center
@@ -161,11 +162,13 @@ type Result struct {
 	// ArenaBytes is the retained size of the simulator's message arenas
 	// and slot tables in ModeDistributed (zero in ModeCentralized) —
 	// the build's arena footprint, tracked as a high-water mark by the
-	// service layer. Message pages are allocated lazily as traffic
+	// service layer. Beyond the reserve Options.ArenaFraction
+	// preallocates, message pages are allocated lazily as traffic
 	// touches them, so this is a measured quantity: it reflects the
 	// slots the protocols actually used, not the worst-case topology
-	// bound. It is still deterministic — the same build reports the
-	// same ArenaBytes regardless of engine or Options.ArenaFraction.
+	// bound. It is deterministic for a fixed Options.ArenaFraction and
+	// the same on every engine; preallocated pages count even if traffic
+	// never uses them, so different settings report different values.
 	ArenaBytes int64
 
 	// ArenaBytesWorstCase is what ArenaBytes would have been under the

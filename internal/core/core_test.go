@@ -242,8 +242,7 @@ func TestStretchBound(t *testing.T) {
 	for _, c := range testConfigs(t) {
 		res := build(t, c, Options{})
 		p := res.Params
-		alpha := 1 + p.EpsPrime()
-		beta := p.BetaInt()
+		alpha, beta := p.Guarantee()
 		rep := verify.Stretch(c.g, res.Spanner, alpha, beta)
 		if !rep.OK() {
 			t.Errorf("%s: stretch (1+%.3f, %d) violated: %v", c.name, p.EpsPrime(), beta, rep)
@@ -360,7 +359,8 @@ func TestGuaranteeParams(t *testing.T) {
 		t.Fatalf("expected guarantee-mode params, got %v", p)
 	}
 	res := build(t, c, Options{})
-	rep := verify.Stretch(c.g, res.Spanner, 1+p.EpsPrime(), p.BetaInt())
+	alpha, beta := p.Guarantee()
+	rep := verify.Stretch(c.g, res.Spanner, alpha, beta)
 	if !rep.OK() {
 		t.Errorf("guarantee violated: %v", rep)
 	}
@@ -411,7 +411,8 @@ func TestEstimatedN(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Stretch guarantee holds under the estimate's schedule.
-	rep := verify.Stretch(g, over.Spanner, 1+overP.EpsPrime(), overP.BetaInt())
+	alpha, beta := overP.Guarantee()
+	rep := verify.Stretch(g, over.Spanner, alpha, beta)
 	if !rep.OK() {
 		t.Errorf("stretch violated with over-estimate: %v", rep)
 	}

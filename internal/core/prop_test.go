@@ -73,7 +73,8 @@ func TestPropConstructionContract(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		rep := verify.Stretch(g, res.Spanner, 1+p.EpsPrime(), p.BetaInt())
+		alpha, beta := p.Guarantee()
+		rep := verify.Stretch(g, res.Spanner, alpha, beta)
 		if !rep.OK() {
 			t.Logf("seed %d: stretch violated: %v (params %v)", seed, rep, p)
 			return false

@@ -57,9 +57,8 @@ type BenchReport struct {
 // construction per CONGEST engine; the frontier rows measure the
 // sparse-activity workloads whose round cost the frontier-driven
 // stepper keeps at O(activity); the oracle rows measure the query tier
-// on the 500k-edge graph — warm single-source reads against the
-// pre-pool LRU oracle (kept as a reference implementation, like the map
-// plane), batch throughput, bidirectional point queries with
+// on the 500k-edge graph — warm single-source reads from the pool's
+// source cache, batch throughput, bidirectional point queries with
 // hand-measured p50/p99 rows, and replica scaling up to GOMAXPROCS
 // (flat on a single hardware core; the scaling shows on multicore).
 func BenchJSON(w io.Writer) error {

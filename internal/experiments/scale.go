@@ -129,8 +129,8 @@ func ScaleRun(ctx context.Context, spec ScaleSpec) (ScaleResult, error) {
 		SampledHash:    hash,
 	}
 	if spec.VerifySamples > 0 {
-		rep := verify.StretchSampled(g, res.Spanner,
-			1+pr.EpsPrime(), pr.BetaInt(), spec.VerifySamples, seed)
+		alpha, beta := pr.Guarantee()
+		rep := verify.StretchSampled(g, res.Spanner, alpha, beta, spec.VerifySamples, seed)
 		out.Verified = true
 		out.StretchOK = rep.OK()
 	}

@@ -37,7 +37,8 @@ func Table1(ctx context.Context, w io.Writer, cfgs []Config) error {
 			if err != nil {
 				return err
 			}
-			rows[i] = row{p: p, res: res, rep: verify.Stretch(cfg.Graph, res.Spanner, 1+p.EpsPrime(), p.BetaInt())}
+			alpha, beta := p.Guarantee()
+			rows[i] = row{p: p, res: res, rep: verify.Stretch(cfg.Graph, res.Spanner, alpha, beta)}
 			return nil
 		}
 	}

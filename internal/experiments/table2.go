@@ -96,7 +96,8 @@ func Table2(ctx context.Context, w io.Writer, cfg Config) error {
 			if res, err = core.Build(ctx, cfg.Graph, p, core.Options{Mode: core.ModeDistributed, Engine: cfg.Engine}); err != nil {
 				return err
 			}
-			repNew = verify.Stretch(cfg.Graph, res.Spanner, 1+p.EpsPrime(), p.BetaInt())
+			alpha, beta := p.Guarantee()
+			repNew = verify.Stretch(cfg.Graph, res.Spanner, alpha, beta)
 			return nil
 		},
 		func(ctx context.Context) error {

@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -29,11 +31,18 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	return bw.Flush()
 }
 
+// ErrVertexCount rejects an edge-list header whose vertex count does not
+// fit the int32 vertex IDs of the CSR, before anything is sized from it.
+// It bounds only representability: a header with a large but
+// representable n still allocates O(n) when built, and bounding that
+// memory is left to job admission control, not to the parser.
+var ErrVertexCount = errors.New("graph: header vertex count exceeds int32 vertex IDs")
+
 // ReadEdgeList parses the edge-list format written by WriteEdgeList.
 // Lines starting with '#' and blank lines are ignored; the first
 // non-comment line must be the "n m" header. Duplicate edges, self
 // loops, and out-of-range endpoints are rejected with the offending
-// line number.
+// line number; so is a header n above math.MaxInt32 (ErrVertexCount).
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
@@ -62,6 +71,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if b == nil {
 			if a < 0 || c < 0 {
 				return nil, fmt.Errorf("graph: line %d: negative header values", lineNo)
+			}
+			if a > math.MaxInt32 {
+				return nil, fmt.Errorf("%w: line %d has n = %d", ErrVertexCount, lineNo, a)
 			}
 			b = NewBuilder(a)
 			wantEdges = c

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -70,5 +71,20 @@ func TestWriteEdgeListEmptyGraph(t *testing.T) {
 	}
 	if back.N() != 4 || back.M() != 0 {
 		t.Errorf("n=%d m=%d", back.N(), back.M())
+	}
+}
+
+// A header n past int32 vertex IDs is rejected with ErrVertexCount
+// before anything is sized from it; the second input once allocated
+// until the process died.
+func TestReadEdgeListRejectsOversizedHeader(t *testing.T) {
+	for _, in := range []string{
+		"2147483648 0\n",
+		"4294967297 1\n4294967296 0\n",
+		"# comment first\n9223372036854775807 0\n",
+	} {
+		if _, err := ReadEdgeList(strings.NewReader(in)); !errors.Is(err, ErrVertexCount) {
+			t.Errorf("%q: err = %v, want ErrVertexCount", in, err)
+		}
 	}
 }

@@ -12,19 +12,34 @@ import (
 	"nearspan/internal/params"
 )
 
-func newTestOracle(t *testing.T) (*Oracle, *graph.Graph) {
+// spannerPool builds g's spanner under (eps, kappa, rho) and returns a
+// pool over it with the spanner's parameters, the oracle as callers
+// assemble it.
+func spannerPool(g *graph.Graph, eps float64, kappa int, rho float64, opts PoolOptions) (*Pool, *params.Params, error) {
+	p, err := params.New(eps, kappa, rho, g.N())
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := core.Build(context.Background(), g, p, core.Options{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return NewPool(res.Spanner, opts), p, nil
+}
+
+func newTestOracle(t *testing.T) (*Pool, *params.Params, *graph.Graph) {
 	t.Helper()
 	g := gen.GNP(200, 0.06, 11, true)
-	o, err := New(g, Options{Eps: 1.0 / 3, Kappa: 3, Rho: 0.49})
+	o, p, err := spannerPool(g, 1.0/3, 3, 0.49, PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return o, g
+	return o, p, g
 }
 
 func TestOracleGuarantee(t *testing.T) {
-	o, g := newTestOracle(t)
-	alpha, beta := o.Guarantee()
+	o, p, g := newTestOracle(t)
+	alpha, beta := p.Guarantee()
 	for u := 0; u < g.N(); u += 7 {
 		exact := g.BFS(u)
 		approx := o.Sources(u)
@@ -44,7 +59,7 @@ func TestOracleGuarantee(t *testing.T) {
 }
 
 func TestOracleDistMatchesSources(t *testing.T) {
-	o, g := newTestOracle(t)
+	o, _, g := newTestOracle(t)
 	lv := o.Sources(3)
 	for v := 0; v < g.N(); v += 11 {
 		if o.Dist(3, v) != lv[v] {
@@ -54,7 +69,7 @@ func TestOracleDistMatchesSources(t *testing.T) {
 }
 
 func TestOraclePairsBatch(t *testing.T) {
-	o, g := newTestOracle(t)
+	o, _, g := newTestOracle(t)
 	queries := [][2]int{{0, 5}, {0, 9}, {17, 3}, {0, 5}, {17, 100 % g.N()}}
 	got := o.PairsBatch(queries)
 	for i, q := range queries {
@@ -66,7 +81,7 @@ func TestOraclePairsBatch(t *testing.T) {
 
 func TestOracleCacheEviction(t *testing.T) {
 	g := gen.Grid(8, 8)
-	o, err := New(g, Options{Eps: 0.5, Kappa: 4, Rho: 0.45, CacheSources: 2})
+	o, _, err := spannerPool(g, 0.5, 4, 0.45, PoolOptions{CacheSources: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,39 +98,6 @@ func TestOracleCacheEviction(t *testing.T) {
 	}
 }
 
-func TestOracleFromSpanner(t *testing.T) {
-	g := gen.Torus(8, 8)
-	p, err := params.New(0.5, 4, 0.45, g.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Build(context.Background(), g, p, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := FromSpanner(g, res, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Dist(0, 36) < g.Distance(0, 36) {
-		t.Error("FromSpanner oracle underestimates")
-	}
-	// Mismatched graph rejected.
-	if _, err := FromSpanner(gen.Path(5), res, 4); err == nil {
-		t.Error("graph/spanner size mismatch accepted")
-	}
-}
-
-func TestOracleEdgeSavings(t *testing.T) {
-	o, g := newTestOracle(t)
-	if o.EdgeSavings() != g.M()-o.Spanner().M() {
-		t.Error("EdgeSavings inconsistent")
-	}
-	if o.EdgeSavings() <= 0 {
-		t.Error("expected savings on a dense graph")
-	}
-}
-
 // Property: oracle answers are sandwiched between the exact distance and
 // the guarantee for random graphs and parameters.
 func TestPropOracleSandwich(t *testing.T) {
@@ -123,11 +105,11 @@ func TestPropOracleSandwich(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 20 + r.Intn(60)
 		g := gen.GNP(n, 4/float64(n), uint64(seed), true)
-		o, err := New(g, Options{Eps: 0.25 + r.Float64()/2, Kappa: 3, Rho: 0.49})
+		o, p, err := spannerPool(g, 0.25+r.Float64()/2, 3, 0.49, PoolOptions{})
 		if err != nil {
 			return false
 		}
-		alpha, beta := o.Guarantee()
+		alpha, beta := p.Guarantee()
 		for i := 0; i < 20; i++ {
 			u, v := r.Intn(n), r.Intn(n)
 			exact := g.Distance(u, v)

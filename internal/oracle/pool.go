@@ -1,3 +1,18 @@
+// Package oracle is the query tier over a near-additive spanner: an
+// approximate distance oracle, the application that motivated
+// near-additive spanners in the first place (almost-shortest-paths
+// computation, [Elk01/Elk05], and distance oracles [TZ01/RTZ05] in the
+// paper's citations).
+//
+// A Pool answers distance queries with BFS over the spanner H instead of
+// the input graph G. Because H has O(β·n^{1+1/κ}) edges, a query costs
+// O(|E_H|) instead of O(|E_G|) — on dense graphs an order-of-magnitude
+// less traversal work — while every answer carries the paper's guarantee
+//
+//	d_G(u,v) <= Dist(u,v) <= alpha·d_G(u,v) + beta,
+//
+// with (alpha, beta) from the spanner's params.Params.Guarantee. The
+// package knows nothing of how the spanner was built.
 package oracle
 
 import (

@@ -258,11 +258,11 @@ func TestPoolSourcesReturnsCopy(t *testing.T) {
 	}
 }
 
-// The Oracle rides the same contract: Sources hands out a copy, not the
-// cache's backing array.
+// A pool over a built spanner rides the same contract: Sources hands
+// out a copy, not the cache's backing array.
 func TestOracleSourcesReturnsCopy(t *testing.T) {
 	g := gen.Grid(8, 8)
-	o, err := New(g, Options{Eps: 0.5, Kappa: 4, Rho: 0.45})
+	o, _, err := spannerPool(g, 0.5, 4, 0.45, PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,6 +169,14 @@ func (p *Params) EpsPrime() float64 {
 	return 30 * p.Eps * float64(p.L) / (1 / float64(p.C))
 }
 
+// Guarantee returns the spanner's stretch bound (alpha, beta) = (1+ε',
+// ⌈β⌉) of Corollary 2.18: every vertex pair satisfies
+// d_G(u,v) <= d_H(u,v) <= alpha·d_G(u,v) + beta. It is the one place the
+// bound is formed; stretch checks and query answers take it from here.
+func (p *Params) Guarantee() (alpha float64, beta int32) {
+	return 1 + p.EpsPrime(), p.BetaInt()
+}
+
 // FromTarget derives internal parameters from a target ε' (the final
 // multiplicative slack the caller wants), inverting the §2.4.4
 // rescaling: ε = ε'·ρ̂/(30ℓ). ℓ depends only on κ and ρ, so the

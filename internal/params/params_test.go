@@ -157,6 +157,19 @@ func TestGuaranteeOK(t *testing.T) {
 	}
 }
 
+// Guarantee is Cor. 2.18's (1+ε', ⌈β⌉) pair: α = 1 + 30·ε·ℓ/ρ̂ and β =
+// ε^{-ℓ} rounded up.
+func TestGuarantee(t *testing.T) {
+	p := mustNew(t, 0.5, 4, 0.45, 1000) // ℓ=2, C=3: ε' = 30·0.5·2·3, β = 4
+	alpha, beta := p.Guarantee()
+	if p.L != 2 || p.C != 3 {
+		t.Fatalf("schedule changed: %v", p)
+	}
+	if math.Abs(alpha-(1+30*0.5*2*3)) > 1e-9 || beta != 4 {
+		t.Errorf("Guarantee() = (%v, %d), want (%v, 4)", alpha, beta, 1+30*0.5*2*3.0)
+	}
+}
+
 // Eq. (17): β = ε^{-ℓ} equals the closed form ((30ℓ)/(ρ̂ε'))^ℓ after
 // rescaling.
 func TestBetaIdentity(t *testing.T) {

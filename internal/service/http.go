@@ -431,7 +431,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		d = job.QueryPool().Dist(u, v)
 	}
 	s.met.observeQuery(1, false, time.Since(start))
-	alpha, beta := job.Guarantee()
+	alpha, beta := job.p.Guarantee()
 	writeJSON(w, http.StatusOK, queryAnswer{U: u, V: v, Dist: wireDist(d), Alpha: alpha, Beta: beta, Path: path})
 }
 

@@ -338,12 +338,6 @@ func (j *Job) QueryPool() *oracle.Pool {
 	return j.pool
 }
 
-// Guarantee returns the (alpha, beta) error bound every query answer
-// carries: d_G <= answer <= alpha*d_G + beta.
-func (j *Job) Guarantee() (alpha float64, beta int32) {
-	return 1 + j.p.EpsPrime(), j.p.BetaInt()
-}
-
 // GraphN returns the job graph's vertex count (query bounds). Deltas
 // never add or remove vertices, but the graph pointer itself is swapped
 // on rebuild, so the read takes the lock.

@@ -465,6 +465,32 @@ func TestServiceOversizedBodyRejected(t *testing.T) {
 	}
 }
 
+// An edge-list upload whose header n does not fit int32 vertex IDs is a
+// 400 at submission, and the daemon stays healthy: the 27-byte body once
+// sent the parser into an allocation that killed the process.
+func TestServiceEdgeListHeaderOverflowRejected(t *testing.T) {
+	s := New(Options{SchedWorkers: 2})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	}()
+
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs?eps=0.5&kappa=3&rho=0.49",
+		strings.NewReader("4294967297 1\n4294967296 0\n"))
+	req.Header.Set("Content-Type", "text/plain")
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("oversized header: status %d, want 400 (body: %s)", rec.Code, rec.Body.String())
+	}
+	rec = httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("healthz after the rejected upload: %d", rec.Code)
+	}
+}
+
 // zeroReader yields '0' bytes forever — an oversized body without the
 // client-side allocation.
 type zeroReader struct{}

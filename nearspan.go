@@ -12,13 +12,17 @@
 //	})
 //	if err != nil { ... }
 //	fmt.Println(res.EdgeCount(), "of", g.M(), "edges kept")
-//	rep := nearspan.VerifyStretch(g, res.Spanner,
-//		1+res.Params.EpsPrime(), res.Params.BetaInt())
+//	alpha, beta := res.Params.Guarantee()
+//	rep := nearspan.VerifyStretch(g, res.Spanner, alpha, beta)
 //	fmt.Println("stretch ok:", rep.OK())
+//	pool := nearspan.NewOraclePool(res.Spanner, nearspan.OraclePoolOptions{})
+//	fmt.Println("d(0, 1023) <=", pool.Dist(0, 1023))
 //
-// The spanner satisfies d_H(u,v) <= (1+ε')·d_G(u,v) + β for every vertex
-// pair, with ε' and β as in the paper's Corollary 2.18; res.TotalRounds
-// reports the CONGEST rounds consumed when built in DistributedMode.
+// The spanner satisfies d_H(u,v) <= alpha·d_G(u,v) + beta for every
+// vertex pair, with (alpha, beta) = (1+ε', β) as in the paper's
+// Corollary 2.18 — the bound every OraclePool answer over it carries;
+// res.TotalRounds reports the CONGEST rounds consumed when built in
+// DistributedMode.
 //
 // The deeper layers are exposed for experimentation: the CONGEST
 // simulator and node programs live in internal packages and surface
@@ -154,8 +158,10 @@ type Config struct {
 	// default) preallocates a small reserve, negative values allocate
 	// nothing up front — the right setting for 10⁷-edge-and-up builds —
 	// and values >= 1 restore the legacy full worst-case preallocation.
-	// The spanner, rounds, messages, and reported ArenaBytes are
-	// bit-identical for every setting.
+	// The spanner, rounds, and messages are bit-identical for every
+	// setting. The reported ArenaBytes counts preallocated pages too, so
+	// it is deterministic for a fixed setting (and engine-independent)
+	// but differs between settings.
 	ArenaFraction float64
 }
 
@@ -236,23 +242,6 @@ func NewParams(eps float64, kappa int, rho float64, n int) (*Params, error) {
 	return params.New(eps, kappa, rho, n)
 }
 
-// NewParamsWithEstimate derives the schedule when vertices know only an
-// estimate ñ >= n of the vertex count (paper §1.3.1); pass the result to
-// core building via BuildSpannerWithParams.
-func NewParamsWithEstimate(eps float64, kappa int, rho float64, n, nTilde int) (*Params, error) {
-	return params.NewWithEstimate(eps, kappa, rho, n, nTilde)
-}
-
-// BuildSpannerWithParams constructs a spanner under an explicit
-// parameter schedule (e.g. one built with NewParamsWithEstimate).
-func BuildSpannerWithParams(g *Graph, p *Params, mode Mode, engine Engine, keepClusters bool) (*Result, error) {
-	return core.Build(context.Background(), g, p, core.Options{
-		Mode:         mode,
-		Engine:       engine,
-		KeepClusters: keepClusters,
-	})
-}
-
 // VerifyStretch measures the (alpha, beta) stretch of h against g
 // exactly, over all connected pairs.
 func VerifyStretch(g, h *Graph, alpha float64, beta int32) StretchReport {
@@ -299,25 +288,6 @@ func BuildGreedy(g *Graph, kappa int) (*Graph, error) {
 	return baseline.BuildGreedy(g, kappa)
 }
 
-// DistanceOracle answers approximate distance queries over a
-// preprocessed spanner with the (1+ε', β) guarantee. It embeds an
-// OraclePool, so it is safe for concurrent use.
-type DistanceOracle = oracle.Oracle
-
-// OracleOptions configure NewDistanceOracle.
-type OracleOptions = oracle.Options
-
-// NewDistanceOracle preprocesses g into an approximate distance oracle:
-// queries traverse the spanner (O(β·n^{1+1/κ}) edges) instead of g.
-func NewDistanceOracle(g *Graph, opts OracleOptions) (*DistanceOracle, error) {
-	return oracle.New(g, opts)
-}
-
-// OracleFromResult wraps an already-built spanner in a distance oracle.
-func OracleFromResult(g *Graph, res *Result, cacheSources int) (*DistanceOracle, error) {
-	return oracle.FromSpanner(g, res, cacheSources)
-}
-
 // Infinity is the distance returned for disconnected vertex pairs.
 const Infinity = graph.Infinity
 
@@ -336,7 +306,8 @@ type OraclePoolOptions = oracle.PoolOptions
 type OraclePoolStats = oracle.PoolStats
 
 // NewOraclePool builds a query pool over a spanner (for example
-// Result.Spanner). The spanner must not be mutated afterwards.
+// Result.Spanner). The spanner must not be mutated afterwards. Answers
+// over a Result's spanner carry its Result.Params.Guarantee.
 func NewOraclePool(spanner *Graph, opts OraclePoolOptions) *OraclePool {
 	return oracle.NewPool(spanner, opts)
 }

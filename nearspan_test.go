@@ -15,7 +15,8 @@ func TestQuickstartFlow(t *testing.T) {
 	if !nearspan.IsSubgraph(res.Spanner, g) {
 		t.Error("spanner not a subgraph")
 	}
-	rep := nearspan.VerifyStretch(g, res.Spanner, 1+res.Params.EpsPrime(), res.Params.BetaInt())
+	alpha, beta := res.Params.Guarantee()
+	rep := nearspan.VerifyStretch(g, res.Spanner, alpha, beta)
 	if !rep.OK() {
 		t.Errorf("stretch violated: %v", rep)
 	}
@@ -110,8 +111,8 @@ func TestSampledVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := nearspan.VerifyStretchSampled(g, res.Spanner,
-		1+res.Params.EpsPrime(), res.Params.BetaInt(), 20, 7)
+	alpha, beta := res.Params.Guarantee()
+	rep := nearspan.VerifyStretchSampled(g, res.Spanner, alpha, beta, 20, 7)
 	if !rep.OK() {
 		t.Errorf("sampled stretch violated: %v", rep)
 	}
