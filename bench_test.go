@@ -332,20 +332,22 @@ func BenchmarkNetworkReuse(b *testing.B) {
 			}
 		})
 		b.Run("persistent-network/"+eng.String(), func(b *testing.B) {
-			net, err := protocols.NewNetwork(g, opts)
+			led := protocols.NewLedger(0, nil)
+			net, err := protocols.NewNetwork(g, opts, led)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := protocols.RunNearNeighbors(context.Background(), net, i, isCenter, deg, delta); err != nil {
+				led.BeginPhase(i)
+				if _, err := protocols.RunNearNeighborsRec(context.Background(), net, isCenter, deg, delta, nil); err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := protocols.RunRulingSet(context.Background(), net, i, isCenter, q, c, g.N()); err != nil {
+				if _, err := protocols.RunRulingSet(context.Background(), net, isCenter, q, c, g.N()); err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := protocols.RunForest(context.Background(), net, i, func(v int) bool { return v == 0 }, 6); err != nil {
+				if _, err := protocols.RunForest(context.Background(), net, func(v int) bool { return v == 0 }, 6); err != nil {
 					b.Fatal(err)
 				}
 			}

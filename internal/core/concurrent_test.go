@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
 	"nearspan/internal/congest"
+	"nearspan/internal/delta"
 	"nearspan/internal/params"
 	"nearspan/internal/protocols"
 	"nearspan/internal/sched"
@@ -127,24 +129,40 @@ func TestBuildCancelledMidConstruction(t *testing.T) {
 }
 
 // The OnStep progress stream matches Result.Steps exactly, in order,
-// in both modes.
+// in both modes, for a full build and for an incremental rebuild (whose
+// replayed steps stream like any other).
 func TestOnStepStreamsResultSteps(t *testing.T) {
 	c := testConfigs(t)[0]
+	ctx := context.Background()
+	p := mustParams(t, c)
 	for _, mode := range []Mode{ModeCentralized, ModeDistributed} {
-		var seen []protocols.StepMetrics
-		res, err := Build(context.Background(), c.g, mustParams(t, c), Options{
-			Mode:   mode,
-			OnStep: func(sm protocols.StepMetrics) { seen = append(seen, sm) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seen) != len(res.Steps) {
-			t.Fatalf("%s: OnStep fired %d times for %d steps", mode, len(seen), len(res.Steps))
-		}
-		for i := range seen {
-			if seen[i] != res.Steps[i] {
-				t.Errorf("%s step %d: callback %+v vs result %+v", mode, i, seen[i], res.Steps[i])
+		prev := build(t, c, Options{Mode: mode, KeepRebuildState: true})
+		oneDelete := &delta.Batch{Delete: []delta.Edge{{U: 0, V: int32(c.g.Neighbor(0, 0))}}}
+		for _, run := range []struct {
+			name string
+			call func(Options) (*Result, error)
+		}{
+			{"build", func(o Options) (*Result, error) { return Build(ctx, c.g, p, o) }},
+			{"rebuild", func(o Options) (*Result, error) { return Rebuild(ctx, prev, oneDelete, o) }},
+		} {
+			var seen []protocols.StepMetrics
+			res, err := run.call(Options{
+				Mode:   mode,
+				OnStep: func(sm protocols.StepMetrics) { seen = append(seen, sm) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run.name == "rebuild" && !slices.ContainsFunc(res.Steps, func(sm protocols.StepMetrics) bool { return sm.Replayed }) {
+				t.Fatalf("%s rebuild: no replayed step to stream (incremental %v)", mode, res.Incremental)
+			}
+			if len(seen) != len(res.Steps) {
+				t.Fatalf("%s %s: OnStep fired %d times for %d steps", mode, run.name, len(seen), len(res.Steps))
+			}
+			for i := range seen {
+				if seen[i] != res.Steps[i] {
+					t.Errorf("%s %s step %d: callback %+v vs result %+v", mode, run.name, i, seen[i], res.Steps[i])
+				}
 			}
 		}
 	}

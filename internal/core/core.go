@@ -91,12 +91,14 @@ type Options struct {
 	// both modes (centralized steps report their schedule budgets). Fan
 	// one build out to several consumers with protocols.StepFanout.
 	OnStep func(protocols.StepMetrics)
-	// RoundBudget, when positive, bounds the build's total simulated
-	// rounds: a construction that would exceed it aborts with a wrapped
-	// *congest.ErrBudgetExhausted instead of running on — the service
-	// layer's per-job round cap. Distributed builds count executed
-	// rounds and surface the live pending-message histogram at the cut;
-	// centralized builds count the recorded schedule budgets.
+	// RoundBudget, when positive, bounds the build's rounds: a build
+	// succeeds if and only if its Result.TotalRounds <= RoundBudget, in
+	// both modes, for Build and Rebuild. Every recorded step is charged
+	// its rounds (executed, idle, replayed and centralized alike); the
+	// first step that does not fit aborts the construction with a
+	// wrapped *congest.ErrBudgetExhausted — the service layer's per-job
+	// round cap. A distributed session cut mid-run carries the live
+	// pending-message histogram.
 	RoundBudget int
 	// ArenaFraction controls how much of the simulator's worst-case
 	// message arena is preallocated in ModeDistributed (see
@@ -177,14 +179,14 @@ type Result struct {
 	// measured/worst-case ratio is the scale regime's memory headroom.
 	ArenaBytesWorstCase int64
 
-	// TotalRounds is the measured CONGEST round count in
-	// ModeDistributed. In ModeCentralized it counts only the
-	// fixed-schedule protocol budgets (Algorithm 1, ruling sets, forest
-	// growth), which are identical to the distributed ones by
+	// TotalRounds is the sum of Steps' rounds: the measured CONGEST
+	// round count in ModeDistributed. In ModeCentralized it counts only
+	// the fixed-schedule protocol budgets (Algorithm 1, ruling sets,
+	// forest growth), which are identical to the distributed ones by
 	// construction; the message-driven path-tracing rounds are measured
 	// only by the distributed mode.
 	TotalRounds int
-	// Messages is the total message count (ModeDistributed only).
+	// Messages is the sum of Steps' messages (ModeDistributed only).
 	Messages int64
 
 	// P[i] is the cluster collection entering phase i; U[i] the clusters
@@ -207,22 +209,17 @@ type Result struct {
 // EdgeCount returns |E_H|.
 func (r *Result) EdgeCount() int { return r.Spanner.M() }
 
-// backend abstracts the two execution strategies. Round counts returned
-// by the fixed-schedule steps (nearNeighbors, rulingSet, forest) are the
-// protocol budgets in both modes; climb rounds are measured in
-// distributed mode and zero centrally. climb adds the traced edges into
-// h directly, returning how many were new (the step's contribution to
-// |E_H|). beginPhase scopes the step metrics each call records; steps
-// returns the accumulated stream.
+// backend abstracts the two execution strategies. Each step method
+// records its step in the build's ledger: the fixed-schedule steps
+// (nearNeighbors, rulingSet, forest) charge the protocol budgets in both
+// modes; climb rounds are measured in distributed mode and zero
+// centrally. climb adds the traced edges into h directly, returning how
+// many were new (the step's contribution to |E_H|).
 type backend interface {
-	beginPhase(i int)
-	nearNeighbors(ctx context.Context, centers []int, deg int, delta int32, rec *protocols.TranscriptRecorder) (protocols.NNResult, int, error)
-	rulingSet(ctx context.Context, members []int, q int32, c int) ([]int, int, error)
-	forest(ctx context.Context, roots []int, depth int32) (protocols.ForestResult, int, error)
-	climb(ctx context.Context, step string, rt *protocols.Routing, start [][]int64, keysPerVertex, pathLen int, h *edgeset.Set) (int, int, error)
-	recordReplayed(step string, rounds int) error
-	messages() int64
-	steps() []protocols.StepMetrics
+	nearNeighbors(ctx context.Context, centers []int, deg int, delta int32, rec *protocols.TranscriptRecorder) (protocols.NNResult, error)
+	rulingSet(ctx context.Context, members []int, q int32, c int) ([]int, error)
+	forest(ctx context.Context, roots []int, depth int32) (protocols.ForestResult, error)
+	climb(ctx context.Context, step string, rt *protocols.Routing, start [][]int64, keysPerVertex, pathLen int, h *edgeset.Set) (int, error)
 	arenaBytes() int64
 	arenaWorstCase() int64
 }
@@ -251,22 +248,21 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 	if opts.Mode == 0 {
 		opts.Mode = ModeCentralized
 	}
+	led := protocols.NewLedger(opts.RoundBudget, opts.OnStep)
 	var bk backend
 	switch opts.Mode {
 	case ModeCentralized:
-		bk = &centralBackend{g: g, nEst: p.NEstimate, onStep: opts.OnStep, budget: opts.RoundBudget}
+		bk = &centralBackend{g: g, nEst: p.NEstimate, led: led}
 	case ModeDistributed:
 		// One persistent network for the whole construction: every
 		// phase's protocol steps attach to it as sessions, and every
 		// round executes on the shared runtime.
 		db, err := newDistributedBackend(g, p.NEstimate,
 			congest.Options{Engine: opts.Engine, Delivery: opts.Delivery, Runtime: opts.Runtime,
-				ArenaFraction: opts.ArenaFraction})
+				ArenaFraction: opts.ArenaFraction}, led)
 		if err != nil {
 			return nil, err
 		}
-		db.net.SetOnStep(opts.OnStep)
-		db.net.SetRoundBudget(opts.RoundBudget)
 		bk = db
 	default:
 		return nil, fmt.Errorf("core: unknown mode %d", opts.Mode)
@@ -293,9 +289,8 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 		if opts.KeepClusters {
 			res.P = append(res.P, cur)
 		}
-		bk.beginPhase(i)
+		led.BeginPhase(i)
 		ps := PhaseStats{Index: i, Deg: p.Deg[i], Delta: p.Delta[i], Clusters: cur.Len()}
-		msgsBefore := bk.messages()
 		centers := cur.Centers()
 
 		// Algorithm 1: popularity detection + neighborhood knowledge —
@@ -303,7 +298,6 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 		// transcript-diff splice recorded as a replayed step.
 		var nn protocols.NNResult
 		var tr protocols.NNTranscript
-		var nnRounds int
 		var err error
 		handled := false
 		if hook != nil {
@@ -313,8 +307,8 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 				return nil, fmt.Errorf("core: phase %d near-neighbors: %w", i, err)
 			}
 			if handled {
-				nnRounds = protocols.NearNeighborsRounds(p.Deg[i], p.Delta[i])
-				if err := bk.recordReplayed(protocols.StepNearNeighbors, nnRounds); err != nil {
+				if err := led.Record(protocols.StepMetrics{Step: protocols.StepNearNeighbors,
+					Rounds: protocols.NearNeighborsRounds(p.Deg[i], p.Delta[i]), Replayed: true}); err != nil {
 					return nil, fmt.Errorf("core: phase %d near-neighbors: %w", i, err)
 				}
 				res.Tracked += tracked
@@ -325,7 +319,7 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 			if state != nil {
 				rec = protocols.NewTranscriptRecorder(g.N())
 			}
-			nn, nnRounds, err = bk.nearNeighbors(ctx, centers, p.Deg[i], p.Delta[i], rec)
+			nn, err = bk.nearNeighbors(ctx, centers, p.Deg[i], p.Delta[i], rec)
 			if err != nil {
 				return nil, fmt.Errorf("core: phase %d near-neighbors: %w", i, err)
 			}
@@ -338,7 +332,6 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 				Centers: slices.Clone(centers), NN: nn, Transcript: tr,
 			})
 		}
-		ps.RoundsNN = nnRounds
 
 		superclustered.Reset()
 		var next *cluster.Collection
@@ -351,15 +344,12 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 		}
 
 		// Interconnection (all phases; phase ℓ has U_ℓ = P_ℓ).
-		icEdges, icRounds, err := interconnect(ctx, bk, g, centers, nn, superclustered, p.Delta[i], h)
+		ps.EdgesIC, err = interconnect(ctx, bk, g, centers, nn, superclustered, p.Delta[i], h)
 		if err != nil {
 			return nil, fmt.Errorf("core: phase %d interconnect: %w", i, err)
 		}
-		ps.RoundsIC = icRounds
-		ps.EdgesIC = icEdges
 
 		ps.Unclustered = len(centers) - superclustered.Len()
-		ps.Messages = bk.messages() - msgsBefore
 		if opts.KeepClusters {
 			u, err := cur.Subset(g.N(), func(center int) bool { return !superclustered.Has(center) })
 			if err != nil {
@@ -375,11 +365,24 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 
 	res.Spanner = h.Graph()
 	res.Rebuild = state
-	for _, ps := range res.Phases {
-		res.TotalRounds += ps.Rounds()
+	// The phase and result totals are derived from the ledger's steps.
+	res.Steps = led.Steps()
+	for _, s := range res.Steps {
+		ps := &res.Phases[s.Phase]
+		switch s.Step {
+		case protocols.StepNearNeighbors:
+			ps.RoundsNN += s.Rounds
+		case protocols.StepRulingSet:
+			ps.RoundsRS += s.Rounds
+		case protocols.StepForest, protocols.StepForestPaths:
+			ps.RoundsSC += s.Rounds
+		case protocols.StepInterconnect:
+			ps.RoundsIC += s.Rounds
+		}
+		ps.Messages += s.Messages
+		res.TotalRounds += s.Rounds
+		res.Messages += s.Messages
 	}
-	res.Messages = bk.messages()
-	res.Steps = bk.steps()
 	res.ArenaBytes = bk.arenaBytes()
 	res.ArenaBytesWorstCase = bk.arenaWorstCase()
 	return res, nil
@@ -401,15 +404,14 @@ func superclusterPhase(ctx context.Context, bk backend, g *graph.Graph, p *param
 	}
 	ps.Popular = len(popular)
 
-	rs, rsRounds, err := bk.rulingSet(ctx, popular, p.RulingSetQ(i), p.C)
+	rs, err := bk.rulingSet(ctx, popular, p.RulingSetQ(i), p.C)
 	if err != nil {
 		return nil, fmt.Errorf("core: phase %d ruling set: %w", i, err)
 	}
-	ps.RoundsRS = rsRounds
 	ps.RulingSet = len(rs)
 
 	depth := p.SuperclusterDepth(i)
-	forest, fRounds, err := bk.forest(ctx, rs, depth)
+	forest, err := bk.forest(ctx, rs, depth)
 	if err != nil {
 		return nil, fmt.Errorf("core: phase %d forest: %w", i, err)
 	}
@@ -431,12 +433,10 @@ func superclusterPhase(ctx context.Context, bk backend, g *graph.Graph, p *param
 			}
 		}
 	}
-	scEdges, scRounds, err := bk.climb(ctx, protocols.StepForestPaths, rt, start, 1, int(depth), h)
+	ps.EdgesSC, err = bk.climb(ctx, protocols.StepForestPaths, rt, start, 1, int(depth), h)
 	if err != nil {
 		return nil, fmt.Errorf("core: phase %d supercluster paths: %w", i, err)
 	}
-	ps.RoundsSC = fRounds + scRounds
-	ps.EdgesSC = scEdges
 
 	next, err := cur.Merge(g.N(), assignment)
 	if err != nil {
@@ -451,7 +451,7 @@ func superclusterPhase(ctx context.Context, bk backend, g *graph.Graph, p *param
 // each initiating center's start-key set is its key run in that table —
 // no copies, already sorted.
 func interconnect(ctx context.Context, bk backend, g *graph.Graph, centers []int, nn protocols.NNResult,
-	superclustered *edgeset.Assignment, delta int32, h *edgeset.Set) (int, int, error) {
+	superclustered *edgeset.Assignment, delta int32, h *edgeset.Set) (int, error) {
 
 	start := make([][]int64, g.N())
 	maxKeys := 0

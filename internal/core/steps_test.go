@@ -1,9 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"nearspan/internal/congest"
+	"nearspan/internal/delta"
+	"nearspan/internal/gen"
+	"nearspan/internal/params"
 	"nearspan/internal/protocols"
 	"nearspan/internal/sched"
 )
@@ -121,6 +126,59 @@ func TestStepMetricsConsistent(t *testing.T) {
 					t.Errorf("step %d: central (%d,%s) vs distributed (%d,%s)",
 						i, cRes.Steps[i].Phase, cRes.Steps[i].Step, res.Steps[i].Phase, res.Steps[i].Step)
 				}
+			}
+		}
+	}
+}
+
+// One charging rule in both modes, for Build and for Rebuild: a build
+// succeeds under a round budget exactly when its TotalRounds fit. Every
+// recorded step is charged — executed, idle, replayed and centralized
+// alike — so a budget of TotalRounds passes and one round less fails.
+func TestRoundBudgetBoundsTotalRounds(t *testing.T) {
+	ctx := context.Background()
+	g := gen.GNP(128, 0.08, 1, true)
+	p, err := params.New(1.0/3, 3, 0.49, g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneDelete := &delta.Batch{Delete: []delta.Edge{{U: 0, V: int32(g.Neighbor(0, 0))}}}
+	for _, mode := range []Mode{ModeCentralized, ModeDistributed} {
+		prev, err := Build(ctx, g, p, Options{Mode: mode, KeepRebuildState: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range []struct {
+			name string
+			call func(budget int) (*Result, error)
+		}{
+			{"build", func(b int) (*Result, error) { return Build(ctx, g, p, Options{Mode: mode, RoundBudget: b}) }},
+			{"rebuild", func(b int) (*Result, error) { return Rebuild(ctx, prev, oneDelete, Options{RoundBudget: b}) }},
+		} {
+			full, err := run.call(0)
+			if err != nil {
+				t.Fatalf("%s %s unbudgeted: %v", mode, run.name, err)
+			}
+			if run.name == "rebuild" && !full.Incremental {
+				t.Fatalf("%s rebuild fell back to a full build; the replayed path is untested", mode)
+			}
+			if res, err := run.call(full.TotalRounds); err != nil {
+				t.Errorf("%s %s: budget = TotalRounds %d failed: %v", mode, run.name, full.TotalRounds, err)
+			} else if res.TotalRounds != full.TotalRounds {
+				t.Errorf("%s %s: budgeted TotalRounds %d, unbudgeted %d", mode, run.name, res.TotalRounds, full.TotalRounds)
+			}
+			res, err := run.call(full.TotalRounds - 1)
+			var be *congest.ErrBudgetExhausted
+			if !errors.As(err, &be) {
+				t.Errorf("%s %s: budget = TotalRounds-1 = %d: err = %v, want *congest.ErrBudgetExhausted",
+					mode, run.name, full.TotalRounds-1, err)
+				continue
+			}
+			if be.MaxRounds != full.TotalRounds-1 {
+				t.Errorf("%s %s: exhausted budget reports %d, want %d", mode, run.name, be.MaxRounds, full.TotalRounds-1)
+			}
+			if res != nil {
+				t.Errorf("%s %s: exhausted build returned a result", mode, run.name)
 			}
 		}
 	}

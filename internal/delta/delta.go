@@ -13,6 +13,7 @@
 package delta
 
 import (
+	"errors"
 	"fmt"
 	"iter"
 	"slices"
@@ -94,26 +95,40 @@ func cmpEdge(a, c Edge) int {
 	return int(a.V) - int(c.V)
 }
 
-// Apply normalizes b and produces the patched graph: g's edge set minus
-// b.Delete plus b.Insert, as a fresh CSR. It rejects inserting an edge
-// already present and deleting one that is not — a delta that disagrees
-// with the graph it claims to patch is a caller bug, not a merge. g is
-// not modified. The patched CSR is bit-identical to building the target
-// edge set from scratch (both go through the same sorted-stream
-// constructor), so fingerprints and port numberings agree.
-func Apply(g *graph.Graph, b *Batch) (*graph.Graph, error) {
+// ErrConflict marks a well-formed batch that disagrees with the graph it
+// claims to patch: it inserts an edge already present or deletes one
+// that is not. Check and Apply wrap it; every other error they return is
+// a malformed batch.
+var ErrConflict = errors.New("delta: batch disagrees with the graph")
+
+// Check normalizes b against g and verifies that it agrees with g. A
+// delta that disagrees with the graph it claims to patch is a caller
+// bug, not a merge: the error then wraps ErrConflict.
+func Check(g *graph.Graph, b *Batch) error {
 	if err := b.Normalize(g.N()); err != nil {
-		return nil, err
+		return err
 	}
 	for _, e := range b.Insert {
 		if g.HasEdge(int(e.U), int(e.V)) {
-			return nil, fmt.Errorf("delta: insert edge {%d,%d} already present", e.U, e.V)
+			return fmt.Errorf("%w: insert edge {%d,%d} already present", ErrConflict, e.U, e.V)
 		}
 	}
 	for _, e := range b.Delete {
 		if !g.HasEdge(int(e.U), int(e.V)) {
-			return nil, fmt.Errorf("delta: delete edge {%d,%d} not present", e.U, e.V)
+			return fmt.Errorf("%w: delete edge {%d,%d} not present", ErrConflict, e.U, e.V)
 		}
+	}
+	return nil
+}
+
+// Apply checks b against g (see Check) and produces the patched graph:
+// g's edge set minus b.Delete plus b.Insert, as a fresh CSR. g is not
+// modified. The patched CSR is bit-identical to building the target
+// edge set from scratch (both go through the same sorted-stream
+// constructor), so fingerprints and port numberings agree.
+func Apply(g *graph.Graph, b *Batch) (*graph.Graph, error) {
+	if err := Check(g, b); err != nil {
+		return nil, err
 	}
 	m := g.M() + len(b.Insert) - len(b.Delete)
 	return graph.FromSortedEdgeSeq(g.N(), m, mergedEdges(g, b)), nil

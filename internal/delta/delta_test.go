@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -90,13 +91,18 @@ func TestNormalizeRejects(t *testing.T) {
 	}
 }
 
+// A batch that disagrees with the graph is an ErrConflict; a malformed
+// one is not.
 func TestApplyRejectsDisagreement(t *testing.T) {
 	g := gen.Grid(4, 4)
-	if _, err := Apply(g, &Batch{Insert: []Edge{{0, 1}}}); err == nil {
-		t.Error("Apply accepted insert of a present edge")
+	if _, err := Apply(g, &Batch{Insert: []Edge{{0, 1}}}); !errors.Is(err, ErrConflict) {
+		t.Errorf("insert of a present edge: err = %v, want ErrConflict", err)
 	}
-	if _, err := Apply(g, &Batch{Delete: []Edge{{0, 15}}}); err == nil {
-		t.Error("Apply accepted delete of an absent edge")
+	if _, err := Apply(g, &Batch{Delete: []Edge{{0, 15}}}); !errors.Is(err, ErrConflict) {
+		t.Errorf("delete of an absent edge: err = %v, want ErrConflict", err)
+	}
+	if err := Check(g, &Batch{Insert: []Edge{{0, 16}}}); err == nil || errors.Is(err, ErrConflict) {
+		t.Errorf("out-of-range insert: err = %v, want a non-conflict error", err)
 	}
 }
 

@@ -118,12 +118,12 @@ func TestStepFanoutRandomizedSubscribeUnsubscribe(t *testing.T) {
 // detaching mid-build.
 func TestStepFanoutDuringNetworkSessions(t *testing.T) {
 	g := gen.GNP(70, 0.1, 7, true)
-	net, err := NewNetwork(g, congest.Options{})
+	var fan StepFanout
+	led := NewLedger(0, fan.Emit)
+	net, err := NewNetwork(g, congest.Options{}, led)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fan StepFanout
-	net.SetOnStep(fan.Emit)
 
 	var full []StepMetrics
 	fan.Subscribe(func(sm StepMetrics) { full = append(full, sm) })
@@ -156,14 +156,15 @@ func TestStepFanoutDuringNetworkSessions(t *testing.T) {
 
 	ctx := context.Background()
 	for phase := 0; phase < 8; phase++ {
-		if _, _, err := RunNearNeighbors(ctx, net, phase, func(int) bool { return true }, 3, 2); err != nil {
+		led.BeginPhase(phase)
+		if _, err := RunNearNeighborsRec(ctx, net, func(int) bool { return true }, 3, 2, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(done)
 	wg.Wait()
 
-	steps := net.Steps()
+	steps := led.Steps()
 	if len(full) != len(steps) {
 		t.Fatalf("persistent subscriber saw %d metrics, network recorded %d", len(full), len(steps))
 	}

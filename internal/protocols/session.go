@@ -23,10 +23,10 @@ const (
 	StepInterconnect  = "interconnect"
 )
 
-// StepMetrics records one protocol session's execution on the shared
-// network: which phase and step it was, and what it cost. Rounds for
-// fixed-schedule protocols equal the protocol's budget; for
-// message-driven climbs they are measured.
+// StepMetrics records one protocol step of a construction: which phase
+// and step it was, and what it cost. Rounds for fixed-schedule
+// protocols equal the protocol's schedule; for message-driven climbs
+// they are measured (and zero in the centralized mode).
 type StepMetrics struct {
 	Phase           int
 	Step            string
@@ -42,27 +42,83 @@ type StepMetrics struct {
 	Replayed bool
 }
 
+// Ledger is the one recording point of a construction's step stream:
+// every step record — executed, idle, replayed or centralized — goes
+// through Record, which charges the step's rounds against the round
+// budget, appends the metrics and streams them to the OnStep callback.
+// It also holds the current phase, which stamps every record. The paper's
+// steps run on a fixed schedule all vertices know (§1.3.1), so a step
+// spends its rounds whether or not a message flows; charging every
+// recorded step makes a build succeed under budget b exactly when the
+// sum of its step rounds is at most b.
+type Ledger struct {
+	steps  []StepMetrics
+	onStep func(StepMetrics)
+	budget int // 0 means unlimited
+	used   int
+	phase  int
+}
+
+// NewLedger returns a ledger bounding the total recorded rounds by
+// budget (0 means unlimited) and streaming every record to onStep (nil
+// means none). onStep runs synchronously, in record order, and must not
+// call back into the ledger.
+func NewLedger(budget int, onStep func(StepMetrics)) *Ledger {
+	return &Ledger{budget: budget, onStep: onStep}
+}
+
+// BeginPhase sets the phase stamped on subsequent records.
+func (l *Ledger) BeginPhase(i int) { l.phase = i }
+
+// Steps returns every recorded step, in order.
+func (l *Ledger) Steps() []StepMetrics { return l.steps }
+
+// remaining returns the rounds still available under the budget, or
+// math.MaxInt when no budget is set.
+func (l *Ledger) remaining() int {
+	if l.budget <= 0 {
+		return math.MaxInt
+	}
+	return max(l.budget-l.used, 0)
+}
+
+// exhausted attributes a budget cut to the ledger's budget.
+func (l *Ledger) exhausted(be *congest.ErrBudgetExhausted) *congest.ErrBudgetExhausted {
+	be.MaxRounds = l.budget
+	return be
+}
+
+// Record stamps sm with the current phase and appends it, charging its
+// rounds. A step whose rounds do not fit in the remaining budget is not
+// recorded and not streamed; Record then fails with a wrapped
+// *congest.ErrBudgetExhausted.
+func (l *Ledger) Record(sm StepMetrics) error {
+	if sm.Rounds > l.remaining() {
+		return fmt.Errorf("protocols: %s step (phase %d): %w", sm.Step, l.phase,
+			l.exhausted(&congest.ErrBudgetExhausted{}))
+	}
+	sm.Phase = l.phase
+	l.used += sm.Rounds
+	l.steps = append(l.steps, sm)
+	if l.onStep != nil {
+		l.onStep(sm)
+	}
+	return nil
+}
+
 // Network is a persistent CONGEST runtime: one simulator constructed
 // once per topology and reused — via congest.Reset — by every protocol
 // session run on it. The paper's construction is a sequence of
 // protocols on the same graph (ℓ phases × 4 steps); constructing a
 // simulator per step would reallocate the O(m·Bandwidth) message
 // arenas and the twin table every time. A Network pays those costs
-// once and additionally keeps the per-step metrics stream the per-phase
-// accounting is built from. It owns no goroutines: the parallel engine
+// once; its sessions record into the construction's Ledger, whose round
+// budget caps every session. It owns no goroutines: the parallel engine
 // executes on the shared runtime, whose lifecycle is independent of any
 // one network.
 type Network struct {
 	sim    *congest.Simulator
-	steps  []StepMetrics
-	onStep func(StepMetrics)
-
-	// budget, when positive, bounds the total simulated rounds executed
-	// across every session on this network; used tracks consumption.
-	// Idle records consume nothing — the budget is an execution bound,
-	// not a schedule bound.
-	budget int
-	used   int
+	ledger *Ledger
 }
 
 // idleProgram occupies vertices of a freshly created network before the
@@ -72,86 +128,19 @@ type idleProgram struct{}
 func (idleProgram) Init(env *congest.Env)                          { env.Halt() }
 func (idleProgram) Round(env *congest.Env, recv []congest.Inbound) { env.Halt() }
 
-// NewNetwork constructs the persistent simulator for g.
-func NewNetwork(g *graph.Graph, opts congest.Options) (*Network, error) {
+// NewNetwork constructs the persistent simulator for g; its sessions
+// record into ledger.
+func NewNetwork(g *graph.Graph, opts congest.Options, ledger *Ledger) (*Network, error) {
 	sim, err := congest.NewUniform(g, func(int) congest.Program { return idleProgram{} }, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Network{sim: sim}, nil
+	return &Network{sim: sim, ledger: ledger}, nil
 }
 
 // Sim exposes the underlying simulator for result extraction between
 // sessions. The programs it holds are those of the most recent session.
 func (n *Network) Sim() *congest.Simulator { return n.sim }
-
-// Graph returns the network topology.
-func (n *Network) Graph() *graph.Graph { return n.sim.Graph() }
-
-// Steps returns the metrics of every session run so far, in order.
-func (n *Network) Steps() []StepMetrics { return n.steps }
-
-// SetRoundBudget bounds the total simulated rounds the network may
-// execute across all of its sessions; 0 (the default) means unlimited.
-// A session whose schedule does not fit in the remaining budget runs
-// only the remaining rounds and then fails with a wrapped
-// *congest.ErrBudgetExhausted carrying the live pending-message
-// histogram — the per-job round-budget enforcement point of the service
-// layer. The cut lands at a round boundary, so an exhausted build can
-// never emit a partial result (its error aborts the construction).
-func (n *Network) SetRoundBudget(rounds int) { n.budget = rounds }
-
-// RoundsUsed returns the simulated rounds executed so far across all
-// sessions on this network.
-func (n *Network) RoundsUsed() int { return n.used }
-
-// remaining returns the rounds still executable under the budget, or
-// math.MaxInt when no budget is set.
-func (n *Network) remaining() int {
-	if n.budget <= 0 {
-		return math.MaxInt
-	}
-	if rem := n.budget - n.used; rem > 0 {
-		return rem
-	}
-	return 0
-}
-
-// SetOnStep installs a progress callback invoked synchronously with each
-// recorded step metric (including idle records), in execution order. It
-// is the hook behind per-build progress reporting; the callback must not
-// call back into the network.
-func (n *Network) SetOnStep(fn func(StepMetrics)) { n.onStep = fn }
-
-func (n *Network) record(sm StepMetrics) {
-	n.steps = append(n.steps, sm)
-	if n.onStep != nil {
-		n.onStep(sm)
-	}
-}
-
-// RecordIdle appends a zero-cost metrics entry for a step that was
-// statically known to move no messages (e.g. an empty center set): the
-// schedule still charges its round budget, but no simulation ran.
-func (n *Network) RecordIdle(phase int, step string, rounds int) {
-	n.record(StepMetrics{Phase: phase, Step: step, Rounds: rounds})
-}
-
-// RecordReplayed appends a metrics entry for a step whose output the
-// delta rebuild spliced from a previous build. Unlike RecordIdle it
-// charges the step's schedule rounds against the network's round budget
-// — a rebuilt job must fit the same per-job round cap as a full build —
-// and fails with *congest.ErrBudgetExhausted when they do not fit.
-func (n *Network) RecordReplayed(phase int, step string, rounds int) error {
-	if rem := n.remaining(); rounds > rem {
-		n.used += rem
-		return fmt.Errorf("protocols: %s step (phase %d, replayed): %w", step, phase,
-			&congest.ErrBudgetExhausted{MaxRounds: n.budget})
-	}
-	n.used += rounds
-	n.record(StepMetrics{Phase: phase, Step: step, Rounds: rounds, Replayed: true})
-	return nil
-}
 
 // Session is one protocol run attached to the network. Each session
 // owns a message-kind namespace: after its rounds complete, any message
@@ -162,72 +151,63 @@ func (n *Network) RecordReplayed(phase int, step string, rounds int) error {
 // boundary instead of letting the next protocol silently misread stale
 // messages (the next session's Reset would otherwise just drop them).
 type Session struct {
-	net   *Network
-	phase int
-	step  string
-	kind  uint8
+	net  *Network
+	step string
+	kind uint8
 }
 
-// Session starts a session for the given construction phase and step.
-// kind is the message kind the step's protocol owns.
-func (n *Network) Session(phase int, step string, kind uint8) *Session {
-	return &Session{net: n, phase: phase, step: step, kind: kind}
+// Session starts a session for the given step in the ledger's current
+// phase. kind is the message kind the step's protocol owns.
+func (n *Network) Session(step string, kind uint8) *Session {
+	return &Session{net: n, step: step, kind: kind}
 }
 
 // Run attaches factory's programs to the network and executes exactly
-// rounds rounds, recording the step metrics. Cancelling the context
-// aborts the session at a round boundary with ctx.Err() (wrapped); no
-// metrics are recorded for an aborted session. If the network's round
-// budget cannot cover the schedule, the session runs only the remaining
-// rounds and fails with a wrapped *congest.ErrBudgetExhausted.
+// rounds rounds, recording the step. Cancelling the context aborts the
+// session at a round boundary with ctx.Err() (wrapped); no metrics are
+// recorded for an aborted session. If the ledger's remaining budget
+// cannot cover the schedule, the session runs only the remaining rounds
+// and fails with a wrapped *congest.ErrBudgetExhausted carrying the live
+// pending-message histogram. The cut lands at a round boundary, so an
+// exhausted build never emits a partial result.
 func (s *Session) Run(ctx context.Context, factory func(v int) congest.Program, rounds int) error {
 	s.net.sim.ResetUniform(factory)
-	rem := s.net.remaining()
-	run := min(rounds, rem)
-	err := s.net.sim.RunContext(ctx, run)
-	s.net.used += s.net.sim.Metrics().Rounds
-	if err != nil {
-		return fmt.Errorf("protocols: %s session (phase %d): %w", s.step, s.phase, err)
+	run := min(rounds, s.net.ledger.remaining())
+	if err := s.net.sim.RunContext(ctx, run); err != nil {
+		return s.wrap(err)
 	}
 	if run < rounds {
-		return fmt.Errorf("protocols: %s session (phase %d): %w", s.step, s.phase, s.budgetExhausted())
+		total, byKind := s.net.sim.Pending()
+		return s.wrap(s.net.ledger.exhausted(&congest.ErrBudgetExhausted{
+			Pending: total,
+			ByKind:  byKind,
+			Active:  s.net.sim.Active(),
+		}))
 	}
 	return s.finish()
 }
 
 // RunUntilQuiet attaches factory's programs and executes until
-// quiescence (at most maxRounds, further capped by the network's round
-// budget), returning the measured round count. An exhausted budget —
-// the protocol's own or the network's — surfaces as a wrapped
+// quiescence (at most maxRounds, further capped by the ledger's
+// remaining budget), recording the measured round count. An exhausted
+// budget — the protocol's own or the ledger's — surfaces as a wrapped
 // *congest.ErrBudgetExhausted carrying the pending-message histogram.
-func (s *Session) RunUntilQuiet(ctx context.Context, factory func(v int) congest.Program, maxRounds int) (int, error) {
+func (s *Session) RunUntilQuiet(ctx context.Context, factory func(v int) congest.Program, maxRounds int) error {
 	s.net.sim.ResetUniform(factory)
-	rem := s.net.remaining()
-	capped := min(maxRounds, rem)
-	rounds, err := s.net.sim.RunUntilQuietContext(ctx, capped)
-	s.net.used += rounds
-	if err != nil {
+	capped := min(maxRounds, s.net.ledger.remaining())
+	if _, err := s.net.sim.RunUntilQuietContext(ctx, capped); err != nil {
 		var be *congest.ErrBudgetExhausted
 		if errors.As(err, &be) && capped < maxRounds {
-			// The network budget, not the protocol's own cap, cut the run.
-			be.MaxRounds = s.net.budget
+			// The ledger's budget, not the protocol's own cap, cut the run.
+			s.net.ledger.exhausted(be)
 		}
-		return rounds, fmt.Errorf("protocols: %s session (phase %d): %w", s.step, s.phase, err)
+		return s.wrap(err)
 	}
-	return rounds, s.finish()
+	return s.finish()
 }
 
-// budgetExhausted builds the typed budget error from the simulator's
-// live state: the in-flight histogram at the cut plus the still-active
-// vertex count, attributed to the network's total budget.
-func (s *Session) budgetExhausted() *congest.ErrBudgetExhausted {
-	total, byKind := s.net.sim.Pending()
-	return &congest.ErrBudgetExhausted{
-		MaxRounds: s.net.budget,
-		Pending:   total,
-		ByKind:    byKind,
-		Active:    s.net.sim.Active(),
-	}
+func (s *Session) wrap(err error) error {
+	return fmt.Errorf("protocols: %s session (phase %d): %w", s.step, s.net.ledger.phase, err)
 }
 
 // finish verifies the session's kind namespace is clean and records its
@@ -237,78 +217,66 @@ func (s *Session) finish() error {
 		kinds := slices.Sorted(maps.Keys(byKind))
 		own := byKind[s.kind]
 		if foreign := total - own; foreign > 0 {
-			return fmt.Errorf("protocols: %s session (phase %d): %d stray message(s) of kinds %v in flight after %d rounds — traffic outside the session's kind namespace (%d)",
-				s.step, s.phase, foreign, kinds, s.net.sim.Round(), s.kind)
+			return s.wrap(fmt.Errorf("%d stray message(s) of kinds %v in flight after %d rounds — traffic outside the session's kind namespace (%d)",
+				foreign, kinds, s.net.sim.Round(), s.kind))
 		}
-		return fmt.Errorf("protocols: %s session (phase %d): %d message(s) of own kind %d still in flight after %d rounds — schedule under-budgeted",
-			s.step, s.phase, own, s.kind, s.net.sim.Round())
+		return s.wrap(fmt.Errorf("%d message(s) of own kind %d still in flight after %d rounds — schedule under-budgeted",
+			own, s.kind, s.net.sim.Round()))
 	}
 	m := s.net.sim.Metrics()
-	s.net.record(StepMetrics{
-		Phase:           s.phase,
+	return s.net.ledger.Record(StepMetrics{
 		Step:            s.step,
 		Rounds:          m.Rounds,
 		Messages:        m.Messages,
 		MaxRoundTraffic: m.MaxRoundTraffic,
 	})
-	return nil
 }
 
 // The per-step session runners below are the distributed faces of the
 // construction's four protocol steps: each attaches its protocol to the
-// persistent network as one session and extracts the result. They
-// mirror the Central* oracles, which compute identical outputs without
-// round machinery.
+// persistent network as one session in the ledger's current phase and
+// extracts the result; the step's rounds are in the ledger. They mirror
+// the Central* oracles, which compute identical outputs without round
+// machinery.
 
-// RunNearNeighbors executes Algorithm 1 (popularity detection) as a
-// session and returns the per-vertex result plus the consumed rounds.
-func RunNearNeighbors(ctx context.Context, net *Network, phase int, isCenter func(v int) bool, deg int, delta int32) (NNResult, int, error) {
-	return RunNearNeighborsRec(ctx, net, phase, isCenter, deg, delta, nil)
-}
-
-// RunNearNeighborsRec is RunNearNeighbors with optional forward-
-// transcript recording: when rec is non-nil, every vertex's per-phase
-// forward selections are recorded into it (the caller finishes the
-// recorder). Recording does not change the protocol's traffic or result.
-func RunNearNeighborsRec(ctx context.Context, net *Network, phase int, isCenter func(v int) bool, deg int, delta int32, rec *TranscriptRecorder) (NNResult, int, error) {
-	rounds := NearNeighborsRounds(deg, delta)
-	if err := net.Session(phase, StepNearNeighbors, kindNN).Run(ctx, NewNearNeighborsRec(isCenter, deg, delta, rec), rounds); err != nil {
-		return NNResult{}, 0, err
+// RunNearNeighborsRec executes Algorithm 1 (popularity detection) as a
+// session and returns the per-vertex result. When rec is non-nil, every
+// vertex's per-phase forward selections are recorded into it (the
+// caller finishes the recorder). Recording does not change the
+// protocol's traffic or result.
+func RunNearNeighborsRec(ctx context.Context, net *Network, isCenter func(v int) bool, deg int, delta int32, rec *TranscriptRecorder) (NNResult, error) {
+	if err := net.Session(StepNearNeighbors, kindNN).Run(ctx, NewNearNeighborsRec(isCenter, deg, delta, rec), NearNeighborsRounds(deg, delta)); err != nil {
+		return NNResult{}, err
 	}
-	return ExtractNN(net.sim), rounds, nil
+	return ExtractNN(net.sim), nil
 }
 
 // RunRulingSet executes the deterministic ruling-set protocol as a
-// session and returns the selected set plus the consumed rounds.
-func RunRulingSet(ctx context.Context, net *Network, phase int, isMember func(v int) bool, q int32, c, n int) ([]int, int, error) {
-	rounds := RulingSetRounds(q, c, n)
-	if err := net.Session(phase, StepRulingSet, kindRulingWave).Run(ctx, NewRulingSet(isMember, q, c, n), rounds); err != nil {
-		return nil, 0, err
+// session and returns the selected set.
+func RunRulingSet(ctx context.Context, net *Network, isMember func(v int) bool, q int32, c, n int) ([]int, error) {
+	if err := net.Session(StepRulingSet, kindRulingWave).Run(ctx, NewRulingSet(isMember, q, c, n), RulingSetRounds(q, c, n)); err != nil {
+		return nil, err
 	}
-	return ExtractRulingSet(net.sim), rounds, nil
+	return ExtractRulingSet(net.sim), nil
 }
 
 // RunForest grows the bounded-depth BFS forest as a session and returns
-// the per-vertex adoption state plus the consumed rounds.
-func RunForest(ctx context.Context, net *Network, phase int, isRoot func(v int) bool, depth int32) (ForestResult, int, error) {
-	rounds := ForestRounds(depth)
-	if err := net.Session(phase, StepForest, kindForest).Run(ctx, NewBFSForest(isRoot, depth), rounds); err != nil {
-		return ForestResult{}, 0, err
+// the per-vertex adoption state.
+func RunForest(ctx context.Context, net *Network, isRoot func(v int) bool, depth int32) (ForestResult, error) {
+	if err := net.Session(StepForest, kindForest).Run(ctx, NewBFSForest(isRoot, depth), ForestRounds(depth)); err != nil {
+		return ForestResult{}, err
 	}
-	return ExtractForest(net.sim), rounds, nil
+	return ExtractForest(net.sim), nil
 }
 
 // RunClimb traces paths through the routing plane as a message-driven
 // session (step names the use: forest paths or interconnection), adding
 // the marked edges into the given set; it returns how many were new to
-// the set plus the measured rounds. The construction passes the spanner
-// accumulator directly, so the new-edge count is the step's contribution
-// to |E_H|.
-func RunClimb(ctx context.Context, net *Network, phase int, step string, rt *Routing, start [][]int64, keysPerVertex, pathLen int, into *edgeset.Set) (int, int, error) {
-	rounds, err := net.Session(phase, step, kindClimb).RunUntilQuiet(
-		ctx, NewClimb(rt, start), ClimbMaxRounds(keysPerVertex, pathLen))
-	if err != nil {
-		return 0, 0, err
+// the set. The construction passes the spanner accumulator directly, so
+// the new-edge count is the step's contribution to |E_H|.
+func RunClimb(ctx context.Context, net *Network, step string, rt *Routing, start [][]int64, keysPerVertex, pathLen int, into *edgeset.Set) (int, error) {
+	if err := net.Session(step, kindClimb).RunUntilQuiet(ctx, NewClimb(rt, start), ClimbMaxRounds(keysPerVertex, pathLen)); err != nil {
+		return 0, err
 	}
-	return ExtractClimbEdges(net.sim, into), rounds, nil
+	return ExtractClimbEdges(net.sim, into), nil
 }

@@ -2,6 +2,7 @@ package protocols
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -39,23 +40,24 @@ func TestSessionsMatchFreshSimulators(t *testing.T) {
 	refRS := ExtractRulingSet(refSim2)
 
 	for _, eng := range congest.Engines() {
-		net, err := NewNetwork(g, congest.Options{Engine: eng})
+		led := NewLedger(0, nil)
+		net, err := NewNetwork(g, congest.Options{Engine: eng}, led)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nn, nnRounds, err := RunNearNeighbors(context.Background(), net, 0, isCenter, deg, delta)
+		nn, err := RunNearNeighborsRec(context.Background(), net, isCenter, deg, delta, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if nnRounds != NearNeighborsRounds(deg, delta) {
-			t.Errorf("%s: NN rounds %d, want budget %d", eng, nnRounds, NearNeighborsRounds(deg, delta))
+		if r := led.Steps()[0].Rounds; r != NearNeighborsRounds(deg, delta) {
+			t.Errorf("%s: NN rounds %d, want budget %d", eng, r, NearNeighborsRounds(deg, delta))
 		}
 		for v := 0; v < g.N(); v++ {
 			if nn.Popular[v] != refNN.Popular[v] || nn.Count(v) != refNN.Count(v) {
 				t.Fatalf("%s: NN result differs at vertex %d", eng, v)
 			}
 		}
-		rs, _, err := RunRulingSet(context.Background(), net, 0, isCenter, q, c, g.N())
+		rs, err := RunRulingSet(context.Background(), net, isCenter, q, c, g.N())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +69,7 @@ func TestSessionsMatchFreshSimulators(t *testing.T) {
 				t.Fatalf("%s: ruling set differs at %d: %d vs %d", eng, i, rs[i], refRS[i])
 			}
 		}
-		forest, _, err := RunForest(context.Background(), net, 0, func(v int) bool { return v == 0 }, 4)
+		forest, err := RunForest(context.Background(), net, func(v int) bool { return v == 0 }, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +80,7 @@ func TestSessionsMatchFreshSimulators(t *testing.T) {
 			}
 		}
 
-		steps := net.Steps()
+		steps := led.Steps()
 		if len(steps) != 3 {
 			t.Fatalf("%s: %d step records, want 3", eng, len(steps))
 		}
@@ -96,13 +98,14 @@ func TestSessionsMatchFreshSimulators(t *testing.T) {
 // the next session.
 func TestSessionReportsUnderBudgetSchedule(t *testing.T) {
 	g := gen.Path(10)
-	net, err := NewNetwork(g, congest.Options{})
+	led := NewLedger(0, nil)
+	net, err := NewNetwork(g, congest.Options{}, led)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A depth-8 forest needs 8 rounds; cut it off after 3 with the wave
 	// still travelling.
-	err = net.Session(0, StepForest, kindForest).Run(
+	err = net.Session(StepForest, kindForest).Run(
 		context.Background(), NewBFSForest(func(v int) bool { return v == 0 }, 8), 3)
 	if err == nil {
 		t.Fatal("under-budgeted session finished without a violation")
@@ -110,11 +113,12 @@ func TestSessionReportsUnderBudgetSchedule(t *testing.T) {
 	if !strings.Contains(err.Error(), "under-budgeted") || !strings.Contains(err.Error(), StepForest) {
 		t.Errorf("violation does not name the under-budget: %v", err)
 	}
-	if len(net.Steps()) != 0 {
+	if len(led.Steps()) != 0 {
 		t.Error("violating session still recorded metrics")
 	}
 	// The network remains usable: the next session starts clean.
-	if _, _, err := RunForest(context.Background(), net, 1, func(v int) bool { return v == 0 }, 9); err != nil {
+	led.BeginPhase(1)
+	if _, err := RunForest(context.Background(), net, func(v int) bool { return v == 0 }, 9); err != nil {
 		t.Errorf("network unusable after a reported violation: %v", err)
 	}
 }
@@ -133,11 +137,13 @@ func (p *foreignSender) Round(env *congest.Env, recv []congest.Inbound) {
 
 func TestSessionReportsForeignKindTraffic(t *testing.T) {
 	g := gen.Path(4)
-	net, err := NewNetwork(g, congest.Options{})
+	led := NewLedger(0, nil)
+	net, err := NewNetwork(g, congest.Options{}, led)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = net.Session(2, StepRulingSet, kindRulingWave).Run(
+	led.BeginPhase(2)
+	err = net.Session(StepRulingSet, kindRulingWave).Run(
 		context.Background(), func(v int) congest.Program { return &foreignSender{kind: kindClimb} }, 2)
 	if err == nil {
 		t.Fatal("foreign-kind traffic not reported")
@@ -147,14 +153,73 @@ func TestSessionReportsForeignKindTraffic(t *testing.T) {
 	}
 }
 
-func TestRecordIdle(t *testing.T) {
-	net, err := NewNetwork(gen.Path(3), congest.Options{})
+// Every record is charged against the budget — idle, replayed and
+// executed alike — and a record that does not fit is neither appended
+// nor streamed.
+func TestLedgerChargesEveryRecord(t *testing.T) {
+	var streamed []StepMetrics
+	led := NewLedger(40, func(sm StepMetrics) { streamed = append(streamed, sm) })
+	led.BeginPhase(4)
+	if err := led.Record(StepMetrics{Step: StepRulingSet, Rounds: 17}); err != nil {
+		t.Fatal(err)
+	}
+	if steps := led.Steps(); len(steps) != 1 || steps[0] != (StepMetrics{Phase: 4, Step: StepRulingSet, Rounds: 17}) {
+		t.Errorf("idle record stored %+v", steps)
+	}
+	if err := led.Record(StepMetrics{Step: StepNearNeighbors, Rounds: 13, Replayed: true}); err != nil {
+		t.Fatal(err)
+	}
+
+	// An executed session charges its measured rounds: 30 of 40 are
+	// spent, so a 12-round schedule runs 10 rounds and is cut.
+	net, err := NewNetwork(gen.Path(20), congest.Options{}, led)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.RecordIdle(4, StepRulingSet, 17)
-	steps := net.Steps()
-	if len(steps) != 1 || steps[0] != (StepMetrics{Phase: 4, Step: StepRulingSet, Rounds: 17}) {
-		t.Errorf("RecordIdle stored %+v", steps)
+	_, err = RunForest(context.Background(), net, func(v int) bool { return v == 0 }, 12)
+	var be *congest.ErrBudgetExhausted
+	if !errors.As(err, &be) || be.MaxRounds != 40 {
+		t.Fatalf("over-budget session: err = %v, want *ErrBudgetExhausted{MaxRounds: 40}", err)
+	}
+	if be.Pending <= 0 {
+		t.Errorf("cut session carries no live histogram: %+v", be)
+	}
+	if _, err := RunForest(context.Background(), net, func(v int) bool { return v == 0 }, 10); err != nil {
+		t.Fatalf("session fitting the remaining 10 rounds: %v", err)
+	}
+
+	// The budget is spent: a 1-round idle record no longer fits, a
+	// 0-round one still does.
+	err = led.Record(StepMetrics{Step: StepForest, Rounds: 1})
+	if !errors.As(err, &be) || be.MaxRounds != 40 {
+		t.Fatalf("over-budget record: err = %v, want *ErrBudgetExhausted{MaxRounds: 40}", err)
+	}
+	if err := led.Record(StepMetrics{Step: StepInterconnect}); err != nil {
+		t.Fatalf("zero-round record over a spent budget: %v", err)
+	}
+
+	steps := led.Steps()
+	want := []struct {
+		step   string
+		rounds int
+	}{{StepRulingSet, 17}, {StepNearNeighbors, 13}, {StepForest, 10}, {StepInterconnect, 0}}
+	if len(steps) != len(want) {
+		t.Fatalf("ledger holds %d records, want %d: %+v", len(steps), len(want), steps)
+	}
+	total := 0
+	for i, w := range want {
+		if steps[i].Step != w.step || steps[i].Rounds != w.rounds || steps[i].Phase != 4 {
+			t.Errorf("record %d: %+v, want phase 4 %s %d rounds", i, steps[i], w.step, w.rounds)
+		}
+		if streamed[i] != steps[i] {
+			t.Errorf("record %d: streamed %+v, stored %+v", i, streamed[i], steps[i])
+		}
+		total += steps[i].Rounds
+	}
+	if len(streamed) != len(steps) {
+		t.Errorf("OnStep fired %d times for %d records", len(streamed), len(steps))
+	}
+	if total != 40 {
+		t.Errorf("recorded rounds sum to %d, want the whole budget 40", total)
 	}
 }

@@ -113,7 +113,8 @@ type JobSpec struct {
 	// TimeoutMS bounds the job's wall-clock build time; 0 applies the
 	// server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// MaxRounds bounds the job's simulated rounds (see
+	// MaxRounds bounds the job's rounds: a build or patch succeeds if
+	// and only if its total_rounds <= MaxRounds (see
 	// core.Options.RoundBudget); 0 means unlimited.
 	MaxRounds int `json:"max_rounds,omitempty"`
 }

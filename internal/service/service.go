@@ -466,8 +466,11 @@ func (s *Server) RebuildJob(job *Job, b *delta.Batch) *JobError {
 	// Validate up front against the graph the delta claims to patch so a
 	// disagreeing batch is a clean 409, not a failed build. patchMu makes
 	// the check-then-rebuild atomic: nothing else swaps the graph under us.
-	if jerr := validateBatch(g, b); jerr != nil {
-		return jerr
+	if err := delta.Check(g, b); err != nil {
+		if errors.Is(err, delta.ErrConflict) {
+			return &JobError{Kind: "conflict", Message: err.Error(), HTTPStatus: 409}
+		}
+		return &JobError{Kind: "bad-request", Message: err.Error(), HTTPStatus: 400}
 	}
 
 	// The rebuild runs under the drain umbrella (buildCancel aborts it at
@@ -493,26 +496,6 @@ func (s *Server) RebuildJob(job *Job, b *delta.Batch) *JobError {
 	}
 	result.Deltas = cur.Deltas + 1
 	s.apply(job, jobEvent{kind: recDelta, res: result, build: res, g: res.Rebuild.Graph, batch: b})
-	return nil
-}
-
-// validateBatch pre-checks a normalized delta against the graph it
-// claims to patch, so a disagreeing batch is a clean 409, not a failed
-// build.
-func validateBatch(g *graph.Graph, b *delta.Batch) *JobError {
-	if err := b.Normalize(g.N()); err != nil {
-		return &JobError{Kind: "bad-request", Message: err.Error(), HTTPStatus: 400}
-	}
-	for _, e := range b.Insert {
-		if g.HasEdge(int(e.U), int(e.V)) {
-			return &JobError{Kind: "conflict", Message: fmt.Sprintf("insert edge {%d,%d} already present", e.U, e.V), HTTPStatus: 409}
-		}
-	}
-	for _, e := range b.Delete {
-		if !g.HasEdge(int(e.U), int(e.V)) {
-			return &JobError{Kind: "conflict", Message: fmt.Sprintf("delete edge {%d,%d} not present", e.U, e.V), HTTPStatus: 409}
-		}
-	}
 	return nil
 }
 

@@ -261,8 +261,10 @@ func TestServiceJobTimeout(t *testing.T) {
 }
 
 // A round budget the build cannot fit in surfaces as the typed
-// budget-exhausted failure — HTTP 422 with the exhausted budget and the
-// live in-flight histogram at the cut.
+// budget-exhausted failure — HTTP 422 with the exhausted budget and, for
+// a cut inside an executed session, the live in-flight histogram. The
+// budget bounds the rounds the job reports: a job succeeds exactly when
+// its total_rounds fit in max_rounds.
 func TestServiceRoundBudgetExhausted(t *testing.T) {
 	s := New(Options{SchedWorkers: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -273,27 +275,53 @@ func TestServiceRoundBudgetExhausted(t *testing.T) {
 		s.Drain(ctx)
 	}()
 
-	spec := smallGNP("starved")
-	spec.MaxRounds = 3
-	resp, v := postJSON(t, ts.URL+"/v1/jobs?wait=1", spec)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("wait status %d, want 422", resp.StatusCode)
+	resp, full := postJSON(t, ts.URL+"/v1/jobs?wait=1", smallGNP("unbudgeted"))
+	if resp.StatusCode != http.StatusOK || full.State != StateDone {
+		t.Fatalf("unbudgeted job: status %d, %+v", resp.StatusCode, full)
 	}
-	if v.State != StateFailed || v.Error == nil || v.Error.Kind != "budget-exhausted" {
-		t.Fatalf("starved job: %+v", v)
-	}
-	b := v.Error.Budget
-	if b == nil {
-		t.Fatal("budget-exhausted error carries no budget detail")
-	}
-	if b.MaxRounds != 3 {
-		t.Errorf("budget max_rounds %d, want 3", b.MaxRounds)
-	}
-	if b.Pending <= 0 && b.Active <= 0 {
-		t.Errorf("budget histogram is empty at the cut: %+v", b)
-	}
-	if v.Result != nil {
-		t.Errorf("starved job carries a result: %+v", v.Result)
+	total := full.Result.TotalRounds
+
+	for _, c := range []struct {
+		name      string
+		maxRounds int
+		done      bool
+		histogram bool // the cut lands inside an executed session
+	}{
+		{"starved", 3, false, true},
+		{"one-short", total - 1, false, false},
+		{"exact", total, true, false},
+	} {
+		spec := smallGNP(c.name)
+		spec.MaxRounds = c.maxRounds
+		resp, v := postJSON(t, ts.URL+"/v1/jobs?wait=1", spec)
+		if c.done {
+			if resp.StatusCode != http.StatusOK || v.State != StateDone {
+				t.Errorf("%s (max_rounds %d): status %d, %+v", c.name, c.maxRounds, resp.StatusCode, v)
+			} else if v.Result.TotalRounds != total {
+				t.Errorf("%s: total_rounds %d, unbudgeted %d", c.name, v.Result.TotalRounds, total)
+			}
+			continue
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s (max_rounds %d): wait status %d, want 422", c.name, c.maxRounds, resp.StatusCode)
+			continue
+		}
+		if v.State != StateFailed || v.Error == nil || v.Error.Kind != "budget-exhausted" {
+			t.Fatalf("%s job: %+v", c.name, v)
+		}
+		b := v.Error.Budget
+		if b == nil {
+			t.Fatalf("%s: budget-exhausted error carries no budget detail", c.name)
+		}
+		if b.MaxRounds != c.maxRounds {
+			t.Errorf("%s: budget max_rounds %d, want %d", c.name, b.MaxRounds, c.maxRounds)
+		}
+		if c.histogram && b.Pending <= 0 && b.Active <= 0 {
+			t.Errorf("%s: budget histogram is empty at the cut: %+v", c.name, b)
+		}
+		if v.Result != nil {
+			t.Errorf("%s: starved job carries a result: %+v", c.name, v.Result)
+		}
 	}
 }
 

@@ -134,12 +134,14 @@ type Config struct {
 	// both modes (centralized steps report their schedule budgets with
 	// zero messages).
 	OnStep func(StepMetrics)
-	// RoundBudget, when positive, bounds the build's total simulated
-	// rounds: a construction that would exceed it aborts — at a round
-	// boundary, never yielding a partial spanner — with an error whose
-	// chain carries a *congest.ErrBudgetExhausted (the in-flight message
-	// histogram at the cut, in DistributedMode). This is the per-job
-	// round cap of the build service.
+	// RoundBudget, when positive, bounds the build's rounds: a build
+	// succeeds if and only if its TotalRounds <= RoundBudget, in both
+	// modes and for RebuildSpanner too. A build that does not fit aborts
+	// — at a step or round boundary, never yielding a partial spanner —
+	// with an error whose chain carries a *congest.ErrBudgetExhausted
+	// (with the in-flight message histogram when the cut lands inside a
+	// DistributedMode session). This is the per-job round cap of the
+	// build service.
 	RoundBudget int
 	// KeepRebuildState retains the per-phase state (center sets,
 	// near-neighbors tables, forward transcripts) that RebuildSpanner
