@@ -887,6 +887,10 @@ func (s *Simulator) RunUntilQuietContext(ctx context.Context, maxRounds int) (in
 	return s.round - start, nil
 }
 
+// allAwake reports that no vertex is halted: the active list, the exact
+// complement of the halted flags, names every vertex.
+func (s *Simulator) allAwake() bool { return len(s.active) == s.g.N() }
+
 // quiet is O(1): the dirty and broadcaster lists are empty exactly when
 // no message is buffered, and the active list is empty exactly when
 // every vertex has halted.
@@ -945,10 +949,20 @@ func (s *Simulator) step() {
 // When at least half the slots carry messages the round is effectively
 // dense: the inboxes are skipped (gatherInbound probes ports directly)
 // and only the wake/mail derivation runs, so dense workloads pay the
-// same per-round cost as a dense stepper.
+// same per-round cost as a dense stepper. A dense round in which no
+// vertex is halted skips that derivation too: the walk's only output
+// would be the woken list, which is empty, so the frontier is the
+// active list. Both engines take the shortcut on the same rounds (the
+// test reads only the message lists and the active list), and it
+// removes the coordinator's serial once-per-message walk from exactly
+// the rounds that carry the traffic.
 func (s *Simulator) buildFrontier() {
 	s.stampGen++
 	s.denseGather = 2*(len(s.curDirty)+s.curBcastSlots) >= len(s.twin)
+	if s.denseGather && s.allAwake() {
+		s.frontier = append(s.frontier[:0], s.active...)
+		return
+	}
 	for _, slot := range s.curDirty {
 		d := s.g.AdjAt(int(slot))
 		if s.mailStamp[d] != s.stampGen {
@@ -1087,51 +1101,47 @@ func (s *Simulator) flip() {
 // configured delivery order, driven by v's inbox — the ports the dirty
 // slots and broadcasts hit, pre-sorted by buildFrontier — rather than
 // probing every port. In dense rounds (denseGather) the inboxes were
-// skipped and the ports are probed directly; both paths yield the
-// identical slice, since a probed port without messages contributes
-// nothing. Per port, the sender's compact broadcasts and the slot's
-// unicasts are mutually exclusive (the materialization invariant), so
-// the compact store is checked first and the slot only read on miss.
-// scratch is reused across calls to avoid per-round allocation.
+// skipped and the loop probes every port straight off v's neighbor list
+// and twin run; both paths yield the identical slice, since a probed
+// port without messages contributes nothing. One closure-free loop
+// serves both paths and both delivery orders. Per port, the sender's
+// compact broadcasts and the slot's unicasts are mutually exclusive
+// (the materialization invariant), so the compact store is checked
+// first and the slot only read on miss. scratch is reused across calls
+// to avoid per-round allocation.
 func (s *Simulator) gatherInbound(v int, scratch []Inbound) []Inbound {
 	recv := scratch[:0]
-	b := s.opts.Bandwidth
+	dense := s.denseGather
+	ports := s.inbox[v]
+	n := len(ports)
+	if dense {
+		n = s.g.Degree(v)
+	}
+	if n == 0 {
+		return recv
+	}
 	base := int(s.g.Offset(v))
-	appendPort := func(p int) {
-		if u := int(s.g.AdjAt(base + p)); s.curBcastN[u] > 0 {
-			for k := 0; k < int(s.curBcastN[u]); k++ {
-				recv = append(recv, Inbound{Port: p, Msg: s.curBcast[u*b+k]})
-			}
-			return
+	nbrs := s.g.Neighbors(v)
+	twin := s.twin[base : base+len(nbrs)] // slots of the edges (neighbor -> v)
+	b := s.opts.Bandwidth
+	bcast, bcastN, counts := s.curBcast, s.curBcastN, s.curCounts
+	i, end, step := 0, n, 1
+	if s.opts.Delivery == DeliverPortDescending {
+		i, end, step = n-1, -1, -1
+	}
+	for ; i != end; i += step {
+		p := i
+		if !dense {
+			p = int(ports[i])
 		}
-		src := int(s.twin[base+p]) // slot of the edge (neighbor -> v)
-		if s.curCounts[src] > 0 {
+		if u := int(nbrs[p]); bcastN[u] > 0 {
+			for _, m := range bcast[u*b : u*b+int(bcastN[u])] {
+				recv = append(recv, Inbound{Port: p, Msg: m})
+			}
+		} else if src := int(twin[p]); counts[src] > 0 {
 			for _, m := range s.curSlot(src) {
 				recv = append(recv, Inbound{Port: p, Msg: m})
 			}
-		}
-	}
-	if s.denseGather {
-		deg := s.g.Degree(v)
-		if s.opts.Delivery == DeliverPortDescending {
-			for p := deg - 1; p >= 0; p-- {
-				appendPort(p)
-			}
-		} else {
-			for p := 0; p < deg; p++ {
-				appendPort(p)
-			}
-		}
-		return recv
-	}
-	ports := s.inbox[v]
-	if s.opts.Delivery == DeliverPortDescending {
-		for i := len(ports) - 1; i >= 0; i-- {
-			appendPort(int(ports[i]))
-		}
-	} else {
-		for _, p := range ports {
-			appendPort(int(p))
 		}
 	}
 	return recv

@@ -256,12 +256,12 @@ func TestEnginesProduceIdenticalExecutions(t *testing.T) {
 			hist, m := runGossip(t, g, opts, 12)
 			runs = append(runs, run{label, hist, m})
 		}
-		// The parallel engine has two execution paths — inline for small
-		// frontiers, runtime dispatch above the cutoff. These graphs are
+		// The parallel engine has two execution paths — inline for light
+		// rounds, runtime dispatch above the work cutoff. These graphs are
 		// all below the default cutoff, so force the dispatch path too.
 		func() {
-			defer func(c int) { inlineFrontierCutoff = c }(inlineFrontierCutoff)
-			inlineFrontierCutoff = 0
+			defer func(c int) { inlineWorkCutoff = c }(inlineWorkCutoff)
+			inlineWorkCutoff = 0
 			hist, m := runGossip(t, g, Options{Engine: EngineParallel}, 12)
 			runs = append(runs, run{"parallel-dispatch", hist, m})
 		}()

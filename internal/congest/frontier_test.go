@@ -51,6 +51,15 @@ type fzConfig struct {
 	violent bool // emit invalid-port / over-bandwidth sends
 	mixed   bool // mix unicasts before/after broadcasts (legal only at bandwidth >= 2)
 	horizon int  // if > 0: no sends and forced halt from this round on (guarantees quiescence)
+	// awake lets no vertex halt and makes most sends of even rounds
+	// broadcasts, so rounds alternate between dense ones with every
+	// vertex awake — the rounds on which buildFrontier skips its wake
+	// walk — and sparse ones with every vertex awake, which must not.
+	awake bool
+	// sleeper, when positive, names vertex sleeper-1 as the one vertex
+	// that still halts every round it runs, so an awake run's dense
+	// rounds must walk the mail to wake it.
+	sleeper int
 }
 
 // fzBehavior is the shared pure decision function. round 0 is Init
@@ -68,7 +77,9 @@ func fzBehavior(cfg fzConfig, v, round int, recvHash uint64, deg int) fzDecision
 	if send {
 		mask := splitmix(r)
 		w := splitmix(mask)
-		if mask%5 == 0 { // ~1/5 of sending rounds broadcast instead of unicasting
+		// ~1/5 of sending rounds broadcast instead of unicasting; ~4/5 in
+		// the even rounds of an awake run, which makes them dense.
+		if (mask%5 == 0) != (cfg.awake && round%2 == 0) {
 			w = splitmix(w)
 			if cfg.mixed && deg > 0 && (mask>>3)&3 == 0 {
 				// A unicast first forces Broadcast down the per-port path.
@@ -97,6 +108,9 @@ func fzBehavior(cfg fzConfig, v, round int, recvHash uint64, deg int) fzDecision
 		}
 	}
 	d.halt = (r>>9)&1 == 0
+	if cfg.awake {
+		d.halt = v == cfg.sleeper-1
+	}
 	return d
 }
 
@@ -110,11 +124,16 @@ func fzHash(msgs []Inbound) uint64 {
 	return h
 }
 
-// fzProg is the congest-side face of fzBehavior.
+// fzProg is the congest-side face of fzBehavior. denseAwake and
+// denseWoken count the dense rounds it ran in with every vertex awake
+// (buildFrontier skipped the wake walk) and with some vertex halted (the
+// walk ran).
 type fzProg struct {
 	cfg        fzConfig
 	transcript uint64
 	invoked    int
+
+	denseAwake, denseWoken int
 }
 
 func (p *fzProg) Init(env *Env) {
@@ -125,6 +144,11 @@ func (p *fzProg) Round(env *Env, recv []Inbound) {
 	h := fzHash(recv)
 	p.transcript = splitmix(p.transcript ^ h ^ uint64(env.Round()))
 	p.invoked++
+	if s := env.sim; s.denseGather && s.allAwake() {
+		p.denseAwake++
+	} else if s.denseGather {
+		p.denseWoken++
+	}
 	p.apply(env, fzBehavior(p.cfg, env.ID(), env.Round(), h, env.Degree()))
 }
 
@@ -372,19 +396,35 @@ func fzGraphs() map[string]*graph.Graph {
 	}
 }
 
-func fzEngines() map[string]Options {
-	return map[string]Options{
-		"sequential":  {Engine: EngineSequential},
-		"parallel":    {Engine: EngineParallel},
-		"parallel-w5": {Engine: EngineParallel, Workers: 5},
+// fzEngine is one engine configuration of the comparison. dispatch
+// forces every round of the parallel engine through the runtime: the
+// topologies here are far below inlineWorkCutoff, so by default the
+// parallel engine runs them inline.
+type fzEngine struct {
+	opts     Options
+	dispatch bool
+}
+
+func fzEngines() map[string]fzEngine {
+	return map[string]fzEngine{
+		"sequential":        {opts: Options{Engine: EngineSequential}},
+		"parallel":          {opts: Options{Engine: EngineParallel}},
+		"parallel-w5":       {opts: Options{Engine: EngineParallel, Workers: 5}},
+		"parallel-dispatch": {opts: Options{Engine: EngineParallel, Workers: 3}, dispatch: true},
 	}
 }
 
 // compareRun executes the fuzz program on one engine and checks every
-// observable against the dense reference.
-func compareRun(t *testing.T, g *graph.Graph, cfg fzConfig, opts Options, label string,
-	untilQuiet bool, maxRounds int) (violated bool) {
+// observable against the dense reference. It returns the simulator, for
+// inspecting the programs, and whether the reference saw a violation.
+func compareRun(t *testing.T, g *graph.Graph, cfg fzConfig, eng fzEngine, label string,
+	untilQuiet bool, maxRounds int) (sim *Simulator, violated bool) {
 	t.Helper()
+	opts := eng.opts
+	if eng.dispatch {
+		defer func(c int) { inlineWorkCutoff = c }(inlineWorkCutoff)
+		inlineWorkCutoff = 0
+	}
 	ref := newDenseRef(g, cfg, max(opts.Bandwidth, 1), opts.Delivery)
 	var wantRounds int
 	if untilQuiet {
@@ -431,7 +471,17 @@ func compareRun(t *testing.T, g *graph.Graph, cfg fzConfig, opts Options, label 
 			t.Errorf("%s vertex %d: transcript %x, reference %x", label, v, p.transcript, ref.transcript[v])
 		}
 	}
-	return ref.hasViol
+	return sim, ref.hasViol
+}
+
+// denseRounds sums the programs' dense-round counters (see fzProg).
+func denseRounds(sim *Simulator) (awake, woken int) {
+	for v := 0; v < sim.Graph().N(); v++ {
+		p := sim.Program(v).(*fzProg)
+		awake += p.denseAwake
+		woken += p.denseWoken
+	}
+	return awake, woken
 }
 
 // TestFrontierMatchesDenseReference is the property test: randomized
@@ -440,11 +490,11 @@ func compareRun(t *testing.T, g *graph.Graph, cfg fzConfig, opts Options, label 
 // dense reference.
 func TestFrontierMatchesDenseReference(t *testing.T) {
 	for gname, g := range fzGraphs() {
-		for ename, opts := range fzEngines() {
+		for ename, eng := range fzEngines() {
 			for seed := uint64(1); seed <= 5; seed++ {
 				cfg := fzConfig{seed: seed}
 				label := fmt.Sprintf("%s/%s/seed%d", gname, ename, seed)
-				compareRun(t, g, cfg, opts, label, false, 12)
+				compareRun(t, g, cfg, eng, label, false, 12)
 			}
 		}
 	}
@@ -457,11 +507,11 @@ func TestFrontierMatchesDenseReference(t *testing.T) {
 func TestFrontierMatchesDenseReferenceViolent(t *testing.T) {
 	violations := 0
 	for gname, g := range fzGraphs() {
-		for ename, opts := range fzEngines() {
+		for ename, eng := range fzEngines() {
 			for seed := uint64(1); seed <= 6; seed++ {
 				cfg := fzConfig{seed: seed, violent: true}
 				label := fmt.Sprintf("%s/%s/seed%d", gname, ename, seed)
-				if compareRun(t, g, cfg, opts, label, false, 10) {
+				if _, violated := compareRun(t, g, cfg, eng, label, false, 10); violated {
 					violations++
 				}
 			}
@@ -479,11 +529,11 @@ func TestFrontierMatchesDenseReferenceViolent(t *testing.T) {
 // exact quiescence round — the O(1) quiet() against the dense scan.
 func TestFrontierQuiescenceMatchesDenseReference(t *testing.T) {
 	for gname, g := range fzGraphs() {
-		for ename, opts := range fzEngines() {
+		for ename, eng := range fzEngines() {
 			for seed := uint64(1); seed <= 4; seed++ {
 				cfg := fzConfig{seed: seed, horizon: 7}
 				label := fmt.Sprintf("%s/%s/seed%d", gname, ename, seed)
-				compareRun(t, g, cfg, opts, label, true, 200)
+				compareRun(t, g, cfg, eng, label, true, 200)
 			}
 		}
 	}
@@ -503,28 +553,94 @@ func TestFrontierDeliveryAndBandwidthVariants(t *testing.T) {
 	for vname, opts := range variants {
 		for seed := uint64(1); seed <= 4; seed++ {
 			cfg := fzConfig{seed: seed, violent: vname == "bandwidth2", mixed: vname != "descending"}
-			compareRun(t, g, cfg, opts, fmt.Sprintf("%s/seed%d", vname, seed), false, 12)
+			compareRun(t, g, cfg, fzEngine{opts: opts}, fmt.Sprintf("%s/seed%d", vname, seed), false, 12)
 		}
 	}
+}
+
+// TestFrontierDenseAwakeShortcut covers both sides of buildFrontier's
+// all-awake shortcut against the dense reference, on every engine and
+// both delivery orders. With every vertex awake, dense rounds skip the
+// wake walk; with one vertex halting every round, no round may skip it,
+// and the halted vertex runs in dense rounds only because the walk woke
+// it.
+func TestFrontierDenseAwakeShortcut(t *testing.T) {
+	g := gen.GNP(64, 0.2, 9, true)
+	for ename, eng := range fzEngines() {
+		for _, delivery := range []DeliveryOrder{DeliverPortAscending, DeliverPortDescending} {
+			eng.opts.Delivery = delivery
+			for seed := uint64(1); seed <= 3; seed++ {
+				label := fmt.Sprintf("%s/delivery%d/seed%d", ename, delivery, seed)
+				sim, _ := compareRun(t, g, fzConfig{seed: seed, awake: true}, eng, label+"/awake", false, 12)
+				if awake, woken := denseRounds(sim); awake == 0 || woken != 0 {
+					t.Errorf("%s/awake: %d vertex-rounds took the shortcut, %d walked: want some and none", label, awake, woken)
+				}
+				sleeper := 1 + int(seed)*17%g.N()
+				sim, _ = compareRun(t, g, fzConfig{seed: seed, awake: true, sleeper: sleeper}, eng, label+"/sleeper", false, 12)
+				if awake, _ := denseRounds(sim); awake != 0 {
+					t.Errorf("%s/sleeper: %d vertex-rounds took the shortcut with a vertex halted", label, awake)
+				}
+				if p := sim.Program(sleeper - 1).(*fzProg); p.denseWoken == 0 {
+					t.Errorf("%s/sleeper: vertex %d was never woken in a dense round", label, sleeper-1)
+				}
+			}
+		}
+	}
+}
+
+// fuzzFrontierSeeds is FuzzFrontierVsDense's seed corpus.
+var fuzzFrontierSeeds = []struct {
+	seed        uint64
+	mode, gpick uint8
+}{
+	{42, 0, 0}, {7, 1, 1}, {0xDEAD, 2, 2}, {9, 3, 3}, {11, 7, 2},
+}
+
+var fuzzFrontierGraphs = []*graph.Graph{
+	gen.Star(8), gen.Path(13), gen.Grid(4, 5), gen.GNP(32, 0.15, 3, true),
+}
+
+// fuzzFrontier is one FuzzFrontierVsDense case: mode picks plain,
+// violent, quiescing or awake traffic (an awake case with a sleeper when
+// mode/4 is odd), gpick the topology. It returns how many vertex-rounds
+// took the all-awake shortcut.
+func fuzzFrontier(t *testing.T, seed uint64, mode, gpick uint8) (shortcut int) {
+	g := fuzzFrontierGraphs[int(gpick)%len(fuzzFrontierGraphs)]
+	cfg := fzConfig{seed: seed, violent: mode%4 == 1, awake: mode%4 == 3}
+	if mode%4 == 2 {
+		cfg.horizon = 6
+	}
+	if cfg.awake && mode/4%2 == 1 {
+		cfg.sleeper = 1 + int(seed%uint64(g.N()))
+	}
+	for ename, eng := range fzEngines() {
+		sim, _ := compareRun(t, g, cfg, eng, ename, cfg.horizon > 0, 12)
+		awake, _ := denseRounds(sim)
+		shortcut += awake
+	}
+	return shortcut
 }
 
 // FuzzFrontierVsDense lets the fuzzer drive the seed, topology, and mode
 // through the same comparison.
 func FuzzFrontierVsDense(f *testing.F) {
-	f.Add(uint64(42), uint8(0), uint8(0))
-	f.Add(uint64(7), uint8(1), uint8(1))
-	f.Add(uint64(0xDEAD), uint8(2), uint8(2))
-	graphs := []*graph.Graph{
-		gen.Star(8), gen.Path(13), gen.Grid(4, 5), gen.GNP(32, 0.15, 3, true),
+	for _, c := range fuzzFrontierSeeds {
+		f.Add(c.seed, c.mode, c.gpick)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, mode, gpick uint8) {
-		g := graphs[int(gpick)%len(graphs)]
-		cfg := fzConfig{seed: seed, violent: mode%3 == 1}
-		if mode%3 == 2 {
-			cfg.horizon = 6
-		}
-		for ename, opts := range fzEngines() {
-			compareRun(t, g, cfg, opts, ename, cfg.horizon > 0, 12)
-		}
+		fuzzFrontier(t, seed, mode, gpick)
 	})
+}
+
+// TestFuzzFrontierSeedsReachShortcut shows that the fuzz target's seed
+// corpus drives the all-awake shortcut, so the fuzzer starts from inputs
+// that exercise it.
+func TestFuzzFrontierSeedsReachShortcut(t *testing.T) {
+	shortcut := 0
+	for _, c := range fuzzFrontierSeeds {
+		shortcut += fuzzFrontier(t, c.seed, c.mode, c.gpick)
+	}
+	if shortcut == 0 {
+		t.Error("no seed of FuzzFrontierVsDense reached the all-awake shortcut")
+	}
 }

@@ -16,15 +16,40 @@ const (
 	shardsPerWorker = 4
 )
 
-// inlineFrontierCutoff is the frontier size below which the round runs
-// as a single shard on the coordinating goroutine instead of being
-// submitted to the runtime: for small frontiers the batch dispatch and
-// barrier cost more than the round's program work, and on small graphs
-// (~10³ vertices) that overhead made EngineParallel slower than
-// EngineSequential. The inline path is the shards=1 execution with the
-// Runtime.Do round-trip removed, so the output is bit-identical. A var
-// only so tests can force either path.
-var inlineFrontierCutoff = 2048
+// inlineWorkCutoff is the parallel engine's fan-out rule, decided from
+// two quantities known at round start: the frontier (program
+// invocations) and the traffic (len(curDirty) + curBcastSlots, messages
+// delivered). A round fans out to the runtime when
+//
+//	max(frontier, traffic/messagesPerInvocation) > inlineWorkCutoff
+//
+// and otherwise runs as one shard on the coordinating goroutine, where
+// it costs less than the batch dispatch and barrier. Traffic is
+// discounted because a sparse round's per-message cost is mostly the
+// coordinator's serial inbox build, which shards cannot split. Measured
+// on a 2-core VM: on GNP-2048 (mean degree 20, every vertex awake)
+// sparse rounds of ~11k messages ran no faster fanned out and dense
+// rounds of ~44k ran 1.7× faster, while GNP-1024 (mean degree 16),
+// whose dense rounds carry ~18k messages, built ~9% slower with them
+// fanned out to four workers, so the threshold sits above them. The
+// dense near-neighbors rounds of graphs from a few thousand vertices up
+// therefore fan out, while near-empty rounds and rounds where every
+// vertex runs but few messages move stay inline; a frontier above the
+// cutoff always fans out. The inline path is the one-shard execution
+// without the Runtime.Do round-trip, and shard layout never changes the
+// output, so every cutoff gives the identical run. A var only so tests
+// can force either path.
+var inlineWorkCutoff = 2048
+
+// messagesPerInvocation is how many delivered messages count as much
+// round work as one program invocation in the fan-out rule.
+const messagesPerInvocation = 16
+
+// fansOut is the fan-out rule: whether a round with the given frontier
+// length and traffic is submitted to the runtime.
+func fansOut(frontier, traffic int) bool {
+	return max(frontier, traffic/messagesPerInvocation) > inlineWorkCutoff
+}
 
 // shardState is one shard's private mutable state for a round: its send
 // log, its gather scratch buffer, and its reusable vertex handle. Each
@@ -136,7 +161,7 @@ func (s *Simulator) stepParallel() {
 	if n == 0 {
 		return
 	}
-	if n <= inlineFrontierCutoff {
+	if !fansOut(n, len(s.curDirty)+s.curBcastSlots) {
 		if len(ps.shards) == 0 {
 			ps.shards = append(ps.shards, &shardState{})
 		}

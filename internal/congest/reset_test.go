@@ -250,10 +250,10 @@ func goroutinesSettle(t *testing.T, want int) int {
 // simulators and Resets, and dies with sched.Runtime.Close — the
 // scheduler-lifecycle extension of the goroutine-leak regression guard.
 func TestSchedulerLifecycleAcrossSimulators(t *testing.T) {
-	// Force every round through the scheduler — the inline small-frontier
+	// Force every round through the scheduler — the inline light-round
 	// path never dispatches, so the workers would not be observable.
-	defer func(c int) { inlineFrontierCutoff = c }(inlineFrontierCutoff)
-	inlineFrontierCutoff = 0
+	defer func(c int) { inlineWorkCutoff = c }(inlineWorkCutoff)
+	inlineWorkCutoff = 0
 	g := gen.Grid(5, 5)
 	base := runtime.NumGoroutine()
 	rt := sched.New(3)

@@ -177,6 +177,9 @@ func TestQuickSuiteSmoke(t *testing.T) {
 	if strings.Contains(sb.String(), "[FAIL]") {
 		t.Error("suite contains failures")
 	}
+	if !strings.Contains(sb.String(), "identical across engines: [PASS]") {
+		t.Error("ablation A3 did not report its engine comparison")
+	}
 }
 
 // The perf gate flags only gated families, true regressions, gated
