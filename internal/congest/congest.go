@@ -17,11 +17,11 @@
 // the paper's "running time". See parallel.go for the determinism
 // argument.
 //
-// Bandwidth is enforced: a node may send at most Options.Bandwidth
-// messages (default 1) of at most MessageWords words over each incident
-// edge per round. Violations are reported as errors, never silently
-// dropped, so an algorithm that would not be a valid CONGEST algorithm
-// cannot produce a result that looks valid.
+// Bandwidth is enforced: a node may send at most one message of
+// MessageWords words over each incident edge per round, the paper's
+// model. Violations are reported as errors, never silently dropped, so
+// an algorithm that would not be a valid CONGEST algorithm cannot
+// produce a result that looks valid.
 package congest
 
 import (
@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -129,51 +128,24 @@ const (
 	DeliverPortDescending
 )
 
-// MaxBandwidth is the largest accepted Options.Bandwidth: per-slot
-// message counters are uint16, so the per-edge per-round budget must fit
-// one. Every CONGEST protocol in this repository uses single-digit
-// bandwidth; the cap exists so the counter width is an enforced
-// invariant rather than a silent wraparound at adversarial settings.
-const MaxBandwidth = math.MaxUint16
-
 // Options configure a Simulator. The zero value selects the sequential
-// engine with bandwidth 1 and ascending delivery.
+// engine, ascending delivery and the process-wide runtime.
 type Options struct {
-	Engine    Engine        // defaults to EngineSequential
-	Bandwidth int           // messages per directed edge per round; defaults to 1, max MaxBandwidth
-	Delivery  DeliveryOrder // defaults to DeliverPortAscending
+	Engine   Engine        // defaults to EngineSequential
+	Delivery DeliveryOrder // defaults to DeliverPortAscending
 	// Runtime is the shared execution runtime EngineParallel submits its
-	// round batches to; it also hosts the per-runtime simulator counter.
-	// Nil selects the process-wide sched.Default(). Supply a private
-	// runtime (sched.New) to isolate pool lifecycle or counters — e.g.
-	// batch builders that must release every goroutine on Close.
+	// round batches to; its worker count bounds the per-round shard
+	// fan-out, and it hosts the per-runtime simulator counter. Nil
+	// selects the process-wide sched.Default(). Supply a private runtime
+	// (sched.New) to isolate pool lifecycle or counters — e.g. batch
+	// builders that must release every goroutine on Close. The worker
+	// count never changes the execution, only its scheduling.
 	Runtime *sched.Runtime
-	// Workers bounds the per-round shard fan-out of EngineParallel;
-	// defaults to the runtime's worker count. Any value produces the
-	// identical execution — it only changes scheduling granularity.
-	Workers int
-	// ArenaFraction controls how much of the worst-case unicast message
-	// arena is preallocated at construction. The arena is paged: pages
-	// not preallocated are acquired on first touch and retained (a
-	// monotone high-water), so the resident arena tracks measured
-	// traffic instead of the nSlots×Bandwidth worst case. 0 selects the
-	// default (1/64 of the pages); values >= 1 preallocate the full
-	// worst-case arena (the pre-scale-up behavior); negative values
-	// preallocate nothing. The setting never affects the execution —
-	// only when pages are allocated — so all values produce bit-identical
-	// runs. Preallocated pages count toward the high-water whether or not
-	// traffic touches them, so the final ArenaBytes is deterministic and
-	// engine-independent for a fixed setting but differs between
-	// settings.
-	ArenaFraction float64
 }
 
 func (o Options) withDefaults() Options {
 	if o.Engine == 0 {
 		o.Engine = EngineSequential
-	}
-	if o.Bandwidth <= 0 {
-		o.Bandwidth = 1
 	}
 	if o.Runtime == nil {
 		o.Runtime = sched.Default()
@@ -189,8 +161,8 @@ type Metrics struct {
 	MaxRoundTraffic int64 // most messages sent in any single round
 }
 
-// ErrBandwidth is returned (wrapped) when a program exceeds the per-edge
-// per-round message budget.
+// ErrBandwidth is returned (wrapped) when a program sends a second
+// message over one edge in one round.
 var ErrBandwidth = errors.New("congest: bandwidth exceeded")
 
 // ErrPort is returned (wrapped) when a program sends on an invalid port.
@@ -226,7 +198,7 @@ const msgBytes = int64(unsafe.Sizeof(Message{}))
 
 const (
 	// maxPageShift sizes unicast arena pages at 2^6 = 64 slots (2 KiB of
-	// messages at bandwidth 1). Pages this fine matter: a climb round's
+	// messages). Pages this fine matter: a climb round's
 	// senders each touch one slot scattered across the whole arena, so
 	// the round's live footprint is pages × page-size — with 4096-slot
 	// pages a few thousand scattered senders pin the entire worst-case
@@ -235,8 +207,7 @@ const (
 	maxPageShift = 6
 	// minPageShift keeps pages from degenerating on tiny topologies
 	// (the geometry loop shrinks pages until a graph has at least ~8 of
-	// them, which also keeps high-bandwidth test rigs on small graphs
-	// from allocating huge pages).
+	// them).
 	minPageShift = 1
 )
 
@@ -283,43 +254,44 @@ type Simulator struct {
 	twin []int32
 
 	// cur holds unicast messages deliverable this round; next collects
-	// sends. Slot s occupies entries [(s&pageMask)*Bandwidth, …+counts[s])
-	// of page s>>pageShift. Pages are allocated on first touch and
-	// recycled through pagePool once their round is consumed (flip), so
-	// the live page set tracks the two-round working set — O(activity)
-	// memory, not O(m) — and pageBytes is its high-water: a fresh
-	// allocation happens only when demand exceeds every page ever
-	// allocated. Recycled pages are not zeroed; the slot counts gate
-	// every read, so stale content is unreachable. See
-	// Options.ArenaFraction.
-	cur, next           []atomic.Pointer[[]Message]
-	curCounts, nxCounts []uint16
-	pageShift           uint
-	pageMask            int
-	pageBytes           atomic.Int64 // high-water bytes of simultaneously live pages
-	poolMu              sync.Mutex
-	pagePool            []*[]Message // recycled pages free for reuse
+	// sends. Slot s holds at most one message (the model's one message
+	// per edge per round), entry s&pageMask of page s>>pageShift, and
+	// curFull/nxFull flag the slots that hold one. Pages are allocated on
+	// first touch and recycled through pagePool once their round is
+	// consumed (flip), so the live page set tracks the two-round working
+	// set — O(activity) memory, not O(m) — and pageBytes is its
+	// high-water: a fresh allocation happens only when demand exceeds
+	// every page ever allocated. Recycled pages are not zeroed; the slot
+	// flags gate every read, so stale content is unreachable.
+	cur, next       []atomic.Pointer[[]Message]
+	curFull, nxFull []bool
+	pageShift       uint
+	pageMask        int
+	pageBytes       atomic.Int64 // high-water bytes of simultaneously live pages
+	poolMu          sync.Mutex
+	pagePool        []*[]Message // recycled pages free for reuse
 
-	// Compact broadcast arenas: a vertex whose sends this round are
-	// exclusively Broadcast calls stores them once here (slot v*Bandwidth
-	// + k) instead of deg(v) times in the unicast arena. The invariant —
-	// at every round barrier a vertex has either compact broadcasts or
-	// unicast slots, never both (Env.Send materializes pending compacts
-	// first) — is what lets the gather and frontier paths treat the two
-	// stores as disjoint. This is the difference between O(n) and O(m)
-	// memory traffic for the broadcast-heavy phases (e.g. the phase-0
-	// center announcement, where every vertex broadcasts at once).
-	curBcast, nxBcast   []Message
-	curBcastN, nxBcastN []uint16
-	curBcastL, nxBcastL []int32
-	curBcastSlots       int // sum of deg over curBcastL, for the dense test
-	nxBcastSlots        int
+	// Compact broadcast arenas: a vertex whose one send this round is a
+	// Broadcast stores it once here (entry v, flagged in curBcastOn/
+	// nxBcastOn) instead of deg(v) times in the unicast arena. The
+	// invariant — at every round barrier a vertex has either a compact
+	// broadcast or unicast slots, never both (a Send after a Broadcast
+	// is a violation on its port) — is what lets the gather and frontier
+	// paths treat the two stores as disjoint. This is the difference
+	// between O(n) and O(m) memory traffic for the broadcast-heavy phases
+	// (e.g. the phase-0 center announcement, where every vertex
+	// broadcasts at once).
+	curBcast, nxBcast     []Message
+	curBcastOn, nxBcastOn []bool
+	curBcastL, nxBcastL   []int32
+	curBcastSlots         int // sum of deg over curBcastL, for the dense test
+	nxBcastSlots          int
 
-	// curDirty/nxDirty list the slots with nonzero counts in cur/next, in
-	// the deterministic order the sends were merged (ascending sender,
+	// curDirty/nxDirty list the flagged slots of cur/next, in the
+	// deterministic order the sends were merged (ascending sender,
 	// program send order within a sender). They are what makes flip,
 	// Pending, and the per-round wake derivation O(activity) instead of
-	// O(m·Bandwidth).
+	// O(m).
 	curDirty, nxDirty []int32
 
 	// active lists the not-halted vertices in ascending order — the exact
@@ -375,10 +347,6 @@ func New(g *graph.Graph, progs []Program, opts Options) (*Simulator, error) {
 	if len(progs) != g.N() {
 		return nil, fmt.Errorf("congest: %d programs for %d vertices", len(progs), g.N())
 	}
-	if opts.Bandwidth > MaxBandwidth {
-		return nil, fmt.Errorf("congest: bandwidth %d exceeds maximum %d (per-slot counters are uint16)",
-			opts.Bandwidth, MaxBandwidth)
-	}
 	opts = opts.withDefaults()
 	opts.Runtime.NoteSimulator()
 	s := &Simulator{g: g, opts: opts, progs: progs}
@@ -393,10 +361,10 @@ func New(g *graph.Graph, progs []Program, opts Options) (*Simulator, error) {
 			s.twin[base+int32(p)] = g.Offset(w) + int32(q)
 		}
 	}
-	b := opts.Bandwidth
 
 	// Page geometry: 2^maxPageShift slots per page, shrunk on small
 	// topologies so lazy allocation still has granularity to work with.
+	// No page exists until traffic touches it.
 	shift := uint(maxPageShift)
 	for shift > minPageShift && nSlots>>shift < 8 {
 		shift--
@@ -406,26 +374,12 @@ func New(g *graph.Graph, progs []Program, opts Options) (*Simulator, error) {
 	nPages := (nSlots + s.pageMask) >> shift
 	s.cur = make([]atomic.Pointer[[]Message], nPages)
 	s.next = make([]atomic.Pointer[[]Message], nPages)
-	frac := opts.ArenaFraction
-	if frac == 0 {
-		frac = 1.0 / 64
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	if frac > 0 {
-		pre := int(math.Ceil(frac * float64(nPages)))
-		for i := 0; i < pre; i++ {
-			s.allocPage(&s.cur[i])
-			s.allocPage(&s.next[i])
-		}
-	}
-	s.curCounts = make([]uint16, nSlots)
-	s.nxCounts = make([]uint16, nSlots)
-	s.curBcast = make([]Message, n*b)
-	s.nxBcast = make([]Message, n*b)
-	s.curBcastN = make([]uint16, n)
-	s.nxBcastN = make([]uint16, n)
+	s.curFull = make([]bool, nSlots)
+	s.nxFull = make([]bool, nSlots)
+	s.curBcast = make([]Message, n)
+	s.nxBcast = make([]Message, n)
+	s.curBcastOn = make([]bool, n)
+	s.nxBcastOn = make([]bool, n)
 	s.halted = make([]bool, n)
 	s.mailStamp = make([]uint64, n)
 	s.inbox = make([][]int32, n)
@@ -452,7 +406,7 @@ func NewUniform(g *graph.Graph, factory func(v int) Program, opts Options) (*Sim
 // are pure functions of the execution, so the high-water — and thus
 // ArenaBytes — is deterministic across engines and runs even though
 // which worker allocates is racy. Recycled pages are not zeroed: slot
-// counts gate every read, so stale content is unreachable.
+// flags gate every read, so stale content is unreachable.
 func (s *Simulator) allocPage(pp *atomic.Pointer[[]Message]) *[]Message {
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
@@ -465,7 +419,7 @@ func (s *Simulator) allocPage(pp *atomic.Pointer[[]Message]) *[]Message {
 		s.pagePool[n-1] = nil
 		s.pagePool = s.pagePool[:n-1]
 	} else {
-		fresh := make([]Message, (s.pageMask+1)*s.opts.Bandwidth)
+		fresh := make([]Message, s.pageMask+1)
 		pg = &fresh
 		s.pageBytes.Add(int64(len(fresh)) * msgBytes)
 	}
@@ -473,21 +427,19 @@ func (s *Simulator) allocPage(pp *atomic.Pointer[[]Message]) *[]Message {
 	return pg
 }
 
-// writeNext stores m as the k-th message of slot in the next-round arena.
-func (s *Simulator) writeNext(slot, k int, m Message) {
+// writeNext stores m as slot's message in the next-round arena.
+func (s *Simulator) writeNext(slot int, m Message) {
 	pp := &s.next[slot>>s.pageShift]
 	pg := pp.Load()
 	if pg == nil {
 		pg = s.allocPage(pp)
 	}
-	(*pg)[(slot&s.pageMask)*s.opts.Bandwidth+k] = m
+	(*pg)[slot&s.pageMask] = m
 }
 
-// curSlot returns the deliverable messages of slot (count from curCounts).
-func (s *Simulator) curSlot(slot int) []Message {
-	pg := s.cur[slot>>s.pageShift].Load()
-	off := (slot & s.pageMask) * s.opts.Bandwidth
-	return (*pg)[off : off+int(s.curCounts[slot])]
+// curMsg returns the deliverable message of a flagged slot.
+func (s *Simulator) curMsg(slot int) Message {
+	return (*s.cur[slot>>s.pageShift].Load())[slot&s.pageMask]
 }
 
 // Reset swaps in new per-vertex programs and rewinds the simulator to
@@ -538,12 +490,12 @@ func (s *Simulator) reset() {
 	// per-round, so O(n + slots) here buys unconditional correctness.
 	// (stampGen is monotonic across resets so stale mailStamp marks can
 	// never collide with a future round's generation. Retained pages are
-	// not zeroed: a slot's messages are unreachable once its count is.)
+	// not zeroed: a slot's message is unreachable once its flag is.)
 	clear(s.halted)
-	clear(s.curCounts)
-	clear(s.nxCounts)
-	clear(s.curBcastN)
-	clear(s.nxBcastN)
+	clear(s.curFull)
+	clear(s.nxFull)
+	clear(s.curBcastOn)
+	clear(s.nxBcastOn)
 	s.curBcastL = s.curBcastL[:0]
 	s.nxBcastL = s.nxBcastL[:0]
 	s.curBcastSlots, s.nxBcastSlots = 0, 0
@@ -583,27 +535,17 @@ func (s *Simulator) reset() {
 // reused simulator leaked traffic (foreign kinds). The map is nil when
 // nothing is pending.
 func (s *Simulator) Pending() (total int, byKind map[uint8]int) {
+	if len(s.curDirty) == 0 && len(s.curBcastL) == 0 {
+		return 0, nil
+	}
+	byKind = make(map[uint8]int)
 	for _, slot := range s.curDirty {
-		if byKind == nil {
-			byKind = make(map[uint8]int)
-		}
-		for _, m := range s.curSlot(int(slot)) {
-			byKind[m.Kind]++
-			total++
-		}
+		byKind[s.curMsg(int(slot)).Kind]++
 	}
-	b := s.opts.Bandwidth
 	for _, u := range s.curBcastL {
-		if byKind == nil {
-			byKind = make(map[uint8]int)
-		}
-		deg := s.g.Degree(int(u))
-		for k := 0; k < int(s.curBcastN[u]); k++ {
-			byKind[s.curBcast[int(u)*b+k].Kind] += deg
-			total += deg
-		}
+		byKind[s.curBcast[u].Kind] += s.g.Degree(int(u))
 	}
-	return total, byKind
+	return len(s.curDirty) + s.curBcastSlots, byKind
 }
 
 // Metrics returns execution statistics since construction or the last
@@ -618,29 +560,30 @@ func (s *Simulator) Active() int { return len(s.active) }
 
 // ArenaBytes returns the retained size of the simulator's message
 // machinery: the allocated unicast arena pages, the compact broadcast
-// arenas, the slot counters, and the twin table. Pages are allocated on
+// arenas, the slot flags, and the twin table. Pages are allocated on
 // first touch and retained, so the value is a measured high-water of
-// actual traffic — it starts near the ArenaFraction preallocation and
-// grows monotonically toward (but on sparse protocols far below) the
-// worst-case nSlots×Bandwidth arena. The touched-slot set is a pure
-// function of the execution, so the value is deterministic across
-// engines and runs; long-running services use it as the per-build arena
-// footprint when tracking high-water memory across heterogeneous jobs.
+// actual traffic — it starts at zero pages and grows monotonically
+// toward (but on sparse protocols far below) the worst-case one message
+// per slot per arena. The touched-slot set is a pure function of the
+// execution, so the value depends only on the traffic: it is identical
+// across engines and runs, and long-running services use it as the
+// per-build arena footprint when tracking high-water memory across
+// heterogeneous jobs.
 func (s *Simulator) ArenaBytes() int64 {
 	arenas := s.pageBytes.Load()
 	bcast := int64(len(s.curBcast)+len(s.nxBcast))*msgBytes +
-		int64(len(s.curBcastN)+len(s.nxBcastN))*2
-	counts := int64(len(s.curCounts)+len(s.nxCounts)) * 2
+		int64(len(s.curBcastOn)+len(s.nxBcastOn))
+	flags := int64(len(s.curFull) + len(s.nxFull))
 	tables := int64(len(s.twin)) * 4
-	return arenas + bcast + counts + tables
+	return arenas + bcast + flags + tables
 }
 
 // ArenaBytesWorstCase returns what ArenaBytes would be if every unicast
-// arena page were allocated — the pre-scale-up fixed footprint
-// (ArenaFraction >= 1 reproduces it). The measured-vs-worst-case ratio
-// is the scale smoke test's acceptance criterion.
+// arena page were allocated — the fixed footprint of an unpaged arena.
+// The measured-vs-worst-case ratio is the scale smoke test's acceptance
+// criterion.
 func (s *Simulator) ArenaBytesWorstCase() int64 {
-	pages := int64(len(s.cur)+len(s.next)) * int64((s.pageMask+1)*s.opts.Bandwidth) * msgBytes
+	pages := int64(len(s.cur)+len(s.next)) * int64(s.pageMask+1) * msgBytes
 	return pages + s.ArenaBytes() - s.pageBytes.Load()
 }
 
@@ -685,9 +628,9 @@ func (e *Env) NeighborID(port int) int { return e.sim.g.Neighbor(e.id, port) }
 func (e *Env) Round() int { return e.sim.round }
 
 // Send transmits m over the given port; it is delivered next round. Send
-// reports a violation error if the port is out of range or the per-edge
-// bandwidth for this round is exhausted; the message is then dropped and
-// the violation also fails the enclosing Run.
+// reports a violation error if the port is out of range or already
+// carries a message this round (from a Send or a Broadcast); the message
+// is then dropped and the violation also fails the enclosing Run.
 func (e *Env) Send(port int, m Message) error {
 	if port < 0 || port >= e.Degree() {
 		err := fmt.Errorf("%w: vertex %d port %d (degree %d)", ErrPort, e.id, port, e.Degree())
@@ -695,38 +638,28 @@ func (e *Env) Send(port int, m Message) error {
 		return err
 	}
 	s := e.sim
-	if s.nxBcastN[e.id] > 0 {
-		e.materializeBcast()
-	}
 	e.sentUni = true
 	slot := e.base + port
-	b := s.opts.Bandwidth
-	if int(s.nxCounts[slot]) >= b {
-		err := fmt.Errorf("%w: vertex %d port %d round %d (bandwidth %d)",
-			ErrBandwidth, e.id, port, s.round, b)
-		s.recordViolation(e.id, err)
-		return err
+	if s.nxFull[slot] || s.nxBcastOn[e.id] {
+		return e.bandwidthViolation(port)
 	}
-	if s.nxCounts[slot] == 0 {
-		e.out.dirty = append(e.out.dirty, int32(slot))
-	}
-	s.writeNext(slot, int(s.nxCounts[slot]), m)
-	s.nxCounts[slot]++
+	e.out.dirty = append(e.out.dirty, int32(slot))
+	s.writeNext(slot, m)
+	s.nxFull[slot] = true
 	return nil
 }
 
 // Broadcast sends m over every incident edge (one message per edge, which
-// always fits a bandwidth-1 budget if nothing else is sent that round).
+// fits the budget if nothing else is sent that round).
 //
-// A round whose sends are exclusively broadcasts — by far the dominant
-// pattern in the protocols here — stores the message once per vertex in
-// the compact broadcast arena rather than once per edge in the unicast
-// arena: O(n) space and time instead of O(m) for a broadcast-all round.
-// Mixing Send and Broadcast in one callback falls back to per-port
-// expansion (in either order: a Send after a compact Broadcast first
-// materializes it into the unicast slots), so the observable execution
-// is identical to sending on every port individually — same delivery
-// order, same bandwidth accounting, same violation errors.
+// A round whose one send is a broadcast — by far the dominant pattern in
+// the protocols here — stores the message once per vertex in the compact
+// broadcast arena rather than once per edge in the unicast arena: O(n)
+// space and time instead of O(m) for a broadcast-all round. A Broadcast
+// after a Send falls back to per-port expansion, and a Send after a
+// Broadcast finds its port taken, so the observable execution is
+// identical to sending on every port individually — same delivery
+// order, same accounting, same violation errors.
 func (e *Env) Broadcast(m Message) error {
 	deg := e.Degree()
 	if deg == 0 {
@@ -741,48 +674,22 @@ func (e *Env) Broadcast(m Message) error {
 		}
 		return nil
 	}
-	b := s.opts.Bandwidth
-	n := int(s.nxBcastN[e.id])
-	if n >= b {
-		// The per-port expansion would have tripped the bandwidth check
-		// at port 0; report the identical violation.
-		err := fmt.Errorf("%w: vertex %d port %d round %d (bandwidth %d)",
-			ErrBandwidth, e.id, 0, s.round, b)
-		s.recordViolation(e.id, err)
-		return err
+	if s.nxBcastOn[e.id] {
+		// The per-port expansion would have tripped the check at port 0.
+		return e.bandwidthViolation(0)
 	}
-	if n == 0 {
-		e.out.bcast = append(e.out.bcast, int32(e.id))
-	}
-	s.nxBcast[e.id*b+n] = m
-	s.nxBcastN[e.id]++
+	e.out.bcast = append(e.out.bcast, int32(e.id))
+	s.nxBcast[e.id] = m
+	s.nxBcastOn[e.id] = true
 	return nil
 }
 
-// materializeBcast expands this vertex's pending compact broadcasts into
-// its unicast slots, preserving send order (broadcasts were issued before
-// the unicast that triggered the expansion). The slots are necessarily
-// empty — compact broadcasts are only accepted while no unicast has been
-// sent — and the vertex is necessarily the last entry of its scope's
-// bcast log (it appended itself during this same callback, and only the
-// scope running this callback appends to this log), so it is popped in
-// O(1). Messages are charged at merge time via the dirty slots, exactly
-// as if they had been per-port sends all along.
-func (e *Env) materializeBcast() {
-	s := e.sim
-	cnt := int(s.nxBcastN[e.id])
-	s.nxBcastN[e.id] = 0
-	e.out.bcast = e.out.bcast[:len(e.out.bcast)-1]
-	b := s.opts.Bandwidth
-	deg := e.Degree()
-	for p := 0; p < deg; p++ {
-		slot := e.base + p
-		e.out.dirty = append(e.out.dirty, int32(slot))
-		for k := 0; k < cnt; k++ {
-			s.writeNext(slot, k, s.nxBcast[e.id*b+k])
-		}
-		s.nxCounts[slot] = uint16(cnt)
-	}
+// bandwidthViolation records and returns a second send on port in the
+// current round.
+func (e *Env) bandwidthViolation(port int) error {
+	err := fmt.Errorf("%w: vertex %d port %d round %d", ErrBandwidth, e.id, port, e.sim.round)
+	e.sim.recordViolation(e.id, err)
+	return err
 }
 
 // Halt marks this vertex as idle: its Round method is not invoked again
@@ -1013,22 +920,20 @@ func (s *Simulator) buildFrontier() {
 }
 
 // collectLog appends one scope's send log to the global next-round lists
-// and charges its messages to the round's traffic (a compact broadcast
-// counts deg messages per copy, identical to its per-port expansion).
+// and charges its messages to the round's traffic: one per dirty slot,
+// and deg per compact broadcast, identical to its per-port expansion.
 // The engines call it in ascending frontier order, so the merged lists
 // are engine-independent.
 func (s *Simulator) collectLog(l *sendLog) {
 	if len(l.dirty) > 0 {
-		for _, slot := range l.dirty {
-			s.roundSent += int64(s.nxCounts[slot])
-		}
+		s.roundSent += int64(len(l.dirty))
 		s.nxDirty = append(s.nxDirty, l.dirty...)
 		l.dirty = l.dirty[:0]
 	}
 	if len(l.bcast) > 0 {
 		for _, u := range l.bcast {
 			deg := s.g.Degree(int(u))
-			s.roundSent += int64(deg) * int64(s.nxBcastN[u])
+			s.roundSent += int64(deg)
 			s.nxBcastSlots += deg
 		}
 		s.nxBcastL = append(s.nxBcastL, l.bcast...)
@@ -1069,10 +974,10 @@ func (s *Simulator) flip() {
 	}
 	s.metrics.Rounds = s.round
 	s.cur, s.next = s.next, s.cur
-	s.curCounts, s.nxCounts = s.nxCounts, s.curCounts
+	s.curFull, s.nxFull = s.nxFull, s.curFull
 	s.curDirty, s.nxDirty = s.nxDirty, s.curDirty
 	s.curBcast, s.nxBcast = s.nxBcast, s.curBcast
-	s.curBcastN, s.nxBcastN = s.nxBcastN, s.curBcastN
+	s.curBcastOn, s.nxBcastOn = s.nxBcastOn, s.curBcastOn
 	s.curBcastL, s.nxBcastL = s.nxBcastL, s.curBcastL
 	s.curBcastSlots, s.nxBcastSlots = s.nxBcastSlots, 0
 	// The consumed arena's touched pages go back to the pool: the live
@@ -1082,7 +987,7 @@ func (s *Simulator) flip() {
 	// orders these writes against the next round's first touches.
 	s.poolMu.Lock()
 	for _, slot := range s.nxDirty {
-		s.nxCounts[slot] = 0
+		s.nxFull[slot] = false
 		pp := &s.next[int(slot)>>s.pageShift]
 		if pg := pp.Load(); pg != nil {
 			s.pagePool = append(s.pagePool, pg)
@@ -1092,7 +997,7 @@ func (s *Simulator) flip() {
 	s.poolMu.Unlock()
 	s.nxDirty = s.nxDirty[:0]
 	for _, u := range s.nxBcastL {
-		s.nxBcastN[u] = 0
+		s.nxBcastOn[u] = false
 	}
 	s.nxBcastL = s.nxBcastL[:0]
 }
@@ -1103,10 +1008,10 @@ func (s *Simulator) flip() {
 // probing every port. In dense rounds (denseGather) the inboxes were
 // skipped and the loop probes every port straight off v's neighbor list
 // and twin run; both paths yield the identical slice, since a probed
-// port without messages contributes nothing. One closure-free loop
+// port without a message contributes nothing. One closure-free loop
 // serves both paths and both delivery orders. Per port, the sender's
-// compact broadcasts and the slot's unicasts are mutually exclusive
-// (the materialization invariant), so the compact store is checked
+// compact broadcast and the slot's unicast are mutually exclusive (the
+// broadcast-or-unicast invariant), so the compact store is checked
 // first and the slot only read on miss. scratch is reused across calls
 // to avoid per-round allocation.
 func (s *Simulator) gatherInbound(v int, scratch []Inbound) []Inbound {
@@ -1123,8 +1028,7 @@ func (s *Simulator) gatherInbound(v int, scratch []Inbound) []Inbound {
 	base := int(s.g.Offset(v))
 	nbrs := s.g.Neighbors(v)
 	twin := s.twin[base : base+len(nbrs)] // slots of the edges (neighbor -> v)
-	b := s.opts.Bandwidth
-	bcast, bcastN, counts := s.curBcast, s.curBcastN, s.curCounts
+	bcast, bcastOn, full := s.curBcast, s.curBcastOn, s.curFull
 	i, end, step := 0, n, 1
 	if s.opts.Delivery == DeliverPortDescending {
 		i, end, step = n-1, -1, -1
@@ -1134,14 +1038,10 @@ func (s *Simulator) gatherInbound(v int, scratch []Inbound) []Inbound {
 		if !dense {
 			p = int(ports[i])
 		}
-		if u := int(nbrs[p]); bcastN[u] > 0 {
-			for _, m := range bcast[u*b : u*b+int(bcastN[u])] {
-				recv = append(recv, Inbound{Port: p, Msg: m})
-			}
-		} else if src := int(twin[p]); counts[src] > 0 {
-			for _, m := range s.curSlot(src) {
-				recv = append(recv, Inbound{Port: p, Msg: m})
-			}
+		if u := nbrs[p]; bcastOn[u] {
+			recv = append(recv, Inbound{Port: p, Msg: bcast[u]})
+		} else if src := int(twin[p]); full[src] {
+			recv = append(recv, Inbound{Port: p, Msg: s.curMsg(src)})
 		}
 	}
 	return recv

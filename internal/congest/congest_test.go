@@ -6,7 +6,14 @@ import (
 
 	"nearspan/internal/gen"
 	"nearspan/internal/graph"
+	"nearspan/internal/sched"
 )
+
+// Private runtimes whose worker counts differ from the default, for the
+// tests that check the parallel engine's shard fan-out never changes the
+// execution. Their workers start on first dispatch and live as long as
+// the test binary.
+var rt3, rt5, rt7 = sched.New(3), sched.New(5), sched.New(7)
 
 // floodProg broadcasts a token from a source; every vertex forwards it the
 // round after first hearing it, then halts. dist records the round of
@@ -150,17 +157,6 @@ func TestBandwidthViolation(t *testing.T) {
 	}
 }
 
-func TestBandwidthOptionAllowsMore(t *testing.T) {
-	g := gen.Path(2)
-	sim, err := NewUniform(g, func(v int) Program { return &overSender{} }, Options{Bandwidth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(1); err != nil {
-		t.Fatalf("bandwidth-2 run failed: %v", err)
-	}
-}
-
 // badPortSender sends on a port beyond its degree.
 type badPortSender struct{}
 
@@ -243,7 +239,7 @@ func TestEnginesProduceIdenticalExecutions(t *testing.T) {
 	engines := map[string]Options{
 		"sequential":  {Engine: EngineSequential},
 		"parallel":    {Engine: EngineParallel},
-		"parallel-w7": {Engine: EngineParallel, Workers: 7},
+		"parallel-w7": {Engine: EngineParallel, Runtime: rt7},
 	}
 	for name, g := range graphs {
 		type run struct {
@@ -487,7 +483,7 @@ func TestViolationDeterministicAcrossEngines(t *testing.T) {
 		for _, opts := range []Options{
 			{Engine: EngineSequential},
 			{Engine: EngineParallel},
-			{Engine: EngineParallel, Workers: 5},
+			{Engine: EngineParallel, Runtime: rt5},
 		} {
 			g := gen.GNP(60, 0.1, 13, true)
 			sim, err := NewUniform(g, factory, opts)

@@ -30,8 +30,9 @@ func splitmix(x uint64) uint64 {
 // fzSend is one decided send; port may be invalid or duplicated in
 // violent mode. A broadcast send ignores port and goes out on every
 // incident edge — on the Simulator side via Env.Broadcast, so the sweep
-// exercises the compact broadcast store, its materialization when a
-// unicast follows, and the per-port fallback when one precedes.
+// exercises the compact broadcast store, the violation of a unicast that
+// follows it on a port it already took, and the per-port fallback when
+// a unicast precedes it.
 type fzSend struct {
 	port      int
 	kind      uint8
@@ -49,7 +50,7 @@ type fzDecision struct {
 type fzConfig struct {
 	seed    uint64
 	violent bool // emit invalid-port / over-bandwidth sends
-	mixed   bool // mix unicasts before/after broadcasts (legal only at bandwidth >= 2)
+	mixed   bool // mix unicasts before/after broadcasts (a bandwidth violation)
 	horizon int  // if > 0: no sends and forced halt from this round on (guarantees quiescence)
 	// awake lets no vertex halt and makes most sends of even rounds
 	// broadcasts, so rounds alternate between dense ones with every
@@ -64,7 +65,7 @@ type fzConfig struct {
 
 // fzBehavior is the shared pure decision function. round 0 is Init
 // (recvHash 0). Sends are a random subset of ports in ascending order
-// (each a distinct port, so a bandwidth-1 budget is respected), plus —
+// (each a distinct port, so the one-message budget is respected), plus —
 // in violent mode, rarely — a duplicate or out-of-range send.
 func fzBehavior(cfg fzConfig, v, round int, recvHash uint64, deg int) fzDecision {
 	r := splitmix(cfg.seed ^ splitmix(uint64(v)+1) ^ splitmix(uint64(round)+0x5151) ^ recvHash)
@@ -87,7 +88,7 @@ func fzBehavior(cfg fzConfig, v, round int, recvHash uint64, deg int) fzDecision
 			}
 			d.sends = append(d.sends, fzSend{broadcast: true, kind: 1 + uint8(w%3), word: int64(w % 1024)})
 			if cfg.mixed && deg > 0 && (mask>>5)&3 == 0 {
-				// A unicast after materializes the compact broadcast.
+				// A unicast after finds its port taken by the compact broadcast.
 				d.sends = append(d.sends, fzSend{port: int(mask>>9) % deg, kind: 2, word: int64(w % 256)})
 			}
 		} else {
@@ -103,7 +104,7 @@ func fzBehavior(cfg fzConfig, v, round int, recvHash uint64, deg int) fzDecision
 		switch x := splitmix(r + 7); x % 97 {
 		case 0: // invalid port
 			d.sends = append(d.sends, fzSend{port: deg, kind: 1})
-		case 1: // duplicate port: a bandwidth violation when Bandwidth == 1
+		case 1: // duplicate port: a bandwidth violation
 			d.sends = append(d.sends, fzSend{port: int(x>>8) % deg, kind: 1, word: 7})
 		}
 	}
@@ -173,11 +174,10 @@ func (p *fzProg) apply(env *Env, d fzDecision) {
 type denseRef struct {
 	g        *graph.Graph
 	cfg      fzConfig
-	bw       int
 	delivery DeliveryOrder
 
 	cur, next  [][][]Message // [vertex][port] -> delivered messages
-	sentOnPort []int         // per-port send counts of the sending vertex this round
+	sentOnPort []bool        // ports the sending vertex has used this round
 	halted     []bool
 	transcript []uint64
 	invoked    []int
@@ -192,8 +192,8 @@ type denseRef struct {
 	violPort, violDegree int
 }
 
-func newDenseRef(g *graph.Graph, cfg fzConfig, bw int, delivery DeliveryOrder) *denseRef {
-	r := &denseRef{g: g, cfg: cfg, bw: bw, delivery: delivery,
+func newDenseRef(g *graph.Graph, cfg fzConfig, delivery DeliveryOrder) *denseRef {
+	r := &denseRef{g: g, cfg: cfg, delivery: delivery,
 		halted:     make([]bool, g.N()),
 		transcript: make([]uint64, g.N()),
 		invoked:    make([]int, g.N()),
@@ -222,18 +222,18 @@ func (r *denseRef) apply(v int, d fzDecision) {
 	deg := r.g.Degree(v)
 	r.sentOnPort = r.sentOnPort[:0]
 	for p := 0; p < deg; p++ {
-		r.sentOnPort = append(r.sentOnPort, 0)
+		r.sentOnPort = append(r.sentOnPort, false)
 	}
 	for _, snd := range d.sends {
 		if snd.broadcast {
 			// Broadcast is per-port expansion that stops at the first
 			// violating port, exactly as Env.Broadcast does.
 			for p := 0; p < deg; p++ {
-				if r.sentOnPort[p] >= r.bw {
+				if r.sentOnPort[p] {
 					r.noteViolation(v, true, p)
 					break
 				}
-				r.sentOnPort[p]++
+				r.sentOnPort[p] = true
 				w := r.g.Neighbor(v, p)
 				q := r.g.PortOf(w, v)
 				r.next[w][q] = append(r.next[w][q],
@@ -246,11 +246,11 @@ func (r *denseRef) apply(v int, d fzDecision) {
 			r.noteViolation(v, false, snd.port)
 			continue
 		}
-		if r.sentOnPort[snd.port] >= r.bw {
+		if r.sentOnPort[snd.port] {
 			r.noteViolation(v, true, snd.port)
 			continue
 		}
-		r.sentOnPort[snd.port]++
+		r.sentOnPort[snd.port] = true
 		w := r.g.Neighbor(v, snd.port)
 		q := r.g.PortOf(w, v)
 		r.next[w][q] = append(r.next[w][q],
@@ -377,8 +377,8 @@ func (r *denseRef) wantViolation() string {
 		return ""
 	}
 	if r.violBandwidth {
-		return fmt.Sprintf("%v: vertex %d port %d round %d (bandwidth %d)",
-			ErrBandwidth, r.violVert, r.violPort, r.violRound, r.bw)
+		return fmt.Sprintf("%v: vertex %d port %d round %d",
+			ErrBandwidth, r.violVert, r.violPort, r.violRound)
 	}
 	return fmt.Sprintf("%v: vertex %d port %d (degree %d)",
 		ErrPort, r.violVert, r.violPort, r.violDegree)
@@ -409,8 +409,8 @@ func fzEngines() map[string]fzEngine {
 	return map[string]fzEngine{
 		"sequential":        {opts: Options{Engine: EngineSequential}},
 		"parallel":          {opts: Options{Engine: EngineParallel}},
-		"parallel-w5":       {opts: Options{Engine: EngineParallel, Workers: 5}},
-		"parallel-dispatch": {opts: Options{Engine: EngineParallel, Workers: 3}, dispatch: true},
+		"parallel-w5":       {opts: Options{Engine: EngineParallel, Runtime: rt5}},
+		"parallel-dispatch": {opts: Options{Engine: EngineParallel, Runtime: rt3}, dispatch: true},
 	}
 }
 
@@ -425,7 +425,7 @@ func compareRun(t *testing.T, g *graph.Graph, cfg fzConfig, eng fzEngine, label 
 		defer func(c int) { inlineWorkCutoff = c }(inlineWorkCutoff)
 		inlineWorkCutoff = 0
 	}
-	ref := newDenseRef(g, cfg, max(opts.Bandwidth, 1), opts.Delivery)
+	ref := newDenseRef(g, cfg, opts.Delivery)
 	var wantRounds int
 	if untilQuiet {
 		wantRounds = ref.runUntilQuiet(maxRounds)
@@ -486,8 +486,7 @@ func denseRounds(sim *Simulator) (awake, woken int) {
 
 // TestFrontierMatchesDenseReference is the property test: randomized
 // Halt/wake/send programs produce identical executions on the frontier
-// stepper (all engines, both delivery orders, bandwidth 1 and 2) and the
-// dense reference.
+// stepper (all engines) and the dense reference.
 func TestFrontierMatchesDenseReference(t *testing.T) {
 	for gname, g := range fzGraphs() {
 		for ename, eng := range fzEngines() {
@@ -539,20 +538,20 @@ func TestFrontierQuiescenceMatchesDenseReference(t *testing.T) {
 	}
 }
 
-// TestFrontierDeliveryAndBandwidthVariants covers the delivery-order and
-// bandwidth dimensions against the reference (sequential engine; the
-// engine dimension is covered above).
+// TestFrontierDeliveryAndBandwidthVariants covers the delivery-order
+// dimension and the bandwidth violations of mixed broadcast/unicast
+// sends against the reference (the engine dimension is covered above).
 func TestFrontierDeliveryAndBandwidthVariants(t *testing.T) {
 	g := gen.GNP(40, 0.15, 11, true)
 	variants := map[string]Options{
-		"descending":   {Delivery: DeliverPortDescending},
-		"bandwidth2":   {Bandwidth: 2},
-		"desc-bw2-par": {Delivery: DeliverPortDescending, Bandwidth: 2, Engine: EngineParallel},
-		"mixed-bw1":    {}, // broadcast+unicast mixes violate at bandwidth 1
+		"descending":       {Delivery: DeliverPortDescending},
+		"mixed":            {},
+		"mixed-desc-par":   {Delivery: DeliverPortDescending, Engine: EngineParallel},
+		"violent-desc-par": {Delivery: DeliverPortDescending, Engine: EngineParallel},
 	}
 	for vname, opts := range variants {
 		for seed := uint64(1); seed <= 4; seed++ {
-			cfg := fzConfig{seed: seed, violent: vname == "bandwidth2", mixed: vname != "descending"}
+			cfg := fzConfig{seed: seed, violent: vname == "violent-desc-par", mixed: vname == "mixed" || vname == "mixed-desc-par"}
 			compareRun(t, g, cfg, fzEngine{opts: opts}, fmt.Sprintf("%s/seed%d", vname, seed), false, 12)
 		}
 	}

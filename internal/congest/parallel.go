@@ -87,9 +87,9 @@ type shardState struct {
 // round barrier — shards cover ascending frontier ranges and run their
 // vertices in order, so the merged lists equal a sequential round's no
 // matter which workers ran which shards. (Arena pages allocated on
-// first touch use compare-and-swap: which worker allocates a shared
-// page is racy, but the touched-page set is deterministic, so the
-// resulting arena is too.) The remaining order-sensitive observables
+// first touch serialize on the pool lock: which worker allocates a
+// shared page is racy, but the touched-page set is deterministic, so
+// the resulting arena is too.) The remaining order-sensitive observables
 // are canonicalized to the lowest (round, vertex): the reported
 // violation error matches EngineSequential's exactly, and the re-raised
 // panic names the vertex the sequential engine would have hit first
@@ -97,8 +97,7 @@ type shardState struct {
 // program's raw panic value and stops mid-round, which a shared pool
 // cannot reproduce).
 type parallelShards struct {
-	workers int           // resolved shard fan-out bound, fixed per simulator
-	shards  []*shardState // per-shard state, grown on demand
+	shards []*shardState // per-shard state, grown on demand
 
 	panicMu     sync.Mutex
 	panicVertex int
@@ -112,17 +111,6 @@ func (ps *parallelShards) recordPanic(v int, r any) {
 		ps.panicVertex = v
 	}
 	ps.panicMu.Unlock()
-}
-
-func (s *Simulator) initShards() {
-	workers := s.opts.Workers
-	if workers <= 0 {
-		workers = s.opts.Runtime.Workers()
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	s.par = &parallelShards{workers: workers}
 }
 
 // runShard executes one round for every frontier vertex in index range
@@ -154,7 +142,7 @@ func (s *Simulator) runShard(ps *parallelShards, lo, hi int, st *shardState) {
 
 func (s *Simulator) stepParallel() {
 	if s.par == nil {
-		s.initShards()
+		s.par = &parallelShards{}
 	}
 	ps := s.par
 	n := len(s.frontier)
@@ -172,10 +160,7 @@ func (s *Simulator) stepParallel() {
 		s.collectLog(&ps.shards[0].log)
 		return
 	}
-	workers := ps.workers
-	if workers > n {
-		workers = n
-	}
+	workers := min(s.opts.Runtime.Workers(), n)
 	size := (n + workers*shardsPerWorker - 1) / (workers * shardsPerWorker)
 	if size < minShardVertices {
 		size = minShardVertices

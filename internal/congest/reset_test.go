@@ -18,7 +18,7 @@ func TestResetMatchesFreshRun(t *testing.T) {
 	for _, opts := range []Options{
 		{Engine: EngineSequential},
 		{Engine: EngineParallel},
-		{Engine: EngineParallel, Workers: 3},
+		{Engine: EngineParallel, Runtime: rt3},
 	} {
 		fresh, freshM := runGossip(t, g, opts, 12)
 

@@ -100,14 +100,6 @@ type Options struct {
 	// round cap. A distributed session cut mid-run carries the live
 	// pending-message histogram.
 	RoundBudget int
-	// ArenaFraction controls how much of the simulator's worst-case
-	// message arena is preallocated in ModeDistributed (see
-	// congest.Options.ArenaFraction): 0 means the small default reserve,
-	// negative means fully lazy, and values >= 1 restore the legacy full
-	// preallocation. Purely a memory/latency trade — the spanner, rounds
-	// and messages are bit-identical for every setting; Result.ArenaBytes
-	// is not, since it counts the preallocated pages.
-	ArenaFraction float64
 	// KeepRebuildState retains, in Result.Rebuild, the state a later
 	// Rebuild replays against: the source graph, the per-phase center
 	// sets, near-neighbors tables, and forward transcripts. Costs memory
@@ -115,12 +107,6 @@ type Options struct {
 	// but makes edge-delta rebuilds frontier-scoped instead of
 	// from-scratch. Rebuild results always retain it, so rebuilds chain.
 	KeepRebuildState bool
-	// MaxAffectedFraction bounds Rebuild's dirty frontier as a fraction
-	// of n: a delta whose affected region grows past it abandons the
-	// incremental path and falls back to a full build (correct either
-	// way; the threshold only picks which is cheaper). 0 means the
-	// default 0.25; values >= 1 never fall back.
-	MaxAffectedFraction float64
 }
 
 // PhaseStats records one phase's measurements, aligned with the paper's
@@ -164,19 +150,15 @@ type Result struct {
 	// ArenaBytes is the retained size of the simulator's message arenas
 	// and slot tables in ModeDistributed (zero in ModeCentralized) —
 	// the build's arena footprint, tracked as a high-water mark by the
-	// service layer. Beyond the reserve Options.ArenaFraction
-	// preallocates, message pages are allocated lazily as traffic
-	// touches them, so this is a measured quantity: it reflects the
-	// slots the protocols actually used, not the worst-case topology
-	// bound. It is deterministic for a fixed Options.ArenaFraction and
-	// the same on every engine; preallocated pages count even if traffic
-	// never uses them, so different settings report different values.
+	// service layer. Message pages are allocated only as traffic touches
+	// them, so this is a measured quantity: it reflects the slots the
+	// protocols actually used, not the worst-case topology bound, and it
+	// is the same on every engine.
 	ArenaBytes int64
 
-	// ArenaBytesWorstCase is what ArenaBytes would have been under the
-	// legacy full worst-case preallocation (every message page of both
-	// arenas allocated; what ArenaFraction >= 1 reproduces). The
-	// measured/worst-case ratio is the scale regime's memory headroom.
+	// ArenaBytesWorstCase is what ArenaBytes would have been with every
+	// message page of both arenas allocated. The measured/worst-case
+	// ratio is the scale regime's memory headroom.
 	ArenaBytesWorstCase int64
 
 	// TotalRounds is the sum of Steps' rounds: the measured CONGEST
@@ -258,8 +240,7 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 		// phase's protocol steps attach to it as sessions, and every
 		// round executes on the shared runtime.
 		db, err := newDistributedBackend(g, p.NEstimate,
-			congest.Options{Engine: opts.Engine, Delivery: opts.Delivery, Runtime: opts.Runtime,
-				ArenaFraction: opts.ArenaFraction}, led)
+			congest.Options{Engine: opts.Engine, Delivery: opts.Delivery, Runtime: opts.Runtime}, led)
 		if err != nil {
 			return nil, err
 		}

@@ -29,10 +29,11 @@ type RebuildPhase struct {
 	Transcript protocols.NNTranscript
 }
 
-// DefaultMaxAffectedFraction is the fallback-to-full threshold used when
-// Options.MaxAffectedFraction is zero: a dirty frontier past a quarter
-// of the vertices no longer amortizes against a full build.
-const DefaultMaxAffectedFraction = 0.25
+// maxAffectedFraction is Rebuild's fallback-to-full threshold: a dirty
+// frontier past a quarter of the vertices no longer amortizes against a
+// full build. Either path gives the identical result; the threshold only
+// picks the cheaper one. A var only so tests can force either path.
+var maxAffectedFraction = 0.25
 
 // errAffectedTooLarge aborts the incremental path when a phase's dirty
 // frontier exceeds the fallback threshold; Rebuild catches it and runs a
@@ -51,11 +52,10 @@ var errAffectedTooLarge = errors.New("core: delta affected region exceeds fallba
 // prev must carry rebuild state (Options.KeepRebuildState, or itself a
 // Rebuild result). opts selects the execution mode and engine of the
 // re-run steps; a zero Mode inherits prev's. When a phase's dirty
-// frontier exceeds MaxAffectedFraction of n, Rebuild falls back to a
-// full Build of the patched graph (Result.Incremental reports which
-// path produced the result). The fallback restarts the metrics stream:
-// an OnStep consumer sees the partial incremental phases again as full
-// ones.
+// frontier exceeds a quarter of n, Rebuild falls back to a full Build of
+// the patched graph (Result.Incremental reports which path produced the
+// result). The fallback restarts the metrics stream: an OnStep consumer
+// sees the partial incremental phases again as full ones.
 func Rebuild(ctx context.Context, prev *Result, batch *delta.Batch, opts Options) (*Result, error) {
 	if prev == nil || prev.Rebuild == nil {
 		return nil, fmt.Errorf("core: Rebuild requires a result built with Options.KeepRebuildState")
@@ -71,17 +71,7 @@ func Rebuild(ctx context.Context, prev *Result, batch *delta.Batch, opts Options
 	opts.KeepRebuildState = true
 	p := st.Params
 
-	frac := opts.MaxAffectedFraction
-	if frac == 0 {
-		frac = DefaultMaxAffectedFraction
-	}
-	maxTracked := 0 // unlimited
-	if frac < 1 {
-		maxTracked = int(frac * float64(g2.N()))
-		if maxTracked < 1 {
-			maxTracked = 1
-		}
-	}
+	maxTracked := max(int(maxAffectedFraction*float64(g2.N())), 1)
 	seeds := batch.Endpoints() // batch is normalized by Apply
 
 	hook := func(ctx context.Context, phase int, centers []int) (protocols.NNResult, protocols.NNTranscript, int, bool, error) {

@@ -68,10 +68,21 @@ func requireSameResult(t *testing.T, tag string, got, want *Result) {
 	}
 }
 
+// setMaxAffectedFraction overrides Rebuild's fallback threshold for the
+// rest of the test: 1 never falls back, a tiny value always does.
+func setMaxAffectedFraction(t *testing.T, f float64) {
+	old := maxAffectedFraction
+	maxAffectedFraction = f
+	t.Cleanup(func() { maxAffectedFraction = old })
+}
+
 // A delta rebuild must be indistinguishable — spanner fingerprint, phase
 // stats, round counts — from a from-scratch build of the patched graph,
 // in every mode and engine.
 func TestRebuildMatchesFullBuild(t *testing.T) {
+	// Demo graphs are small enough that a wave can legitimately touch
+	// most vertices; the fallback policy has its own test.
+	setMaxAffectedFraction(t, 1)
 	modes := []struct {
 		name string
 		opts Options
@@ -90,9 +101,6 @@ func TestRebuildMatchesFullBuild(t *testing.T) {
 			}
 			opts := m.opts
 			opts.KeepRebuildState = true
-			// Demo graphs are small enough that a wave can legitimately
-			// touch most vertices; the fallback policy has its own test.
-			opts.MaxAffectedFraction = 1
 			prev := build(t, c, opts)
 			for seed := int64(1); seed <= 3; seed++ {
 				r := rand.New(rand.NewSource(seed))
@@ -154,6 +162,8 @@ func TestRebuildChains(t *testing.T) {
 // from-scratch build of each patched graph.
 func TestRebuildChurnEngines(t *testing.T) {
 	c := testConfigs(t)[1] // gnp-demo
+	// Demo-sized graph; the fallback policy has its own test.
+	setMaxAffectedFraction(t, 1)
 	modes := []struct {
 		name string
 		opts Options
@@ -166,7 +176,6 @@ func TestRebuildChurnEngines(t *testing.T) {
 		for seed := uint64(1); seed <= 2; seed++ {
 			opts := m.opts
 			opts.KeepRebuildState = true
-			opts.MaxAffectedFraction = 1 // demo-sized graph; fallback tested separately
 			cur := build(t, c, opts)
 			g := c.g
 			for step := 0; step < 3; step++ {
@@ -193,7 +202,7 @@ func TestRebuildChurnEngines(t *testing.T) {
 	}
 }
 
-// A tiny MaxAffectedFraction must trigger the fallback: the result is
+// A tiny fallback threshold must trigger the fallback: the result is
 // still correct, but produced by a full build (Incremental = false).
 func TestRebuildFallback(t *testing.T) {
 	c := testConfigs(t)[0] // grid-demo
@@ -201,14 +210,13 @@ func TestRebuildFallback(t *testing.T) {
 	prev := build(t, c, opts)
 	r := rand.New(rand.NewSource(5))
 	b := churnBatch(r, c.g, 6)
-	small := opts
-	small.MaxAffectedFraction = 1e-9
-	got, err := Rebuild(context.Background(), prev, b, small)
+	setMaxAffectedFraction(t, 1e-9)
+	got, err := Rebuild(context.Background(), prev, b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Incremental {
-		t.Fatal("rebuild did not fall back with MaxAffectedFraction ~ 0")
+		t.Fatal("rebuild did not fall back with a threshold of ~0")
 	}
 	g2, err := delta.Apply(c.g, b)
 	if err != nil {

@@ -287,7 +287,6 @@ func BenchJSON(w io.Writer) error {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.Build(context.Background(), sg, sp2, core.Options{
 				Mode: core.ModeDistributed, Engine: congest.EngineParallel,
-				ArenaFraction: -1,
 			}); err != nil {
 				b.Fatal(err)
 			}

@@ -30,9 +30,6 @@ type ScaleSpec struct {
 	// for this regime; callers pass it explicitly (the zero value is
 	// the sequential engine, as everywhere else).
 	Engine congest.Engine
-	// ArenaFraction is passed through to the build; the scale default
-	// (zero value here maps to -1) is fully lazy allocation.
-	ArenaFraction float64
 	// VerifySamples > 0 runs a sampled stretch verification from that
 	// many BFS sources after the build.
 	VerifySamples int
@@ -47,8 +44,8 @@ type ScaleResult struct {
 	TotalRounds  int
 	Messages     int64
 	// ArenaBytes / ArenaWorstCase is the measured-arena headroom: how
-	// far the lazily-grown footprint stayed below the legacy full
-	// preallocation on the same topology.
+	// far the lazily-grown footprint stayed below an arena with every
+	// page allocated on the same topology.
 	ArenaBytes     int64
 	ArenaWorstCase int64
 	// SysBytes is runtime.MemStats.Sys after the build — the memory
@@ -85,10 +82,6 @@ func ScaleRun(ctx context.Context, spec ScaleSpec) (ScaleResult, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	frac := spec.ArenaFraction
-	if frac == 0 {
-		frac = -1
-	}
 
 	n := ScaleN(spec.TargetEdges)
 	p := 2 * float64(spec.TargetEdges) / (float64(n) * float64(n-1))
@@ -102,11 +95,7 @@ func ScaleRun(ctx context.Context, spec ScaleSpec) (ScaleResult, error) {
 		return ScaleResult{}, fmt.Errorf("scale: %w", err)
 	}
 	t0 = time.Now()
-	res, err := core.Build(ctx, g, pr, core.Options{
-		Mode:          core.ModeDistributed,
-		Engine:        spec.Engine,
-		ArenaFraction: frac,
-	})
+	res, err := core.Build(ctx, g, pr, core.Options{Mode: core.ModeDistributed, Engine: spec.Engine})
 	if err != nil {
 		return ScaleResult{}, fmt.Errorf("scale: build: %w", err)
 	}

@@ -20,9 +20,9 @@ import (
 // The codec carries no checksum of its own; callers that persist it
 // (internal/store snapshots) wrap it in a checksummed envelope.
 // DecodeBinary still validates the structure fully — monotone offsets,
-// in-range strictly-ascending adjacency rows, no self-loops — so a
-// tampered payload that slips past an outer checksum decodes to an
-// error, never to a Graph that corrupts a traversal.
+// in-range strictly-ascending adjacency rows, no self-loops, symmetric
+// rows — so a tampered payload that slips past an outer checksum decodes
+// to an error, never to a Graph that corrupts a traversal.
 
 // codecMaxN bounds the vertex and edge counts DecodeBinary accepts,
 // comfortably above every workload in this repository while keeping a
@@ -84,6 +84,12 @@ func DecodeBinary(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph: decode adjacency: %w", err)
 	}
+	// Symmetry in O(n+m): rows are ascending, so the entries of row w
+	// below w must be exactly the lower vertices whose rows list w, in
+	// ascending order. Walking v upward, each entry w > v of row v is
+	// matched against next[w], row w's first entry not yet matched.
+	next := make([]int32, n)
+	copy(next, offs[:n])
 	degMax := 0
 	for v := 0; v < n; v++ {
 		row := adj[offs[v]:offs[v+1]]
@@ -99,6 +105,17 @@ func DecodeBinary(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: decode: adjacency of vertex %d not strictly ascending", v)
 			}
 			prev = w
+			if int(w) > v {
+				if i := next[w]; i == offs[w+1] || adj[i] != int32(v) {
+					return nil, fmt.Errorf("graph: decode: asymmetric adjacency: %d lists %d but not the reverse", v, w)
+				}
+				next[w]++
+			}
+		}
+		// Every lower vertex that lists v has been matched; an entry of
+		// row v below v left over was listed by no one.
+		if i := next[v]; i < offs[v+1] && int(adj[i]) < v {
+			return nil, fmt.Errorf("graph: decode: asymmetric adjacency: %d lists %d but not the reverse", v, adj[i])
 		}
 		if d := len(row); d > degMax {
 			degMax = d

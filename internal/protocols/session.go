@@ -110,10 +110,10 @@ func (l *Ledger) Record(sm StepMetrics) error {
 // once per topology and reused — via congest.Reset — by every protocol
 // session run on it. The paper's construction is a sequence of
 // protocols on the same graph (ℓ phases × 4 steps); constructing a
-// simulator per step would reallocate the O(m·Bandwidth) message
-// arenas and the twin table every time. A Network pays those costs
-// once; its sessions record into the construction's Ledger, whose round
-// budget caps every session. It owns no goroutines: the parallel engine
+// simulator per step would reallocate the O(m) message arenas and the
+// twin table every time. A Network pays those costs once; its sessions
+// record into the construction's Ledger, whose round budget caps every
+// session. It owns no goroutines: the parallel engine
 // executes on the shared runtime, whose lifecycle is independent of any
 // one network.
 type Network struct {

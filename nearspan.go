@@ -148,23 +148,6 @@ type Config struct {
 	// replays against. Costs memory proportional to the stored tables;
 	// required on a result before it can seed a delta rebuild.
 	KeepRebuildState bool
-	// MaxAffectedFraction bounds a delta rebuild's dirty frontier as a
-	// fraction of the vertex count: past it, RebuildSpanner abandons the
-	// incremental path and falls back to a full build of the patched
-	// graph. 0 means the default (0.25); values >= 1 never fall back.
-	MaxAffectedFraction float64
-	// ArenaFraction controls how much of the CONGEST simulator's
-	// worst-case message arena DistributedMode preallocates. The arena
-	// grows lazily in pages as protocol traffic touches slots; this knob
-	// only trades first-touch latency against idle memory. 0 (the
-	// default) preallocates a small reserve, negative values allocate
-	// nothing up front — the right setting for 10⁷-edge-and-up builds —
-	// and values >= 1 restore the legacy full worst-case preallocation.
-	// The spanner, rounds, and messages are bit-identical for every
-	// setting. The reported ArenaBytes counts preallocated pages too, so
-	// it is deterministic for a fixed setting (and engine-independent)
-	// but differs between settings.
-	ArenaFraction float64
 }
 
 // BuildSpanner constructs a (1+ε', β)-spanner of g.
@@ -189,14 +172,12 @@ func BuildSpannerContext(ctx context.Context, g *Graph, cfg Config) (*Result, er
 // options renders the configuration as core build options.
 func (cfg Config) options() core.Options {
 	return core.Options{
-		Mode:                cfg.Mode,
-		Engine:              cfg.Engine,
-		KeepClusters:        cfg.KeepClusters,
-		OnStep:              cfg.OnStep,
-		RoundBudget:         cfg.RoundBudget,
-		ArenaFraction:       cfg.ArenaFraction,
-		KeepRebuildState:    cfg.KeepRebuildState,
-		MaxAffectedFraction: cfg.MaxAffectedFraction,
+		Mode:             cfg.Mode,
+		Engine:           cfg.Engine,
+		KeepClusters:     cfg.KeepClusters,
+		OnStep:           cfg.OnStep,
+		RoundBudget:      cfg.RoundBudget,
+		KeepRebuildState: cfg.KeepRebuildState,
 	}
 }
 
@@ -213,9 +194,10 @@ type DeltaBatch = delta.Batch
 // on the dirty frontier the delta perturbs, and the cheap steps re-run
 // on the patched graph. The result is bit-identical to BuildSpanner on
 // the patched graph; Result.Incremental reports whether the incremental
-// path was taken (false after a fallback, see Config.MaxAffectedFraction)
-// and Result.Tracked how many vertices were replayed. Rebuild results
-// retain state themselves, so rebuilds chain across a churn sequence.
+// path was taken (false after a fallback to a full build, which happens
+// when the delta's dirty frontier passes a quarter of the vertices) and
+// Result.Tracked how many vertices were replayed. Rebuild results retain
+// state themselves, so rebuilds chain across a churn sequence.
 func RebuildSpanner(prev *Result, batch *DeltaBatch, cfg Config) (*Result, error) {
 	return RebuildSpannerContext(context.Background(), prev, batch, cfg)
 }
