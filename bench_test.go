@@ -82,7 +82,7 @@ func BenchmarkFigure2ForestTrees(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sim.Run(protocols.ForestRounds(8)); err != nil {
+		if err := sim.RunContext(context.Background(), protocols.ForestRounds(8)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -100,7 +100,7 @@ func BenchmarkFigure3RulingSetSeparation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sim.Run(rounds); err != nil {
+		if err := sim.RunContext(context.Background(), rounds); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,7 +128,7 @@ func BenchmarkFigure4SuperclusterPaths(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sim.RunUntilQuiet(protocols.ClimbMaxRounds(1, 10)); err != nil {
+		if _, err := sim.RunUntilQuietContext(context.Background(), protocols.ClimbMaxRounds(1, 10)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -146,7 +146,7 @@ func BenchmarkFigure5Interconnection(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sim.Run(rounds); err != nil {
+		if err := sim.RunContext(context.Background(), rounds); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -240,7 +240,7 @@ func benchEngine(b *testing.B, engine congest.Engine) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sim.Run(rounds); err != nil {
+		if err := sim.RunContext(context.Background(), rounds); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -268,7 +268,7 @@ func BenchmarkFrontier(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := sim.RunUntilQuiet(protocols.ClimbMaxRounds(1, n)); err != nil {
+				if _, err := sim.RunUntilQuietContext(context.Background(), protocols.ClimbMaxRounds(1, n)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -284,7 +284,7 @@ func BenchmarkFrontier(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := sim.Run(rounds); err != nil {
+			if err := sim.RunContext(context.Background(), rounds); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -294,10 +294,10 @@ func BenchmarkFrontier(b *testing.B) {
 // --- Persistent network runtime ---
 
 // BenchmarkNetworkReuse quantifies what the persistent network runtime
-// removes: the per-step simulator construction (O(m·B) message arenas +
+// removes: the per-step simulator construction (O(m) message arenas +
 // twin table) that the pre-session world paid for every protocol step.
-// "per-step-sim" builds a fresh simulator for each of the three fixed-schedule protocol steps
-// of a phase; "persistent-network" attaches the same three steps as
+// "per-step-sim" builds a fresh simulator for each of the three
+// fixed-schedule protocol steps of a phase; "persistent-network" attaches the same three steps as
 // sessions to one long-lived network (constructed outside the timed
 // loop, as core.Build constructs one per spanner build). Compare
 // allocations per op between the two modes on each engine.
@@ -325,7 +325,7 @@ func BenchmarkNetworkReuse(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if err := sim.Run(r.rounds); err != nil {
+					if err := sim.RunContext(context.Background(), r.rounds); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"context"
 	"testing"
 
 	"nearspan/internal/gen"
@@ -18,7 +19,7 @@ func (p *localSender) Init(env *Env) {
 	}
 }
 
-func (p *localSender) Round(env *Env, recv []Inbound) {
+func (p *localSender) Round(env *Env) {
 	if env.Round() < 5 && env.ID() < 32 && env.Degree() > 0 {
 		_ = env.Send(env.Round()%env.Degree(), Message{Kind: 1, Words: [MessageWords]int64{int64(env.Round())}})
 	} else {
@@ -46,7 +47,7 @@ func TestArenaBytesMeasuredAndDeterministic(t *testing.T) {
 		if got := sim.pageBytes.Load(); got != 0 {
 			t.Fatalf("%s: a new simulator holds %d bytes of arena pages, want 0", opts.Engine, got)
 		}
-		if _, err := sim.RunUntilQuiet(50); err != nil {
+		if _, err := sim.RunUntilQuietContext(context.Background(), 50); err != nil {
 			t.Fatal(err)
 		}
 		if got := sim.pageBytes.Load(); got == 0 {
@@ -73,7 +74,7 @@ type broadcastAll struct{ rounds int }
 
 func (p *broadcastAll) Init(env *Env) { _ = env.Broadcast(Message{Kind: 9}) }
 
-func (p *broadcastAll) Round(env *Env, recv []Inbound) {
+func (p *broadcastAll) Round(env *Env) {
 	if env.Round() >= p.rounds {
 		env.Halt()
 		return
@@ -93,7 +94,7 @@ func TestBroadcastAllAllocatesNoPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds, err := sim.RunUntilQuiet(10)
+	rounds, err := sim.RunUntilQuietContext(context.Background(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,12 +22,18 @@
 // model. Violations are reported as errors, never silently dropped, so
 // an algorithm that would not be a valid CONGEST algorithm cannot
 // produce a result that looks valid.
+//
+// Messages are stored once, by the sender: a broadcast in the compact
+// O(n) arena, a unicast in its edge's slot. A receiving program ranges
+// over Env.Recv, which reads each message in place from that store, so
+// delivery copies nothing per message beyond the value it yields.
 package congest
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"maps"
 	"slices"
 	"strings"
@@ -51,27 +57,19 @@ type Message struct {
 	Words [MessageWords]int64
 }
 
-// Inbound is a received message together with the local port it arrived
-// on. Port p of vertex v corresponds to v's p-th neighbor in sorted
-// adjacency order (the standard port-numbering model).
-type Inbound struct {
-	Port int
-	Msg  Message
-}
-
 // Program is the per-vertex state machine. Each vertex runs its own
 // Program instance.
 //
 // Init is called once before round 1; messages sent from Init are
-// delivered in round 1. Round is called once per round r >= 1 with the
-// messages sent to this vertex in the previous round (or Init), sorted by
-// arrival port. Messages sent during Round(r) are delivered at Round(r+1).
-//
-// The recv slice is reused between calls: programs must not retain it (or
-// its elements by reference) past the return of Round.
+// delivered in round 1. Round is called once per round r >= 1; inside it,
+// env.Recv yields the messages sent to this vertex in the previous round
+// (or Init), each with the local port it arrived on. Port p of vertex v
+// corresponds to v's p-th neighbor in sorted adjacency order (the standard
+// port-numbering model). Messages sent during Round(r) are delivered at
+// Round(r+1).
 type Program interface {
 	Init(env *Env)
-	Round(env *Env, recv []Inbound)
+	Round(env *Env)
 }
 
 // Engine selects the execution strategy.
@@ -114,10 +112,10 @@ func ParseEngine(name string) (Engine, error) {
 	return 0, fmt.Errorf("congest: unknown engine %q (want %s)", name, strings.Join(names, "|"))
 }
 
-// DeliveryOrder controls the order in which a round's messages are
-// presented to Program.Round. Correct CONGEST algorithms must not depend
-// on arrival order within a round; running the test suite under
-// DeliverPortDescending is a cheap adversarial-scheduling check.
+// DeliveryOrder controls the order in which Env.Recv yields a round's
+// messages. Correct CONGEST algorithms must not depend on arrival order
+// within a round; running the test suite under DeliverPortDescending is
+// a cheap adversarial-scheduling check.
 type DeliveryOrder int
 
 const (
@@ -168,8 +166,8 @@ var ErrBandwidth = errors.New("congest: bandwidth exceeded")
 // ErrPort is returned (wrapped) when a program sends on an invalid port.
 var ErrPort = errors.New("congest: invalid port")
 
-// ErrBudgetExhausted reports that RunUntilQuiet consumed its entire
-// round budget without reaching quiescence. It carries the in-flight
+// ErrBudgetExhausted reports that RunUntilQuietContext consumed its
+// entire round budget without reaching quiescence. It carries the in-flight
 // message histogram and the count of still-active vertices, so a stuck
 // message-driven protocol (e.g. a path climb that never drains) can be
 // diagnosed from the error alone instead of a debugger. Retrieve it with
@@ -311,17 +309,16 @@ type Simulator struct {
 
 	// roundSent accumulates the running round's sent-message count as the
 	// per-scope send logs are merged; flip consumes it.
-	roundSent  int64
-	seqLog     sendLog   // sequential engine's (and Init's) send log
-	seqEnv     Env       // sequential engine's reused vertex handle
-	seqScratch []Inbound // sequential engine's gather buffer
+	roundSent int64
+	seqLog    sendLog // sequential engine's (and Init's) send log
+	seqEnv    Env     // sequential engine's reused vertex handle
 
 	// denseGather flags a round where most slots carry messages: building
 	// and sorting per-vertex inboxes would cost more than the dense port
-	// probe, so gatherInbound probes ports directly instead. The flag is
-	// a pure function of len(curDirty) and the broadcast slot total,
-	// hence identical on every engine, and both gather paths produce the
-	// identical recv slice.
+	// probe, so deliver probes ports directly instead. The flag is a pure
+	// function of len(curDirty) and the broadcast slot total, hence
+	// identical on every engine, and both paths yield the identical
+	// sequence.
 	denseGather bool
 
 	metrics Metrics
@@ -456,7 +453,7 @@ func (s *Simulator) curMsg(slot int) Message {
 // previous run. Callers that must not lose in-flight messages silently
 // should check Pending before resetting (protocols.Session does).
 //
-// Reset must not be called concurrently with Run; between runs the
+// Reset must not be called concurrently with a run; between runs the
 // shared runtime's workers hold no reference to this simulator, so the
 // next round's batch submission orders Reset's writes before any worker
 // reads them.
@@ -595,13 +592,13 @@ func (s *Simulator) Graph() *graph.Graph { return s.g }
 func (s *Simulator) Program(v int) Program { return s.progs[v] }
 
 // Env is a vertex's handle to the simulator: identity, the topology
-// access permitted by the model, and message sending. An Env is only
-// valid inside the Program callbacks it is passed to. Envs are owned by
-// execution scopes (one per shard on the parallel engine, one total on
-// the sequential engine), not by
-// vertices: the engine points the Env at the current vertex before each
-// callback, so n vertices cost O(scopes) handle state, and each scope's
-// handle plus send log live on their own cache lines.
+// access permitted by the model, and message receiving and sending. An
+// Env is only valid inside the Program callbacks it is passed to. Envs
+// are owned by execution scopes (one per shard on the parallel engine,
+// one total on the sequential engine), not by vertices: the engine
+// points the Env at the current vertex before each callback, so n
+// vertices cost O(scopes) handle state, and each scope's handle plus
+// send log live on their own cache lines.
 type Env struct {
 	sim     *Simulator
 	out     *sendLog // the owning scope's send log
@@ -627,10 +624,22 @@ func (e *Env) NeighborID(port int) int { return e.sim.g.Neighbor(e.id, port) }
 // Round returns the current round number (0 during Init).
 func (e *Env) Round() int { return e.sim.round }
 
+// Recv yields the messages delivered to this vertex this round as
+// (arrival port, message) pairs, in the configured delivery order. Each
+// message is read in place from the sender's compact broadcast or from
+// the edge's unicast slot; nothing is copied ahead of the loop. The
+// sequence is valid only inside the Round callback: it may be ranged any
+// number of times there (the delivered messages do not change while the
+// round runs, sends go to the next round) and stopped early, and during
+// Init it is empty.
+func (e *Env) Recv() iter.Seq2[int, Message] {
+	return func(yield func(int, Message) bool) { e.sim.deliver(e.id, yield) }
+}
+
 // Send transmits m over the given port; it is delivered next round. Send
 // reports a violation error if the port is out of range or already
 // carries a message this round (from a Send or a Broadcast); the message
-// is then dropped and the violation also fails the enclosing Run.
+// is then dropped and the violation also fails the enclosing run.
 func (e *Env) Send(port int, m Message) error {
 	if port < 0 || port >= e.Degree() {
 		err := fmt.Errorf("%w: vertex %d port %d (degree %d)", ErrPort, e.id, port, e.Degree())
@@ -698,7 +707,7 @@ func (e *Env) Halt() { e.sim.halted[e.id] = true }
 
 // recordViolation keeps the violation with the lowest (round, vertex);
 // concurrent engines then report the same error the sequential engine
-// would. Run returns at the end of the first violating round, so only
+// would. A run returns at the end of the first violating round, so only
 // violations of a single round (plus Init) ever compete.
 func (s *Simulator) recordViolation(v int, err error) {
 	s.violMu.Lock()
@@ -716,19 +725,14 @@ func (s *Simulator) violation() error {
 	return s.firstViolation
 }
 
-// Run executes exactly rounds additional rounds (calling Init first if no
-// round has run yet) and returns the first model violation, if any.
-func (s *Simulator) Run(rounds int) error {
-	return s.RunContext(context.Background(), rounds)
-}
-
-// RunContext is Run with cancellation: the context is checked at every
-// round boundary, so a cancelled or expired context aborts the execution
-// within one simulated round and returns ctx.Err(). Determinism is
-// preserved by construction — rounds are atomic (a round either fully
-// executes on every vertex or not at all), so cancellation can truncate
-// an execution but never corrupt one. A cancelled simulator may be Reset
-// and reused.
+// RunContext executes exactly rounds additional rounds (calling Init
+// first if no round has run yet) and returns the first model violation,
+// if any. The context is checked at every round boundary, so a cancelled
+// or expired context aborts the execution within one simulated round and
+// returns ctx.Err(). Determinism is preserved by construction — rounds
+// are atomic (a round either fully executes on every vertex or not at
+// all), so cancellation can truncate an execution but never corrupt one.
+// A cancelled simulator may be Reset and reused.
 func (s *Simulator) RunContext(ctx context.Context, rounds int) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -748,20 +752,16 @@ func (s *Simulator) RunContext(ctx context.Context, rounds int) error {
 	return s.violation()
 }
 
-// RunUntilQuiet executes rounds until no messages are in flight and every
-// vertex has halted, up to maxRounds. It returns the number of rounds
+// RunUntilQuietContext executes rounds until no messages are in flight
+// and every vertex has halted, up to maxRounds, checking the context at
+// every round boundary (see RunContext). It returns the number of rounds
 // executed and the first violation, if any. If the budget runs out
 // before quiescence the error is a *ErrBudgetExhausted carrying the
 // pending-message histogram.
 //
 // Quiescence here is the message-driven kind: a protocol that acts on a
-// precomputed round schedule must use Run with its schedule length.
-func (s *Simulator) RunUntilQuiet(maxRounds int) (int, error) {
-	return s.RunUntilQuietContext(context.Background(), maxRounds)
-}
-
-// RunUntilQuietContext is RunUntilQuiet with cancellation checked at
-// every round boundary (see RunContext).
+// precomputed round schedule must use RunContext with its schedule
+// length.
 func (s *Simulator) RunUntilQuietContext(ctx context.Context, maxRounds int) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -854,7 +854,7 @@ func (s *Simulator) step() {
 // disjoint lists: still-active vertices and the woken.
 //
 // When at least half the slots carry messages the round is effectively
-// dense: the inboxes are skipped (gatherInbound probes ports directly)
+// dense: the inboxes are skipped (deliver probes ports directly)
 // and only the wake/mail derivation runs, so dense workloads pay the
 // same per-round cost as a dense stepper. A dense round in which no
 // vertex is halted skips that derivation too: the walk's only output
@@ -1002,20 +1002,18 @@ func (s *Simulator) flip() {
 	s.nxBcastL = s.nxBcastL[:0]
 }
 
-// gatherInbound collects vertex v's deliverable messages in the
-// configured delivery order, driven by v's inbox — the ports the dirty
-// slots and broadcasts hit, pre-sorted by buildFrontier — rather than
-// probing every port. In dense rounds (denseGather) the inboxes were
-// skipped and the loop probes every port straight off v's neighbor list
-// and twin run; both paths yield the identical slice, since a probed
-// port without a message contributes nothing. One closure-free loop
-// serves both paths and both delivery orders. Per port, the sender's
-// compact broadcast and the slot's unicast are mutually exclusive (the
-// broadcast-or-unicast invariant), so the compact store is checked
-// first and the slot only read on miss. scratch is reused across calls
-// to avoid per-round allocation.
-func (s *Simulator) gatherInbound(v int, scratch []Inbound) []Inbound {
-	recv := scratch[:0]
+// deliver yields vertex v's deliverable messages in the configured
+// delivery order, driven by v's inbox — the ports the dirty slots and
+// broadcasts hit, pre-sorted by buildFrontier — rather than probing every
+// port. In dense rounds (denseGather) the inboxes were skipped and the
+// loop probes every port straight off v's neighbor list and twin run;
+// both paths yield the identical sequence, since a probed port without a
+// message contributes nothing. One loop serves both paths and both
+// delivery orders. Per port, the sender's compact broadcast and the
+// slot's unicast are mutually exclusive (the broadcast-or-unicast
+// invariant), so the compact store is checked first and the slot only
+// read on miss.
+func (s *Simulator) deliver(v int, yield func(int, Message) bool) {
 	dense := s.denseGather
 	ports := s.inbox[v]
 	n := len(ports)
@@ -1023,7 +1021,7 @@ func (s *Simulator) gatherInbound(v int, scratch []Inbound) []Inbound {
 		n = s.g.Degree(v)
 	}
 	if n == 0 {
-		return recv
+		return
 	}
 	base := int(s.g.Offset(v))
 	nbrs := s.g.Neighbors(v)
@@ -1039,26 +1037,25 @@ func (s *Simulator) gatherInbound(v int, scratch []Inbound) []Inbound {
 			p = int(ports[i])
 		}
 		if u := nbrs[p]; bcastOn[u] {
-			recv = append(recv, Inbound{Port: p, Msg: bcast[u]})
+			if !yield(p, bcast[u]) {
+				return
+			}
 		} else if src := int(twin[p]); full[src] {
-			recv = append(recv, Inbound{Port: p, Msg: s.curMsg(src)})
+			if !yield(p, s.curMsg(src)) {
+				return
+			}
 		}
 	}
-	return recv
 }
 
 func (s *Simulator) stepSequential() {
-	scratch := s.seqScratch
 	env := &s.seqEnv
 	*env = Env{sim: s, out: &s.seqLog}
 	for _, v := range s.frontier {
-		recv := s.gatherInbound(int(v), scratch)
 		env.id = int(v)
 		env.base = int(s.g.Offset(int(v)))
 		env.sentUni = false
-		s.progs[v].Round(env, recv)
-		scratch = recv[:0]
+		s.progs[v].Round(env)
 		s.collectLog(&s.seqLog)
 	}
-	s.seqScratch = scratch
 }

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -35,10 +36,13 @@ func (f *floodProg) Init(env *Env) {
 	env.Halt()
 }
 
-func (f *floodProg) Round(env *Env, recv []Inbound) {
-	if f.dist < 0 && len(recv) > 0 {
-		f.dist = env.Round()
-		_ = env.Broadcast(Message{Kind: kindToken})
+func (f *floodProg) Round(env *Env) {
+	for range env.Recv() { // one arrival is enough: stop the range early
+		if f.dist < 0 {
+			f.dist = env.Round()
+			_ = env.Broadcast(Message{Kind: kindToken})
+		}
+		break
 	}
 	env.Halt()
 }
@@ -53,7 +57,7 @@ func runFlood(t *testing.T, g *graph.Graph, src int, opts Options) (*Simulator, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.RunUntilQuiet(10 * g.N()); err != nil {
+	if _, err := sim.RunUntilQuietContext(context.Background(), 10*g.N()); err != nil {
 		t.Fatal(err)
 	}
 	dists := make([]int, g.N())
@@ -97,10 +101,10 @@ func (p *idExchangeProg) Init(env *Env) {
 	_ = env.Broadcast(Message{Kind: 2, Words: [MessageWords]int64{int64(env.ID())}})
 }
 
-func (p *idExchangeProg) Round(env *Env, recv []Inbound) {
-	for _, in := range recv {
+func (p *idExchangeProg) Round(env *Env) {
+	for port, m := range env.Recv() {
 		p.received++
-		if int(in.Msg.Words[0]) != env.NeighborID(in.Port) {
+		if int(m.Words[0]) != env.NeighborID(port) {
 			p.ok = false
 		}
 	}
@@ -113,7 +117,7 @@ func TestPortWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(1); err != nil {
+	if err := sim.RunContext(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < g.N(); v++ {
@@ -136,7 +140,7 @@ func (p *overSender) Init(env *Env) {
 		p.errs = append(p.errs, env.Send(0, Message{Kind: 3}))
 	}
 }
-func (p *overSender) Round(env *Env, recv []Inbound) { env.Halt() }
+func (p *overSender) Round(env *Env) { env.Halt() }
 
 func TestBandwidthViolation(t *testing.T) {
 	g := gen.Path(2)
@@ -144,7 +148,7 @@ func TestBandwidthViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = sim.Run(1)
+	err = sim.RunContext(context.Background(), 1)
 	if !errors.Is(err, ErrBandwidth) {
 		t.Fatalf("Run error = %v, want ErrBandwidth", err)
 	}
@@ -163,7 +167,7 @@ type badPortSender struct{}
 func (p *badPortSender) Init(env *Env) {
 	_ = env.Send(env.Degree(), Message{})
 }
-func (p *badPortSender) Round(env *Env, recv []Inbound) { env.Halt() }
+func (p *badPortSender) Round(env *Env) { env.Halt() }
 
 func TestInvalidPort(t *testing.T) {
 	g := gen.Path(3)
@@ -171,7 +175,7 @@ func TestInvalidPort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(1); !errors.Is(err, ErrPort) {
+	if err := sim.RunContext(context.Background(), 1); !errors.Is(err, ErrPort) {
 		t.Fatalf("Run error = %v, want ErrPort", err)
 	}
 }
@@ -197,10 +201,10 @@ func (p *gossipProg) Init(env *Env) {
 	_ = env.Broadcast(Message{Kind: 4, Words: [MessageWords]int64{p.maxSeen}})
 }
 
-func (p *gossipProg) Round(env *Env, recv []Inbound) {
-	for _, in := range recv {
-		if in.Msg.Words[0] > p.maxSeen {
-			p.maxSeen = in.Msg.Words[0]
+func (p *gossipProg) Round(env *Env) {
+	for _, m := range env.Recv() {
+		if m.Words[0] > p.maxSeen {
+			p.maxSeen = m.Words[0]
 		}
 	}
 	p.history = append(p.history, p.maxSeen)
@@ -215,7 +219,7 @@ func runGossip(t *testing.T, g *graph.Graph, opts Options, horizon int) ([][]int
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(horizon + 1); err != nil {
+	if err := sim.RunContext(context.Background(), horizon+1); err != nil {
 		t.Fatal(err)
 	}
 	out := make([][]int64, g.N())
@@ -302,7 +306,7 @@ func TestMetricsCountMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.RunUntilQuiet(100); err != nil {
+	if _, err := sim.RunUntilQuietContext(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
 	m := sim.Metrics()
@@ -332,7 +336,7 @@ func TestRecvSortedByPort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(1); err != nil {
+	if err := sim.RunContext(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	hub := sim.Program(0).(*portOrderProg)
@@ -353,14 +357,16 @@ func (p *portOrderProg) Init(env *Env) {
 	_ = env.Broadcast(Message{Kind: 5})
 }
 
-func (p *portOrderProg) Round(env *Env, recv []Inbound) {
-	p.sorted = true
-	for i := 1; i < len(recv); i++ {
-		if recv[i].Port < recv[i-1].Port {
+func (p *portOrderProg) Round(env *Env) {
+	p.sorted, p.count = true, 0
+	last := -1
+	for port := range env.Recv() {
+		if port < last {
 			p.sorted = false
 		}
+		last = port
+		p.count++
 	}
-	p.count = len(recv)
 	env.Halt()
 }
 
@@ -391,7 +397,7 @@ func TestDeliveryOrderDescending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(1); err != nil {
+	if err := sim.RunContext(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	hub := sim.Program(0).(*portOrderProg)
@@ -427,7 +433,7 @@ func TestFloodOrderIndependent(t *testing.T) {
 type panicProg struct{ boom bool }
 
 func (p *panicProg) Init(env *Env) { _ = env.Broadcast(Message{Kind: 9}) }
-func (p *panicProg) Round(env *Env, recv []Inbound) {
+func (p *panicProg) Round(env *Env) {
 	if p.boom && env.Round() == 2 {
 		panic("intentional test panic")
 	}
@@ -448,7 +454,7 @@ func TestConcurrentEnginesRepropagatePanic(t *testing.T) {
 					t.Error("panic in a vertex program was swallowed")
 				}
 			}()
-			_ = sim.Run(5)
+			_ = sim.RunContext(context.Background(), 5)
 		})
 	}
 }
@@ -460,7 +466,7 @@ func TestConcurrentEnginesRepropagatePanic(t *testing.T) {
 type roundOverSender struct{}
 
 func (p *roundOverSender) Init(env *Env) { _ = env.Broadcast(Message{Kind: 3}) }
-func (p *roundOverSender) Round(env *Env, recv []Inbound) {
+func (p *roundOverSender) Round(env *Env) {
 	if env.Round() == 1 && env.Degree() > 0 {
 		_ = env.Send(0, Message{Kind: 3})
 		_ = env.Send(0, Message{Kind: 3})
@@ -490,7 +496,7 @@ func TestViolationDeterministicAcrossEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = sim.Run(2)
+			err = sim.RunContext(context.Background(), 2)
 			if !errors.Is(err, ErrBandwidth) {
 				t.Fatalf("%s/%s: Run error = %v, want ErrBandwidth", name, opts.Engine, err)
 			}

@@ -10,11 +10,11 @@ import (
 )
 
 // chatterProg broadcasts every round and never halts — the stuck
-// protocol shape: RunUntilQuiet can never quiesce on it.
+// protocol shape: RunUntilQuietContext can never quiesce on it.
 type chatterProg struct{ kind uint8 }
 
 func (p *chatterProg) Init(env *Env) { _ = env.Broadcast(Message{Kind: p.kind}) }
-func (p *chatterProg) Round(env *Env, recv []Inbound) {
+func (p *chatterProg) Round(env *Env) {
 	_ = env.Broadcast(Message{Kind: p.kind})
 }
 
@@ -66,7 +66,7 @@ func TestRunContextCancelsWithinOneRound(t *testing.T) {
 			}
 			// Determinism after cancellation: the simulator resets cleanly.
 			sim.ResetUniform(newFlood(0))
-			if _, err := sim.RunUntilQuiet(10 * g.N()); err != nil {
+			if _, err := sim.RunUntilQuietContext(context.Background(), 10*g.N()); err != nil {
 				t.Errorf("simulator unusable after cancelled run: %v", err)
 			}
 		})
@@ -82,14 +82,14 @@ type cancelerProg struct {
 }
 
 func (p *cancelerProg) Init(env *Env) { _ = env.Broadcast(Message{Kind: 7}) }
-func (p *cancelerProg) Round(env *Env, recv []Inbound) {
+func (p *cancelerProg) Round(env *Env) {
 	if p.me && env.Round() == p.at {
 		p.cancel()
 	}
 	_ = env.Broadcast(Message{Kind: 7})
 }
 
-// An exhausted RunUntilQuiet budget surfaces as a typed
+// An exhausted RunUntilQuietContext budget surfaces as a typed
 // *ErrBudgetExhausted carrying the pending-kind histogram — the
 // stuck-climb diagnosis without a debugger.
 func TestRunUntilQuietBudgetExhausted(t *testing.T) {
@@ -99,7 +99,7 @@ func TestRunUntilQuietBudgetExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds, err := sim.RunUntilQuiet(3)
+	rounds, err := sim.RunUntilQuietContext(context.Background(), 3)
 	if err == nil {
 		t.Fatal("budget exhaustion not reported")
 	}
@@ -137,7 +137,7 @@ func TestRunUntilQuietWithinBudgetStillNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.RunUntilQuiet(10 * g.N()); err != nil {
+	if _, err := sim.RunUntilQuietContext(context.Background(), 10*g.N()); err != nil {
 		t.Fatalf("quiescent run errored: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -115,14 +116,13 @@ func fzBehavior(cfg fzConfig, v, round int, recvHash uint64, deg int) fzDecision
 	return d
 }
 
-// fzHash folds a delivered message list into the order-sensitive hash
-// both sides feed back into fzBehavior.
-func fzHash(msgs []Inbound) uint64 {
-	h := uint64(0x811C9DC5)
-	for _, in := range msgs {
-		h = splitmix(h ^ uint64(in.Port)<<40 ^ uint64(in.Msg.Kind)<<32 ^ uint64(in.Msg.Words[0]))
-	}
-	return h
+// fzHashSeed and fzFold build the order-sensitive hash of a round's
+// deliveries that both sides feed back into fzBehavior: each delivered
+// (port, message) is folded in as it is read.
+const fzHashSeed = 0x811C9DC5
+
+func fzFold(h uint64, port int, m Message) uint64 {
+	return splitmix(h ^ uint64(port)<<40 ^ uint64(m.Kind)<<32 ^ uint64(m.Words[0]))
 }
 
 // fzProg is the congest-side face of fzBehavior. denseAwake and
@@ -141,8 +141,11 @@ func (p *fzProg) Init(env *Env) {
 	p.apply(env, fzBehavior(p.cfg, env.ID(), 0, 0, env.Degree()))
 }
 
-func (p *fzProg) Round(env *Env, recv []Inbound) {
-	h := fzHash(recv)
+func (p *fzProg) Round(env *Env) {
+	h := uint64(fzHashSeed)
+	for port, m := range env.Recv() {
+		h = fzFold(h, port, m)
+	}
 	p.transcript = splitmix(p.transcript ^ h ^ uint64(env.Round()))
 	p.invoked++
 	if s := env.sim; s.denseGather && s.allAwake() {
@@ -287,36 +290,34 @@ func (r *denseRef) init() {
 	r.flip()
 }
 
-func (r *denseRef) gather(v int) []Inbound {
-	var recv []Inbound
-	appendPort := func(p int) {
+// receive probes every port of v in delivery order and folds its
+// messages into the delivery hash; got reports whether any arrived.
+func (r *denseRef) receive(v int) (h uint64, got bool) {
+	h = fzHashSeed
+	deg := r.g.Degree(v)
+	for i := 0; i < deg; i++ {
+		p := i
+		if r.delivery == DeliverPortDescending {
+			p = deg - 1 - i
+		}
 		for _, m := range r.cur[v][p] {
-			recv = append(recv, Inbound{Port: p, Msg: m})
+			h = fzFold(h, p, m)
+			got = true
 		}
 	}
-	if r.delivery == DeliverPortDescending {
-		for p := r.g.Degree(v) - 1; p >= 0; p-- {
-			appendPort(p)
-		}
-	} else {
-		for p := 0; p < r.g.Degree(v); p++ {
-			appendPort(p)
-		}
-	}
-	return recv
+	return h, got
 }
 
 func (r *denseRef) step() {
 	r.round++
 	for v := 0; v < r.g.N(); v++ {
-		recv := r.gather(v)
-		if len(recv) > 0 {
+		h, got := r.receive(v)
+		if got {
 			r.halted[v] = false
 		}
 		if r.halted[v] {
 			continue
 		}
-		h := fzHash(recv)
 		r.transcript[v] = splitmix(r.transcript[v] ^ h ^ uint64(r.round))
 		r.invoked[v]++
 		r.apply(v, fzBehavior(r.cfg, v, r.round, h, r.g.Degree(v)))
@@ -340,10 +341,10 @@ func (r *denseRef) quiet() bool {
 	return true
 }
 
-// run mirrors Simulator.Run: Init, then up to maxRounds rounds, stopping
-// at the end of the round in which the first violation occurred (an Init
-// violation still executes round 1, as Run does). Returns executed
-// rounds.
+// run mirrors Simulator.RunContext: Init, then up to maxRounds rounds,
+// stopping at the end of the round in which the first violation occurred
+// (an Init violation still executes round 1, as RunContext does).
+// Returns executed rounds.
 func (r *denseRef) run(maxRounds int) int {
 	r.init()
 	for i := 0; i < maxRounds; i++ {
@@ -355,7 +356,7 @@ func (r *denseRef) run(maxRounds int) int {
 	return r.round
 }
 
-// runUntilQuiet mirrors Simulator.RunUntilQuiet.
+// runUntilQuiet mirrors Simulator.RunUntilQuietContext.
 func (r *denseRef) runUntilQuiet(maxRounds int) int {
 	r.init()
 	for i := 0; i < maxRounds; i++ {
@@ -439,9 +440,9 @@ func compareRun(t *testing.T, g *graph.Graph, cfg fzConfig, eng fzEngine, label 
 	}
 	var runErr error
 	if untilQuiet {
-		_, runErr = sim.RunUntilQuiet(maxRounds)
+		_, runErr = sim.RunUntilQuietContext(context.Background(), maxRounds)
 	} else {
-		runErr = sim.Run(maxRounds)
+		runErr = sim.RunContext(context.Background(), maxRounds)
 	}
 
 	if want := ref.wantViolation(); want != "" {
@@ -524,8 +525,8 @@ func TestFrontierMatchesDenseReferenceViolent(t *testing.T) {
 }
 
 // TestFrontierQuiescenceMatchesDenseReference winds the traffic down at
-// a horizon and checks RunUntilQuiet agrees with the reference on the
-// exact quiescence round — the O(1) quiet() against the dense scan.
+// a horizon and checks RunUntilQuietContext agrees with the reference on
+// the exact quiescence round — the O(1) quiet() against the dense scan.
 func TestFrontierQuiescenceMatchesDenseReference(t *testing.T) {
 	for gname, g := range fzGraphs() {
 		for ename, eng := range fzEngines() {

@@ -52,17 +52,16 @@ func fansOut(frontier, traffic int) bool {
 }
 
 // shardState is one shard's private mutable state for a round: its send
-// log, its gather scratch buffer, and its reusable vertex handle. Each
-// shardState is a separate heap allocation padded past a cache line, so
-// two workers appending to adjacent shards' logs or rewriting adjacent
-// shards' Envs never contend on a line — the shard-affine layout that
-// keeps large dense rounds from false-sharing. (Before this layout the
-// per-vertex Env array interleaved every shard's dirty-list headers.)
+// log and its reusable vertex handle. Each shardState is a separate heap
+// allocation padded past a cache line, so two workers appending to
+// adjacent shards' logs or rewriting adjacent shards' Envs never contend
+// on a line — the shard-affine layout that keeps large dense rounds from
+// false-sharing. (Before this layout the per-vertex Env array
+// interleaved every shard's dirty-list headers.)
 type shardState struct {
-	log     sendLog
-	scratch []Inbound
-	env     Env
-	_       [64]byte
+	log sendLog
+	env Env
+	_   [64]byte
 }
 
 // parallelShards is EngineParallel's per-simulator state. Execution
@@ -127,17 +126,13 @@ func (s *Simulator) runShard(ps *parallelShards, lo, hi int, st *shardState) {
 	}()
 	env := &st.env
 	*env = Env{sim: s, out: &st.log}
-	scratch := st.scratch
 	for j := lo; j < hi; j++ {
 		v = int(s.frontier[j])
-		recv := s.gatherInbound(v, scratch)
 		env.id = v
 		env.base = int(s.g.Offset(v))
 		env.sentUni = false
-		s.progs[v].Round(env, recv)
-		scratch = recv[:0]
+		s.progs[v].Round(env)
 	}
-	st.scratch = scratch
 }
 
 func (s *Simulator) stepParallel() {

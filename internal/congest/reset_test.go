@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -26,11 +27,11 @@ func TestResetMatchesFreshRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sim.RunUntilQuiet(10 * g.N()); err != nil {
+		if _, err := sim.RunUntilQuietContext(context.Background(), 10*g.N()); err != nil {
 			t.Fatal(err)
 		}
 		sim.ResetUniform(func(v int) Program { return &gossipProg{horizon: 12} })
-		if err := sim.Run(13); err != nil {
+		if err := sim.RunContext(context.Background(), 13); err != nil {
 			t.Fatal(err)
 		}
 		if sim.Metrics() != freshM {
@@ -56,12 +57,12 @@ func TestResetClearsViolationAndPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(1); err == nil {
+	if err := sim.RunContext(context.Background(), 1); err == nil {
 		t.Fatal("over-sender should violate bandwidth")
 	}
 	sim.ResetUniform(newFlood(0))
 	// Interrupt the flood mid-flight: messages remain pending.
-	if err := sim.Run(1); err != nil {
+	if err := sim.RunContext(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	if total, byKind := sim.Pending(); total == 0 || byKind[kindToken] != total {
@@ -71,7 +72,7 @@ func TestResetClearsViolationAndPending(t *testing.T) {
 	if total, _ := sim.Pending(); total != 0 {
 		t.Fatalf("Reset left %d messages pending", total)
 	}
-	if _, err := sim.RunUntilQuiet(100); err != nil {
+	if _, err := sim.RunUntilQuietContext(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
 	want := g.BFS(0)
@@ -99,10 +100,10 @@ func TestResetClearsRecordedPanicParallel(t *testing.T) {
 				t.Fatal("program panic was not re-raised")
 			}
 		}()
-		_ = sim.Run(5)
+		_ = sim.RunContext(context.Background(), 5)
 	}()
 	sim.ResetUniform(newFlood(0))
-	if _, err := sim.RunUntilQuiet(10 * g.N()); err != nil {
+	if _, err := sim.RunUntilQuietContext(context.Background(), 10*g.N()); err != nil {
 		t.Fatalf("reset-after-panic run failed: %v", err)
 	}
 	want := g.BFS(0)
@@ -132,7 +133,7 @@ func TestResetRewindsDirtyLists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fresh.Run(8); err != nil {
+		if err := fresh.RunContext(context.Background(), 8); err != nil {
 			t.Fatal(err)
 		}
 
@@ -141,7 +142,7 @@ func TestResetRewindsDirtyLists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sim.Run(3); err != nil {
+		if err := sim.RunContext(context.Background(), 3); err != nil {
 			t.Fatal(err)
 		}
 		if len(sim.curDirty) == 0 && len(sim.curBcastL) == 0 {
@@ -182,7 +183,7 @@ func TestResetRewindsDirtyLists(t *testing.T) {
 		}
 
 		// The rewound simulator replays the fresh execution exactly.
-		if err := sim.Run(8); err != nil {
+		if err := sim.RunContext(context.Background(), 8); err != nil {
 			t.Fatal(err)
 		}
 		if sim.Metrics() != fresh.Metrics() {
@@ -262,12 +263,12 @@ func TestSchedulerLifecycleAcrossSimulators(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sim.RunUntilQuiet(10 * g.N()); err != nil {
+		if _, err := sim.RunUntilQuietContext(context.Background(), 10*g.N()); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
 			sim.ResetUniform(newFlood(i))
-			if _, err := sim.RunUntilQuiet(10 * g.N()); err != nil {
+			if _, err := sim.RunUntilQuietContext(context.Background(), 10*g.N()); err != nil {
 				t.Fatal(err)
 			}
 		}

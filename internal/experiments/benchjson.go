@@ -137,7 +137,7 @@ func BenchJSON(w io.Writer) error {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := sim.RunUntilQuiet(protocols.ClimbMaxRounds(1, fn)); err != nil {
+			if _, err := sim.RunUntilQuietContext(context.Background(), protocols.ClimbMaxRounds(1, fn)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -151,7 +151,7 @@ func BenchJSON(w io.Writer) error {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := sim.Run(protocols.RulingSetRounds(q, c, fn)); err != nil {
+			if err := sim.RunContext(context.Background(), protocols.RulingSetRounds(q, c, fn)); err != nil {
 				b.Fatal(err)
 			}
 		}

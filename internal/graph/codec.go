@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -25,9 +26,9 @@ import (
 // to an error, never to a Graph that corrupts a traversal.
 
 // codecMaxN bounds the vertex and edge counts DecodeBinary accepts,
-// comfortably above every workload in this repository while keeping a
-// corrupt header from demanding an absurd allocation up front (reads
-// are chunked, so memory grows with actual input, not the claim).
+// comfortably above every workload in this repository. A corrupt header
+// cannot demand an absurd allocation either way: readInt32s rejects a
+// count beyond the bytes left in the input before allocating.
 const codecMaxN = 1 << 34
 
 // EncodeBinary writes the graph in the deterministic binary CSR layout
@@ -53,8 +54,10 @@ func (g *Graph) EncodedSize() int64 {
 // DecodeBinary parses the layout written by EncodeBinary and validates
 // every structural invariant a Graph promises. Malformed or truncated
 // input returns an error; it never panics and never returns a graph
-// whose accessors could misbehave.
-func DecodeBinary(r io.Reader) (*Graph, error) {
+// whose accessors could misbehave. It reads from a bytes.Reader, whose
+// unread length bounds every array before it is allocated; the rest of
+// r after the graph is left unread.
+func DecodeBinary(r *bytes.Reader) (*Graph, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("graph: decode header: %w", err)
@@ -141,21 +144,25 @@ func writeInt32s(w io.Writer, s []int32) error {
 	return nil
 }
 
-// readInt32s reads exactly count int32s in chunks, so the allocation
-// grows with the bytes actually present — a corrupt header claiming a
-// huge count fails at the first short read, not with a huge make().
-func readInt32s(r io.Reader, count int) ([]int32, error) {
-	out := make([]int32, 0, min(count, codecChunk))
+// readInt32s reads exactly count int32s. A count beyond the bytes left
+// in r — a corrupt header — fails before anything is allocated, so the
+// array is sized once, at exactly count.
+func readInt32s(r *bytes.Reader, count int) ([]int32, error) {
+	if count > r.Len()/4 {
+		return nil, io.ErrUnexpectedEOF
+	}
+	out := make([]int32, count)
 	buf := make([]byte, 4*codecChunk)
-	for len(out) < count {
-		k := min(count-len(out), codecChunk)
+	for done := 0; done < count; {
+		k := min(count-done, codecChunk)
 		b := buf[:4*k]
 		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
 		for i := 0; i < k; i++ {
-			out = append(out, int32(binary.LittleEndian.Uint32(b[4*i:])))
+			out[done+i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 		}
+		done += k
 	}
 	return out, nil
 }

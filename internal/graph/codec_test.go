@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -102,7 +103,57 @@ func TestCodecRejectsImplausibleHeader(t *testing.T) {
 	binary.LittleEndian.PutUint64(hdr[0:8], 1<<60) // absurd n
 	binary.LittleEndian.PutUint64(hdr[8:16], 4)
 	buf.Write(hdr[:])
-	if _, err := DecodeBinary(&buf); err == nil {
+	if _, err := DecodeBinary(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("implausible header decoded without error")
+	}
+}
+
+// TestDecodeBinaryAllocsIndependentOfSize: the offset and adjacency
+// arrays are each allocated once, at their exact size, so decoding a
+// 40,000-vertex grid costs as many allocations as a 100-vertex one
+// instead of one more per append growth.
+func TestDecodeBinaryAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(side int) float64 {
+		b := NewBuilder(side * side)
+		for v := 0; v < side*side; v++ {
+			if v%side+1 < side {
+				b.AddEdge(v, v+1)
+			}
+			if v+side < side*side {
+				b.AddEdge(v, v+side)
+			}
+		}
+		var buf bytes.Buffer
+		if err := b.Build().EncodeBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		return testing.AllocsPerRun(3, func() {
+			if _, err := DecodeBinary(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(10), allocs(200); large != small {
+		t.Errorf("decoding a 200x200 grid took %v allocations, a 10x10 grid %v: want equal", large, small)
+	}
+}
+
+// TestDecodeBinaryHeaderBeyondInput: a header that claims far more
+// entries than the input holds fails before allocating for the claim:
+// what is allocated on the way is bounded by the bytes present.
+func TestDecodeBinaryHeaderBeyondInput(t *testing.T) {
+	var hdr [16]byte
+	binary.LittleEndian.PutUint64(hdr[0:8], 1<<30)
+	binary.LittleEndian.PutUint64(hdr[8:16], 1<<30)
+	data := append(hdr[:], make([]byte, 4096)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := DecodeBinary(bytes.NewReader(data)); err == nil {
+		t.Fatal("a header claiming 2^30 vertices decoded from 4 KiB")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("rejecting a 4 KiB input allocated %d bytes", got)
 	}
 }

@@ -77,7 +77,7 @@ func (b *BFSForest) Init(env *congest.Env) {
 }
 
 // Round implements congest.Program.
-func (b *BFSForest) Round(env *congest.Env, recv []congest.Inbound) {
+func (b *BFSForest) Round(env *congest.Env) {
 	defer env.Halt()
 	if b.Dist >= 0 {
 		return // already adopted; late messages carry larger distances
@@ -85,16 +85,16 @@ func (b *BFSForest) Round(env *congest.Env, recv []congest.Inbound) {
 	bestRoot := int64(-1)
 	bestParent := -1
 	bestPort := -1
-	for _, in := range recv {
-		if in.Msg.Kind != kindForest {
+	for port, m := range env.Recv() {
+		if m.Kind != kindForest {
 			continue
 		}
-		root := in.Msg.Words[0]
-		sender := env.NeighborID(in.Port)
+		root := m.Words[0]
+		sender := env.NeighborID(port)
 		if bestRoot < 0 || root < bestRoot || (root == bestRoot && sender < bestParent) {
 			bestRoot = root
 			bestParent = sender
-			bestPort = in.Port
+			bestPort = port
 		}
 	}
 	if bestRoot < 0 {

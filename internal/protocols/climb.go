@@ -86,12 +86,12 @@ func (c *Climb) Init(env *congest.Env) {
 }
 
 // Round implements congest.Program.
-func (c *Climb) Round(env *congest.Env, recv []congest.Inbound) {
-	for _, in := range recv {
-		if in.Msg.Kind != kindClimb {
+func (c *Climb) Round(env *congest.Env) {
+	for _, m := range env.Recv() {
+		if m.Kind != kindClimb {
 			continue
 		}
-		c.accept(env, in.Msg.Words[0])
+		c.accept(env, m.Words[0])
 	}
 	c.pump(env)
 }

@@ -137,7 +137,7 @@ func (nn *NearNeighbors) Init(env *congest.Env) {
 }
 
 // Round implements congest.Program.
-func (nn *NearNeighbors) Round(env *congest.Env, recv []congest.Inbound) {
+func (nn *NearNeighbors) Round(env *congest.Env) {
 	// Round 1 is the paper's single-round phase 0: announcements arrive
 	// and are buffered; nothing is finalized or sent.
 	sending := env.Round() >= 2
@@ -159,12 +159,12 @@ func (nn *NearNeighbors) Round(env *congest.Env, recv []congest.Inbound) {
 	}
 
 	// 2. Buffer this round's arrivals (all hearings of a phase carry the
-	// same distance).
+	// same distance). Most arrivals repeat the center just heard on a
+	// smaller port: the inlined heard check drops them without a call.
 	self := int64(env.ID())
-	for i := range recv {
-		in := &recv[i]
-		if in.Msg.Kind == kindNN && in.Msg.Words[0] != self {
-			nn.state.Hear(in.Msg.Words[0], int32(in.Port), nn.Deg)
+	for port, m := range env.Recv() {
+		if c := m.Words[0]; m.Kind == kindNN && c != self && !nn.state.heard(c, int32(port)) {
+			nn.state.Hear(c, int32(port), nn.Deg)
 		}
 	}
 
@@ -194,15 +194,20 @@ type NNState struct {
 // the popularity threshold deg.
 func (s *NNState) Hear(c int64, port int32, deg int) {
 	// One round's arrivals often repeat a center: try the last slot first.
-	if h := s.hint; h < len(s.bufC) && s.bufC[h] == c {
-		if port < s.bufP[h] {
-			s.bufP[h] = port
-		}
+	if s.heard(c, port) {
 		return
 	}
 	if i := s.hear(c, port, deg, 0, false); i > 0 {
 		s.hint = i - 1
 	}
+}
+
+// heard reports whether the last single hearing's slot already holds c
+// at a port no larger than port, so that hearing c on port changes
+// nothing. It is Hear's fast path, small enough to inline.
+func (s *NNState) heard(c int64, port int32) bool {
+	h := s.hint
+	return h < len(s.bufC) && s.bufC[h] == c && port >= s.bufP[h]
 }
 
 // HearRun buffers a neighbor's forward list — an ascending run of

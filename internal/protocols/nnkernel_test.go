@@ -94,7 +94,7 @@ func TestNearNeighborsKernelMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := sim.Run(protocols.NearNeighborsRounds(deg, dl)); err != nil {
+					if err := sim.RunContext(context.Background(), protocols.NearNeighborsRounds(deg, dl)); err != nil {
 						t.Fatal(err)
 					}
 					if d := protocols.DiffNNTables(n, dl, protocols.ExtractNN(sim), rec.Finish(), want, wantT); d != "" {
@@ -157,7 +157,7 @@ func BenchmarkNearNeighbors(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := sim.Run(protocols.NearNeighborsRounds(deg, dl)); err != nil {
+			if err := sim.RunContext(context.Background(), protocols.NearNeighborsRounds(deg, dl)); err != nil {
 				b.Fatal(err)
 			}
 			nnSink = protocols.ExtractNN(sim)

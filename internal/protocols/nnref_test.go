@@ -1,6 +1,7 @@
 package protocols
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -232,7 +233,7 @@ func FuzzNearNeighborsVsReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sim.Run(NearNeighborsRounds(deg, delta)); err != nil {
+		if err := sim.RunContext(context.Background(), NearNeighborsRounds(deg, delta)); err != nil {
 			t.Fatal(err)
 		}
 		if d := DiffNNTables(n, delta, ExtractNN(sim), rec.Finish(), want, wantT); d != "" {

@@ -1,6 +1,7 @@
 package protocols
 
 import (
+	"context"
 	"testing"
 
 	"nearspan/internal/congest"
@@ -35,7 +36,7 @@ func runSim(t *testing.T, g *graph.Graph, factory func(v int) congest.Program, r
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(rounds); err != nil {
+	if err := sim.RunContext(context.Background(), rounds); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	return sim
@@ -480,7 +481,7 @@ func TestForestClimbMarksRootPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := csim.RunUntilQuiet(ClimbMaxRounds(1, int(depth))); err != nil {
+	if _, err := csim.RunUntilQuietContext(context.Background(), ClimbMaxRounds(1, int(depth))); err != nil {
 		t.Fatal(err)
 	}
 	edges := edgeset.NewSet(g.N())
@@ -534,7 +535,7 @@ func TestKeyedClimbTracesToCenters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := csim.RunUntilQuiet(ClimbMaxRounds(8, 10)); err != nil {
+	if _, err := csim.RunUntilQuietContext(context.Background(), ClimbMaxRounds(8, 10)); err != nil {
 		t.Fatal(err)
 	}
 	edges := edgeset.NewSet(g.N())
@@ -567,7 +568,7 @@ func TestClimbRespectsBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := csim.RunUntilQuiet(100); err != nil {
+	if _, err := csim.RunUntilQuietContext(context.Background(), 100); err != nil {
 		t.Fatalf("climb violated bandwidth: %v", err)
 	}
 	edges := edgeset.NewSet(g.N())
@@ -599,7 +600,7 @@ func TestProtocolsOrderIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := simNN.Run(NearNeighborsRounds(deg, delta)); err != nil {
+		if err := simNN.RunContext(context.Background(), NearNeighborsRounds(deg, delta)); err != nil {
 			t.Fatal(err)
 		}
 		nn := ExtractNN(simNN)
@@ -609,7 +610,7 @@ func TestProtocolsOrderIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := simRS.Run(RulingSetRounds(3, 2, g.N())); err != nil {
+		if err := simRS.RunContext(context.Background(), RulingSetRounds(3, 2, g.N())); err != nil {
 			t.Fatal(err)
 		}
 		rs := ExtractRulingSet(simRS)
@@ -619,7 +620,7 @@ func TestProtocolsOrderIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := simF.Run(ForestRounds(5)); err != nil {
+		if err := simF.RunContext(context.Background(), ForestRounds(5)); err != nil {
 			t.Fatal(err)
 		}
 		return nn, rs, ExtractForest(simF)
@@ -672,7 +673,7 @@ func TestClimbOrderIndependentEdges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sim.RunUntilQuiet(ClimbMaxRounds(10, 4)); err != nil {
+		if _, err := sim.RunUntilQuietContext(context.Background(), ClimbMaxRounds(10, 4)); err != nil {
 			t.Fatal(err)
 		}
 		edges := edgeset.NewSet(g.N())

@@ -133,7 +133,7 @@ func (rs *RulingSet) Init(env *congest.Env) {
 }
 
 // Round implements congest.Program.
-func (rs *RulingSet) Round(env *congest.Env, recv []congest.Inbound) {
+func (rs *RulingSet) Round(env *congest.Env) {
 	win, off := rs.window(env.Round())
 	pos, value := rs.digitFor(win)
 	if pos < 0 {
@@ -146,12 +146,9 @@ func (rs *RulingSet) Round(env *congest.Env, recv []congest.Inbound) {
 	// candidate with a digit smaller than the window's value, and is
 	// forwarded (once per window) while hops remain.
 	maxHops := int64(-1)
-	for _, in := range recv {
-		if in.Msg.Kind != kindRulingWave {
-			continue
-		}
-		if in.Msg.Words[0] > maxHops {
-			maxHops = in.Msg.Words[0]
+	for _, m := range env.Recv() {
+		if m.Kind == kindRulingWave && m.Words[0] > maxHops {
+			maxHops = m.Words[0]
 		}
 	}
 	if maxHops >= 0 {

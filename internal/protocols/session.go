@@ -125,8 +125,8 @@ type Network struct {
 // first session attaches.
 type idleProgram struct{}
 
-func (idleProgram) Init(env *congest.Env)                          { env.Halt() }
-func (idleProgram) Round(env *congest.Env, recv []congest.Inbound) { env.Halt() }
+func (idleProgram) Init(env *congest.Env)  { env.Halt() }
+func (idleProgram) Round(env *congest.Env) { env.Halt() }
 
 // NewNetwork constructs the persistent simulator for g; its sessions
 // record into ledger.

@@ -24,7 +24,7 @@ func TestSessionsMatchFreshSimulators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := refSim.Run(NearNeighborsRounds(deg, delta)); err != nil {
+	if err := refSim.RunContext(context.Background(), NearNeighborsRounds(deg, delta)); err != nil {
 		t.Fatal(err)
 	}
 	refNN := ExtractNN(refSim)
@@ -34,7 +34,7 @@ func TestSessionsMatchFreshSimulators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := refSim2.Run(RulingSetRounds(q, c, g.N())); err != nil {
+	if err := refSim2.RunContext(context.Background(), RulingSetRounds(q, c, g.N())); err != nil {
 		t.Fatal(err)
 	}
 	refRS := ExtractRulingSet(refSim2)
@@ -129,7 +129,7 @@ func TestSessionReportsUnderBudgetSchedule(t *testing.T) {
 type foreignSender struct{ kind uint8 }
 
 func (p *foreignSender) Init(env *congest.Env) {}
-func (p *foreignSender) Round(env *congest.Env, recv []congest.Inbound) {
+func (p *foreignSender) Round(env *congest.Env) {
 	if env.ID() == 0 && env.Degree() > 0 {
 		_ = env.Send(0, congest.Message{Kind: p.kind})
 	}
