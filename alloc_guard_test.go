@@ -11,6 +11,7 @@ import (
 	"nearspan/internal/experiments"
 	"nearspan/internal/gen"
 	"nearspan/internal/params"
+	"nearspan/internal/protocols"
 )
 
 // Alloc-regression guards: pin allocation budgets for the columnar data
@@ -86,7 +87,7 @@ func TestAllocBudgetCentralizedBuild(t *testing.T) {
 
 // The distributed build (Algorithm 1 on the simulator, then the
 // protocol sessions of every later step) stays within a fixed budget on
-// the same reference workload, sequential engine. Algorithm 1 keeps its
+// the same reference workload. Algorithm 1 keeps its
 // per-vertex state in flat reused slices (NNState) and measures 10,296
 // allocations per build. With a map per vertex for its known centers
 // and Via pointers plus a fresh map per phase for its hearings, the
@@ -101,15 +102,58 @@ func TestAllocBudgetDistributedBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(5, func() {
-		if _, err := core.Build(context.Background(), g, p, core.Options{
-			Mode: core.ModeDistributed, Engine: congest.EngineSequential,
-		}); err != nil {
+		if _, err := core.Build(context.Background(), g, p, core.Options{Mode: core.ModeDistributed}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	const budget = 15_000
 	if avg > budget {
 		t.Errorf("distributed Build allocates %v per run (budget %d)", avg, budget)
+	}
+}
+
+// A climb allocates trace state only at the vertices a trace reaches.
+// Four vertices of a 4,096-vertex GNP start traces toward a BFS root;
+// the run costs one allocation per vertex (its Climb program) plus the
+// traced paths and the simulator. Allocating every vertex's forwarded
+// flags and port queues in Init, traced or not, cost three per vertex.
+func TestAllocBudgetSparseClimb(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	const n = 4096
+	g := gen.GNP(n, 8.0/(n-1), 3, true)
+	_, _, parent := g.MultiBFS([]int{0}, n)
+	parentPort := make([]int, n)
+	for v := range parentPort {
+		parentPort[v] = -1
+		if parent[v] >= 0 {
+			parentPort[v] = g.PortOf(v, int(parent[v]))
+		}
+	}
+	const key = 0
+	rt := protocols.NewForestRouting(parentPort, key)
+	start := make([][]int64, n)
+	for _, v := range []int{1000, 2000, 3000, 4095} {
+		start[v] = []int64{key}
+	}
+	var sim *congest.Simulator
+	avg := testing.AllocsPerRun(5, func() {
+		var err error
+		sim, err = congest.NewUniform(g, protocols.NewClimb(rt, start), congest.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.RunUntilQuietContext(context.Background(), protocols.ClimbMaxRounds(1, n)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if sim.Metrics().Messages < 4 {
+		t.Fatalf("the climb sent %d messages — weak test setup", sim.Metrics().Messages)
+	}
+	if perVertex := avg / n; perVertex > 1.5 {
+		t.Errorf("a 4-trace climb allocates %.2f allocs/vertex (budget 1.5) — %v total for n=%d",
+			perVertex, avg, n)
 	}
 }
 

@@ -16,7 +16,7 @@ func batchJobs() []nearspan.BuildJob {
 		return nearspan.BuildJob{Name: name, Graph: g, Config: cfg}
 	}
 	dist := nearspan.Config{Eps: 1.0 / 3, Kappa: 3, Rho: 0.49,
-		Mode: nearspan.DistributedMode, Engine: nearspan.EngineParallel}
+		Mode: nearspan.DistributedMode}
 	cent := nearspan.Config{Eps: 0.5, Kappa: 4, Rho: 0.45}
 	return []nearspan.BuildJob{
 		mk("grid", nearspan.Grid(9, 9), dist),

@@ -227,16 +227,17 @@ func BenchmarkBuildCentralized4096(b *testing.B) { benchBuild(b, 4096, core.Mode
 func BenchmarkBuildDistributed256(b *testing.B)  { benchBuild(b, 256, core.ModeDistributed) }
 func BenchmarkBuildDistributed1024(b *testing.B) { benchBuild(b, 1024, core.ModeDistributed) }
 
-// --- CONGEST engine micro-benchmarks ---
+// --- CONGEST simulator micro-benchmark ---
 
-func benchEngine(b *testing.B, engine congest.Engine) {
+// BenchmarkEngine times one near-neighbors session on a fresh simulator
+// over a 256-vertex torus. Compare cores with -cpu.
+func BenchmarkEngine(b *testing.B) {
 	g := gen.Torus(16, 16)
 	isCenter := func(v int) bool { return v%4 == 0 }
 	rounds := protocols.NearNeighborsRounds(6, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim, err := congest.NewUniform(g, protocols.NewNearNeighbors(isCenter, 6, 8),
-			congest.Options{Engine: engine})
+		sim, err := congest.NewUniform(g, protocols.NewNearNeighbors(isCenter, 6, 8), congest.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -245,9 +246,6 @@ func benchEngine(b *testing.B, engine congest.Engine) {
 		}
 	}
 }
-
-func BenchmarkEngineSequential(b *testing.B) { benchEngine(b, congest.EngineSequential) }
-func BenchmarkEngineParallel(b *testing.B)   { benchEngine(b, congest.EngineParallel) }
 
 // --- Sparse-activity (frontier) benchmarks ---
 
@@ -259,24 +257,21 @@ func BenchmarkEngineParallel(b *testing.B)   { benchEngine(b, congest.EnginePara
 func BenchmarkFrontier(b *testing.B) {
 	const n = 16384
 	g, rt, start := experiments.FrontierClimbWorkload(n)
-	for _, eng := range []congest.Engine{congest.EngineSequential, congest.EngineParallel} {
-		b.Run("climb-path-16k/"+eng.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sim, err := congest.NewUniform(g, protocols.NewClimb(rt, start),
-					congest.Options{Engine: eng})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sim.RunUntilQuietContext(context.Background(), protocols.ClimbMaxRounds(1, n)); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("climb-path-16k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sim, err := congest.NewUniform(g, protocols.NewClimb(rt, start), congest.Options{})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if _, err := sim.RunUntilQuietContext(context.Background(), protocols.ClimbMaxRounds(1, n)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	isMember, q, c := experiments.FrontierRulingWorkload()
 	rounds := protocols.RulingSetRounds(q, c, n)
-	b.Run("ruling-path-16k/sequential", func(b *testing.B) {
+	b.Run("ruling-path-16k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sim, err := congest.NewUniform(g, protocols.NewRulingSet(isMember, q, c, n),
@@ -300,76 +295,70 @@ func BenchmarkFrontier(b *testing.B) {
 // fixed-schedule protocol steps of a phase; "persistent-network" attaches the same three steps as
 // sessions to one long-lived network (constructed outside the timed
 // loop, as core.Build constructs one per spanner build). Compare
-// allocations per op between the two modes on each engine.
+// allocations per op between the two modes.
 func BenchmarkNetworkReuse(b *testing.B) {
 	g := gen.Torus(24, 24)
 	isCenter := func(v int) bool { return v%3 == 0 }
 	deg, delta := 4, int32(4)
 	q, c := int32(2), 3
 
-	for _, eng := range congest.Engines() {
-		opts := congest.Options{Engine: eng}
-		b.Run("per-step-sim/"+eng.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				runs := []struct {
-					factory func(v int) congest.Program
-					rounds  int
-				}{
-					{protocols.NewNearNeighbors(isCenter, deg, delta), protocols.NearNeighborsRounds(deg, delta)},
-					{protocols.NewRulingSet(isCenter, q, c, g.N()), protocols.RulingSetRounds(q, c, g.N())},
-					{protocols.NewBFSForest(func(v int) bool { return v == 0 }, 6), protocols.ForestRounds(6)},
+	b.Run("per-step-sim", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			runs := []struct {
+				factory func(v int) congest.Program
+				rounds  int
+			}{
+				{protocols.NewNearNeighbors(isCenter, deg, delta), protocols.NearNeighborsRounds(deg, delta)},
+				{protocols.NewRulingSet(isCenter, q, c, g.N()), protocols.RulingSetRounds(q, c, g.N())},
+				{protocols.NewBFSForest(func(v int) bool { return v == 0 }, 6), protocols.ForestRounds(6)},
+			}
+			for _, r := range runs {
+				sim, err := congest.NewUniform(g, r.factory, congest.Options{})
+				if err != nil {
+					b.Fatal(err)
 				}
-				for _, r := range runs {
-					sim, err := congest.NewUniform(g, r.factory, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := sim.RunContext(context.Background(), r.rounds); err != nil {
-						b.Fatal(err)
-					}
+				if err := sim.RunContext(context.Background(), r.rounds); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
-		b.Run("persistent-network/"+eng.String(), func(b *testing.B) {
-			led := protocols.NewLedger(0, nil)
-			net, err := protocols.NewNetwork(g, opts, led)
-			if err != nil {
+		}
+	})
+	b.Run("persistent-network", func(b *testing.B) {
+		led := protocols.NewLedger(0, nil)
+		net, err := protocols.NewNetwork(g, congest.Options{}, led)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			led.BeginPhase(i)
+			if _, err := protocols.RunNearNeighborsRec(context.Background(), net, isCenter, deg, delta, nil); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				led.BeginPhase(i)
-				if _, err := protocols.RunNearNeighborsRec(context.Background(), net, isCenter, deg, delta, nil); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := protocols.RunRulingSet(context.Background(), net, isCenter, q, c, g.N()); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := protocols.RunForest(context.Background(), net, func(v int) bool { return v == 0 }, 6); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := protocols.RunRulingSet(context.Background(), net, isCenter, q, c, g.N()); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if _, err := protocols.RunForest(context.Background(), net, func(v int) bool { return v == 0 }, 6); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
-// --- CONGEST engine comparison on the full construction ---
+// --- Full distributed construction per workload shape ---
 
 // BenchmarkEngineComparison runs the complete distributed construction
-// on each engine over the workload shapes the Table 1/Table 2 harness
-// cares about: GNP (dense superclustering), grid (sparse, symmetric),
-// and preferential attachment (degree-skewed — the shard work-stealing
-// stress case). The parallel engine fans a round out only when its
-// frontier or its traffic is large (see inlineWorkCutoff in
-// internal/congest). On the 1024-vertex rows no round is, so their
-// parallel rows measure the inline path against the sequential engine
-// and should tie it. gnp-2048 (mean degree 20, the spannerd benchmark's
-// build shape) fans out its dense near-neighbors rounds, which carry
-// nearly all of its messages; its parallel row should beat sequential
-// when more than one core is available (-cpu 2 or more). Outputs are
-// identical on every row (asserted in the test suite, not here).
+// over the workload shapes the Table 1/Table 2 harness cares about: GNP
+// (dense superclustering), grid (sparse, symmetric), and preferential
+// attachment (degree-skewed — the shard work-stealing stress case). The
+// simulator fans a round out only when its frontier or its traffic is
+// large (see inlineWorkCutoff in internal/congest). On the 1024-vertex
+// rows no round is, so they run every round inline. gnp-2048 (mean
+// degree 20, the spannerd benchmark's build shape) fans out its dense
+// near-neighbors rounds, which carry nearly all of its messages; compare
+// its row at -cpu 1 and -cpu 2 to see what the second core buys.
 func BenchmarkEngineComparison(b *testing.B) {
 	pa, err := gen.PreferentialAttachment(1024, 3, 9)
 	if err != nil {
@@ -389,17 +378,13 @@ func BenchmarkEngineComparison(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, eng := range congest.Engines() {
-			b.Run(wl.name+"/"+eng.String(), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Build(context.Background(), wl.g, p, core.Options{
-						Mode: core.ModeDistributed, Engine: eng,
-					}); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(wl.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Build(context.Background(), wl.g, p, core.Options{Mode: core.ModeDistributed}); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -407,8 +392,9 @@ func BenchmarkEngineComparison(b *testing.B) {
 
 // BenchmarkBatchBuild compares a sequential loop of distributed builds
 // against BuildBatch fanning the same eight jobs over the shared
-// execution runtime. Each build runs the single-threaded sequential
-// engine, so the batch's win is pure cross-build concurrency: on an
+// execution runtime. Each build runs its rounds inline (the graphs are
+// below the fan-out cutoff), so the batch's win is pure cross-build
+// concurrency: on an
 // N-core runner the batch should approach min(N, 8)x. Outputs are
 // bit-identical either way (asserted in the test suite, not here).
 func BenchmarkBatchBuild(b *testing.B) {

@@ -21,7 +21,6 @@ import (
 	"runtime"
 	"syscall"
 
-	"nearspan/internal/congest"
 	"nearspan/internal/experiments"
 )
 
@@ -57,8 +56,6 @@ func gate(freshPath, basePath string) error {
 
 func main() {
 	quick := flag.Bool("quick", false, "run the reduced workload suite")
-	engine := flag.String("engine", "parallel",
-		"CONGEST engine for distributed builds: sequential|parallel (wall clock only; measurements are engine-independent)")
 	timeout := flag.Duration("timeout", 0, "abort the suite after this duration (0 = no limit); sections already printed stay valid")
 	benchJSON := flag.String("bench-json", "",
 		"instead of the suite, run the assembly + engine + frontier benchmarks and write the machine-readable perf baseline (ns/op, B/op, allocs/op) to this path")
@@ -79,11 +76,6 @@ func main() {
 	deltaVerify := flag.Bool("delta-verify", true,
 		"with -delta-churn: rebuild the final patched graph from scratch and require a bit-identical fingerprint")
 	flag.Parse()
-	eng, err := congest.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
-	}
 	if *benchGate != "" && *benchJSON == "" {
 		fmt.Fprintln(os.Stderr, "experiments: -bench-gate requires -bench-json (nothing would be gated)")
 		os.Exit(1)
@@ -135,7 +127,6 @@ func main() {
 		defer stop()
 		res, err := experiments.ScaleRun(ctx, experiments.ScaleSpec{
 			TargetEdges:   *scale,
-			Engine:        eng,
 			VerifySamples: *scaleVerify,
 		})
 		if err != nil {
@@ -159,7 +150,7 @@ func main() {
 		defer cancel()
 	}
 
-	if err := experiments.Suite(ctx, os.Stdout, cfgs, eng); err != nil {
+	if err := experiments.Suite(ctx, os.Stdout, cfgs); err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			fmt.Fprintf(os.Stderr, "experiments: interrupted (%v) — sections above are complete; the in-flight section was abandoned\n", err)
 			os.Exit(130)

@@ -12,7 +12,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"nearspan"
 	"nearspan/internal/experiments"
 )
 
@@ -26,21 +25,12 @@ func main() {
 		eps     = flag.Float64("eps", def.Eps, "internal epsilon")
 		kappa   = flag.Int("kappa", def.Kappa, "kappa")
 		rho     = flag.Float64("rho", def.Rho, "rho")
-		engine  = flag.String("engine", "", "run the figure build distributedly on this CONGEST engine (sequential|parallel); empty = fast centralized build")
 		timeout = flag.Duration("timeout", 0, "abort the figure build after this duration (0 = no limit)")
 	)
 	flag.Parse()
 	fc := experiments.FigureConfig{
 		Rows: *rows, Cols: *cols, Tails: *tails, TailLen: *tailLen,
 		Eps: *eps, Kappa: *kappa, Rho: *rho,
-	}
-	if *engine != "" {
-		eng, err := nearspan.ParseEngine(*engine)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		fc.Engine = eng
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

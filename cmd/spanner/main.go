@@ -6,7 +6,7 @@
 //
 //	spanner -graph gnp -n 600 -p 0.03 -eps 0.33 -kappa 3 -rho 0.49
 //	spanner -graph torus -n 576 -mode distributed -csv
-//	spanner -graph gnp -n 2000 -mode distributed -engine parallel
+//	spanner -graph gnp -n 2000 -mode distributed
 //	spanner -graph communities -n 500 -verify=false
 //	spanner -graph grid -n 400 -query "0:399,0:210,5:86"
 package main
@@ -53,7 +53,6 @@ func run() error {
 		kappa   = flag.Int("kappa", 3, "size exponent kappa (>= 2)")
 		rho     = flag.Float64("rho", 0.49, "round exponent rho (1/kappa <= rho < 1/2)")
 		mode    = flag.String("mode", "centralized", "execution mode: centralized|distributed")
-		engine  = flag.String("engine", "sequential", "CONGEST engine for distributed mode: sequential|parallel")
 		verify  = flag.Bool("verify", true, "verify the stretch bound exactly (O(n(m_G+m_H)))")
 		csv     = flag.Bool("csv", false, "emit phase table as CSV")
 		phases  = flag.Bool("phases", false, "print the per-phase protocol-step breakdown (rounds, messages, peak round traffic)")
@@ -85,10 +84,6 @@ func run() error {
 	}
 	cfg := nearspan.Config{Eps: *eps, Kappa: *kappa, Rho: *rho, KeepClusters: false,
 		KeepRebuildState: *deltaK > 0}
-	cfg.Engine, err = nearspan.ParseEngine(*engine)
-	if err != nil {
-		return err
-	}
 	switch *mode {
 	case "centralized":
 		cfg.Mode = nearspan.CentralizedMode
@@ -115,8 +110,7 @@ func run() error {
 		res.EdgeCount(), 100*float64(res.EdgeCount())/math.Max(1, float64(g.M())),
 		pp.EpsPrime(), pp.BetaInt())
 	if cfg.Mode == nearspan.DistributedMode {
-		fmt.Printf("CONGEST: %d rounds, %d messages (%s engine)\n",
-			res.TotalRounds, res.Messages, cfg.Engine)
+		fmt.Printf("CONGEST: %d rounds, %d messages\n", res.TotalRounds, res.Messages)
 	}
 
 	t := stats.NewTable("phases", "i", "deg_i", "delta_i", "|P_i|", "|W_i|", "|RS_i|", "|U_i|",

@@ -10,7 +10,7 @@
 //	curl -s localhost:8080/v1/jobs -d '{
 //	  "graph": {"type": "gnp", "n": 256, "p": 0.0625, "seed": 256, "connected": true},
 //	  "eps": 0.3333333333333333, "kappa": 3, "rho": 0.49,
-//	  "mode": "distributed", "engine": "parallel"
+//	  "mode": "distributed"
 //	}'
 //	curl -s localhost:8080/v1/jobs/j000001          # status + result
 //	curl -sN localhost:8080/v1/jobs/j000001/events  # NDJSON step stream

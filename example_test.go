@@ -24,15 +24,14 @@ func ExampleBuildSpanner() {
 }
 
 // ExampleBuildSpanner_distributed runs the same construction as an
-// actual CONGEST protocol on the parallel sharded engine and reports the
-// measured round count — the paper's "running time". Every engine
-// produces the identical spanner and round count.
+// actual CONGEST protocol on the simulator and reports the measured
+// round count — the paper's "running time". The simulator's scheduling
+// never changes the spanner or the round count.
 func ExampleBuildSpanner_distributed() {
 	g := nearspan.GNP(300, 0.05, 41, true)
 	res, err := nearspan.BuildSpanner(g, nearspan.Config{
 		Eps: 1.0 / 3, Kappa: 3, Rho: 0.49,
-		Mode:   nearspan.DistributedMode,
-		Engine: nearspan.EngineParallel,
+		Mode: nearspan.DistributedMode,
 	})
 	if err != nil {
 		panic(err)
@@ -53,8 +52,7 @@ func ExampleBuildSpanner_distributed() {
 func ExampleBuildBatch() {
 	cfg := nearspan.Config{
 		Eps: 0.5, Kappa: 4, Rho: 0.45,
-		Mode:   nearspan.DistributedMode,
-		Engine: nearspan.EngineParallel,
+		Mode: nearspan.DistributedMode,
 	}
 	jobs := []nearspan.BuildJob{
 		{Name: "grid", Graph: nearspan.Grid(16, 16), Config: cfg},

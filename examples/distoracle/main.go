@@ -23,12 +23,12 @@ func main() {
 	g := nearspan.GNP(1500, 0.04, 77, true)
 	fmt.Printf("graph: n=%d m=%d\n", g.N(), g.M())
 
-	// Preprocess on the real CONGEST protocol stack, with the parallel
-	// engine driving the simulator across all cores.
+	// Preprocess on the real CONGEST protocol stack; the simulator fans
+	// its heavy rounds out across all cores.
 	start := time.Now()
 	res, err := nearspan.BuildSpanner(g, nearspan.Config{
 		Eps: 1.0 / 3, Kappa: 3, Rho: 0.49,
-		Mode: nearspan.DistributedMode, Engine: nearspan.EngineParallel,
+		Mode: nearspan.DistributedMode,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -25,10 +25,10 @@ func main() {
 	eps, kappa, rho := 1.0/3, 3, 0.49
 
 	// Deterministic (this paper), built on the real CONGEST protocol
-	// stack with the parallel engine.
+	// stack.
 	det, err := nearspan.BuildSpanner(overlay, nearspan.Config{
 		Eps: eps, Kappa: kappa, Rho: rho,
-		Mode: nearspan.DistributedMode, Engine: nearspan.EngineParallel,
+		Mode: nearspan.DistributedMode,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -4,9 +4,8 @@
 // The workload is a torus "road network": every intersection is a
 // processor that can only talk to adjacent intersections, one O(1)-word
 // message per road per round. The example runs the full protocol stack
-// on the simulator twice — the sequential round loop and the shared
-// sharded runtime — and shows both engines produce the identical spanner
-// with the identical round count.
+// on the simulator and reports the spanner, the round count and each
+// phase's round split.
 // It then sweeps a parameter grid with BuildBatch: the sweep's builds
 // run concurrently on one bounded worker pool.
 package main
@@ -25,26 +24,20 @@ func main() {
 	fmt.Printf("road grid: %d intersections, %d segments, diameter %d\n",
 		roads.N(), roads.M(), roads.Diameter())
 
-	for _, engine := range []nearspan.Engine{
-		nearspan.EngineSequential,
-		nearspan.EngineParallel,
-	} {
-		start := time.Now()
-		res, err := nearspan.BuildSpanner(roads, nearspan.Config{
-			Eps: 0.5, Kappa: 4, Rho: 0.45,
-			Mode:   nearspan.DistributedMode,
-			Engine: engine,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%s engine: %d edges, %d CONGEST rounds, %d messages (wall clock %v)\n",
-			engine, res.EdgeCount(), res.TotalRounds, res.Messages,
-			time.Since(start).Round(time.Millisecond))
-		for _, ph := range res.Phases {
-			fmt.Printf("  phase %d: deg=%d delta=%d rounds: NN=%d RS=%d SC=%d IC=%d\n",
-				ph.Index, ph.Deg, ph.Delta, ph.RoundsNN, ph.RoundsRS, ph.RoundsSC, ph.RoundsIC)
-		}
+	start := time.Now()
+	res, err := nearspan.BuildSpanner(roads, nearspan.Config{
+		Eps: 0.5, Kappa: 4, Rho: 0.45,
+		Mode: nearspan.DistributedMode,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("spanner: %d edges, %d CONGEST rounds, %d messages (wall clock %v)\n",
+		res.EdgeCount(), res.TotalRounds, res.Messages,
+		time.Since(start).Round(time.Millisecond))
+	for _, ph := range res.Phases {
+		fmt.Printf("  phase %d: deg=%d delta=%d rounds: NN=%d RS=%d SC=%d IC=%d\n",
+			ph.Index, ph.Deg, ph.Delta, ph.RoundsNN, ph.RoundsRS, ph.RoundsSC, ph.RoundsIC)
 	}
 
 	// Parameter sweep on the shared batch runtime: every (eps, kappa)
@@ -58,12 +51,12 @@ func main() {
 				Graph: roads,
 				Config: nearspan.Config{
 					Eps: eps, Kappa: kappa, Rho: 0.45,
-					Mode: nearspan.DistributedMode, Engine: nearspan.EngineParallel,
+					Mode: nearspan.DistributedMode,
 				},
 			})
 		}
 	}
-	start := time.Now()
+	start = time.Now()
 	outs, err := nearspan.BuildBatch(context.Background(), jobs, nearspan.BatchOptions{})
 	if err != nil {
 		log.Fatal(err)
@@ -82,7 +75,7 @@ func main() {
 	// On a sparse bounded-degree graph the spanner keeps everything —
 	// the construction's size bound exceeds m, and that is the correct
 	// outcome: sparse graphs are their own best spanners.
-	res, err := nearspan.BuildSpanner(roads, nearspan.Config{Eps: 0.5, Kappa: 4, Rho: 0.45})
+	res, err = nearspan.BuildSpanner(roads, nearspan.Config{Eps: 0.5, Kappa: 4, Rho: 0.45})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,10 +28,10 @@ func TestEndToEndPipeline(t *testing.T) {
 			g.N(), g.M(), original.N(), original.M())
 	}
 
-	// Distributed construction with the parallel sharded engine.
+	// Distributed construction on the CONGEST simulator.
 	res, err := nearspan.BuildSpanner(g, nearspan.Config{
 		Eps: 1.0 / 3, Kappa: 3, Rho: 0.49,
-		Mode: nearspan.DistributedMode, Engine: nearspan.EngineParallel,
+		Mode: nearspan.DistributedMode,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res2.EdgeCount() != res.EdgeCount() || !nearspan.IsSubgraph(res2.Spanner, res.Spanner) {
-		t.Error("sequential engine rebuild differs from parallel engine build")
+		t.Error("a second distributed build differs from the first")
 	}
 }
 

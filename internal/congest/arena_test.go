@@ -29,40 +29,41 @@ func (p *localSender) Round(env *Env) {
 
 // TestArenaBytesMeasuredAndDeterministic: a new simulator holds no
 // arena page, and the pages traffic touches track it (a sparse protocol
-// on a large graph stays far below the worst case) identically across
-// engines.
+// on a large graph stays far below the worst case) identically with
+// every round inline and with every round dispatched.
 func TestArenaBytesMeasuredAndDeterministic(t *testing.T) {
 	g := gen.GNP(2048, 6.0/2048, 19, true)
 	newProg := func(v int) Program { return &localSender{} }
 
 	var want int64
-	for i, opts := range []Options{
-		{Engine: EngineSequential},
-		{Engine: EngineParallel},
-	} {
-		sim, err := NewUniform(g, newProg, opts)
+	for i, label := range []string{"sequential", "parallel-dispatch"} {
+		sc := schedules()[label]
+		restore := sc.force()
+		sim, err := NewUniform(g, newProg, sc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := sim.pageBytes.Load(); got != 0 {
-			t.Fatalf("%s: a new simulator holds %d bytes of arena pages, want 0", opts.Engine, got)
+			t.Fatalf("%s: a new simulator holds %d bytes of arena pages, want 0", label, got)
 		}
-		if _, err := sim.RunUntilQuietContext(context.Background(), 50); err != nil {
+		_, err = sim.RunUntilQuietContext(context.Background(), 50)
+		restore()
+		if err != nil {
 			t.Fatal(err)
 		}
 		if got := sim.pageBytes.Load(); got == 0 {
-			t.Fatalf("%s: no pages allocated — weak test setup (no unicast traffic)", opts.Engine)
+			t.Fatalf("%s: no pages allocated — weak test setup (no unicast traffic)", label)
 		}
 		got := sim.ArenaBytes()
 		if wc := sim.ArenaBytesWorstCase(); got >= wc {
 			t.Errorf("%s: measured arena %d not below worst case %d on a sparse run",
-				opts.Engine, got, wc)
+				label, got, wc)
 		}
 		if i == 0 {
 			want = got
 		} else if got != want {
-			t.Errorf("%s: ArenaBytes = %d, want %d (deterministic across engines)",
-				opts.Engine, got, want)
+			t.Errorf("%s: ArenaBytes = %d, want %d (deterministic across schedules)",
+				label, got, want)
 		}
 	}
 }
@@ -89,8 +90,7 @@ func (p *broadcastAll) Round(env *Env) {
 // worst-case formula even through dense announcement phases.
 func TestBroadcastAllAllocatesNoPages(t *testing.T) {
 	g := gen.GNP(512, 12.0/512, 31, true)
-	sim, err := NewUniform(g, func(v int) Program { return &broadcastAll{rounds: 4} },
-		Options{Engine: EngineParallel})
+	sim, err := NewUniform(g, func(v int) Program { return &broadcastAll{rounds: 4} }, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

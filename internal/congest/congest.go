@@ -3,19 +3,14 @@
 // communication with graph neighbors in synchronous rounds, and messages
 // limited to O(1) words per edge per round.
 //
-// Two interchangeable engines execute node programs:
-//
-//   - EngineSequential: a single-threaded round loop — the reference
-//     execution.
-//   - EngineParallel: vertices partitioned into shards multiplexed onto
-//     the shared execution runtime (package sched) each round — uses all
-//     cores, the engine for large experiments; any number of concurrent
-//     simulators share one bounded worker pool.
-//
-// Both engines are deterministic and produce bit-identical executions
-// for the same program (tested), so round counts measured on either are
-// the paper's "running time". See parallel.go for the determinism
-// argument.
+// One stepper executes node programs. Each round it runs the frontier
+// vertices either inline on the calling goroutine or, when the round
+// carries enough work, as shards fanned out to the shared execution
+// runtime (package sched), which any number of concurrent simulators
+// share. The choice is the simulator's, made per round (fansOut), and
+// the shard layout never changes the execution: every layout gives the
+// bit-identical run (tested), so round counts measured here are the
+// paper's "running time". See parallel.go for the determinism argument.
 //
 // Bandwidth is enforced: a node may send at most one message of
 // MessageWords words over each incident edge per round, the paper's
@@ -72,45 +67,16 @@ type Program interface {
 	Round(env *Env)
 }
 
-// Engine selects the execution strategy.
+// Engine once selected the simulator's stepper.
+//
+// Deprecated: the simulator has one stepper and reads no Engine value;
+// Engine and EngineParallel remain so existing callers still compile.
 type Engine int
 
-const (
-	// EngineSequential runs all vertices in a single goroutine.
-	EngineSequential Engine = iota + 1
-	// EngineParallel runs vertex shards on the shared execution runtime
-	// (see Options.Runtime), letting concurrent simulators share one
-	// bounded worker pool.
-	EngineParallel
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineSequential:
-		return "sequential"
-	case EngineParallel:
-		return "parallel"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
-// Engines lists the available engines in display order.
-func Engines() []Engine {
-	return []Engine{EngineSequential, EngineParallel}
-}
-
-// ParseEngine parses an engine name as printed by Engine.String.
-func ParseEngine(name string) (Engine, error) {
-	var names []string
-	for _, e := range Engines() {
-		if e.String() == name {
-			return e, nil
-		}
-		names = append(names, e.String())
-	}
-	return 0, fmt.Errorf("congest: unknown engine %q (want %s)", name, strings.Join(names, "|"))
-}
+// EngineParallel names the one stepper.
+//
+// Deprecated: see Engine.
+const EngineParallel Engine = 2
 
 // DeliveryOrder controls the order in which Env.Recv yields a round's
 // messages. Correct CONGEST algorithms must not depend on arrival order
@@ -126,13 +92,12 @@ const (
 	DeliverPortDescending
 )
 
-// Options configure a Simulator. The zero value selects the sequential
-// engine, ascending delivery and the process-wide runtime.
+// Options configure a Simulator. The zero value selects ascending
+// delivery and the process-wide runtime.
 type Options struct {
-	Engine   Engine        // defaults to EngineSequential
 	Delivery DeliveryOrder // defaults to DeliverPortAscending
-	// Runtime is the shared execution runtime EngineParallel submits its
-	// round batches to; its worker count bounds the per-round shard
+	// Runtime is the shared execution runtime fanned-out rounds submit
+	// their shard batches to; its worker count bounds the per-round shard
 	// fan-out, and it hosts the per-runtime simulator counter. Nil
 	// selects the process-wide sched.Default(). Supply a private runtime
 	// (sched.New) to isolate pool lifecycle or counters — e.g. batch
@@ -142,9 +107,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Engine == 0 {
-		o.Engine = EngineSequential
-	}
 	if o.Runtime == nil {
 		o.Runtime = sched.Default()
 	}
@@ -211,12 +173,11 @@ const (
 
 // sendLog collects one execution scope's outbound effects for the round:
 // the slots that received their first unicast (in program send order) and
-// the vertices that issued compact broadcasts. Each engine gives every
-// concurrently-running scope its own log — the sequential engine one
-// (merged after every vertex), the parallel engine one per shard — so
-// the send path needs no synchronization, and the coordinator merges
-// logs in ascending frontier order at the barrier, making the global
-// lists engine-independent.
+// the vertices that issued compact broadcasts. Every concurrently-running
+// scope (one per shard) has its own log, so the send path needs no
+// synchronization, and the coordinator merges logs in ascending frontier
+// order at the barrier, making the global lists independent of the
+// shard layout.
 type sendLog struct {
 	dirty []int32 // slots first-touched by a unicast this round
 	bcast []int32 // vertices with pending compact broadcasts
@@ -310,14 +271,12 @@ type Simulator struct {
 	// roundSent accumulates the running round's sent-message count as the
 	// per-scope send logs are merged; flip consumes it.
 	roundSent int64
-	seqLog    sendLog // sequential engine's (and Init's) send log
-	seqEnv    Env     // sequential engine's reused vertex handle
 
 	// denseGather flags a round where most slots carry messages: building
 	// and sorting per-vertex inboxes would cost more than the dense port
 	// probe, so deliver probes ports directly instead. The flag is a pure
 	// function of len(curDirty) and the broadcast slot total, hence
-	// identical on every engine, and both paths yield the identical
+	// independent of the shard layout, and both paths yield the identical
 	// sequence.
 	denseGather bool
 
@@ -327,13 +286,20 @@ type Simulator struct {
 
 	// The first violation in (round, vertex) order. Keeping the
 	// lexicographic minimum (rather than whichever write wins the race)
-	// makes the reported error identical on every engine.
+	// makes the reported error identical on every shard layout.
 	violMu         sync.Mutex
 	firstViolation error
 	violRound      int
 	violVertex     int
 
-	par *parallelShards // lazily built for EngineParallel
+	// shards holds each execution scope's send log and vertex handle,
+	// grown on demand; shards[0] also serves Init and every inline round.
+	// The panic fields keep a round's lowest panicking vertex (see
+	// recordPanic).
+	shards      []*shardState
+	panicMu     sync.Mutex
+	panicVertex int
+	panicked    any
 }
 
 // New creates a simulator running progs[v] at vertex v. The construction
@@ -346,7 +312,7 @@ func New(g *graph.Graph, progs []Program, opts Options) (*Simulator, error) {
 	}
 	opts = opts.withDefaults()
 	opts.Runtime.NoteSimulator()
-	s := &Simulator{g: g, opts: opts, progs: progs}
+	s := &Simulator{g: g, opts: opts, progs: progs, shards: []*shardState{{}}}
 	n := g.N()
 	nSlots := int(g.Offset(n))
 	s.twin = make([]int32, nSlots)
@@ -401,7 +367,7 @@ func NewUniform(g *graph.Graph, factory func(v int) Program, opts Options) (*Sim
 // pageBytes the high-water of simultaneously live pages; the touched
 // page set of every round and the pool level at every round boundary
 // are pure functions of the execution, so the high-water — and thus
-// ArenaBytes — is deterministic across engines and runs even though
+// ArenaBytes — is deterministic across shard layouts and runs even though
 // which worker allocates is racy. Recycled pages are not zeroed: slot
 // flags gate every read, so stale content is unreachable.
 func (s *Simulator) allocPage(pp *atomic.Pointer[[]Message]) *[]Message {
@@ -502,11 +468,8 @@ func (s *Simulator) reset() {
 	s.frontier = s.frontier[:0]
 	s.woken = s.woken[:0]
 	s.mail = s.mail[:0]
-	s.seqLog.reset()
-	if s.par != nil {
-		for _, st := range s.par.shards {
-			st.log.reset()
-		}
+	for _, st := range s.shards {
+		st.log.reset()
 	}
 	for v := range s.inbox {
 		s.inbox[v] = s.inbox[v][:0]
@@ -515,12 +478,10 @@ func (s *Simulator) reset() {
 	s.firstViolation = nil
 	s.violRound, s.violVertex = 0, 0
 	s.violMu.Unlock()
-	if s.par != nil {
-		s.par.panicMu.Lock()
-		s.par.panicked = nil
-		s.par.panicVertex = 0
-		s.par.panicMu.Unlock()
-	}
+	s.panicMu.Lock()
+	s.panicked = nil
+	s.panicVertex = 0
+	s.panicMu.Unlock()
 }
 
 // Pending returns the number of messages currently buffered for
@@ -563,7 +524,7 @@ func (s *Simulator) Active() int { return len(s.active) }
 // toward (but on sparse protocols far below) the worst-case one message
 // per slot per arena. The touched-slot set is a pure function of the
 // execution, so the value depends only on the traffic: it is identical
-// across engines and runs, and long-running services use it as the
+// across shard layouts and runs, and long-running services use it as the
 // per-build arena footprint when tracking high-water memory across
 // heterogeneous jobs.
 func (s *Simulator) ArenaBytes() int64 {
@@ -594,9 +555,8 @@ func (s *Simulator) Program(v int) Program { return s.progs[v] }
 // Env is a vertex's handle to the simulator: identity, the topology
 // access permitted by the model, and message receiving and sending. An
 // Env is only valid inside the Program callbacks it is passed to. Envs
-// are owned by execution scopes (one per shard on the parallel engine,
-// one total on the sequential engine), not by vertices: the engine
-// points the Env at the current vertex before each callback, so n
+// are owned by execution scopes (one per shard), not by vertices: the
+// stepper points the Env at the current vertex before each callback, so n
 // vertices cost O(scopes) handle state, and each scope's handle plus
 // send log live on their own cache lines.
 type Env struct {
@@ -705,10 +665,10 @@ func (e *Env) bandwidthViolation(port int) error {
 // until a message arrives. Used for message-driven quiescence.
 func (e *Env) Halt() { e.sim.halted[e.id] = true }
 
-// recordViolation keeps the violation with the lowest (round, vertex);
-// concurrent engines then report the same error the sequential engine
-// would. A run returns at the end of the first violating round, so only
-// violations of a single round (plus Init) ever compete.
+// recordViolation keeps the violation with the lowest (round, vertex),
+// so every shard layout reports the error a one-shard round would. A run
+// returns at the end of the first violating round, so only violations of
+// a single round (plus Init) ever compete.
 func (s *Simulator) recordViolation(v int, err error) {
 	s.violMu.Lock()
 	if s.firstViolation == nil || s.round < s.violRound ||
@@ -805,16 +765,19 @@ func (s *Simulator) quiet() bool {
 	return len(s.curDirty) == 0 && len(s.curBcastL) == 0 && len(s.active) == 0
 }
 
+// runInit calls every vertex's Init through shard 0's scope, on the
+// calling goroutine, so a panicking Init propagates its raw value.
 func (s *Simulator) runInit() {
-	env := &s.seqEnv
-	*env = Env{sim: s, out: &s.seqLog}
+	st := s.shards[0]
+	env := &st.env
+	*env = Env{sim: s, out: &st.log}
 	for v := 0; v < s.g.N(); v++ {
 		env.id = v
 		env.base = int(s.g.Offset(v))
 		env.sentUni = false
 		s.progs[v].Init(env)
-		s.collectLog(&s.seqLog)
 	}
+	s.collectLog(&st.log)
 	s.active = s.active[:0]
 	for v := 0; v < s.g.N(); v++ {
 		if !s.halted[v] {
@@ -824,20 +787,15 @@ func (s *Simulator) runInit() {
 	s.flip()
 }
 
-// step executes one round on the configured engine: derive the frontier
-// from the buffered messages and the active list, dispatch Round over
-// exactly those vertices, then merge the per-scope send logs and compact
-// the active list at the barrier. Total cost is O(frontier + messages),
+// step executes one round: derive the frontier from the buffered
+// messages and the active list, run Round over exactly those vertices
+// (runFrontier), then merge the per-scope send logs and compact the
+// active list at the barrier. Total cost is O(frontier + messages),
 // independent of n and m.
 func (s *Simulator) step() {
 	s.round++
 	s.buildFrontier()
-	switch s.opts.Engine {
-	case EngineParallel:
-		s.stepParallel()
-	default:
-		s.stepSequential()
-	}
+	s.runFrontier()
 	s.finishRound()
 	s.flip()
 }
@@ -859,8 +817,8 @@ func (s *Simulator) step() {
 // same per-round cost as a dense stepper. A dense round in which no
 // vertex is halted skips that derivation too: the walk's only output
 // would be the woken list, which is empty, so the frontier is the
-// active list. Both engines take the shortcut on the same rounds (the
-// test reads only the message lists and the active list), and it
+// active list. Every shard layout takes the shortcut on the same rounds
+// (the test reads only the message lists and the active list), and it
 // removes the coordinator's serial once-per-message walk from exactly
 // the rounds that carry the traffic.
 func (s *Simulator) buildFrontier() {
@@ -922,8 +880,8 @@ func (s *Simulator) buildFrontier() {
 // collectLog appends one scope's send log to the global next-round lists
 // and charges its messages to the round's traffic: one per dirty slot,
 // and deg per compact broadcast, identical to its per-port expansion.
-// The engines call it in ascending frontier order, so the merged lists
-// are engine-independent.
+// The stepper calls it in ascending frontier order, so the merged lists
+// do not depend on the shard layout.
 func (s *Simulator) collectLog(l *sendLog) {
 	if len(l.dirty) > 0 {
 		s.roundSent += int64(len(l.dirty))
@@ -942,7 +900,7 @@ func (s *Simulator) collectLog(l *sendLog) {
 }
 
 // finishRound runs on the coordinator after the round barrier and the
-// engine's log merge: drop the vertices that halted during the round
+// log merge: drop the vertices that halted during the round
 // from the active list and clear the round's inbox state — each step
 // O(activity).
 func (s *Simulator) finishRound() {
@@ -964,7 +922,7 @@ func (s *Simulator) finishRound() {
 // deliverable, and the previous round's delivered slots and broadcasters
 // — exactly the ones the outgoing lists name — are cleared. Metrics are
 // updated here, from the traffic counter the log merge maintained, so
-// all engines share the accounting.
+// Init and every round share the accounting.
 func (s *Simulator) flip() {
 	sent := s.roundSent
 	s.roundSent = 0
@@ -1045,17 +1003,5 @@ func (s *Simulator) deliver(v int, yield func(int, Message) bool) {
 				return
 			}
 		}
-	}
-}
-
-func (s *Simulator) stepSequential() {
-	env := &s.seqEnv
-	*env = Env{sim: s, out: &s.seqLog}
-	for _, v := range s.frontier {
-		env.id = int(v)
-		env.base = int(s.g.Offset(int(v)))
-		env.sentUni = false
-		s.progs[v].Round(env)
-		s.collectLog(&s.seqLog)
 	}
 }

@@ -3,6 +3,7 @@ package congest
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"nearspan/internal/gen"
@@ -11,10 +12,40 @@ import (
 )
 
 // Private runtimes whose worker counts differ from the default, for the
-// tests that check the parallel engine's shard fan-out never changes the
-// execution. Their workers start on first dispatch and live as long as
-// the test binary.
+// tests that check the shard fan-out never changes the execution. Their
+// workers start on first dispatch and live as long as the test binary.
 var rt3, rt5, rt7 = sched.New(3), sched.New(5), sched.New(7)
+
+// schedule is one way to run the same execution, for the tests that
+// check the output does not depend on how rounds are scheduled. cutoff
+// is the fan-out cutoff forced for the run; -1 keeps the default rule.
+type schedule struct {
+	opts   Options
+	cutoff int
+}
+
+// schedules are named for how a round's vertices run: "sequential" runs
+// every round inline as one shard on the calling goroutine, "parallel"
+// applies the default fan-out rule (every round of these small test
+// graphs stays inline), and "parallel-w5" and "parallel-dispatch"
+// dispatch every round to runtimes of 5 and 3 workers.
+func schedules() map[string]schedule {
+	return map[string]schedule{
+		"sequential":        {cutoff: math.MaxInt},
+		"parallel":          {cutoff: -1},
+		"parallel-w5":       {opts: Options{Runtime: rt5}, cutoff: 0},
+		"parallel-dispatch": {opts: Options{Runtime: rt3}, cutoff: 0},
+	}
+}
+
+// force applies the schedule's cutoff and returns the function that
+// restores the default.
+func (sc schedule) force() (restore func()) {
+	if sc.cutoff < 0 {
+		return func() {}
+	}
+	return SetInlineWorkCutoff(sc.cutoff)
+}
 
 // floodProg broadcasts a token from a source; every vertex forwards it the
 // round after first hearing it, then halts. dist records the round of
@@ -189,7 +220,7 @@ func TestProgramCountMismatch(t *testing.T) {
 
 // gossipProg exercises heavier traffic: each vertex relays the max ID it
 // has seen every round for a fixed horizon. Deterministic and stateful,
-// good for engine-equivalence testing.
+// good for schedule-equivalence testing.
 type gossipProg struct {
 	maxSeen int64
 	horizon int
@@ -229,10 +260,10 @@ func runGossip(t *testing.T, g *graph.Graph, opts Options, horizon int) ([][]int
 	return out, sim.Metrics()
 }
 
-// TestEnginesProduceIdenticalExecutions checks all engine pairs for
-// bit-identical per-round histories and metrics, on workloads with
-// nontrivial traffic. The parallel engine additionally runs with a
-// worker count far above GOMAXPROCS: determinism must not depend on how
+// TestEnginesProduceIdenticalExecutions checks every pair of schedules
+// for bit-identical per-round histories and metrics, on workloads with
+// nontrivial traffic. Rounds also fan out to a runtime whose worker
+// count is far above GOMAXPROCS: determinism must not depend on how
 // shards map onto hardware.
 func TestEnginesProduceIdenticalExecutions(t *testing.T) {
 	graphs := map[string]*graph.Graph{
@@ -240,11 +271,8 @@ func TestEnginesProduceIdenticalExecutions(t *testing.T) {
 		"gnp":   gen.GNP(60, 0.08, 11, true),
 		"torus": gen.Torus(6, 6),
 	}
-	engines := map[string]Options{
-		"sequential":  {Engine: EngineSequential},
-		"parallel":    {Engine: EngineParallel},
-		"parallel-w7": {Engine: EngineParallel, Runtime: rt7},
-	}
+	scheds := schedules()
+	scheds["parallel-w7"] = schedule{opts: Options{Runtime: rt7}, cutoff: 0}
 	for name, g := range graphs {
 		type run struct {
 			label string
@@ -252,19 +280,13 @@ func TestEnginesProduceIdenticalExecutions(t *testing.T) {
 			m     Metrics
 		}
 		var runs []run
-		for label, opts := range engines {
-			hist, m := runGossip(t, g, opts, 12)
-			runs = append(runs, run{label, hist, m})
+		for label, sc := range scheds {
+			func() {
+				defer sc.force()()
+				hist, m := runGossip(t, g, sc.opts, 12)
+				runs = append(runs, run{label, hist, m})
+			}()
 		}
-		// The parallel engine has two execution paths — inline for light
-		// rounds, runtime dispatch above the work cutoff. These graphs are
-		// all below the default cutoff, so force the dispatch path too.
-		func() {
-			defer func(c int) { inlineWorkCutoff = c }(inlineWorkCutoff)
-			inlineWorkCutoff = 0
-			hist, m := runGossip(t, g, Options{Engine: EngineParallel}, 12)
-			runs = append(runs, run{"parallel-dispatch", hist, m})
-		}()
 		for i := 0; i < len(runs); i++ {
 			for j := i + 1; j < len(runs); j++ {
 				a, b := runs[i], runs[j]
@@ -319,13 +341,16 @@ func TestMetricsCountMessages(t *testing.T) {
 	}
 }
 
+// A flood computes the same distances with every round inline and with
+// every round dispatched.
 func TestConcurrentEnginesOnFlood(t *testing.T) {
 	g := gen.GNP(50, 0.1, 3, true)
-	_, seqD := runFlood(t, g, 7, Options{Engine: EngineSequential})
-	_, d := runFlood(t, g, 7, Options{Engine: EngineParallel})
-	for v := range seqD {
-		if seqD[v] != d[v] {
-			t.Errorf("vertex %d: seq dist %d, parallel dist %d", v, seqD[v], d[v])
+	_, inline := runFlood(t, g, 7, Options{})
+	defer SetInlineWorkCutoff(0)()
+	_, d := runFlood(t, g, 7, Options{})
+	for v := range inline {
+		if inline[v] != d[v] {
+			t.Errorf("vertex %d: inline dist %d, dispatched dist %d", v, inline[v], d[v])
 		}
 	}
 }
@@ -370,27 +395,6 @@ func (p *portOrderProg) Round(env *Env) {
 	env.Halt()
 }
 
-func TestEngineString(t *testing.T) {
-	if EngineSequential.String() != "sequential" || EngineParallel.String() != "parallel" {
-		t.Error("Engine.String broken")
-	}
-	if Engine(99).String() != "Engine(99)" {
-		t.Error("unknown engine string broken")
-	}
-}
-
-func TestParseEngine(t *testing.T) {
-	for _, e := range Engines() {
-		got, err := ParseEngine(e.String())
-		if err != nil || got != e {
-			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
-		}
-	}
-	if _, err := ParseEngine("quantum"); err == nil {
-		t.Error("unknown engine name accepted")
-	}
-}
-
 func TestDeliveryOrderDescending(t *testing.T) {
 	g := gen.Star(6)
 	sim, err := congestNewDescending(g)
@@ -427,9 +431,9 @@ func TestFloodOrderIndependent(t *testing.T) {
 	}
 }
 
-// panicProg panics at round 2 on one vertex; the parallel engine must
-// re-raise the panic on the coordinating goroutine (not deadlock or
-// swallow it).
+// panicProg panics at round 2 on one vertex; the simulator must re-raise
+// the panic on the coordinating goroutine (not deadlock or swallow it),
+// whether the round ran inline or fanned out.
 type panicProg struct{ boom bool }
 
 func (p *panicProg) Init(env *Env) { _ = env.Broadcast(Message{Kind: 9}) }
@@ -441,17 +445,17 @@ func (p *panicProg) Round(env *Env) {
 }
 
 func TestConcurrentEnginesRepropagatePanic(t *testing.T) {
-	for _, eng := range []Engine{EngineParallel} {
-		t.Run(eng.String(), func(t *testing.T) {
+	for name, sc := range schedules() {
+		t.Run(name, func(t *testing.T) {
+			defer sc.force()()
 			g := gen.Path(4)
-			sim, err := NewUniform(g, func(v int) Program { return &panicProg{boom: v == 2} },
-				Options{Engine: eng})
+			sim, err := NewUniform(g, func(v int) Program { return &panicProg{boom: v == 2} }, sc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer func() {
-				if recover() == nil {
-					t.Error("panic in a vertex program was swallowed")
+				if r := recover(); r != "vertex 2: intentional test panic" {
+					t.Errorf("recovered %v, want vertex 2's panic", r)
 				}
 			}()
 			_ = sim.RunContext(context.Background(), 5)
@@ -461,7 +465,7 @@ func TestConcurrentEnginesRepropagatePanic(t *testing.T) {
 
 // roundOverSender wakes every vertex in round 1 (via the Init
 // broadcast) and then over-sends on port 0 — so the violations happen
-// inside the engines' concurrent round execution, not in Init (which
+// inside a round, which may run as concurrent shards, not in Init (which
 // always runs on the coordinator).
 type roundOverSender struct{}
 
@@ -474,7 +478,7 @@ func (p *roundOverSender) Round(env *Env) {
 	env.Halt()
 }
 
-// The reported model violation must be identical on every engine: the
+// The reported model violation must be identical on every schedule: the
 // lowest-(round, vertex) violation wins, not whichever worker's write
 // races in first. Covered for both places a program can violate —
 // during Init (coordinator) and during a concurrently executed round,
@@ -486,24 +490,23 @@ func TestViolationDeterministicAcrossEngines(t *testing.T) {
 	}
 	for name, factory := range progs {
 		var want string
-		for _, opts := range []Options{
-			{Engine: EngineSequential},
-			{Engine: EngineParallel},
-			{Engine: EngineParallel, Runtime: rt5},
-		} {
+		for _, label := range []string{"sequential", "parallel-w5", "parallel-dispatch"} {
+			sc := schedules()[label]
+			restore := sc.force()
 			g := gen.GNP(60, 0.1, 13, true)
-			sim, err := NewUniform(g, factory, opts)
+			sim, err := NewUniform(g, factory, sc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			err = sim.RunContext(context.Background(), 2)
+			restore()
 			if !errors.Is(err, ErrBandwidth) {
-				t.Fatalf("%s/%s: Run error = %v, want ErrBandwidth", name, opts.Engine, err)
+				t.Fatalf("%s/%s: Run error = %v, want ErrBandwidth", name, label, err)
 			}
 			if want == "" {
 				want = err.Error()
 			} else if err.Error() != want {
-				t.Errorf("%s/%s: violation %q, sequential reported %q", name, opts.Engine, err, want)
+				t.Errorf("%s/%s: violation %q, sequential reported %q", name, label, err, want)
 			}
 		}
 	}

@@ -41,11 +41,12 @@ func TestRunContextPreCancelled(t *testing.T) {
 
 // Cancellation mid-run lands at a round boundary: the round that
 // observes the cancel completes, and not one more runs — on every
-// engine, including the shared-runtime parallel one.
+// schedule, including rounds fanned out to the shared runtime.
 func TestRunContextCancelsWithinOneRound(t *testing.T) {
 	g := gen.Grid(6, 6)
-	for _, eng := range Engines() {
-		t.Run(eng.String(), func(t *testing.T) {
+	for name, sc := range schedules() {
+		t.Run(name, func(t *testing.T) {
+			defer sc.force()()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			const cancelRound = 5
@@ -53,7 +54,7 @@ func TestRunContextCancelsWithinOneRound(t *testing.T) {
 			for v := range progs {
 				progs[v] = &cancelerProg{cancel: cancel, at: cancelRound, me: v == 0}
 			}
-			sim, err := New(g, progs, Options{Engine: eng})
+			sim, err := New(g, progs, sc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,7 +18,7 @@ import (
 // Program and denseRef, an independent dense stepper written directly
 // from the model definition (probe every port, visit every vertex, wake
 // on mail). Identical per-vertex transcripts, metrics, quiescence
-// rounds, and violation reports across all engines and the reference
+// rounds, and violation reports across all schedules and the reference
 // mean the O(activity) machinery is observationally invisible.
 
 func splitmix(x uint64) uint64 {
@@ -372,7 +372,7 @@ func (r *denseRef) runUntilQuiet(maxRounds int) int {
 }
 
 // wantViolation reproduces the exact violation error string the
-// Simulator reports, so reference and engines can be compared verbatim.
+// Simulator reports, so reference and simulator can be compared verbatim.
 func (r *denseRef) wantViolation() string {
 	if !r.hasViol {
 		return ""
@@ -397,35 +397,14 @@ func fzGraphs() map[string]*graph.Graph {
 	}
 }
 
-// fzEngine is one engine configuration of the comparison. dispatch
-// forces every round of the parallel engine through the runtime: the
-// topologies here are far below inlineWorkCutoff, so by default the
-// parallel engine runs them inline.
-type fzEngine struct {
-	opts     Options
-	dispatch bool
-}
-
-func fzEngines() map[string]fzEngine {
-	return map[string]fzEngine{
-		"sequential":        {opts: Options{Engine: EngineSequential}},
-		"parallel":          {opts: Options{Engine: EngineParallel}},
-		"parallel-w5":       {opts: Options{Engine: EngineParallel, Runtime: rt5}},
-		"parallel-dispatch": {opts: Options{Engine: EngineParallel, Runtime: rt3}, dispatch: true},
-	}
-}
-
-// compareRun executes the fuzz program on one engine and checks every
+// compareRun executes the fuzz program on one schedule and checks every
 // observable against the dense reference. It returns the simulator, for
 // inspecting the programs, and whether the reference saw a violation.
-func compareRun(t *testing.T, g *graph.Graph, cfg fzConfig, eng fzEngine, label string,
+func compareRun(t *testing.T, g *graph.Graph, cfg fzConfig, sc schedule, label string,
 	untilQuiet bool, maxRounds int) (sim *Simulator, violated bool) {
 	t.Helper()
-	opts := eng.opts
-	if eng.dispatch {
-		defer func(c int) { inlineWorkCutoff = c }(inlineWorkCutoff)
-		inlineWorkCutoff = 0
-	}
+	opts := sc.opts
+	defer sc.force()()
 	ref := newDenseRef(g, cfg, opts.Delivery)
 	var wantRounds int
 	if untilQuiet {
@@ -487,31 +466,31 @@ func denseRounds(sim *Simulator) (awake, woken int) {
 
 // TestFrontierMatchesDenseReference is the property test: randomized
 // Halt/wake/send programs produce identical executions on the frontier
-// stepper (all engines) and the dense reference.
+// stepper (every schedule) and the dense reference.
 func TestFrontierMatchesDenseReference(t *testing.T) {
 	for gname, g := range fzGraphs() {
-		for ename, eng := range fzEngines() {
+		for sname, sc := range schedules() {
 			for seed := uint64(1); seed <= 5; seed++ {
 				cfg := fzConfig{seed: seed}
-				label := fmt.Sprintf("%s/%s/seed%d", gname, ename, seed)
-				compareRun(t, g, cfg, eng, label, false, 12)
+				label := fmt.Sprintf("%s/%s/seed%d", gname, sname, seed)
+				compareRun(t, g, cfg, sc, label, false, 12)
 			}
 		}
 	}
 }
 
 // TestFrontierMatchesDenseReferenceViolent checks that model violations
-// from random rounds — the one place the engines race — are reported
+// from random rounds — the one place concurrent shards race — are reported
 // with the identical canonical error, and that the run stops at the
 // reference round.
 func TestFrontierMatchesDenseReferenceViolent(t *testing.T) {
 	violations := 0
 	for gname, g := range fzGraphs() {
-		for ename, eng := range fzEngines() {
+		for sname, sc := range schedules() {
 			for seed := uint64(1); seed <= 6; seed++ {
 				cfg := fzConfig{seed: seed, violent: true}
-				label := fmt.Sprintf("%s/%s/seed%d", gname, ename, seed)
-				if _, violated := compareRun(t, g, cfg, eng, label, false, 10); violated {
+				label := fmt.Sprintf("%s/%s/seed%d", gname, sname, seed)
+				if _, violated := compareRun(t, g, cfg, sc, label, false, 10); violated {
 					violations++
 				}
 			}
@@ -529,11 +508,11 @@ func TestFrontierMatchesDenseReferenceViolent(t *testing.T) {
 // the exact quiescence round — the O(1) quiet() against the dense scan.
 func TestFrontierQuiescenceMatchesDenseReference(t *testing.T) {
 	for gname, g := range fzGraphs() {
-		for ename, eng := range fzEngines() {
+		for sname, sc := range schedules() {
 			for seed := uint64(1); seed <= 4; seed++ {
 				cfg := fzConfig{seed: seed, horizon: 7}
-				label := fmt.Sprintf("%s/%s/seed%d", gname, ename, seed)
-				compareRun(t, g, cfg, eng, label, true, 200)
+				label := fmt.Sprintf("%s/%s/seed%d", gname, sname, seed)
+				compareRun(t, g, cfg, sc, label, true, 200)
 			}
 		}
 	}
@@ -541,42 +520,44 @@ func TestFrontierQuiescenceMatchesDenseReference(t *testing.T) {
 
 // TestFrontierDeliveryAndBandwidthVariants covers the delivery-order
 // dimension and the bandwidth violations of mixed broadcast/unicast
-// sends against the reference (the engine dimension is covered above).
+// sends against the reference (the schedule dimension is covered above).
 func TestFrontierDeliveryAndBandwidthVariants(t *testing.T) {
 	g := gen.GNP(40, 0.15, 11, true)
-	variants := map[string]Options{
-		"descending":       {Delivery: DeliverPortDescending},
-		"mixed":            {},
-		"mixed-desc-par":   {Delivery: DeliverPortDescending, Engine: EngineParallel},
-		"violent-desc-par": {Delivery: DeliverPortDescending, Engine: EngineParallel},
+	desc := schedule{opts: Options{Delivery: DeliverPortDescending}, cutoff: -1}
+	descDispatch := schedule{opts: Options{Delivery: DeliverPortDescending}, cutoff: 0}
+	variants := map[string]schedule{
+		"descending":       desc,
+		"mixed":            {cutoff: -1},
+		"mixed-desc-par":   descDispatch,
+		"violent-desc-par": descDispatch,
 	}
-	for vname, opts := range variants {
+	for vname, sc := range variants {
 		for seed := uint64(1); seed <= 4; seed++ {
 			cfg := fzConfig{seed: seed, violent: vname == "violent-desc-par", mixed: vname == "mixed" || vname == "mixed-desc-par"}
-			compareRun(t, g, cfg, fzEngine{opts: opts}, fmt.Sprintf("%s/seed%d", vname, seed), false, 12)
+			compareRun(t, g, cfg, sc, fmt.Sprintf("%s/seed%d", vname, seed), false, 12)
 		}
 	}
 }
 
 // TestFrontierDenseAwakeShortcut covers both sides of buildFrontier's
-// all-awake shortcut against the dense reference, on every engine and
+// all-awake shortcut against the dense reference, on every schedule and
 // both delivery orders. With every vertex awake, dense rounds skip the
 // wake walk; with one vertex halting every round, no round may skip it,
 // and the halted vertex runs in dense rounds only because the walk woke
 // it.
 func TestFrontierDenseAwakeShortcut(t *testing.T) {
 	g := gen.GNP(64, 0.2, 9, true)
-	for ename, eng := range fzEngines() {
+	for sname, sc := range schedules() {
 		for _, delivery := range []DeliveryOrder{DeliverPortAscending, DeliverPortDescending} {
-			eng.opts.Delivery = delivery
+			sc.opts.Delivery = delivery
 			for seed := uint64(1); seed <= 3; seed++ {
-				label := fmt.Sprintf("%s/delivery%d/seed%d", ename, delivery, seed)
-				sim, _ := compareRun(t, g, fzConfig{seed: seed, awake: true}, eng, label+"/awake", false, 12)
+				label := fmt.Sprintf("%s/delivery%d/seed%d", sname, delivery, seed)
+				sim, _ := compareRun(t, g, fzConfig{seed: seed, awake: true}, sc, label+"/awake", false, 12)
 				if awake, woken := denseRounds(sim); awake == 0 || woken != 0 {
 					t.Errorf("%s/awake: %d vertex-rounds took the shortcut, %d walked: want some and none", label, awake, woken)
 				}
 				sleeper := 1 + int(seed)*17%g.N()
-				sim, _ = compareRun(t, g, fzConfig{seed: seed, awake: true, sleeper: sleeper}, eng, label+"/sleeper", false, 12)
+				sim, _ = compareRun(t, g, fzConfig{seed: seed, awake: true, sleeper: sleeper}, sc, label+"/sleeper", false, 12)
 				if awake, _ := denseRounds(sim); awake != 0 {
 					t.Errorf("%s/sleeper: %d vertex-rounds took the shortcut with a vertex halted", label, awake)
 				}
@@ -613,8 +594,8 @@ func fuzzFrontier(t *testing.T, seed uint64, mode, gpick uint8) (shortcut int) {
 	if cfg.awake && mode/4%2 == 1 {
 		cfg.sleeper = 1 + int(seed%uint64(g.N()))
 	}
-	for ename, eng := range fzEngines() {
-		sim, _ := compareRun(t, g, cfg, eng, ename, cfg.horizon > 0, 12)
+	for sname, sc := range schedules() {
+		sim, _ := compareRun(t, g, cfg, sc, sname, cfg.horizon > 0, 12)
 		awake, _ := denseRounds(sim)
 		shortcut += awake
 	}

@@ -1,9 +1,6 @@
 package congest
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 const (
 	// minShardVertices keeps shards coarse enough that the per-shard
@@ -16,10 +13,10 @@ const (
 	shardsPerWorker = 4
 )
 
-// inlineWorkCutoff is the parallel engine's fan-out rule, decided from
-// two quantities known at round start: the frontier (program
-// invocations) and the traffic (len(curDirty) + curBcastSlots, messages
-// delivered). A round fans out to the runtime when
+// inlineWorkCutoff is the stepper's fan-out rule, decided from two
+// quantities known at round start: the frontier (program invocations)
+// and the traffic (len(curDirty) + curBcastSlots, messages delivered). A
+// round fans out to the runtime when
 //
 //	max(frontier, traffic/messagesPerInvocation) > inlineWorkCutoff
 //
@@ -38,8 +35,19 @@ const (
 // cutoff always fans out. The inline path is the one-shard execution
 // without the Runtime.Do round-trip, and shard layout never changes the
 // output, so every cutoff gives the identical run. A var only so tests
-// can force either path.
+// can force either path (SetInlineWorkCutoff).
 var inlineWorkCutoff = 2048
+
+// SetInlineWorkCutoff overrides the fan-out cutoff and returns the
+// function that restores it. It is a test hook: math.MaxInt runs every
+// round inline and 0 dispatches every round to the runtime, and both
+// give the identical execution. It must not be called while any
+// simulator runs.
+func SetInlineWorkCutoff(c int) (restore func()) {
+	old := inlineWorkCutoff
+	inlineWorkCutoff = c
+	return func() { inlineWorkCutoff = old }
+}
 
 // messagesPerInvocation is how many delivered messages count as much
 // round work as one program invocation in the fan-out rule.
@@ -64,52 +72,14 @@ type shardState struct {
 	_   [64]byte
 }
 
-// parallelShards is EngineParallel's per-simulator state. Execution
-// happens on the shared runtime (Options.Runtime): each round the
-// coordinator submits one batch of shards via sched.Runtime.Do, and
-// whichever runtime workers are free — plus the coordinating goroutine
-// itself — claim shards off the batch cursor. The simulator therefore
-// owns no goroutines of its own; any number of concurrent simulators
-// share the runtime's bounded pool.
-//
-// Shards are frontier-sized: each round the frontier list is cut into
-// contiguous index ranges, so a round with f active vertices submits
-// O(f/shardSize) shards regardless of n. The shard layout is a pure
-// function of len(frontier) and the worker bound, hence deterministic.
-//
-// Determinism of the execution itself is structural, not scheduled: a
-// message's position in the next-round buffer is a pure function of its
-// sender vertex and port (the CSR slot layout), so each shard writes a
-// disjoint, pre-reserved region of the outbound buffer, and each
-// shard's send log is appended only by the worker running that shard.
-// The coordinator merges the shard logs in ascending shard order at the
-// round barrier — shards cover ascending frontier ranges and run their
-// vertices in order, so the merged lists equal a sequential round's no
-// matter which workers ran which shards. (Arena pages allocated on
-// first touch serialize on the pool lock: which worker allocates a
-// shared page is racy, but the touched-page set is deterministic, so
-// the resulting arena is too.) The remaining order-sensitive observables
-// are canonicalized to the lowest (round, vertex): the reported
-// violation error matches EngineSequential's exactly, and the re-raised
-// panic names the vertex the sequential engine would have hit first
-// (wrapped in a formatted value — the sequential engine propagates the
-// program's raw panic value and stops mid-round, which a shared pool
-// cannot reproduce).
-type parallelShards struct {
-	shards []*shardState // per-shard state, grown on demand
-
-	panicMu     sync.Mutex
-	panicVertex int
-	panicked    any
-}
-
-func (ps *parallelShards) recordPanic(v int, r any) {
-	ps.panicMu.Lock()
-	if ps.panicked == nil || v < ps.panicVertex {
-		ps.panicked = fmt.Sprintf("vertex %d: %v", v, r)
-		ps.panicVertex = v
+// recordPanic keeps the round's lowest panicking vertex and its value.
+func (s *Simulator) recordPanic(v int, r any) {
+	s.panicMu.Lock()
+	if s.panicked == nil || v < s.panicVertex {
+		s.panicked = fmt.Sprintf("vertex %d: %v", v, r)
+		s.panicVertex = v
 	}
-	ps.panicMu.Unlock()
+	s.panicMu.Unlock()
 }
 
 // runShard executes one round for every frontier vertex in index range
@@ -117,11 +87,11 @@ func (ps *parallelShards) recordPanic(v int, r any) {
 // aborts its shard (the coordinator re-raises the lowest panicking
 // vertex after the round barrier, so nothing downstream observes the
 // partial state).
-func (s *Simulator) runShard(ps *parallelShards, lo, hi int, st *shardState) {
+func (s *Simulator) runShard(lo, hi int, st *shardState) {
 	v := int(s.frontier[lo])
 	defer func() {
 		if r := recover(); r != nil {
-			ps.recordPanic(v, r)
+			s.recordPanic(v, r)
 		}
 	}()
 	env := &st.env
@@ -135,24 +105,50 @@ func (s *Simulator) runShard(ps *parallelShards, lo, hi int, st *shardState) {
 	}
 }
 
-func (s *Simulator) stepParallel() {
-	if s.par == nil {
-		s.par = &parallelShards{}
-	}
-	ps := s.par
+// runFrontier runs Round on every frontier vertex: inline as shard 0
+// when the fan-out rule says the round is light, otherwise as a batch of
+// frontier-range shards on the runtime. It returns after the round
+// barrier with the shard logs merged in ascending frontier order.
+//
+// Fan-out happens on the shared runtime (Options.Runtime): each
+// fanned-out round the coordinator submits one batch of shards via
+// sched.Runtime.Do, and whichever runtime workers are free — plus the
+// coordinating goroutine itself — claim shards off the batch cursor. The
+// simulator therefore owns no goroutines of its own; any number of
+// concurrent simulators share the runtime's bounded pool.
+//
+// Shards are frontier-sized: each round the frontier list is cut into
+// contiguous index ranges, so a round with f active vertices submits
+// O(f/shardSize) shards regardless of n. The shard layout is a pure
+// function of len(frontier) and the worker bound, hence deterministic.
+//
+// Determinism of the execution itself is structural, not scheduled: a
+// message's position in the next-round buffer is a pure function of its
+// sender vertex and port (the CSR slot layout), so each shard writes a
+// disjoint, pre-reserved region of the outbound buffer, and each
+// shard's send log is appended only by the worker running that shard.
+// The coordinator merges the shard logs in ascending shard order at the
+// round barrier — shards cover ascending frontier ranges and run their
+// vertices in order, so the merged lists equal a one-shard round's no
+// matter how many shards there are or which workers ran them. (Arena
+// pages allocated on first touch serialize on the pool lock: which
+// worker allocates a shared page is racy, but the touched-page set is
+// deterministic, so the resulting arena is too.) The remaining
+// order-sensitive observables are canonicalized to the lowest (round,
+// vertex): the reported violation error is the one a one-shard round
+// reports, and a program panic is re-raised, wrapped with its vertex,
+// for the lowest panicking vertex of the round.
+func (s *Simulator) runFrontier() {
 	n := len(s.frontier)
 	if n == 0 {
 		return
 	}
 	if !fansOut(n, len(s.curDirty)+s.curBcastSlots) {
-		if len(ps.shards) == 0 {
-			ps.shards = append(ps.shards, &shardState{})
+		s.runShard(0, n, s.shards[0])
+		if s.panicked != nil { // inline: no other writers, no lock needed
+			panic(s.panicked)
 		}
-		s.runShard(ps, 0, n, ps.shards[0])
-		if ps.panicked != nil { // inline: no other writers, no lock needed
-			panic(ps.panicked)
-		}
-		s.collectLog(&ps.shards[0].log)
+		s.collectLog(&s.shards[0].log)
 		return
 	}
 	workers := min(s.opts.Runtime.Workers(), n)
@@ -161,23 +157,23 @@ func (s *Simulator) stepParallel() {
 		size = minShardVertices
 	}
 	shards := (n + size - 1) / size
-	for len(ps.shards) < shards {
-		ps.shards = append(ps.shards, &shardState{})
+	for len(s.shards) < shards {
+		s.shards = append(s.shards, &shardState{})
 	}
 	s.opts.Runtime.Do(shards, func(i int) {
 		lo := i * size
 		hi := min(lo+size, n)
-		s.runShard(ps, lo, hi, ps.shards[i])
+		s.runShard(lo, hi, s.shards[i])
 	})
-	ps.panicMu.Lock()
-	p := ps.panicked
-	ps.panicMu.Unlock()
+	s.panicMu.Lock()
+	p := s.panicked
+	s.panicMu.Unlock()
 	if p != nil {
 		panic(p) // re-raise program panics on the coordinating goroutine
 	}
 	// Merge in shard order = ascending frontier order: bit-identical to
-	// the sequential engine's per-vertex merge.
+	// the one-shard round's merge.
 	for i := 0; i < shards; i++ {
-		s.collectLog(&ps.shards[i].log)
+		s.collectLog(&s.shards[i].log)
 	}
 }

@@ -10,22 +10,18 @@ import (
 	"nearspan/internal/graph"
 )
 
-// This file pins Env.Recv's contract on every engine and both delivery
+// This file pins Env.Recv's contract on every schedule and both delivery
 // orders: a range may stop early, may be repeated within the callback,
 // is empty during Init, and shows a vertex woken by mail exactly that
 // mail — in the dense port-probe rounds and the inbox-driven ones alike.
 
-// forEachRecvEngine runs f once per engine of the frontier comparison
-// and delivery order. The dispatch engine sends every round through the
-// runtime.
-func forEachRecvEngine(t *testing.T, f func(t *testing.T, opts Options)) {
-	for ename, eng := range fzEngines() {
+// forEachRecvSchedule runs f once per schedule and delivery order.
+func forEachRecvSchedule(t *testing.T, f func(t *testing.T, opts Options)) {
+	for sname, sc := range schedules() {
 		for _, delivery := range []DeliveryOrder{DeliverPortAscending, DeliverPortDescending} {
-			t.Run(fmt.Sprintf("%s/delivery%d", ename, delivery), func(t *testing.T) {
-				if eng.dispatch {
-					t.Cleanup(SetInlineWorkCutoff(0))
-				}
-				opts := eng.opts
+			t.Run(fmt.Sprintf("%s/delivery%d", sname, delivery), func(t *testing.T) {
+				t.Cleanup(sc.force())
+				opts := sc.opts
 				opts.Delivery = delivery
 				f(t, opts)
 			})
@@ -167,7 +163,7 @@ func runRecvProbe(t *testing.T, opts Options, check func(t *testing.T, v int, l 
 // and the Halt after it take effect, and the next round wakes exactly
 // the vertices with mail and delivers it exactly.
 func TestRecvBreakEarly(t *testing.T) {
-	forEachRecvEngine(t, func(t *testing.T, opts Options) {
+	forEachRecvSchedule(t, func(t *testing.T, opts Options) {
 		runRecvProbe(t, opts, func(t *testing.T, v int, l recvLog, want []recvHit) {
 			if !slices.Equal(l.all, want) {
 				t.Errorf("vertex %d round %d: received %v, want %v", v, l.round, l.all, want)
@@ -182,7 +178,7 @@ func TestRecvBreakEarly(t *testing.T) {
 // TestRecvRangesTwice: ranging Recv again inside the same callback yields
 // the identical sequence; the callback's own sends do not disturb it.
 func TestRecvRangesTwice(t *testing.T) {
-	forEachRecvEngine(t, func(t *testing.T, opts Options) {
+	forEachRecvSchedule(t, func(t *testing.T, opts Options) {
 		runRecvProbe(t, opts, func(t *testing.T, v int, l recvLog, _ []recvHit) {
 			if !slices.Equal(l.again, l.all) {
 				t.Errorf("vertex %d round %d: second range %v, first %v", v, l.round, l.again, l.all)
@@ -207,7 +203,7 @@ func (p *initRecvCounter) Round(env *Env) { _ = env.Broadcast(Message{Kind: 2}) 
 // TestRecvEmptyDuringInit: Init sees no messages, on a fresh simulator
 // and on one Reset while a previous run's broadcasts were in flight.
 func TestRecvEmptyDuringInit(t *testing.T) {
-	forEachRecvEngine(t, func(t *testing.T, opts Options) {
+	forEachRecvSchedule(t, func(t *testing.T, opts Options) {
 		g := gen.Grid(5, 6)
 		factory := func(int) Program { return &initRecvCounter{} }
 		sim, err := NewUniform(g, factory, opts)
@@ -273,7 +269,7 @@ func TestRecvWokenVertexSeesItsMail(t *testing.T) {
 		{"star", gen.Star(6), 0, 2, false},
 		{"path2", gen.Path(2), 0, 0, true},
 	}
-	forEachRecvEngine(t, func(t *testing.T, opts Options) {
+	forEachRecvSchedule(t, func(t *testing.T, opts Options) {
 		for _, c := range cases {
 			sim, err := NewUniform(c.g, func(v int) Program {
 				p := &mailRecorder{sendPort: -1}

@@ -2,7 +2,6 @@ package congest
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -13,14 +12,14 @@ import (
 
 // A reused simulator must be indistinguishable from a fresh one: after
 // Reset, a different protocol on the same topology produces bit-identical
-// histories and metrics on every engine.
+// histories and metrics, with every round inline and with every round
+// dispatched.
 func TestResetMatchesFreshRun(t *testing.T) {
 	g := gen.GNP(60, 0.08, 11, true)
-	for _, opts := range []Options{
-		{Engine: EngineSequential},
-		{Engine: EngineParallel},
-		{Engine: EngineParallel, Runtime: rt3},
-	} {
+	for _, label := range []string{"sequential", "parallel-dispatch"} {
+		sc := schedules()[label]
+		restore := sc.force()
+		opts := sc.opts
 		fresh, freshM := runGossip(t, g, opts, 12)
 
 		sim, err := NewUniform(g, newFlood(0), opts)
@@ -35,17 +34,18 @@ func TestResetMatchesFreshRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if sim.Metrics() != freshM {
-			t.Errorf("%s: reused metrics %+v, fresh %+v", opts.Engine, sim.Metrics(), freshM)
+			t.Errorf("%s: reused metrics %+v, fresh %+v", label, sim.Metrics(), freshM)
 		}
 		for v := 0; v < g.N(); v++ {
 			got := sim.Program(v).(*gossipProg).history
 			for r := range fresh[v] {
 				if got[r] != fresh[v][r] {
 					t.Errorf("%s vertex %d round %d: reused %d, fresh %d",
-						opts.Engine, v, r, got[r], fresh[v][r])
+						label, v, r, got[r], fresh[v][r])
 				}
 			}
 		}
+		restore()
 	}
 }
 
@@ -84,13 +84,12 @@ func TestResetClearsViolationAndPending(t *testing.T) {
 	}
 }
 
-// Reset must also clear a recorded program panic on the parallel
-// engine: a caller that recovered the re-raised panic and Reset the
-// simulator gets a clean run, not the previous run's panic replayed.
+// Reset must also clear a recorded program panic: a caller that
+// recovered the re-raised panic and Reset the simulator gets a clean
+// run, not the previous run's panic replayed.
 func TestResetClearsRecordedPanicParallel(t *testing.T) {
 	g := gen.Grid(5, 5)
-	sim, err := NewUniform(g, func(v int) Program { return &panicProg{boom: v == 2} },
-		Options{Engine: EngineParallel})
+	sim, err := NewUniform(g, func(v int) Program { return &panicProg{boom: v == 2} }, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +123,10 @@ func TestResetClearsRecordedPanicParallel(t *testing.T) {
 func TestResetRewindsDirtyLists(t *testing.T) {
 	g := gen.GNP(40, 0.12, 9, true)
 	newProg := func(v int) Program { return &fzProg{cfg: fzConfig{seed: 3}} }
-	for _, opts := range []Options{
-		{Engine: EngineSequential},
-		{Engine: EngineParallel},
-	} {
+	for _, label := range []string{"sequential", "parallel-dispatch"} {
+		sc := schedules()[label]
+		restore := sc.force()
+		opts := sc.opts
 		// Fresh run for the comparison target.
 		fresh, err := NewUniform(g, newProg, opts)
 		if err != nil {
@@ -146,40 +145,34 @@ func TestResetRewindsDirtyLists(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(sim.curDirty) == 0 && len(sim.curBcastL) == 0 {
-			t.Fatalf("%s: workload left no messages in flight — weak test setup", opts.Engine)
+			t.Fatalf("%s: workload left no messages in flight — weak test setup", label)
 		}
 		sim.ResetUniform(newProg)
 		if len(sim.curDirty) != 0 || len(sim.nxDirty) != 0 {
 			t.Errorf("%s: Reset left dirty lists: cur %d, next %d",
-				opts.Engine, len(sim.curDirty), len(sim.nxDirty))
+				label, len(sim.curDirty), len(sim.nxDirty))
 		}
 		if len(sim.active) != 0 || len(sim.frontier) != 0 || len(sim.mail) != 0 || len(sim.woken) != 0 {
 			t.Errorf("%s: Reset left scheduling state: active %d frontier %d mail %d woken %d",
-				opts.Engine, len(sim.active), len(sim.frontier), len(sim.mail), len(sim.woken))
+				label, len(sim.active), len(sim.frontier), len(sim.mail), len(sim.woken))
 		}
 		if len(sim.curBcastL) != 0 || len(sim.nxBcastL) != 0 {
 			t.Errorf("%s: Reset left broadcaster lists: cur %d, next %d",
-				opts.Engine, len(sim.curBcastL), len(sim.nxBcastL))
+				label, len(sim.curBcastL), len(sim.nxBcastL))
 		}
-		logs := map[string]*sendLog{"seq": &sim.seqLog}
-		if sim.par != nil {
-			for i, st := range sim.par.shards {
-				logs[fmt.Sprintf("shard-%d", i)] = &st.log
-			}
-		}
-		for name, l := range logs {
-			if len(l.dirty) != 0 || len(l.bcast) != 0 {
-				t.Errorf("%s: Reset left %s send log (%d dirty, %d bcast)",
-					opts.Engine, name, len(l.dirty), len(l.bcast))
+		for i, st := range sim.shards {
+			if l := st.log; len(l.dirty) != 0 || len(l.bcast) != 0 {
+				t.Errorf("%s: Reset left shard %d's send log (%d dirty, %d bcast)",
+					label, i, len(l.dirty), len(l.bcast))
 			}
 		}
 		for v := range sim.inbox {
 			if len(sim.inbox[v]) != 0 {
-				t.Errorf("%s: Reset left vertex %d inbox (%d ports)", opts.Engine, v, len(sim.inbox[v]))
+				t.Errorf("%s: Reset left vertex %d inbox (%d ports)", label, v, len(sim.inbox[v]))
 			}
 		}
 		if total, _ := sim.Pending(); total != 0 {
-			t.Errorf("%s: Pending after Reset = %d", opts.Engine, total)
+			t.Errorf("%s: Pending after Reset = %d", label, total)
 		}
 
 		// The rewound simulator replays the fresh execution exactly.
@@ -187,16 +180,17 @@ func TestResetRewindsDirtyLists(t *testing.T) {
 			t.Fatal(err)
 		}
 		if sim.Metrics() != fresh.Metrics() {
-			t.Errorf("%s: reused metrics %+v, fresh %+v", opts.Engine, sim.Metrics(), fresh.Metrics())
+			t.Errorf("%s: reused metrics %+v, fresh %+v", label, sim.Metrics(), fresh.Metrics())
 		}
 		for v := 0; v < g.N(); v++ {
 			got := sim.Program(v).(*fzProg)
 			want := fresh.Program(v).(*fzProg)
 			if got.transcript != want.transcript || got.invoked != want.invoked {
 				t.Errorf("%s vertex %d: reused transcript %x/%d, fresh %x/%d",
-					opts.Engine, v, got.transcript, got.invoked, want.transcript, want.invoked)
+					label, v, got.transcript, got.invoked, want.transcript, want.invoked)
 			}
 		}
+		restore()
 	}
 }
 
@@ -246,20 +240,19 @@ func goroutinesSettle(t *testing.T, want int) int {
 	return n
 }
 
-// EngineParallel owns no goroutines: its rounds execute on the shared
+// A simulator owns no goroutines: its fanned-out rounds execute on the shared
 // scheduler, which starts its workers once, survives any number of
 // simulators and Resets, and dies with sched.Runtime.Close — the
 // scheduler-lifecycle extension of the goroutine-leak regression guard.
 func TestSchedulerLifecycleAcrossSimulators(t *testing.T) {
 	// Force every round through the scheduler — the inline light-round
 	// path never dispatches, so the workers would not be observable.
-	defer func(c int) { inlineWorkCutoff = c }(inlineWorkCutoff)
-	inlineWorkCutoff = 0
+	defer SetInlineWorkCutoff(0)()
 	g := gen.Grid(5, 5)
 	base := runtime.NumGoroutine()
 	rt := sched.New(3)
 	runSim := func() {
-		sim, err := NewUniform(g, newFlood(0), Options{Engine: EngineParallel, Runtime: rt})
+		sim, err := NewUniform(g, newFlood(0), Options{Runtime: rt})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -16,30 +17,39 @@ import (
 
 // Eight distributed builds running concurrently on one shared runtime
 // must be bit-identical — spanner, rounds, messages, step stream — to
-// the same builds run sequentially. This is the batch runtime's core
-// correctness claim, and under -race it also proves the scheduler
-// multiplexes the simulators without data races.
+// the same builds run sequentially, both when every round runs inline
+// and when every round is dispatched to the runtime. This is the batch
+// runtime's core correctness claim, and under -race it also proves the
+// scheduler multiplexes the simulators without data races.
 func TestConcurrentBuildsBitIdenticalToSequential(t *testing.T) {
 	cfgs := testConfigs(t)
-	// Eight jobs cycling over four workloads, alternating engines so the
-	// shared runtime multiplexes heterogeneous simulators.
-	type job struct {
-		c   testConfig
-		eng congest.Engine
-	}
-	var jobs []job
-	engines := congest.Engines()
+	// Eight jobs cycling over four workloads.
+	var jobs []testConfig
 	for i := 0; i < 8; i++ {
-		jobs = append(jobs, job{cfgs[i%4], engines[i%len(engines)]})
+		jobs = append(jobs, cfgs[i%4])
 	}
 
 	sequential := make([]*Result, len(jobs))
 	ps := make([]*params.Params, len(jobs))
-	for i, j := range jobs {
-		ps[i] = mustParams(t, j.c)
-		sequential[i] = build(t, j.c, Options{Mode: ModeDistributed, Engine: j.eng})
+	for i, c := range jobs {
+		ps[i] = mustParams(t, c)
+		sequential[i] = build(t, c, Options{Mode: ModeDistributed})
 	}
+	for _, sc := range []struct {
+		name   string
+		cutoff int
+	}{{"inline", math.MaxInt}, {"dispatched", 0}} {
+		func() {
+			defer congest.SetInlineWorkCutoff(sc.cutoff)()
+			checkConcurrentBuilds(t, sc.name, jobs, ps, sequential)
+		}()
+	}
+}
 
+// checkConcurrentBuilds runs jobs concurrently on one private runtime
+// and compares each result with its sequential build.
+func checkConcurrentBuilds(t *testing.T, label string, jobs []testConfig, ps []*params.Params, sequential []*Result) {
+	t.Helper()
 	rt := sched.New(4)
 	defer rt.Close()
 	concurrent := make([]*Result, len(jobs))
@@ -49,38 +59,37 @@ func TestConcurrentBuildsBitIdenticalToSequential(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			j := jobs[i]
-			concurrent[i], errs[i] = Build(context.Background(), j.c.g, ps[i],
-				Options{Mode: ModeDistributed, Engine: j.eng, Runtime: rt})
+			concurrent[i], errs[i] = Build(context.Background(), jobs[i].g, ps[i],
+				Options{Mode: ModeDistributed, Runtime: rt})
 		}(i)
 	}
 	wg.Wait()
 
 	for i := range jobs {
 		if errs[i] != nil {
-			t.Fatalf("job %d (%s/%s): %v", i, jobs[i].c.name, jobs[i].eng, errs[i])
+			t.Fatalf("%s job %d (%s): %v", label, i, jobs[i].name, errs[i])
 		}
 		seq, con := sequential[i], concurrent[i]
 		if !sameSpanner(seq.Spanner, con.Spanner) {
-			t.Errorf("job %d (%s/%s): concurrent spanner differs (m=%d vs %d)",
-				i, jobs[i].c.name, jobs[i].eng, con.EdgeCount(), seq.EdgeCount())
+			t.Errorf("%s job %d (%s): concurrent spanner differs (m=%d vs %d)",
+				label, i, jobs[i].name, con.EdgeCount(), seq.EdgeCount())
 		}
 		if seq.TotalRounds != con.TotalRounds || seq.Messages != con.Messages {
-			t.Errorf("job %d: metrics differ: sequential (%d,%d) concurrent (%d,%d)",
-				i, seq.TotalRounds, seq.Messages, con.TotalRounds, con.Messages)
+			t.Errorf("%s job %d: metrics differ: sequential (%d,%d) concurrent (%d,%d)",
+				label, i, seq.TotalRounds, seq.Messages, con.TotalRounds, con.Messages)
 		}
 		if len(seq.Steps) != len(con.Steps) {
-			t.Fatalf("job %d: step streams differ in length", i)
+			t.Fatalf("%s job %d: step streams differ in length", label, i)
 		}
 		for s := range seq.Steps {
 			if seq.Steps[s] != con.Steps[s] {
-				t.Errorf("job %d step %d: %+v vs %+v", i, s, seq.Steps[s], con.Steps[s])
+				t.Errorf("%s job %d step %d: %+v vs %+v", label, i, s, seq.Steps[s], con.Steps[s])
 			}
 		}
 	}
 	// All eight builds shared the one runtime: one simulator each.
 	if got := rt.SimulatorsCreated(); got != int64(len(jobs)) {
-		t.Errorf("runtime counted %d simulators for %d builds", got, len(jobs))
+		t.Errorf("%s: runtime counted %d simulators for %d builds", label, got, len(jobs))
 	}
 }
 

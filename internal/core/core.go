@@ -67,9 +67,9 @@ func (m Mode) String() string {
 // backend.
 type Options struct {
 	Mode Mode
-	// Engine selects the CONGEST simulator engine (ModeDistributed
-	// only); the zero value means congest.EngineSequential. Every
-	// engine produces the identical spanner and round count.
+	// Engine is read by nothing: the simulator has one stepper.
+	//
+	// Deprecated: leave it unset.
 	Engine congest.Engine
 	// Delivery selects the within-round message delivery order of the
 	// simulator (ModeDistributed only). Correct protocols are
@@ -153,7 +153,7 @@ type Result struct {
 	// service layer. Message pages are allocated only as traffic touches
 	// them, so this is a measured quantity: it reflects the slots the
 	// protocols actually used, not the worst-case topology bound, and it
-	// is the same on every engine.
+	// does not depend on how the simulator schedules its rounds.
 	ArenaBytes int64
 
 	// ArenaBytesWorstCase is what ArenaBytes would have been with every
@@ -240,7 +240,7 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 		// phase's protocol steps attach to it as sessions, and every
 		// round executes on the shared runtime.
 		db, err := newDistributedBackend(g, p.NEstimate,
-			congest.Options{Engine: opts.Engine, Delivery: opts.Delivery, Runtime: opts.Runtime}, led)
+			congest.Options{Delivery: opts.Delivery, Runtime: opts.Runtime}, led)
 		if err != nil {
 			return nil, err
 		}

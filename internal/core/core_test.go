@@ -100,19 +100,20 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 	}
 }
 
-// Every CONGEST engine must drive the full construction to the identical
-// spanner, round count, and message count.
+// Dispatching every simulator round to the runtime must drive the full
+// construction to the identical spanner, round count, and message count
+// as running the rounds inline (which the demo graphs do by default).
 func TestEnginesMatchOnFullConstruction(t *testing.T) {
 	c := testConfigs(t)[1] // gnp-demo
-	seq := build(t, c, Options{Mode: ModeDistributed})
-	eng := congest.EngineParallel
-	got := build(t, c, Options{Mode: ModeDistributed, Engine: eng})
-	if !sameSpanner(seq.Spanner, got.Spanner) {
-		t.Errorf("%s engine produced a different spanner", eng)
+	inline := build(t, c, Options{Mode: ModeDistributed})
+	defer congest.SetInlineWorkCutoff(0)()
+	got := build(t, c, Options{Mode: ModeDistributed})
+	if !sameSpanner(inline.Spanner, got.Spanner) {
+		t.Error("dispatched rounds produced a different spanner")
 	}
-	if seq.TotalRounds != got.TotalRounds || seq.Messages != got.Messages {
-		t.Errorf("%s engine disagrees on metrics: (%d,%d) vs (%d,%d)",
-			eng, seq.TotalRounds, seq.Messages, got.TotalRounds, got.Messages)
+	if inline.TotalRounds != got.TotalRounds || inline.Messages != got.Messages {
+		t.Errorf("dispatched rounds disagree on metrics: (%d,%d) vs (%d,%d)",
+			inline.TotalRounds, inline.Messages, got.TotalRounds, got.Messages)
 	}
 }
 

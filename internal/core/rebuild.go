@@ -47,14 +47,14 @@ var errAffectedTooLarge = errors.New("core: delta affected region exceeds fallba
 // (ruling sets, forests, climbs) re-run in full on the patched graph
 // over the spliced tables. The result is bit-identical to Build on the
 // patched graph — same spanner fingerprint, same table contents — in
-// every mode and engine; only the work differs.
+// every mode; only the work differs.
 //
 // prev must carry rebuild state (Options.KeepRebuildState, or itself a
-// Rebuild result). opts selects the execution mode and engine of the
-// re-run steps; a zero Mode inherits prev's. When a phase's dirty
-// frontier exceeds a quarter of n, Rebuild falls back to a full Build of
-// the patched graph (Result.Incremental reports which path produced the
-// result). The fallback restarts the metrics stream: an OnStep consumer
+// Rebuild result). opts selects the execution mode of the re-run steps;
+// a zero Mode inherits prev's. When a phase's dirty frontier exceeds a
+// quarter of n, Rebuild falls back to a full Build of the patched graph
+// (Result.Incremental reports which path produced the result). The
+// fallback restarts the metrics stream: an OnStep consumer
 // sees the partial incremental phases again as full ones.
 func Rebuild(ctx context.Context, prev *Result, batch *delta.Batch, opts Options) (*Result, error) {
 	if prev == nil || prev.Rebuild == nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -78,7 +79,7 @@ func setMaxAffectedFraction(t *testing.T, f float64) {
 
 // A delta rebuild must be indistinguishable — spanner fingerprint, phase
 // stats, round counts — from a from-scratch build of the patched graph,
-// in every mode and engine.
+// in every mode.
 func TestRebuildMatchesFullBuild(t *testing.T) {
 	// Demo graphs are small enough that a wave can legitimately touch
 	// most vertices; the fallback policy has its own test.
@@ -89,7 +90,6 @@ func TestRebuildMatchesFullBuild(t *testing.T) {
 	}{
 		{"centralized", Options{Mode: ModeCentralized}},
 		{"distributed", Options{Mode: ModeDistributed}},
-		{"parallel", Options{Mode: ModeDistributed, Engine: congest.EngineParallel}},
 	}
 	for _, c := range testConfigs(t) {
 		if c.name == "path-guarantee" {
@@ -97,7 +97,7 @@ func TestRebuildMatchesFullBuild(t *testing.T) {
 		}
 		for _, m := range modes {
 			if m.name != "centralized" && c.name != "gnp-demo" {
-				continue // engine sweep on one workload keeps the matrix tractable
+				continue // mode sweep on one workload keeps the matrix tractable
 			}
 			opts := m.opts
 			opts.KeepRebuildState = true
@@ -156,23 +156,26 @@ func TestRebuildChains(t *testing.T) {
 	}
 }
 
-// Randomized churn chains must hold the rebuild invariant in every
-// engine: delta.RandomBatch streams — the same generator the benchmarks
-// and the CLI use — applied step after step, cross-checked against a
+// Randomized churn chains must hold the rebuild invariant in every mode,
+// and with every simulator round inline and dispatched:
+// delta.RandomBatch streams — the same generator the benchmarks and the
+// CLI use — applied step after step, cross-checked against a
 // from-scratch build of each patched graph.
 func TestRebuildChurnEngines(t *testing.T) {
 	c := testConfigs(t)[1] // gnp-demo
 	// Demo-sized graph; the fallback policy has its own test.
 	setMaxAffectedFraction(t, 1)
 	modes := []struct {
-		name string
-		opts Options
+		name   string
+		opts   Options
+		cutoff int // the simulator's forced fan-out cutoff
 	}{
-		{"centralized", Options{Mode: ModeCentralized}},
-		{"distributed", Options{Mode: ModeDistributed}},
-		{"parallel", Options{Mode: ModeDistributed, Engine: congest.EngineParallel}},
+		{"centralized", Options{Mode: ModeCentralized}, math.MaxInt},
+		{"distributed", Options{Mode: ModeDistributed}, math.MaxInt},
+		{"dispatched", Options{Mode: ModeDistributed}, 0},
 	}
 	for _, m := range modes {
+		restore := congest.SetInlineWorkCutoff(m.cutoff)
 		for seed := uint64(1); seed <= 2; seed++ {
 			opts := m.opts
 			opts.KeepRebuildState = true
@@ -199,6 +202,7 @@ func TestRebuildChurnEngines(t *testing.T) {
 				cur, g = next, g2
 			}
 		}
+		restore()
 	}
 }
 

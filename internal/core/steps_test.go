@@ -18,14 +18,12 @@ import (
 // counts on a private runtime, so concurrent builds elsewhere cannot
 // interfere.
 func TestDistributedBuildConstructsOneSimulator(t *testing.T) {
-	for _, eng := range congest.Engines() {
-		c := testConfigs(t)[1] // gnp-demo
-		rt := sched.New(2)
-		build(t, c, Options{Mode: ModeDistributed, Engine: eng, Runtime: rt})
-		if got := rt.SimulatorsCreated(); got != 1 {
-			t.Errorf("%s: Build constructed %d simulators, want 1", eng, got)
-		}
-		rt.Close()
+	c := testConfigs(t)[1] // gnp-demo
+	rt := sched.New(2)
+	defer rt.Close()
+	build(t, c, Options{Mode: ModeDistributed, Runtime: rt})
+	if got := rt.SimulatorsCreated(); got != 1 {
+		t.Errorf("Build constructed %d simulators, want 1", got)
 	}
 }
 

@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"slices"
-	"time"
 
 	"nearspan/internal/baseline"
-	"nearspan/internal/congest"
 	"nearspan/internal/core"
 	"nearspan/internal/gen"
 	"nearspan/internal/graph"
@@ -124,53 +121,6 @@ func AblationA2(ctx context.Context, w io.Writer) error {
 			stats.Itoa(ph.Deg*ph.Clusters))
 	}
 	t.Note("|P_i|*deg_i stays within O(n^{1+1/kappa}) = %.0f — the invariant behind Lemma 2.12", p.PredictedSize()/p.Beta())
-	t.Render(w)
-	fmt.Fprintln(w)
-	return nil
-}
-
-// AblationA3 runs the identical distributed construction on both
-// CONGEST engines and reports the wall-clock cost of each execution
-// strategy (the sequential reference vs sharded parallelism), checking
-// that both give the same spanner fingerprint, total rounds and
-// messages. The workload is the spannerd benchmark's build shape
-// (GNP-2048, mean degree 20), whose dense near-neighbors rounds are
-// heavy enough for the parallel engine to fan out; on smaller graphs it
-// runs every round inline and the comparison would check nothing. The
-// engine runs stay sequential on purpose: each row is a wall-clock
-// measurement and must not share cores with a concurrent sibling.
-func AblationA3(ctx context.Context, w io.Writer) error {
-	g := gen.GNP(2048, 20.0/2047, 7, true)
-	p, err := params.New(1.0/3, 3, 0.49, g.N())
-	if err != nil {
-		return err
-	}
-	t := stats.NewTable("Ablation A3 — CONGEST engine comparison (gnp-2048, mean degree 20, distributed mode)",
-		"engine", "edges", "fingerprint", "rounds", "messages", "wall clock")
-	type outcome struct {
-		hash     string
-		rounds   int
-		messages int64
-	}
-	var outs []outcome
-	for _, eng := range congest.Engines() {
-		start := time.Now()
-		res, err := core.Build(ctx, g, p, core.Options{Mode: core.ModeDistributed, Engine: eng})
-		if err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		_, hash := graph.Fingerprint(res.Spanner)
-		t.Add(eng.String(), stats.Itoa(res.EdgeCount()), hash, stats.Itoa(res.TotalRounds),
-			stats.I64(res.Messages), elapsed.Round(time.Millisecond).String())
-		outs = append(outs, outcome{hash, res.TotalRounds, res.Messages})
-	}
-	identical := true
-	for _, o := range outs {
-		identical = identical && o == outs[0]
-	}
-	t.Note("GOMAXPROCS %d, num_cpu %d", runtime.GOMAXPROCS(0), runtime.NumCPU())
-	t.Note("fingerprint, rounds and messages identical across engines: %s", passFail(identical))
 	t.Render(w)
 	fmt.Fprintln(w)
 	return nil

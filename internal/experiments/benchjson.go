@@ -48,13 +48,13 @@ type BenchReport struct {
 // (BenchGate), so future changes have a machine-readable ns/op, B/op,
 // allocs/op baseline to diff against instead of eyeballing bench logs.
 // go_maxprocs records the GOMAXPROCS actually in effect (the
-// `cmd/experiments -cpu` flag sets it), so parallel-engine rows can be
-// interpreted on the hardware that produced them.
+// `cmd/experiments -cpu` flag sets it), so rows whose rounds fan out can
+// be interpreted on the hardware that produced them.
 //
 // The assembly pair measures the columnar data plane against the
 // pre-columnar map plane (kept here as a reference implementation) on
-// the 500k-edge workload; the engine rows measure the full distributed
-// construction per CONGEST engine; the frontier rows measure the
+// the 500k-edge workload; the engine row measures the full distributed
+// construction on the CONGEST simulator; the frontier rows measure the
 // sparse-activity workloads whose round cost the frontier-driven
 // stepper keeps at O(activity); the oracle rows measure the query tier
 // on the 500k-edge graph — warm single-source reads from the pool's
@@ -95,24 +95,20 @@ func BenchJSON(w io.Writer) error {
 		}
 	})
 
-	// --- Full distributed construction per engine ---
+	// --- Full distributed construction ---
 	g := gen.GNP(1024, 16.0/1024, 17, true)
 	p, err := params.New(1.0/3, 3, 0.49, g.N())
 	if err != nil {
 		return fmt.Errorf("bench-json: %w", err)
 	}
-	for _, eng := range congest.Engines() {
-		record("engine/"+eng.String()+"/gnp-1024", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Build(context.Background(), g, p, core.Options{
-					Mode: core.ModeDistributed, Engine: eng,
-				}); err != nil {
-					b.Fatal(err)
-				}
+	record("engine/gnp-1024", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Build(context.Background(), g, p, core.Options{Mode: core.ModeDistributed}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 	// The centralized reference, which the assembly plane dominates.
 	record("build/centralized/gnp-1024", func(b *testing.B) {
 		b.ReportAllocs()
@@ -261,8 +257,8 @@ func BenchJSON(w io.Writer) error {
 	// materializing Builder path on the same 500k-edge GNP draw (both
 	// yield the bit-identical graph; the streaming row is the one the
 	// 10⁷-edge workloads use). The build row is the -scale 500k workload:
-	// the full distributed construction on the parallel engine with a
-	// fully lazy arena.
+	// the full distributed construction with a fully lazy arena (the
+	// row keeps its name so the perf trajectory stays continuous).
 	const sn = 8192
 	sprob := 2 * 500_000 / (float64(sn) * float64(sn-1))
 	record("scale/gen/gnp-500k/builder", func(b *testing.B) {
@@ -285,9 +281,7 @@ func BenchJSON(w io.Writer) error {
 	record("scale/build/parallel/gnp-4k-500k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Build(context.Background(), sg, sp2, core.Options{
-				Mode: core.ModeDistributed, Engine: congest.EngineParallel,
-			}); err != nil {
+			if _, err := core.Build(context.Background(), sg, sp2, core.Options{Mode: core.ModeDistributed}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -405,7 +399,7 @@ func gatedName(name string) bool {
 // returns one message per gate failure: a gated benchmark whose ns/op
 // regressed by more than maxRegress (0.25 = +25%), a gated baseline row
 // missing from the fresh report (silently lost coverage), or a
-// go_maxprocs mismatch between the reports (engine rows measured at
+// go_maxprocs mismatch between the reports (rows measured at
 // different parallelism are not comparable — rerun with -cpu matching
 // the baseline). A fresh row without a baseline row is fine — a new
 // benchmark cannot fail the gate before its baseline lands.

@@ -21,7 +21,7 @@ func Claims(ctx context.Context, w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.Build(ctx, cfg.Graph, p, core.Options{Mode: core.ModeDistributed, Engine: cfg.Engine, KeepClusters: true})
+	res, err := core.Build(ctx, cfg.Graph, p, core.Options{Mode: core.ModeDistributed, KeepClusters: true})
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,6 @@ package experiments
 import (
 	"math"
 
-	"nearspan/internal/congest"
 	"nearspan/internal/gen"
 	"nearspan/internal/graph"
 )
@@ -27,10 +26,6 @@ type Config struct {
 	Kappa int
 	Rho   float64
 	Seed  uint64
-	// Engine selects the CONGEST simulator engine for this workload's
-	// distributed builds (zero = sequential). Engines differ only in
-	// wall clock, never in measured rounds or spanner output.
-	Engine congest.Engine
 }
 
 // N returns the workload size.

@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"nearspan/internal/congest"
 )
 
 func TestTable1Runs(t *testing.T) {
@@ -171,14 +169,11 @@ func TestQuickSuiteSmoke(t *testing.T) {
 		t.Skip("suite smoke test skipped in -short mode")
 	}
 	var sb strings.Builder
-	if err := Suite(context.Background(), &sb, QuickConfigs(), congest.EngineParallel); err != nil {
+	if err := Suite(context.Background(), &sb, QuickConfigs()); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(sb.String(), "[FAIL]") {
 		t.Error("suite contains failures")
-	}
-	if !strings.Contains(sb.String(), "identical across engines: [PASS]") {
-		t.Error("ablation A3 did not report its engine comparison")
 	}
 }
 
@@ -187,21 +182,21 @@ func TestQuickSuiteSmoke(t *testing.T) {
 // mismatches — and never fresh rows without a baseline.
 func TestBenchGate(t *testing.T) {
 	base := BenchReport{MaxProcs: 4, Benchmarks: []BenchResult{
-		{Name: "engine/sequential/gnp-1024", NsPerOp: 100},
+		{Name: "engine/gnp-1024", NsPerOp: 100},
 		{Name: "assembly/columnar/500k", NsPerOp: 100},
 		{Name: "frontier/climb-path-16k", NsPerOp: 100},
 		{Name: "build/centralized/gnp-1024", NsPerOp: 100},
 	}}
 	cur := BenchReport{MaxProcs: 4, Benchmarks: []BenchResult{
-		{Name: "engine/sequential/gnp-1024", NsPerOp: 130}, // regression
+		{Name: "engine/gnp-1024", NsPerOp: 130},            // regression
 		{Name: "assembly/columnar/500k", NsPerOp: 124},     // inside the 25% gate
 		{Name: "frontier/climb-path-16k", NsPerOp: 40},     // improvement
 		{Name: "frontier/ruling-path-16k", NsPerOp: 500},   // no baseline row: skipped
 		{Name: "build/centralized/gnp-1024", NsPerOp: 900}, // ungated family
 	}}
 	msgs := BenchGate(base, cur, 0.25)
-	if len(msgs) != 1 || !strings.Contains(msgs[0], "engine/sequential/gnp-1024") {
-		t.Errorf("BenchGate = %v, want exactly the engine regression", msgs)
+	if len(msgs) != 1 || !strings.Contains(msgs[0], "engine/gnp-1024") {
+		t.Errorf("BenchGate = %v, want exactly the engine/ regression", msgs)
 	}
 	if msgs := BenchGate(base, base, 0.25); len(msgs) != 0 {
 		t.Errorf("identical reports flagged: %v", msgs)
@@ -212,7 +207,7 @@ func TestBenchGate(t *testing.T) {
 	msgs = BenchGate(base, lost, 0.25)
 	found := false
 	for _, m := range msgs {
-		if strings.Contains(m, "engine/sequential/gnp-1024") && strings.Contains(m, "missing") {
+		if strings.Contains(m, "engine/gnp-1024") && strings.Contains(m, "missing") {
 			found = true
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"slices"
 
 	"nearspan/internal/cluster"
-	"nearspan/internal/congest"
 	"nearspan/internal/core"
 	"nearspan/internal/gen"
 	"nearspan/internal/graph"
@@ -30,11 +29,6 @@ type FigureConfig struct {
 	Eps            float64
 	Kappa          int
 	Rho            float64
-	// Engine, when nonzero, runs the figure build on the distributed
-	// backend with that CONGEST engine (the report then includes the
-	// measured rounds); zero keeps the fast centralized build. Both
-	// produce the identical spanner, so every figure is unchanged.
-	Engine congest.Engine
 }
 
 // DefaultFigureConfig returns the standard figure workload: deg_0 = 3,
@@ -80,21 +74,13 @@ func Figures(ctx context.Context, w io.Writer, fc FigureConfig) error {
 	if err != nil {
 		return err
 	}
-	mode := core.ModeCentralized
-	if fc.Engine != 0 {
-		mode = core.ModeDistributed
-	}
-	res, err := core.Build(ctx, g, p, core.Options{Mode: mode, Engine: fc.Engine, KeepClusters: true})
+	res, err := core.Build(ctx, g, p, core.Options{Mode: core.ModeDistributed, KeepClusters: true})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "Figure workload: %dx%d grid + %d tails of length %d, %s\n",
 		fc.Rows, fc.Cols, fc.Tails, fc.TailLen, p)
-	if mode == core.ModeDistributed {
-		fmt.Fprintf(w, "built on the CONGEST %s engine: %d rounds, %d messages\n",
-			fc.Engine, res.TotalRounds, res.Messages)
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "built in CONGEST: %d rounds, %d messages\n\n", res.TotalRounds, res.Messages)
 
 	// Recompute phase-0 internals for the renderings.
 	centers := res.P[0].Centers()

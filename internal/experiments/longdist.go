@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"nearspan/internal/baseline"
-	"nearspan/internal/congest"
 	"nearspan/internal/core"
 	"nearspan/internal/gen"
 	"nearspan/internal/graph"
@@ -151,12 +150,11 @@ func ringOfCommunities(k, s int, pIn float64, seed uint64) *graph.Graph {
 // RoundScaling measures how the distributed algorithm's round count
 // grows with n at fixed parameters — the paper's headline is that it is
 // low-polynomial (sublinear for ρ < 1/2 once β is fixed). The fitted
-// exponent is reported alongside the schedule's dominant term. The
-// engine selects the simulator execution strategy (zero = sequential);
-// it changes only the wall clock, not the measured rounds — which is
-// also why the n-grid can fan out concurrently over the shared runtime
-// without perturbing any measurement.
-func RoundScaling(ctx context.Context, w io.Writer, engine congest.Engine) error {
+// exponent is reported alongside the schedule's dominant term. Wall
+// clock never changes a measured round count, so the n-grid fans out
+// concurrently over the shared runtime without perturbing any
+// measurement.
+func RoundScaling(ctx context.Context, w io.Writer) error {
 	eps, kappa, rho := 1.0/3, 3, 0.49
 	ns := []int{128, 256, 512, 1024}
 	t := stats.NewTable("Round scaling — measured CONGEST rounds vs n (gnp, eps=1/3, kappa=3, rho=0.49)",
@@ -174,7 +172,7 @@ func RoundScaling(ctx context.Context, w io.Writer, engine congest.Engine) error
 			if err != nil {
 				return err
 			}
-			res, err := core.Build(ctx, g, p, core.Options{Mode: core.ModeDistributed, Engine: engine})
+			res, err := core.Build(ctx, g, p, core.Options{Mode: core.ModeDistributed})
 			if err != nil {
 				return err
 			}

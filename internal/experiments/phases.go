@@ -22,7 +22,7 @@ func PhaseBreakdown(ctx context.Context, w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.Build(ctx, cfg.Graph, p, core.Options{Mode: core.ModeDistributed, Engine: cfg.Engine})
+	res, err := core.Build(ctx, cfg.Graph, p, core.Options{Mode: core.ModeDistributed})
 	if err != nil {
 		return err
 	}

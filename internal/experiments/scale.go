@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"nearspan/internal/congest"
 	"nearspan/internal/core"
 	"nearspan/internal/gen"
 	"nearspan/internal/graph"
@@ -26,10 +25,6 @@ type ScaleSpec struct {
 	TargetEdges int
 	// Seed drives the generator (default 1 when zero).
 	Seed uint64
-	// Engine selects the CONGEST engine. EngineParallel is the engine
-	// for this regime; callers pass it explicitly (the zero value is
-	// the sequential engine, as everywhere else).
-	Engine congest.Engine
 	// VerifySamples > 0 runs a sampled stretch verification from that
 	// many BFS sources after the build.
 	VerifySamples int
@@ -95,7 +90,7 @@ func ScaleRun(ctx context.Context, spec ScaleSpec) (ScaleResult, error) {
 		return ScaleResult{}, fmt.Errorf("scale: %w", err)
 	}
 	t0 = time.Now()
-	res, err := core.Build(ctx, g, pr, core.Options{Mode: core.ModeDistributed, Engine: spec.Engine})
+	res, err := core.Build(ctx, g, pr, core.Options{Mode: core.ModeDistributed})
 	if err != nil {
 		return ScaleResult{}, fmt.Errorf("scale: build: %w", err)
 	}

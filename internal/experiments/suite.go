@@ -4,15 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-
-	"nearspan/internal/congest"
 )
 
 // Suite runs the full experiment set — the content of EXPERIMENTS.md —
-// writing the report to w. The engine is the suite-wide CONGEST engine
-// selection (zero = sequential); it fills in for configs that do not set
-// their own and drives the scaling experiments. Engine choice never
-// changes a measured round count or spanner, only wall-clock time.
+// writing the report to w.
 //
 // Within each section the configuration grid fans out concurrently over
 // the shared execution runtime (see runConcurrently); sections still
@@ -20,12 +15,7 @@ import (
 // as each section completes, so a cancelled context — the CLI wires it
 // to SIGINT and -timeout — leaves every already-rendered section intact
 // and returns ctx.Err() for the section in flight.
-func Suite(ctx context.Context, w io.Writer, cfgs []Config, engine congest.Engine) error {
-	for i := range cfgs {
-		if cfgs[i].Engine == 0 {
-			cfgs[i].Engine = engine
-		}
-	}
+func Suite(ctx context.Context, w io.Writer, cfgs []Config) error {
 	fmt.Fprintf(w, "=== Near-Additive Spanners in Deterministic CONGEST — experiment report ===\n\n")
 
 	fmt.Fprintf(w, "--- Table 1: deterministic CONGEST algorithms ---\n\n")
@@ -46,9 +36,7 @@ func Suite(ctx context.Context, w io.Writer, cfgs []Config, engine congest.Engin
 	}
 
 	fmt.Fprintf(w, "--- Figures 1-8: structural experiments ---\n\n")
-	fcfg := DefaultFigureConfig()
-	fcfg.Engine = engine // nonzero: figure build runs on the distributed backend
-	if err := Figures(ctx, w, fcfg); err != nil {
+	if err := Figures(ctx, w, DefaultFigureConfig()); err != nil {
 		return fmt.Errorf("figures: %w", err)
 	}
 
@@ -65,7 +53,7 @@ func Suite(ctx context.Context, w io.Writer, cfgs []Config, engine congest.Engin
 	}
 
 	fmt.Fprintf(w, "--- Round scaling ---\n\n")
-	if err := RoundScaling(ctx, w, engine); err != nil {
+	if err := RoundScaling(ctx, w); err != nil {
 		return fmt.Errorf("round scaling: %w", err)
 	}
 
@@ -75,9 +63,6 @@ func Suite(ctx context.Context, w io.Writer, cfgs []Config, engine congest.Engin
 	}
 	if err := AblationA2(ctx, w); err != nil {
 		return fmt.Errorf("ablation A2: %w", err)
-	}
-	if err := AblationA3(ctx, w); err != nil {
-		return fmt.Errorf("ablation A3: %w", err)
 	}
 	if err := AblationA4(ctx, w); err != nil {
 		return fmt.Errorf("ablation A4: %w", err)

@@ -33,7 +33,7 @@ func Table1(ctx context.Context, w io.Writer, cfgs []Config) error {
 			if err != nil {
 				return err
 			}
-			res, err := core.Build(ctx, cfg.Graph, p, core.Options{Mode: core.ModeDistributed, Engine: cfg.Engine})
+			res, err := core.Build(ctx, cfg.Graph, p, core.Options{Mode: core.ModeDistributed})
 			if err != nil {
 				return err
 			}

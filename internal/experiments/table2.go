@@ -93,7 +93,7 @@ func Table2(ctx context.Context, w io.Writer, cfg Config) error {
 			if err != nil {
 				return err
 			}
-			if res, err = core.Build(ctx, cfg.Graph, p, core.Options{Mode: core.ModeDistributed, Engine: cfg.Engine}); err != nil {
+			if res, err = core.Build(ctx, cfg.Graph, p, core.Options{Mode: core.ModeDistributed}); err != nil {
 				return err
 			}
 			alpha, beta := p.Guarantee()

@@ -10,7 +10,7 @@ import (
 // Fingerprint returns the edge count and the FNV-1a hash of the
 // canonical (u, v ascending) edge list — the bit-identity witness used
 // by the golden-spanner fixtures and reported by the build service, so
-// a spanner built anywhere (any mode, any engine, any daemon) can be
+// a spanner built anywhere (any mode, any machine, any daemon) can be
 // compared for exact equality by exchanging 16 hex characters instead
 // of edge lists.
 func Fingerprint(g *Graph) (m int, hash string) {

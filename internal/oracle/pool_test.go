@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"nearspan/internal/congest"
 	"nearspan/internal/core"
 	"nearspan/internal/gen"
 	"nearspan/internal/graph"
@@ -18,14 +17,14 @@ import (
 
 // goldenSpanner builds the gnp-256 golden-fixture spanner (the workload
 // pinned by testdata/golden_spanners.json) through core.Build.
-func goldenSpanner(t *testing.T, mode core.Mode, eng congest.Engine) *graph.Graph {
+func goldenSpanner(t *testing.T, mode core.Mode) *graph.Graph {
 	t.Helper()
 	g := gen.GNP(256, 16.0/256, 256, true)
 	p, err := params.New(1.0/3, 3, 0.49, g.N())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Build(context.Background(), g, p, core.Options{Mode: mode, Engine: eng})
+	res, err := core.Build(context.Background(), g, p, core.Options{Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +42,7 @@ func refLevels(h *graph.Graph) [][]int32 {
 }
 
 func TestPoolMatchesSequentialReference(t *testing.T) {
-	h := goldenSpanner(t, core.ModeCentralized, congest.EngineSequential)
+	h := goldenSpanner(t, core.ModeCentralized)
 	ref := refLevels(h)
 	for _, reps := range []int{1, 3} {
 		pool := NewPool(h, PoolOptions{Replicas: reps, CacheSources: 8})
@@ -70,7 +69,7 @@ func TestPoolMatchesSequentialReference(t *testing.T) {
 // internal path a group takes (cached read, amortized full BFS, or
 // per-pair bidirectional).
 func TestPoolBatchMatchesSingle(t *testing.T) {
-	h := goldenSpanner(t, core.ModeCentralized, congest.EngineSequential)
+	h := goldenSpanner(t, core.ModeCentralized)
 	pool := NewPool(h, PoolOptions{Replicas: 2, CacheSources: 4})
 	r := rand.New(rand.NewSource(7))
 	queries := make([][2]int, 0, 600)
@@ -97,7 +96,7 @@ func TestPoolBatchMatchesSingle(t *testing.T) {
 // is pinned bit-identical to the sequential reference over the golden
 // spanner. Run across replica counts straddling the goroutine count.
 func TestPoolConcurrentMixedQueriesBitIdentical(t *testing.T) {
-	h := goldenSpanner(t, core.ModeCentralized, congest.EngineSequential)
+	h := goldenSpanner(t, core.ModeCentralized)
 	ref := refLevels(h)
 	n := h.N()
 	for _, reps := range []int{1, 2, 8} {
@@ -177,7 +176,7 @@ func TestPoolPathValid(t *testing.T) {
 		}
 	}
 	t.Run("golden", func(t *testing.T) {
-		h := goldenSpanner(t, core.ModeCentralized, congest.EngineSequential)
+		h := goldenSpanner(t, core.ModeCentralized)
 		ref := refLevels(h)
 		pool := NewPool(h, PoolOptions{Replicas: 2, CacheSources: 4})
 		r := rand.New(rand.NewSource(11))
@@ -224,22 +223,22 @@ func TestPoolBidiMatchesBFS(t *testing.T) {
 	}
 }
 
-// Answers are identical whichever engine built the spanner — the builds
+// Answers are identical whichever mode built the spanner — the builds
 // are bit-identical (golden fingerprints), so the query tier must not
 // introduce any divergence of its own.
 func TestPoolAnswersEngineIndependent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed golden build in -short")
 	}
-	hc := goldenSpanner(t, core.ModeCentralized, congest.EngineSequential)
-	hd := goldenSpanner(t, core.ModeDistributed, congest.EngineParallel)
+	hc := goldenSpanner(t, core.ModeCentralized)
+	hd := goldenSpanner(t, core.ModeDistributed)
 	pc := NewPool(hc, PoolOptions{Replicas: 2})
 	pd := NewPool(hd, PoolOptions{Replicas: 3})
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
 		u, v := r.Intn(hc.N()), r.Intn(hc.N())
 		if pc.Dist(u, v) != pd.Dist(u, v) {
-			t.Fatalf("engines disagree at (%d,%d): %d vs %d", u, v, pc.Dist(u, v), pd.Dist(u, v))
+			t.Fatalf("modes disagree at (%d,%d): %d vs %d", u, v, pc.Dist(u, v), pd.Dist(u, v))
 		}
 	}
 }

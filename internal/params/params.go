@@ -77,13 +77,14 @@ func NewWithEstimate(eps float64, kappa int, rho float64, n, nTilde int) (*Param
 	if nTilde < n {
 		return nil, fmt.Errorf("params: estimate %d below n = %d", nTilde, n)
 	}
-	if eps <= 0 || eps > 1 {
+	// The ranges are tested as negated inclusions so NaN fails them.
+	if !(eps > 0 && eps <= 1) {
 		return nil, fmt.Errorf("params: eps = %v out of (0, 1]", eps)
 	}
 	if kappa < 2 {
 		return nil, fmt.Errorf("params: kappa = %d < 2", kappa)
 	}
-	if rho < 1/float64(kappa) || rho >= 0.5 {
+	if !(rho >= 1/float64(kappa) && rho < 0.5) {
 		return nil, fmt.Errorf("params: rho = %v out of [1/kappa, 1/2) for kappa = %d", rho, kappa)
 	}
 
@@ -182,7 +183,7 @@ func (p *Params) Guarantee() (alpha float64, beta int32) {
 // rescaling: ε = ε'·ρ̂/(30ℓ). ℓ depends only on κ and ρ, so the
 // inversion is exact.
 func FromTarget(epsPrime float64, kappa int, rho float64, n int) (*Params, error) {
-	if epsPrime <= 0 || epsPrime > 1 {
+	if !(epsPrime > 0 && epsPrime <= 1) {
 		return nil, fmt.Errorf("params: target eps' = %v out of (0, 1]", epsPrime)
 	}
 	// Probe with a valid ε to learn ℓ and C for (κ, ρ).

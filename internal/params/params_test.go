@@ -33,12 +33,17 @@ func TestValidation(t *testing.T) {
 		{0.1, 2, 0.499, 10, false}, // kappa=2 leaves [1/2, 1/2) empty
 		{0.1, 3, 0.34, 100, true},  // minimal practical kappa
 		{1.0, 16, 0.0625, 5, true}, // rho == 1/kappa, small n
+		{math.NaN(), 4, 0.3, 100, false},
+		{0.1, 4, math.NaN(), 100, false},
 	}
 	for _, c := range cases {
 		_, err := New(c.eps, c.kappa, c.rho, c.n)
 		if (err == nil) != c.ok {
 			t.Errorf("New(%v,%d,%v,%d): err=%v, want ok=%v", c.eps, c.kappa, c.rho, c.n, err, c.ok)
 		}
+	}
+	if _, err := FromTarget(math.NaN(), 4, 0.3, 100); err == nil {
+		t.Error("FromTarget accepted a NaN target")
 	}
 }
 

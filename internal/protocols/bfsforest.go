@@ -12,8 +12,8 @@
 //     interconnection paths to the spanner.
 //
 // Every protocol is deterministic; ties are always broken toward smaller
-// IDs, so repeated runs (and both simulator engines) produce identical
-// results.
+// IDs, so repeated runs (and every simulator shard layout) produce
+// identical results.
 package protocols
 
 import (

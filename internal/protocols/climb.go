@@ -46,7 +46,10 @@ type Climb struct {
 	// MarkedPorts lists the ports whose edges this vertex added to H.
 	MarkedPorts []int32
 
-	forwarded []bool // parallel to Keys: forwarded this key already
+	// forwarded (parallel to Keys: forwarded this key already) and
+	// queues (one per port) are allocated on the first accepted key, so
+	// a vertex that never carries a trace allocates neither.
+	forwarded []bool
 	queues    [][]int64
 }
 
@@ -72,8 +75,6 @@ func ClimbMaxRounds(keysPerVertex, pathLen int) int {
 
 // Init implements congest.Program.
 func (c *Climb) Init(env *congest.Env) {
-	c.forwarded = make([]bool, len(c.Keys))
-	c.queues = make([][]int64, env.Degree())
 	keys := c.Start
 	if !slices.IsSorted(keys) {
 		keys = slices.Clone(keys)
@@ -108,6 +109,10 @@ func (c *Climb) accept(env *congest.Env, k int64) {
 	if !ok {
 		return // root / no pointer: trace terminates here
 	}
+	if c.queues == nil {
+		c.forwarded = make([]bool, len(c.Keys))
+		c.queues = make([][]int64, env.Degree())
+	}
 	if c.forwarded[i] {
 		return
 	}
@@ -117,7 +122,8 @@ func (c *Climb) accept(env *congest.Env, k int64) {
 	c.queues[port] = append(c.queues[port], k)
 }
 
-// pump sends one queued trace per port, then halts if nothing is pending.
+// pump sends one queued trace per port, then halts if nothing is pending
+// (at once when the vertex has accepted no key and queues is nil).
 func (c *Climb) pump(env *congest.Env) {
 	pending := false
 	for p := range c.queues {

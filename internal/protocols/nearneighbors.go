@@ -87,7 +87,7 @@ type NearNeighbors struct {
 	// rec, when non-nil, receives this vertex's per-phase forward
 	// selections (the delta-rebuild transcript). Each program instance
 	// writes only its own vertex's row, so the shared recorder is safe
-	// under the sharded engines.
+	// when rounds fan out to shards.
 	rec *TranscriptRecorder
 }
 

@@ -41,7 +41,7 @@ func toggleDelta(r *rand.Rand, g *graph.Graph, k int) *delta.Batch {
 }
 
 // All three callers of the shared NNState kernel — the distributed
-// program on every engine, the centralized twin, and DiffNN replaying a
+// program, the centralized twin, and DiffNN replaying a
 // random 4-op delta — must reproduce the map-based reference exactly:
 // rows (keys, distances, ports), popularity and forward transcripts. The
 // shapes include stars and cliques, where a vertex hears far more
@@ -87,19 +87,17 @@ func TestNearNeighborsKernelMatchesReference(t *testing.T) {
 				for _, c := range centers {
 					isC[c] = true
 				}
-				for _, eng := range congest.Engines() {
-					rec := protocols.NewTranscriptRecorder(n)
-					sim, err := congest.NewUniform(g, protocols.NewNearNeighborsRec(
-						func(v int) bool { return isC[v] }, deg, dl, rec), congest.Options{Engine: eng})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := sim.RunContext(context.Background(), protocols.NearNeighborsRounds(deg, dl)); err != nil {
-						t.Fatal(err)
-					}
-					if d := protocols.DiffNNTables(n, dl, protocols.ExtractNN(sim), rec.Finish(), want, wantT); d != "" {
-						t.Fatalf("%s: distributed (%s) vs reference: %s", tag, eng, d)
-					}
+				rec := protocols.NewTranscriptRecorder(n)
+				sim, err := congest.NewUniform(g, protocols.NewNearNeighborsRec(
+					func(v int) bool { return isC[v] }, deg, dl, rec), congest.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sim.RunContext(context.Background(), protocols.NearNeighborsRounds(deg, dl)); err != nil {
+					t.Fatal(err)
+				}
+				if d := protocols.DiffNNTables(n, dl, protocols.ExtractNN(sim), rec.Finish(), want, wantT); d != "" {
+					t.Fatalf("%s: distributed vs reference: %s", tag, d)
 				}
 
 				b := toggleDelta(r, g, 4)
@@ -131,8 +129,8 @@ var nnSink protocols.NNResult
 // BenchmarkNearNeighbors times Algorithm 1 on the phase-1 instance of
 // the served build: GNP-2048 with mean degree 20 at ε=1/3, κ=3, ρ=0.49
 // (deg_1 = 42, δ_1 = 15, phase 1's real center set). "distributed" is
-// one simulated session on the sequential engine, "central" the
-// centralized twin on the same inputs.
+// one simulated session, "central" the centralized twin on the same
+// inputs.
 func BenchmarkNearNeighbors(b *testing.B) {
 	g := gen.GNP(2048, 20.0/2047, 7, true)
 	p, err := params.New(1.0/3, 3, 0.49, g.N())

@@ -2,6 +2,7 @@ package protocols
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"nearspan/internal/congest"
@@ -30,9 +31,9 @@ func testGraphs(t *testing.T) map[string]*graph.Graph {
 	}
 }
 
-func runSim(t *testing.T, g *graph.Graph, factory func(v int) congest.Program, rounds int, eng congest.Engine) *congest.Simulator {
+func runSim(t *testing.T, g *graph.Graph, factory func(v int) congest.Program, rounds int) *congest.Simulator {
 	t.Helper()
-	sim, err := congest.NewUniform(g, factory, congest.Options{Engine: eng})
+	sim, err := congest.NewUniform(g, factory, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestBFSForestMatchesMultiBFSOracle(t *testing.T) {
 		roots := []int{0, g.N() / 2, g.N() - 1}
 		isRoot := func(v int) bool { return v == roots[0] || v == roots[1] || v == roots[2] }
 		for _, depth := range []int32{0, 1, 3, 7, int32(g.N())} {
-			sim := runSim(t, g, NewBFSForest(isRoot, depth), ForestRounds(depth), congest.EngineSequential)
+			sim := runSim(t, g, NewBFSForest(isRoot, depth), ForestRounds(depth))
 			got := ExtractForest(sim)
 			wantDist, wantRoot, wantParent := g.MultiBFS(roots, depth)
 			for v := 0; v < g.N(); v++ {
@@ -79,17 +80,19 @@ func TestBFSForestMatchesMultiBFSOracle(t *testing.T) {
 	}
 }
 
+// The *EnginesAgree tests run a protocol with every round inline (the
+// default at these sizes) and again with every round dispatched to the
+// runtime; the outputs must agree.
+
 func TestBFSForestEnginesAgree(t *testing.T) {
 	g := gen.GNP(60, 0.08, 7, true)
 	isRoot := func(v int) bool { return v%11 == 0 }
-	simSeq := runSim(t, g, NewBFSForest(isRoot, 6), ForestRounds(6), congest.EngineSequential)
-	a := ExtractForest(simSeq)
-	eng := congest.EngineParallel
-	sim := runSim(t, g, NewBFSForest(isRoot, 6), ForestRounds(6), eng)
-	b := ExtractForest(sim)
+	a := ExtractForest(runSim(t, g, NewBFSForest(isRoot, 6), ForestRounds(6)))
+	defer congest.SetInlineWorkCutoff(0)()
+	b := ExtractForest(runSim(t, g, NewBFSForest(isRoot, 6), ForestRounds(6)))
 	for v := 0; v < g.N(); v++ {
 		if a.Dist[v] != b.Dist[v] || a.Root[v] != b.Root[v] || a.ParentPort[v] != b.ParentPort[v] {
-			t.Errorf("%s v%d: engines disagree: %+v vs %+v", eng,
+			t.Errorf("v%d: inline and dispatched disagree: %+v vs %+v",
 				v, []any{a.Dist[v], a.Root[v], a.ParentPort[v]}, []any{b.Dist[v], b.Root[v], b.ParentPort[v]})
 		}
 	}
@@ -97,7 +100,7 @@ func TestBFSForestEnginesAgree(t *testing.T) {
 
 func TestBFSForestNoRoots(t *testing.T) {
 	g := gen.Path(10)
-	sim := runSim(t, g, NewBFSForest(func(int) bool { return false }, 5), ForestRounds(5), congest.EngineSequential)
+	sim := runSim(t, g, NewBFSForest(func(int) bool { return false }, 5), ForestRounds(5))
 	res := ExtractForest(sim)
 	for v := 0; v < g.N(); v++ {
 		if res.Dist[v] != -1 || res.Root[v] != -1 {
@@ -118,14 +121,14 @@ func nnCenters(g *graph.Graph, mod int) []int {
 	return cs
 }
 
-func runNN(t *testing.T, g *graph.Graph, centers []int, deg int, delta int32, eng congest.Engine) NNResult {
+func runNN(t *testing.T, g *graph.Graph, centers []int, deg int, delta int32) NNResult {
 	t.Helper()
 	isC := make(map[int]bool, len(centers))
 	for _, c := range centers {
 		isC[c] = true
 	}
 	sim := runSim(t, g, NewNearNeighbors(func(v int) bool { return isC[v] }, deg, delta),
-		NearNeighborsRounds(deg, delta), eng)
+		NearNeighborsRounds(deg, delta))
 	return ExtractNN(sim)
 }
 
@@ -138,7 +141,7 @@ func TestNearNeighborsMatchesCentralOracle(t *testing.T) {
 			{1, 3, 2}, {3, 2, 4}, {5, 4, 6}, {2, 6, 3},
 		} {
 			centers := nnCenters(g, cfg.mod)
-			dist := runNN(t, g, centers, cfg.deg, cfg.delta, congest.EngineSequential)
+			dist := runNN(t, g, centers, cfg.deg, cfg.delta)
 			central := CentralNearNeighbors(g, centers, cfg.deg, cfg.delta)
 			for v := 0; v < g.N(); v++ {
 				cKeys, cDist := central.Known(v)
@@ -171,20 +174,20 @@ func TestNearNeighborsMatchesCentralOracle(t *testing.T) {
 func TestNearNeighborsEnginesAgree(t *testing.T) {
 	g := gen.Grid(7, 7)
 	centers := nnCenters(g, 3)
-	a := runNN(t, g, centers, 3, 4, congest.EngineSequential)
-	eng := congest.EngineParallel
-	b := runNN(t, g, centers, 3, 4, eng)
+	a := runNN(t, g, centers, 3, 4)
+	defer congest.SetInlineWorkCutoff(0)()
+	b := runNN(t, g, centers, 3, 4)
 	for v := 0; v < g.N(); v++ {
 		aKeys, aDist := a.Known(v)
 		bKeys, bDist := b.Known(v)
 		if len(aKeys) != len(bKeys) || a.Popular[v] != b.Popular[v] {
-			t.Fatalf("%s v%d: engines disagree", eng, v)
+			t.Fatalf("v%d: inline and dispatched disagree", v)
 		}
 		for i, c := range aKeys {
 			aPort, _ := a.Port(v, c)
 			bPort, _ := b.Port(v, c)
 			if bKeys[i] != c || bDist[i] != aDist[i] || aPort != bPort {
-				t.Errorf("%s v%d center %d: engines disagree", eng, v, c)
+				t.Errorf("v%d center %d: inline and dispatched disagree", v, c)
 			}
 		}
 	}
@@ -200,7 +203,7 @@ func TestPopularityMatchesGroundTruth(t *testing.T) {
 			isC[c] = true
 		}
 		deg, delta := 4, int32(3)
-		res := runNN(t, g, centers, deg, delta, congest.EngineSequential)
+		res := runNN(t, g, centers, deg, delta)
 		for _, c := range centers {
 			dist := g.BFSBounded(c, delta)
 			count := 0
@@ -228,7 +231,7 @@ func TestUnpopularCentersKnowExactNeighborhood(t *testing.T) {
 			isC[c] = true
 		}
 		deg, delta := 5, int32(4)
-		res := runNN(t, g, centers, deg, delta, congest.EngineSequential)
+		res := runNN(t, g, centers, deg, delta)
 		checked := 0
 		for _, c := range centers {
 			if res.Popular[c] {
@@ -270,7 +273,7 @@ func TestUnpopularCentersKnowExactNeighborhood(t *testing.T) {
 func TestTracePathsAreShortest(t *testing.T) {
 	g := gen.Grid(8, 8)
 	centers := nnCenters(g, 1)
-	res := runNN(t, g, centers, 12, 3, congest.EngineSequential)
+	res := runNN(t, g, centers, 12, 3)
 	traced := 0
 	for _, c := range centers {
 		if res.Popular[c] {
@@ -305,14 +308,14 @@ func TestTracePathsAreShortest(t *testing.T) {
 
 // --- RulingSet ---
 
-func runRulingSet(t *testing.T, g *graph.Graph, members []int, q int32, c int, eng congest.Engine) []int {
+func runRulingSet(t *testing.T, g *graph.Graph, members []int, q int32, c int) []int {
 	t.Helper()
 	isM := make(map[int]bool, len(members))
 	for _, w := range members {
 		isM[w] = true
 	}
 	sim := runSim(t, g, NewRulingSet(func(v int) bool { return isM[v] }, q, c, g.N()),
-		RulingSetRounds(q, c, g.N()), eng)
+		RulingSetRounds(q, c, g.N()))
 	return ExtractRulingSet(sim)
 }
 
@@ -326,7 +329,7 @@ func TestRulingSetInvariants(t *testing.T) {
 			{1, 2, 2}, {2, 3, 2}, {1, 4, 3}, {3, 2, 4},
 		} {
 			members := nnCenters(g, cfg.mod)
-			sel := runRulingSet(t, g, members, cfg.q, cfg.c, congest.EngineSequential)
+			sel := runRulingSet(t, g, members, cfg.q, cfg.c)
 			sepOK, domOK := VerifyRulingSet(g, members, sel, cfg.q, int32(cfg.c)*cfg.q)
 			if !sepOK {
 				t.Errorf("%s cfg%+v: separation violated", name, cfg)
@@ -355,7 +358,7 @@ func TestRulingSetMatchesCentralOracle(t *testing.T) {
 			q int32
 			c int
 		}{{2, 2}, {3, 3}} {
-			sel := runRulingSet(t, g, members, cfg.q, cfg.c, congest.EngineSequential)
+			sel := runRulingSet(t, g, members, cfg.q, cfg.c)
 			want := CentralRulingSet(g, members, cfg.q, cfg.c, g.N())
 			if len(sel) != len(want) {
 				t.Fatalf("%s q=%d c=%d: |distributed|=%d |central|=%d (%v vs %v)",
@@ -373,22 +376,17 @@ func TestRulingSetMatchesCentralOracle(t *testing.T) {
 func TestRulingSetEnginesAgree(t *testing.T) {
 	g := gen.Torus(6, 6)
 	members := nnCenters(g, 1)
-	a := runRulingSet(t, g, members, 3, 2, congest.EngineSequential)
-	eng := congest.EngineParallel
-	b := runRulingSet(t, g, members, 3, 2, eng)
-	if len(a) != len(b) {
-		t.Fatalf("%s: engines disagree: %v vs %v", eng, a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("%s: engines disagree: %v vs %v", eng, a, b)
-		}
+	a := runRulingSet(t, g, members, 3, 2)
+	defer congest.SetInlineWorkCutoff(0)()
+	b := runRulingSet(t, g, members, 3, 2)
+	if !slices.Equal(a, b) {
+		t.Fatalf("inline and dispatched disagree: %v vs %v", a, b)
 	}
 }
 
 func TestRulingSetEmptyMembers(t *testing.T) {
 	g := gen.Path(10)
-	sel := runRulingSet(t, g, nil, 2, 2, congest.EngineSequential)
+	sel := runRulingSet(t, g, nil, 2, 2)
 	if len(sel) != 0 {
 		t.Errorf("empty member set produced %v", sel)
 	}
@@ -396,7 +394,7 @@ func TestRulingSetEmptyMembers(t *testing.T) {
 
 func TestRulingSetSingleMember(t *testing.T) {
 	g := gen.Path(10)
-	sel := runRulingSet(t, g, []int{4}, 2, 2, congest.EngineSequential)
+	sel := runRulingSet(t, g, []int{4}, 2, 2)
 	if len(sel) != 1 || sel[0] != 4 {
 		t.Errorf("single member: got %v", sel)
 	}
@@ -460,7 +458,7 @@ func TestForestClimbMarksRootPaths(t *testing.T) {
 	roots := map[int]bool{0: true, 24: true, 48: true}
 	depth := int32(5)
 	sim := runSim(t, g, NewBFSForest(func(v int) bool { return roots[v] }, depth),
-		ForestRounds(depth), congest.EngineSequential)
+		ForestRounds(depth))
 	forest := ExtractForest(sim)
 
 	// Starters: a few spanned vertices far from roots.
@@ -514,7 +512,7 @@ func TestForestClimbMarksRootPaths(t *testing.T) {
 func TestKeyedClimbTracesToCenters(t *testing.T) {
 	g := gen.Grid(8, 8)
 	centers := nnCenters(g, 1)
-	res := runNN(t, g, centers, 12, 3, congest.EngineSequential)
+	res := runNN(t, g, centers, 12, 3)
 
 	start := make([][]int64, g.N())
 	var expect [][2]int // (from, to) pairs that must be connected
@@ -659,7 +657,7 @@ func TestProtocolsOrderIndependent(t *testing.T) {
 func TestClimbOrderIndependentEdges(t *testing.T) {
 	g := gen.Grid(7, 7)
 	centers := nnCenters(g, 1)
-	res := runNN(t, g, centers, 10, 3, congest.EngineSequential)
+	res := runNN(t, g, centers, 10, 3)
 	start := make([][]int64, g.N())
 	for _, c := range centers {
 		if res.Popular[c] {
@@ -704,8 +702,8 @@ func TestNNRoundBudgetSufficient(t *testing.T) {
 	deg, delta := 3, int32(4)
 	factory := NewNearNeighbors(func(v int) bool { return isC[v] }, deg, delta)
 
-	exact := runSim(t, g, factory, NearNeighborsRounds(deg, delta), congest.EngineSequential)
-	extra := runSim(t, g, factory, NearNeighborsRounds(deg, delta)+2*(deg+1), congest.EngineSequential)
+	exact := runSim(t, g, factory, NearNeighborsRounds(deg, delta))
+	extra := runSim(t, g, factory, NearNeighborsRounds(deg, delta)+2*(deg+1))
 	a, b := ExtractNN(exact), ExtractNN(extra)
 	for v := 0; v < g.N(); v++ {
 		if a.Count(v) != b.Count(v) {

@@ -113,9 +113,8 @@ func (l *Ledger) Record(sm StepMetrics) error {
 // simulator per step would reallocate the O(m) message arenas and the
 // twin table every time. A Network pays those costs once; its sessions
 // record into the construction's Ledger, whose round budget caps every
-// session. It owns no goroutines: the parallel engine
-// executes on the shared runtime, whose lifecycle is independent of any
-// one network.
+// session. It owns no goroutines: fanned-out rounds execute on the
+// shared runtime, whose lifecycle is independent of any one network.
 type Network struct {
 	sim    *congest.Simulator
 	ledger *Ledger

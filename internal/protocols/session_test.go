@@ -11,8 +11,7 @@ import (
 )
 
 // A full protocol pipeline run as sessions on one persistent network
-// must produce the same results and per-step costs as fresh simulators,
-// on every engine.
+// must produce the same results and per-step costs as fresh simulators.
 func TestSessionsMatchFreshSimulators(t *testing.T) {
 	g := gen.GNP(70, 0.1, 7, true)
 	isCenter := func(v int) bool { return true }
@@ -39,57 +38,55 @@ func TestSessionsMatchFreshSimulators(t *testing.T) {
 	}
 	refRS := ExtractRulingSet(refSim2)
 
-	for _, eng := range congest.Engines() {
-		led := NewLedger(0, nil)
-		net, err := NewNetwork(g, congest.Options{Engine: eng}, led)
-		if err != nil {
-			t.Fatal(err)
+	led := NewLedger(0, nil)
+	net, err := NewNetwork(g, congest.Options{}, led)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn, err := RunNearNeighborsRec(context.Background(), net, isCenter, deg, delta, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := led.Steps()[0].Rounds; r != NearNeighborsRounds(deg, delta) {
+		t.Errorf("NN rounds %d, want budget %d", r, NearNeighborsRounds(deg, delta))
+	}
+	for v := 0; v < g.N(); v++ {
+		if nn.Popular[v] != refNN.Popular[v] || nn.Count(v) != refNN.Count(v) {
+			t.Fatalf("NN result differs at vertex %d", v)
 		}
-		nn, err := RunNearNeighborsRec(context.Background(), net, isCenter, deg, delta, nil)
-		if err != nil {
-			t.Fatal(err)
+	}
+	rs, err := RunRulingSet(context.Background(), net, isCenter, q, c, g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != len(refRS) {
+		t.Fatalf("ruling set size %d, fresh %d", len(rs), len(refRS))
+	}
+	for i := range rs {
+		if rs[i] != refRS[i] {
+			t.Fatalf("ruling set differs at %d: %d vs %d", i, rs[i], refRS[i])
 		}
-		if r := led.Steps()[0].Rounds; r != NearNeighborsRounds(deg, delta) {
-			t.Errorf("%s: NN rounds %d, want budget %d", eng, r, NearNeighborsRounds(deg, delta))
+	}
+	forest, err := RunForest(context.Background(), net, func(v int) bool { return v == 0 }, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := g.BFSBounded(0, 4)
+	for v := 0; v < g.N(); v++ {
+		if forest.Dist[v] >= 0 && forest.Dist[v] != want[v] {
+			t.Errorf("forest dist[%d]=%d, BFS %d", v, forest.Dist[v], want[v])
 		}
-		for v := 0; v < g.N(); v++ {
-			if nn.Popular[v] != refNN.Popular[v] || nn.Count(v) != refNN.Count(v) {
-				t.Fatalf("%s: NN result differs at vertex %d", eng, v)
-			}
-		}
-		rs, err := RunRulingSet(context.Background(), net, isCenter, q, c, g.N())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rs) != len(refRS) {
-			t.Fatalf("%s: ruling set size %d, fresh %d", eng, len(rs), len(refRS))
-		}
-		for i := range rs {
-			if rs[i] != refRS[i] {
-				t.Fatalf("%s: ruling set differs at %d: %d vs %d", eng, i, rs[i], refRS[i])
-			}
-		}
-		forest, err := RunForest(context.Background(), net, func(v int) bool { return v == 0 }, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := g.BFSBounded(0, 4)
-		for v := 0; v < g.N(); v++ {
-			if forest.Dist[v] >= 0 && forest.Dist[v] != want[v] {
-				t.Errorf("%s: forest dist[%d]=%d, BFS %d", eng, v, forest.Dist[v], want[v])
-			}
-		}
+	}
 
-		steps := led.Steps()
-		if len(steps) != 3 {
-			t.Fatalf("%s: %d step records, want 3", eng, len(steps))
-		}
-		if steps[0].Step != StepNearNeighbors || steps[0].Messages != refNNMsgs {
-			t.Errorf("%s: NN step metrics %+v (fresh messages %d)", eng, steps[0], refNNMsgs)
-		}
-		if steps[1].Step != StepRulingSet || steps[2].Step != StepForest {
-			t.Errorf("%s: step order wrong: %+v", eng, steps)
-		}
+	steps := led.Steps()
+	if len(steps) != 3 {
+		t.Fatalf("%d step records, want 3", len(steps))
+	}
+	if steps[0].Step != StepNearNeighbors || steps[0].Messages != refNNMsgs {
+		t.Errorf("NN step metrics %+v (fresh messages %d)", steps[0], refNNMsgs)
+	}
+	if steps[1].Step != StepRulingSet || steps[2].Step != StepForest {
+		t.Errorf("step order wrong: %+v", steps)
 	}
 }
 

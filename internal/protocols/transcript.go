@@ -75,7 +75,7 @@ func (t *NNTranscript) Segments() int {
 // when its list changes; the distributed program calls Set every phase —
 // both call patterns encode to the same segments). Rows are per-vertex,
 // so concurrent Set calls for distinct vertices are safe — the invariant
-// the sharded simulator engines rely on.
+// fanned-out simulator rounds rely on.
 type TranscriptRecorder struct {
 	segs [][]ForwardSeg
 	cur  [][]int64 // last recorded list per vertex (aliases its segment)

@@ -2,7 +2,7 @@
 // stack: a bounded worker pool that multiplexes round-sized task batches
 // from many concurrently running CONGEST simulators.
 //
-// Before this runtime existed every parallel-engine simulator owned a
+// Before this runtime existed every sharded simulator owned a
 // private GOMAXPROCS-sized worker pool, so N in-flight spanner builds
 // cost N×GOMAXPROCS goroutines and fought each other for the same cores.
 // A Runtime inverts that: the pool is process-wide (see Default) or

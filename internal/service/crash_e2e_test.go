@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"nearspan/internal/congest"
 	"nearspan/internal/core"
 	"nearspan/internal/gen"
 	"nearspan/internal/graph"
@@ -26,7 +25,7 @@ var crashSpec = JobSpec{
 	Name:  "crash-gnp-1024",
 	Graph: GraphSpec{Type: "gnp", N: 1024, P: 16.0 / 1024, Seed: 1024, Connected: true},
 	Eps:   1.0 / 3, Kappa: 3, Rho: 0.49,
-	Mode: "distributed", Engine: "sequential",
+	Mode: "distributed",
 }
 
 // buildSpannerd compiles the real daemon binary once per test run.
@@ -111,7 +110,7 @@ func TestServiceCrashSIGKILLRecoverBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref, err := core.Build(context.Background(), g, p,
-		core.Options{Mode: core.ModeDistributed, Engine: congest.EngineSequential})
+		core.Options{Mode: core.ModeDistributed})
 	if err != nil {
 		t.Fatal(err)
 	}

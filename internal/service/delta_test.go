@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"nearspan/internal/congest"
 	"nearspan/internal/core"
 	"nearspan/internal/delta"
 	"nearspan/internal/gen"
@@ -116,7 +115,7 @@ func TestServiceDeltaPatchEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref, err := core.Build(context.Background(), g2, p,
-			core.Options{Mode: core.ModeDistributed, Engine: congest.EngineSequential})
+			core.Options{Mode: core.ModeDistributed})
 		if err != nil {
 			t.Fatal(err)
 		}

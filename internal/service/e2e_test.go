@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"nearspan/internal/congest"
 	"nearspan/internal/core"
 	"nearspan/internal/gen"
 	"nearspan/internal/graph"
@@ -110,7 +109,7 @@ func TestServiceE2EGoldenFingerprint(t *testing.T) {
 		Name:  "golden-gnp-256",
 		Graph: GraphSpec{Type: "gnp", N: 256, P: 16.0 / 256, Seed: 256, Connected: true},
 		Eps:   golden.Eps, Kappa: golden.Kappa, Rho: golden.Rho,
-		Mode: "distributed", Engine: "parallel",
+		Mode: "distributed",
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
@@ -204,8 +203,7 @@ func TestServiceE2EGoldenFingerprint(t *testing.T) {
 	}
 }
 
-// Eight simultaneous jobs across both engines, submitted over
-// HTTP, must produce spanners bit-identical to the same builds run
+// Eight simultaneous jobs, submitted over HTTP, must produce spanners bit-identical to the same builds run
 // sequentially through core.Build — the PR 3 Concurrent suite lifted to
 // the HTTP layer. Run under -race in CI.
 func TestServiceConcurrentJobsBitIdenticalToSequential(t *testing.T) {
@@ -227,7 +225,6 @@ func TestServiceConcurrentJobsBitIdenticalToSequential(t *testing.T) {
 		{"torus", GraphSpec{Type: "torus", Rows: 8, Cols: 8},
 			func() *graph.Graph { return gen.Torus(8, 8) }, 0.5, 4, 0.3},
 	}
-	engines := congest.Engines()
 
 	// Sequential references, one per job, via core.Build directly.
 	type ref struct {
@@ -245,7 +242,7 @@ func TestServiceConcurrentJobsBitIdenticalToSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := core.Build(context.Background(), g, p,
-			core.Options{Mode: core.ModeDistributed, Engine: engines[i%len(engines)]})
+			core.Options{Mode: core.ModeDistributed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +265,7 @@ func TestServiceConcurrentJobsBitIdenticalToSequential(t *testing.T) {
 				Name:  fmt.Sprintf("concurrent-%d", i),
 				Graph: wl.spec,
 				Eps:   wl.eps, Kappa: wl.kap, Rho: wl.rho,
-				Mode: "distributed", Engine: engines[i%len(engines)].String(),
+				Mode: "distributed",
 			}
 			body, err := json.Marshal(spec)
 			if err != nil {
@@ -298,8 +295,8 @@ func TestServiceConcurrentJobsBitIdenticalToSequential(t *testing.T) {
 			t.Fatalf("job %d finished %q without result", i, views[i].State)
 		}
 		if res.Fingerprint != refs[i].fingerprint || res.Edges != refs[i].edges {
-			t.Errorf("job %d (%s/%s): served (m=%d, %s), sequential (m=%d, %s)",
-				i, views[i].Name, views[i].Engine,
+			t.Errorf("job %d (%s): served (m=%d, %s), sequential (m=%d, %s)",
+				i, views[i].Name,
 				res.Edges, res.Fingerprint, refs[i].edges, refs[i].fingerprint)
 		}
 		if res.TotalRounds != refs[i].rounds || res.Messages != refs[i].messages {
@@ -322,7 +319,7 @@ func TestServiceEdgeListUpload(t *testing.T) {
 	g.Edges(func(u, v int) { fmt.Fprintf(&sb, "%d %d\n", u, v) })
 
 	resp, err := http.Post(
-		url+"/v1/jobs?wait=1&eps=0.3333333333333333&kappa=3&rho=0.49&engine=sequential",
+		url+"/v1/jobs?wait=1&eps=0.3333333333333333&kappa=3&rho=0.49",
 		"text/plain", &sb)
 	if err != nil {
 		t.Fatal(err)
@@ -360,8 +357,6 @@ func TestServiceBadRequests(t *testing.T) {
 		"unknown graph type": {Graph: GraphSpec{Type: "klein-bottle", N: 8}, Eps: 0.5, Kappa: 3, Rho: 0.49},
 		"missing eps":        {Graph: GraphSpec{Type: "path", N: 8}, Kappa: 3, Rho: 0.49},
 		"bad mode":           {Graph: GraphSpec{Type: "path", N: 8}, Eps: 0.5, Kappa: 3, Rho: 0.49, Mode: "quantum"},
-		"bad engine":         {Graph: GraphSpec{Type: "path", N: 8}, Eps: 0.5, Kappa: 3, Rho: 0.49, Engine: "warp"},
-		"removed engine":     {Graph: GraphSpec{Type: "path", N: 8}, Eps: 0.5, Kappa: 3, Rho: 0.49, Engine: "goroutine"},
 	} {
 		resp, _ := postJSON(t, url+"/v1/jobs", spec)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"nearspan/internal/delta"
 	"nearspan/internal/graph"
@@ -96,7 +98,10 @@ const maxBodyBytes = 64 << 20
 
 // parseSubmission decodes a submission: a JSON JobSpec, or — for any
 // non-JSON content type — a raw edge-list body with the spanner
-// parameters in the query string (the curl-friendly upload path).
+// parameters in the query string (the curl-friendly upload path). Every
+// spec it accepts survives a JSON round trip, which the journal relies
+// on: query floats must be finite, and the edge-list body and query text
+// valid UTF-8.
 func parseSubmission(w http.ResponseWriter, r *http.Request) (JobSpec, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
@@ -122,14 +127,19 @@ func parseSubmission(w http.ResponseWriter, r *http.Request) (JobSpec, error) {
 	}
 	q := r.URL.Query()
 	spec := JobSpec{
-		Name:   q.Get("name"),
-		Graph:  GraphSpec{Type: "edgelist", Edges: string(body)},
-		Mode:   q.Get("mode"),
-		Engine: q.Get("engine"),
+		Name:  q.Get("name"),
+		Graph: GraphSpec{Type: "edgelist", Edges: string(body)},
+		Mode:  q.Get("mode"),
+	}
+	if !utf8.ValidString(spec.Name) || !utf8.ValidString(spec.Mode) || !utf8.Valid(body) {
+		return JobSpec{}, errors.New("edge-list submission: body, name and mode must be valid UTF-8")
 	}
 	parse := func(key string, dst *float64) error {
 		if v := q.Get(key); v != "" {
 			f, err := strconv.ParseFloat(v, 64)
+			if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+				err = errors.New("not a finite number")
+			}
 			if err != nil {
 				return fmt.Errorf("query %s: %w", key, err)
 			}

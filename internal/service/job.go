@@ -96,7 +96,7 @@ func (gs GraphSpec) build() (*graph.Graph, error) {
 }
 
 // JobSpec is one build-job submission: the graph, the spanner
-// parameters, the execution mode/engine, and the job's operational
+// parameters, the execution mode, and the job's operational
 // limits. The zero limits mean the server defaults apply.
 type JobSpec struct {
 	Name  string    `json:"name,omitempty"`
@@ -107,8 +107,7 @@ type JobSpec struct {
 	Kappa          int     `json:"kappa"`
 	Rho            float64 `json:"rho"`
 
-	Mode   string `json:"mode,omitempty"`   // centralized|distributed (default distributed)
-	Engine string `json:"engine,omitempty"` // sequential|parallel (default parallel)
+	Mode string `json:"mode,omitempty"` // centralized|distributed (default distributed)
 
 	// TimeoutMS bounds the job's wall-clock build time; 0 applies the
 	// server default.
@@ -212,10 +211,9 @@ type Job struct {
 	ID   string
 	Spec JobSpec
 
-	g      *graph.Graph
-	p      *params.Params
-	mode   core.Mode
-	engine congest.Engine
+	g    *graph.Graph
+	p    *params.Params
+	mode core.Mode
 
 	// fan carries the job's OnStep stream to any number of subscribers
 	// (event streams, metrics counters); its history doubles as the
@@ -274,13 +272,6 @@ func newJob(id string, spec JobSpec, defaultTimeout, maxTimeout time.Duration, n
 	default:
 		return nil, fmt.Errorf("unknown mode %q (want centralized|distributed)", spec.Mode)
 	}
-	engine := congest.EngineParallel
-	if spec.Engine != "" {
-		engine, err = congest.ParseEngine(spec.Engine)
-		if err != nil {
-			return nil, err
-		}
-	}
 	if spec.MaxRounds < 0 {
 		return nil, fmt.Errorf("max_rounds must be >= 0")
 	}
@@ -298,7 +289,6 @@ func newJob(id string, spec JobSpec, defaultTimeout, maxTimeout time.Duration, n
 		g:         g,
 		p:         p,
 		mode:      mode,
-		engine:    engine,
 		state:     StateQueued,
 		submitted: now,
 		timeout:   timeout,
@@ -356,7 +346,6 @@ type JobView struct {
 	GraphN    int    `json:"graph_n"`
 	GraphM    int    `json:"graph_m"`
 	Mode      string `json:"mode"`
-	Engine    string `json:"engine"`
 	Submitted string `json:"submitted_at"`
 	Started   string `json:"started_at,omitempty"`
 	Finished  string `json:"finished_at,omitempty"`
@@ -377,7 +366,6 @@ func (j *Job) View() JobView {
 		GraphN:    j.g.N(),
 		GraphM:    j.g.M(),
 		Mode:      j.mode.String(),
-		Engine:    j.engine.String(),
 		Submitted: j.submitted.UTC().Format(time.RFC3339Nano),
 		Result:    j.result,
 		Error:     j.jobErr,

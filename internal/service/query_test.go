@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"nearspan/internal/congest"
 	"nearspan/internal/core"
 	"nearspan/internal/gen"
 	"nearspan/internal/params"
@@ -25,7 +24,7 @@ var gnp256Spec = JobSpec{
 	Name:  "query-gnp-256",
 	Graph: GraphSpec{Type: "gnp", N: 256, P: 16.0 / 256, Seed: 256, Connected: true},
 	Eps:   1.0 / 3, Kappa: 3, Rho: 0.49,
-	Mode: "distributed", Engine: "sequential",
+	Mode: "distributed",
 }
 
 // gnp256GroundTruth builds the same spanner locally through core.Build
@@ -39,7 +38,7 @@ func gnp256GroundTruth(t *testing.T) [][]int32 {
 		t.Fatal(err)
 	}
 	res, err := core.Build(context.Background(), g, p,
-		core.Options{Mode: core.ModeDistributed, Engine: congest.EngineSequential})
+		core.Options{Mode: core.ModeDistributed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,15 +109,6 @@ func (s *Server) replayJournal() {
 
 func (s *Server) restoreJob(jj *journaledJob) {
 	job, err := newJob(jj.id, jj.spec, s.opts.DefaultTimeout, s.opts.MaxTimeout, jj.submitted)
-	if err != nil && jj.spec.Engine != "" {
-		// A data dir written by an older binary may name an engine this
-		// one no longer has. Engines are bit-identical and a restored
-		// spanner is re-verified against its journaled fingerprint, so
-		// the job recovers soundly on the default engine.
-		spec := jj.spec
-		spec.Engine = ""
-		job, err = newJob(jj.id, spec, s.opts.DefaultTimeout, s.opts.MaxTimeout, jj.submitted)
-	}
 	if err != nil {
 		// Specs are validated before they are journaled, so this means
 		// the journal predates an incompatible spec change. The job

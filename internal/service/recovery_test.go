@@ -20,14 +20,12 @@ import (
 	"nearspan/internal/store"
 )
 
-// recoverySpec is a small, fast workload the recovery tests reuse; the
-// sequential engine keeps single-test wall clock low and the result is
-// bit-identical across engines anyway.
+// recoverySpec is a small, fast workload the recovery tests reuse.
 var recoverySpec = JobSpec{
 	Name:  "recovery-gnp-128",
 	Graph: GraphSpec{Type: "gnp", N: 128, P: 12.0 / 128, Seed: 7, Connected: true},
 	Eps:   1.0 / 3, Kappa: 3, Rho: 0.49,
-	Mode: "distributed", Engine: "sequential",
+	Mode: "distributed",
 }
 
 func openStore(t *testing.T, dir string) *store.Store {
@@ -258,11 +256,11 @@ func TestServiceRecoveryCorruptSnapshotRebuilds(t *testing.T) {
 	drainServer(t, s3)
 }
 
-// A data dir written by an older binary can journal a spec naming an
-// engine this binary no longer has. Recovery must bring such a job back
-// done on the default engine with its journaled fingerprint, and a spec
-// that no longer validates for any other reason must be counted as
-// dropped rather than vanish without a trace.
+// A data dir written by an older binary can journal a spec with an
+// "engine" field, which specs no longer have. Recovery must ignore the
+// field and bring such a job back done with its journaled fingerprint,
+// and a spec that no longer validates for any other reason must be
+// counted as dropped rather than vanish without a trace.
 func TestServiceRecoveryRemovedEngineFallsBack(t *testing.T) {
 	// Produce the journaled outcome the older binary would have recorded.
 	st := openStore(t, t.TempDir())
@@ -279,8 +277,11 @@ func TestServiceRecoveryRemovedEngineFallsBack(t *testing.T) {
 
 	dir := t.TempDir()
 	st = openStore(t, dir)
-	legacy := recoverySpec
-	legacy.Engine = "goroutine"
+	spec, err := json.Marshal(recoverySpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := json.RawMessage(`{"spec":{"engine":"goroutine",` + string(spec[1:]) + `}`)
 	invalid := recoverySpec
 	invalid.Mode = "quantum"
 	now := time.Now().UTC().Format(time.RFC3339Nano)
@@ -288,7 +289,7 @@ func TestServiceRecoveryRemovedEngineFallsBack(t *testing.T) {
 		typ, job string
 		data     any
 	}{
-		{recAccepted, "j000001", acceptedData{Spec: legacy}},
+		{recAccepted, "j000001", legacy},
 		{recDone, "j000001", doneData{Result: want}},
 		{recAccepted, "j000002", acceptedData{Spec: invalid}},
 	} {
@@ -306,7 +307,7 @@ func TestServiceRecoveryRemovedEngineFallsBack(t *testing.T) {
 	waitReady(t, s2)
 	r := s2.Job("j000001")
 	if r == nil || r.State() != StateDone {
-		t.Fatalf("goroutine-engine job after restart: %v", r)
+		t.Fatalf("job journaled with an engine after restart: %v", r)
 	}
 	if got := r.View().Result; got.Fingerprint != want.Fingerprint || got.Edges != want.Edges {
 		t.Fatalf("recovered (m=%d, %s), journal records (m=%d, %s)",
@@ -627,7 +628,7 @@ func TestServiceRecoveryTornEventBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := core.Build(context.Background(), ref.g, ref.p, core.Options{Mode: ref.mode, Engine: ref.engine})
+	built, err := core.Build(context.Background(), ref.g, ref.p, core.Options{Mode: ref.mode})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -406,7 +406,6 @@ func (s *Server) build(ctx context.Context, job *Job, run func(context.Context) 
 func (s *Server) buildOptions(job *Job) core.Options {
 	return core.Options{
 		Mode:             job.mode,
-		Engine:           job.engine,
 		Runtime:          s.rt,
 		RoundBudget:      job.Spec.MaxRounds,
 		KeepRebuildState: true,

@@ -548,7 +548,7 @@ func TestServiceHealthz(t *testing.T) {
 	}
 }
 
-// A full daemon lifecycle — builds on every engine, on a private
+// A full daemon lifecycle — two concurrent builds on a private
 // scheduler — must return the process to its baseline goroutine count
 // after drain: no leaked workers, simulators, or HTTP plumbing.
 func TestServiceShutdownLeaksNoGoroutines(t *testing.T) {
@@ -556,17 +556,15 @@ func TestServiceShutdownLeaksNoGoroutines(t *testing.T) {
 
 	_, url, shutdown := startDaemon(t, Options{Builds: 2, SchedWorkers: 4})
 	var wg sync.WaitGroup
-	for _, engine := range []string{"sequential", "parallel"} {
+	for _, name := range []string{"leakcheck-a", "leakcheck-b"} {
 		wg.Add(1)
-		go func(engine string) {
+		go func(name string) {
 			defer wg.Done()
-			spec := smallGNP("leakcheck-" + engine)
-			spec.Engine = engine
-			resp, v := postJSON(t, url+"/v1/jobs?wait=1", spec)
+			resp, v := postJSON(t, url+"/v1/jobs?wait=1", smallGNP(name))
 			if resp.StatusCode != http.StatusOK || v.State != StateDone {
-				t.Errorf("%s job: status %d state %q", engine, resp.StatusCode, v.State)
+				t.Errorf("%s job: status %d state %q", name, resp.StatusCode, v.State)
 			}
-		}(engine)
+		}(name)
 	}
 	wg.Wait()
 	shutdown()

@@ -36,7 +36,6 @@ import (
 	"io"
 
 	"nearspan/internal/baseline"
-	"nearspan/internal/congest"
 	"nearspan/internal/core"
 	"nearspan/internal/delta"
 	"nearspan/internal/gen"
@@ -85,27 +84,6 @@ const (
 	DistributedMode = core.ModeDistributed
 )
 
-// Engine selects the CONGEST simulator execution engine used by
-// DistributedMode. Both engines are deterministic and produce the
-// bit-identical spanner, round count, and message count; they differ
-// only in wall-clock speed.
-type Engine = congest.Engine
-
-// The available engines:
-//
-//   - EngineSequential: single-threaded round loop (the default).
-//   - EngineParallel: vertex shards fanned out to a fixed worker pool
-//     sized to GOMAXPROCS — the engine for large graphs on multi-core
-//     hardware.
-const (
-	EngineSequential = congest.EngineSequential
-	EngineParallel   = congest.EngineParallel
-)
-
-// ParseEngine parses an engine name ("sequential", "parallel") as
-// printed by Engine.String — for CLI flags.
-func ParseEngine(name string) (Engine, error) { return congest.ParseEngine(name) }
-
 // Config configures BuildSpanner.
 type Config struct {
 	// Eps is the paper's internal ε (0 < ε <= 1): the phase distance
@@ -123,9 +101,6 @@ type Config struct {
 	Rho float64
 	// Mode selects the execution backend (default CentralizedMode).
 	Mode Mode
-	// Engine selects the CONGEST simulator engine in DistributedMode:
-	// EngineSequential (default) or EngineParallel.
-	Engine Engine
 	// KeepClusters retains per-phase cluster collections in the result.
 	KeepClusters bool
 	// OnStep, when set, receives each protocol step's metrics as it
@@ -173,7 +148,6 @@ func BuildSpannerContext(ctx context.Context, g *Graph, cfg Config) (*Result, er
 func (cfg Config) options() core.Options {
 	return core.Options{
 		Mode:             cfg.Mode,
-		Engine:           cfg.Engine,
 		KeepClusters:     cfg.KeepClusters,
 		OnStep:           cfg.OnStep,
 		RoundBudget:      cfg.RoundBudget,
@@ -376,7 +350,7 @@ func StreamCommunities(k, commSize int, pIn, pOut float64, seed uint64) *EdgeStr
 
 // Fingerprint returns a graph's edge count and a canonical digest of
 // its exact edge set — equal fingerprints on equal-order graphs mean
-// equal graphs, the cheap cross-engine and cross-generator identity
+// equal graphs, the cheap cross-mode and cross-generator identity
 // check.
 func Fingerprint(g *Graph) (m int, hash string) { return graph.Fingerprint(g) }
 

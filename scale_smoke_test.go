@@ -7,13 +7,12 @@ import (
 	"testing"
 	"time"
 
-	"nearspan/internal/congest"
 	"nearspan/internal/experiments"
 )
 
 // TestScaleSmoke10M is the 10⁷-edge end-to-end smoke: stream-generate a
-// GNP graph at n = 65536, run the full distributed construction on the
-// parallel engine with a fully lazy arena, and verify the scale-regime
+// GNP graph at n = 65536, run the full distributed construction with a
+// fully lazy arena, and verify the scale-regime
 // acceptance criteria — the build completes, the measured arena sits at
 // least 4× below the worst-case preallocation it replaced, and a
 // sampled stretch check passes. Gated behind the `scale` build tag (CI
@@ -25,7 +24,6 @@ func TestScaleSmoke10M(t *testing.T) {
 	defer cancel()
 	res, err := experiments.ScaleRun(ctx, experiments.ScaleSpec{
 		TargetEdges:   10_000_000,
-		Engine:        congest.EngineParallel,
 		VerifySamples: 2,
 	})
 	if err != nil {
