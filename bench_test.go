@@ -227,6 +227,34 @@ func BenchmarkBuildCentralized4096(b *testing.B) { benchBuild(b, 4096, core.Mode
 func BenchmarkBuildDistributed256(b *testing.B)  { benchBuild(b, 256, core.ModeDistributed) }
 func BenchmarkBuildDistributed1024(b *testing.B) { benchBuild(b, 1024, core.ModeDistributed) }
 
+// BenchmarkBuildDistributedGNP2048 is the spannerbench build workload
+// without the daemon: a distributed build of the connected
+// GNP(2048, 20/2047) with ε = 1/3, κ = 3, ρ = 0.49. Beyond ns/op it
+// reports ns/message and invocations/op (program calls per build), the
+// figures a change to the simulator's round loop moves.
+func BenchmarkBuildDistributedGNP2048(b *testing.B) {
+	const n = 2048
+	g := gen.GNP(n, 20.0/(n-1), 1, true)
+	p, err := params.New(1.0/3, 3, 0.49, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var messages, invocations int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := core.Build(context.Background(), g, p, core.Options{Mode: core.ModeDistributed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		messages += res.Messages
+		for _, st := range res.Steps {
+			invocations += st.Invocations
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(messages), "ns/message")
+	b.ReportMetric(float64(invocations)/float64(b.N), "invocations/op")
+}
+
 // --- CONGEST simulator micro-benchmark ---
 
 // BenchmarkEngine times one near-neighbors session on a fresh simulator

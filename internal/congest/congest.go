@@ -21,7 +21,14 @@
 // Messages are stored once, by the sender: a broadcast in the compact
 // O(n) arena, a unicast in its edge's slot. A receiving program ranges
 // over Env.Recv, which reads each message in place from that store, so
-// delivery copies nothing per message beyond the value it yields.
+// delivery copies nothing per message beyond the value it yields, and
+// whose loop inlines into the program's Round, so it calls nothing per
+// message either.
+//
+// A round calls only the vertices that have work: those not halted,
+// those with mail, and those whose alarm names the round. A program on
+// a fixed schedule calls Env.SleepUntil to skip the rounds in which it
+// would only wait for mail; mail still wakes it at once.
 package congest
 
 import (
@@ -114,11 +121,14 @@ func (o Options) withDefaults() Options {
 }
 
 // Metrics aggregates execution statistics. Rounds counts executed rounds
-// (Init is not a round). Messages counts sent messages.
+// (Init is not a round). Messages counts sent messages. Invocations
+// counts Round calls, the sum of the rounds' frontier lengths; like the
+// others it is a pure function of the execution.
 type Metrics struct {
 	Rounds          int
 	Messages        int64
 	MaxRoundTraffic int64 // most messages sent in any single round
+	Invocations     int64
 }
 
 // ErrBandwidth is returned (wrapped) when a program sends a second
@@ -138,7 +148,7 @@ type ErrBudgetExhausted struct {
 	MaxRounds int           // the exhausted budget
 	Pending   int           // messages still in flight
 	ByKind    map[uint8]int // pending messages by kind
-	Active    int           // vertices that have not halted
+	Active    int           // vertices running or asleep with an alarm (Simulator.Active)
 }
 
 func (e *ErrBudgetExhausted) Error() string {
@@ -181,11 +191,13 @@ const (
 type sendLog struct {
 	dirty []int32 // slots first-touched by a unicast this round
 	bcast []int32 // vertices with pending compact broadcasts
+	sleep []int32 // vertices that set an alarm (SleepUntil)
 }
 
 func (l *sendLog) reset() {
 	l.dirty = l.dirty[:0]
 	l.bcast = l.bcast[:0]
+	l.sleep = l.sleep[:0]
 }
 
 // Simulator executes one Program instance per vertex of a graph.
@@ -272,13 +284,25 @@ type Simulator struct {
 	// per-scope send logs are merged; flip consumes it.
 	roundSent int64
 
-	// denseGather flags a round where most slots carry messages: building
-	// and sorting per-vertex inboxes would cost more than the dense port
-	// probe, so deliver probes ports directly instead. The flag is a pure
-	// function of len(curDirty) and the broadcast slot total, hence
-	// independent of the shard layout, and both paths yield the identical
-	// sequence.
-	denseGather bool
+	// gather is how buildFrontier prepared the round (see the gather*
+	// constants). Every mode but gatherInbox marks a round where most
+	// slots carry messages: building and sorting per-vertex inboxes would
+	// cost more than the dense port probe, so Recv probes ports directly
+	// instead. The mode is a pure function of the message lists, the
+	// active list and the alarms, hence independent of the shard layout,
+	// and every mode yields the identical sequence.
+	gather uint8
+
+	// Alarms (Env.SleepUntil). wakeAt[v] is the round a halted vertex's
+	// pending alarm wakes it at (0: none), and sleepers counts the pending
+	// alarms. alarms[r] lists the vertices that named round r when they
+	// set their alarm, merged from the send logs; an entry whose vertex
+	// has since woken or re-armed no longer matches wakeAt and is skipped.
+	// spare keeps a fired bucket's array for the next new bucket.
+	wakeAt   []int
+	sleepers int
+	alarms   map[int][]int32
+	spare    []int32
 
 	metrics Metrics
 	halted  []bool
@@ -344,6 +368,8 @@ func New(g *graph.Graph, progs []Program, opts Options) (*Simulator, error) {
 	s.curBcastOn = make([]bool, n)
 	s.nxBcastOn = make([]bool, n)
 	s.halted = make([]bool, n)
+	s.wakeAt = make([]int, n)
+	s.alarms = make(map[int][]int32)
 	s.mailStamp = make([]uint64, n)
 	s.inbox = make([][]int32, n)
 	return s, nil
@@ -446,7 +472,7 @@ func (s *Simulator) reset() {
 	s.round = 0
 	s.metrics = Metrics{}
 	s.roundSent = 0
-	s.denseGather = false
+	s.gather = gatherInbox
 	// A dense rewind, deliberately: a panicking round can abort before
 	// the barrier-time log merge, leaving send logs and inbox state the
 	// incremental paths never observed. Reset is per-protocol, not
@@ -455,6 +481,9 @@ func (s *Simulator) reset() {
 	// never collide with a future round's generation. Retained pages are
 	// not zeroed: a slot's message is unreachable once its flag is.)
 	clear(s.halted)
+	clear(s.wakeAt)
+	clear(s.alarms)
+	s.sleepers = 0
 	clear(s.curFull)
 	clear(s.nxFull)
 	clear(s.curBcastOn)
@@ -513,8 +542,10 @@ func (s *Simulator) Metrics() Metrics { return s.metrics }
 // Round returns the number of rounds executed so far.
 func (s *Simulator) Round() int { return s.round }
 
-// Active returns the number of vertices that have not halted.
-func (s *Simulator) Active() int { return len(s.active) }
+// Active returns the number of vertices that still have work of their
+// own: those that have not halted and those asleep with an alarm pending
+// (SleepUntil).
+func (s *Simulator) Active() int { return len(s.active) + s.sleepers }
 
 // ArenaBytes returns the retained size of the simulator's message
 // machinery: the allocated unicast arena pages, the compact broadcast
@@ -592,8 +623,54 @@ func (e *Env) Round() int { return e.sim.round }
 // number of times there (the delivered messages do not change while the
 // round runs, sends go to the next round) and stopped early, and during
 // Init it is empty.
+//
+// The loop is driven by the vertex's inbox — the ports the dirty slots
+// and broadcasts hit, pre-sorted by buildFrontier — rather than probing
+// every port. In dense rounds the inboxes were skipped and the loop
+// probes every port straight off the neighbor list and twin run; both
+// paths yield the identical sequence, since a probed port without a
+// message contributes nothing. Per port, the sender's compact
+// broadcast and the slot's unicast are mutually exclusive (the
+// broadcast-or-unicast invariant), so the compact store is checked first
+// and the slot only read on miss. The loop lives in the returned literal
+// itself, not in a method it calls: Go inlines a literal that is called
+// once under a much larger budget, so the literal and each program's
+// range body inline into Round and a message costs no call.
 func (e *Env) Recv() iter.Seq2[int, Message] {
-	return func(yield func(int, Message) bool) { e.sim.deliver(e.id, yield) }
+	return func(yield func(int, Message) bool) {
+		s, v := e.sim, e.id
+		dense := s.gather != gatherInbox
+		ports := s.inbox[v]
+		n := len(ports)
+		if dense {
+			n = s.g.Degree(v)
+		}
+		if n == 0 {
+			return
+		}
+		nbrs := s.g.Neighbors(v)
+		twin := s.twin[e.base : e.base+len(nbrs)] // slots of the edges (neighbor -> v)
+		bcast, bcastOn, full := s.curBcast, s.curBcastOn, s.curFull
+		i, end, step := 0, n, 1
+		if s.opts.Delivery == DeliverPortDescending {
+			i, end, step = n-1, -1, -1
+		}
+		for ; i != end; i += step {
+			p := i
+			if !dense {
+				p = int(ports[i])
+			}
+			if u := nbrs[p]; bcastOn[u] {
+				if !yield(p, bcast[u]) {
+					return
+				}
+			} else if src := int(twin[p]); full[src] {
+				if !yield(p, s.curMsg(src)) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Send transmits m over the given port; it is delivered next round. Send
@@ -665,6 +742,22 @@ func (e *Env) bandwidthViolation(port int) error {
 // until a message arrives. Used for message-driven quiescence.
 func (e *Env) Halt() { e.sim.halted[e.id] = true }
 
+// SleepUntil halts this vertex and sets an alarm: its Round method runs
+// again at round r or at the first round that delivers it a message,
+// whichever comes first, and that run clears the alarm. An r at or
+// before the next round wakes it next round. A second SleepUntil in the
+// same callback replaces the alarm; a Halt keeps it. A vertex that acts
+// on a fixed schedule sleeps through the rounds where it would only wait
+// for mail, so those rounds do not call it.
+func (e *Env) SleepUntil(r int) {
+	s := e.sim
+	s.halted[e.id] = true
+	if s.wakeAt[e.id] == 0 {
+		e.out.sleep = append(e.out.sleep, int32(e.id))
+	}
+	s.wakeAt[e.id] = max(r, s.round+1)
+}
+
 // recordViolation keeps the violation with the lowest (round, vertex),
 // so every shard layout reports the error a one-shard round would. A run
 // returns at the end of the first violating round, so only violations of
@@ -712,12 +805,12 @@ func (s *Simulator) RunContext(ctx context.Context, rounds int) error {
 	return s.violation()
 }
 
-// RunUntilQuietContext executes rounds until no messages are in flight
-// and every vertex has halted, up to maxRounds, checking the context at
-// every round boundary (see RunContext). It returns the number of rounds
-// executed and the first violation, if any. If the budget runs out
-// before quiescence the error is a *ErrBudgetExhausted carrying the
-// pending-message histogram.
+// RunUntilQuietContext executes rounds until no messages are in flight,
+// every vertex has halted and no alarm is pending, up to maxRounds,
+// checking the context at every round boundary (see RunContext). It
+// returns the number of rounds executed and the first violation, if any.
+// If the budget runs out before quiescence the error is a
+// *ErrBudgetExhausted carrying the pending-message histogram.
 //
 // Quiescence here is the message-driven kind: a protocol that acts on a
 // precomputed round schedule must use RunContext with its schedule
@@ -748,21 +841,17 @@ func (s *Simulator) RunUntilQuietContext(ctx context.Context, maxRounds int) (in
 	if !s.quiet() {
 		total, byKind := s.Pending()
 		return s.round - start, &ErrBudgetExhausted{
-			MaxRounds: maxRounds, Pending: total, ByKind: byKind, Active: len(s.active),
+			MaxRounds: maxRounds, Pending: total, ByKind: byKind, Active: s.Active(),
 		}
 	}
 	return s.round - start, nil
 }
 
-// allAwake reports that no vertex is halted: the active list, the exact
-// complement of the halted flags, names every vertex.
-func (s *Simulator) allAwake() bool { return len(s.active) == s.g.N() }
-
 // quiet is O(1): the dirty and broadcaster lists are empty exactly when
-// no message is buffered, and the active list is empty exactly when
-// every vertex has halted.
+// no message is buffered, the active list is empty exactly when every
+// vertex has halted, and sleepers counts the pending alarms.
 func (s *Simulator) quiet() bool {
-	return len(s.curDirty) == 0 && len(s.curBcastL) == 0 && len(s.active) == 0
+	return len(s.curDirty) == 0 && len(s.curBcastL) == 0 && len(s.active) == 0 && s.sleepers == 0
 }
 
 // runInit calls every vertex's Init through shard 0's scope, on the
@@ -795,74 +884,79 @@ func (s *Simulator) runInit() {
 func (s *Simulator) step() {
 	s.round++
 	s.buildFrontier()
+	s.metrics.Invocations += int64(len(s.frontier))
 	s.runFrontier()
 	s.finishRound()
 	s.flip()
 }
 
-// buildFrontier derives the round's invocation list. Every dirty slot
-// names its destination vertex (the CSR adjacency entry at the slot
-// index) and port (its twin's offset); every compact broadcaster's
-// adjacency range does the same for its neighbors. Destinations are
-// deduped with a generation stamp into the mail list, their inboxes
-// filled with the hit ports (sorted — the per-vertex hits are few), and
-// halted destinations are woken. The broadcast-or-unicast invariant
-// guarantees the two walks never hit the same port, so no cross-walk
-// dedupe is needed. The frontier is the merge of the two ascending
-// disjoint lists: still-active vertices and the woken.
+// Gather modes: how buildFrontier prepared a round and found the
+// halted vertices to wake.
+const (
+	gatherInbox uint8 = iota // sparse: mail walked, inboxes built
+	gatherProbe              // dense: the halted vertices' ports probed
+	gatherAwake              // dense: no vertex left halted, nothing to wake
+)
+
+// buildFrontier derives the round's invocation list. It first fires the
+// round's alarms. Then every dirty slot names its destination vertex
+// (the CSR adjacency entry at the slot index) and port (its twin's
+// offset); every compact broadcaster's adjacency range does the same for
+// its neighbors. Destinations are deduped with a generation stamp into
+// the mail list, their inboxes filled with the hit ports (sorted — the
+// per-vertex hits are few), and halted destinations are woken. The
+// broadcast-or-unicast invariant guarantees the two walks never hit the
+// same port, so no cross-walk dedupe is needed. The frontier is the
+// merge of the two ascending disjoint lists: still-active vertices and
+// the woken.
 //
 // When at least half the slots carry messages the round is effectively
-// dense: the inboxes are skipped (deliver probes ports directly)
-// and only the wake/mail derivation runs, so dense workloads pay the
-// same per-round cost as a dense stepper. A dense round in which no
-// vertex is halted skips that derivation too: the walk's only output
-// would be the woken list, which is empty, so the frontier is the
-// active list. Every shard layout takes the shortcut on the same rounds
-// (the test reads only the message lists and the active list), and it
-// removes the coordinator's serial once-per-message walk from exactly
-// the rounds that carry the traffic.
+// dense: the inboxes are skipped (Recv probes ports directly) and the
+// serial once-per-message walk with them. If the alarms left no vertex
+// halted there is nothing to wake (gatherAwake). Otherwise each halted
+// vertex's ports are probed for mail, stopping at the first hit
+// (gatherProbe): O(n + Σ deg of the halted) at worst, which a dense
+// round's traffic bounds, and far less when most of them have mail.
+// Every shard layout picks the same mode (the rule reads only the
+// message lists, the active list and the alarms).
 func (s *Simulator) buildFrontier() {
 	s.stampGen++
-	s.denseGather = 2*(len(s.curDirty)+s.curBcastSlots) >= len(s.twin)
-	if s.denseGather && s.allAwake() {
-		s.frontier = append(s.frontier[:0], s.active...)
+	s.woken = s.woken[:0]
+	if b, ok := s.alarms[s.round]; ok {
+		for _, v := range b {
+			if s.wakeAt[v] == s.round {
+				s.wake(v)
+			}
+		}
+		delete(s.alarms, s.round)
+		s.spare = b[:0]
+	}
+	switch {
+	case 2*(len(s.curDirty)+s.curBcastSlots) < len(s.twin):
+		s.gather = gatherInbox
+		s.walkMail()
+	case len(s.active)+len(s.woken) == s.g.N():
+		s.gather = gatherAwake
+	default:
+		s.gather = gatherProbe
+		for v, h := range s.halted {
+			if h && s.hasMail(v) {
+				s.wake(int32(v))
+			}
+		}
+	}
+	s.frontier = s.frontier[:0]
+	if len(s.woken) > s.g.N()/16 {
+		// Sorting many woken costs more than reading every flag: the
+		// frontier is exactly the vertices not halted.
+		for v, h := range s.halted {
+			if !h {
+				s.frontier = append(s.frontier, int32(v))
+			}
+		}
 		return
 	}
-	for _, slot := range s.curDirty {
-		d := s.g.AdjAt(int(slot))
-		if s.mailStamp[d] != s.stampGen {
-			s.mailStamp[d] = s.stampGen
-			s.mail = append(s.mail, d)
-		}
-		if !s.denseGather {
-			s.inbox[d] = append(s.inbox[d], s.twin[slot]-s.g.Offset(int(d)))
-		}
-	}
-	for _, u := range s.curBcastL {
-		base := int(s.g.Offset(int(u)))
-		for i, deg := 0, s.g.Degree(int(u)); i < deg; i++ {
-			d := s.g.AdjAt(base + i)
-			if s.mailStamp[d] != s.stampGen {
-				s.mailStamp[d] = s.stampGen
-				s.mail = append(s.mail, d)
-			}
-			if !s.denseGather {
-				s.inbox[d] = append(s.inbox[d], s.twin[base+i]-s.g.Offset(int(d)))
-			}
-		}
-	}
-	s.woken = s.woken[:0]
-	for _, d := range s.mail {
-		if !s.denseGather {
-			slices.Sort(s.inbox[d])
-		}
-		if s.halted[d] {
-			s.halted[d] = false
-			s.woken = append(s.woken, d)
-		}
-	}
 	slices.Sort(s.woken)
-	s.frontier = s.frontier[:0]
 	i, j := 0, 0
 	for i < len(s.active) && j < len(s.woken) {
 		if s.active[i] < s.woken[j] {
@@ -875,6 +969,57 @@ func (s *Simulator) buildFrontier() {
 	}
 	s.frontier = append(s.frontier, s.active[i:]...)
 	s.frontier = append(s.frontier, s.woken[j:]...)
+}
+
+// wake runs halted vertex v this round and clears its alarm.
+func (s *Simulator) wake(v int32) {
+	s.halted[v] = false
+	if s.wakeAt[v] != 0 {
+		s.wakeAt[v] = 0
+		s.sleepers--
+	}
+	s.woken = append(s.woken, v)
+}
+
+// hasMail reports whether any port of v delivers a message this round.
+func (s *Simulator) hasMail(v int) bool {
+	twin := s.twin[s.g.Offset(v):]
+	for p, u := range s.g.Neighbors(v) {
+		if s.curBcastOn[u] || s.curFull[twin[p]] {
+			return true
+		}
+	}
+	return false
+}
+
+// walkMail walks every message of a sparse round into the mail list
+// and the inboxes, and wakes halted destinations.
+func (s *Simulator) walkMail() {
+	for _, slot := range s.curDirty {
+		d := s.g.AdjAt(int(slot))
+		if s.mailStamp[d] != s.stampGen {
+			s.mailStamp[d] = s.stampGen
+			s.mail = append(s.mail, d)
+		}
+		s.inbox[d] = append(s.inbox[d], s.twin[slot]-s.g.Offset(int(d)))
+	}
+	for _, u := range s.curBcastL {
+		base := int(s.g.Offset(int(u)))
+		for i, deg := 0, s.g.Degree(int(u)); i < deg; i++ {
+			d := s.g.AdjAt(base + i)
+			if s.mailStamp[d] != s.stampGen {
+				s.mailStamp[d] = s.stampGen
+				s.mail = append(s.mail, d)
+			}
+			s.inbox[d] = append(s.inbox[d], s.twin[base+i]-s.g.Offset(int(d)))
+		}
+	}
+	for _, d := range s.mail {
+		slices.Sort(s.inbox[d])
+		if s.halted[d] {
+			s.wake(d)
+		}
+	}
 }
 
 // collectLog appends one scope's send log to the global next-round lists
@@ -897,6 +1042,20 @@ func (s *Simulator) collectLog(l *sendLog) {
 		s.nxBcastL = append(s.nxBcastL, l.bcast...)
 		l.bcast = l.bcast[:0]
 	}
+	for i := 0; i < len(l.sleep); {
+		// One bucket lookup per run of sleepers naming the same round.
+		r := s.wakeAt[l.sleep[i]]
+		b, ok := s.alarms[r]
+		if !ok {
+			b, s.spare = s.spare, nil
+		}
+		for ; i < len(l.sleep) && s.wakeAt[l.sleep[i]] == r; i++ {
+			b = append(b, l.sleep[i])
+		}
+		s.alarms[r] = b
+	}
+	s.sleepers += len(l.sleep)
+	l.sleep = l.sleep[:0]
 }
 
 // finishRound runs on the coordinator after the round barrier and the
@@ -910,10 +1069,8 @@ func (s *Simulator) finishRound() {
 			s.active = append(s.active, v)
 		}
 	}
-	if !s.denseGather {
-		for _, d := range s.mail {
-			s.inbox[d] = s.inbox[d][:0]
-		}
+	for _, d := range s.mail { // empty in dense rounds
+		s.inbox[d] = s.inbox[d][:0]
 	}
 	s.mail = s.mail[:0]
 }
@@ -958,50 +1115,4 @@ func (s *Simulator) flip() {
 		s.nxBcastOn[u] = false
 	}
 	s.nxBcastL = s.nxBcastL[:0]
-}
-
-// deliver yields vertex v's deliverable messages in the configured
-// delivery order, driven by v's inbox — the ports the dirty slots and
-// broadcasts hit, pre-sorted by buildFrontier — rather than probing every
-// port. In dense rounds (denseGather) the inboxes were skipped and the
-// loop probes every port straight off v's neighbor list and twin run;
-// both paths yield the identical sequence, since a probed port without a
-// message contributes nothing. One loop serves both paths and both
-// delivery orders. Per port, the sender's compact broadcast and the
-// slot's unicast are mutually exclusive (the broadcast-or-unicast
-// invariant), so the compact store is checked first and the slot only
-// read on miss.
-func (s *Simulator) deliver(v int, yield func(int, Message) bool) {
-	dense := s.denseGather
-	ports := s.inbox[v]
-	n := len(ports)
-	if dense {
-		n = s.g.Degree(v)
-	}
-	if n == 0 {
-		return
-	}
-	base := int(s.g.Offset(v))
-	nbrs := s.g.Neighbors(v)
-	twin := s.twin[base : base+len(nbrs)] // slots of the edges (neighbor -> v)
-	bcast, bcastOn, full := s.curBcast, s.curBcastOn, s.curFull
-	i, end, step := 0, n, 1
-	if s.opts.Delivery == DeliverPortDescending {
-		i, end, step = n-1, -1, -1
-	}
-	for ; i != end; i += step {
-		p := i
-		if !dense {
-			p = int(ports[i])
-		}
-		if u := nbrs[p]; bcastOn[u] {
-			if !yield(p, bcast[u]) {
-				return
-			}
-		} else if src := int(twin[p]); full[src] {
-			if !yield(p, s.curMsg(src)) {
-				return
-			}
-		}
-	}
 }

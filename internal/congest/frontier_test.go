@@ -17,7 +17,7 @@ import (
 // break the model. The same decision function drives both a congest
 // Program and denseRef, an independent dense stepper written directly
 // from the model definition (probe every port, visit every vertex, wake
-// on mail). Identical per-vertex transcripts, metrics, quiescence
+// on mail or alarm). Identical per-vertex transcripts, metrics, quiescence
 // rounds, and violation reports across all schedules and the reference
 // mean the O(activity) machinery is observationally invisible.
 
@@ -41,10 +41,13 @@ type fzSend struct {
 	broadcast bool
 }
 
-// fzDecision is what a vertex does in one round.
+// fzDecision is what a vertex does in one round: its sends, then a
+// SleepUntil for each entry of sleeps (a later one replaces an earlier
+// one), then a Halt if halt is set.
 type fzDecision struct {
-	sends []fzSend
-	halt  bool
+	sends  []fzSend
+	sleeps []int
+	halt   bool
 }
 
 // fzConfig shapes the random behavior.
@@ -60,8 +63,17 @@ type fzConfig struct {
 	awake bool
 	// sleeper, when positive, names vertex sleeper-1 as the one vertex
 	// that still halts every round it runs, so an awake run's dense
-	// rounds must walk the mail to wake it.
+	// rounds must find the mail that wakes it.
 	sleeper int
+	// sleepy makes vertices set alarms. In an awake run a third of the
+	// vertices sleep until the next odd round, the rounds that deliver
+	// the even rounds' broadcasts, so those dense rounds find every
+	// halted vertex woken by its alarm. Otherwise half the halting
+	// vertices sleep instead, until anywhere from the previous round
+	// (which the simulator moves to the next one) to five rounds on,
+	// some with a second alarm that replaces the first and some with a
+	// Halt after it that keeps it.
+	sleepy bool
 }
 
 // fzBehavior is the shared pure decision function. round 0 is Init
@@ -110,8 +122,18 @@ func fzBehavior(cfg fzConfig, v, round int, recvHash uint64, deg int) fzDecision
 		}
 	}
 	d.halt = (r>>9)&1 == 0
-	if cfg.awake {
+	switch {
+	case cfg.awake && cfg.sleepy && v%3 == 0:
+		d.sleeps = append(d.sleeps, round+1+round%2)
+		d.halt = false
+	case cfg.awake:
 		d.halt = v == cfg.sleeper-1
+	case cfg.sleepy && d.halt && (r>>10)&1 == 0:
+		d.sleeps = append(d.sleeps, round-1+int(r>>11)%7)
+		if (r>>14)&3 == 0 {
+			d.sleeps = append(d.sleeps, round+int(r>>16)%5)
+		}
+		d.halt = (r>>18)&1 == 0
 	}
 	return d
 }
@@ -125,16 +147,17 @@ func fzFold(h uint64, port int, m Message) uint64 {
 	return splitmix(h ^ uint64(port)<<40 ^ uint64(m.Kind)<<32 ^ uint64(m.Words[0]))
 }
 
-// fzProg is the congest-side face of fzBehavior. denseAwake and
-// denseWoken count the dense rounds it ran in with every vertex awake
-// (buildFrontier skipped the wake walk) and with some vertex halted (the
-// walk ran).
+// fzProg is the congest-side face of fzBehavior. gathers counts the
+// rounds it ran in by how buildFrontier prepared them (the gather
+// modes), and alarmAwake the gatherAwake rounds in which alarms woke
+// vertices.
 type fzProg struct {
 	cfg        fzConfig
 	transcript uint64
 	invoked    int
 
-	denseAwake, denseWoken int
+	gathers    [3]int
+	alarmAwake int
 }
 
 func (p *fzProg) Init(env *Env) {
@@ -148,10 +171,9 @@ func (p *fzProg) Round(env *Env) {
 	}
 	p.transcript = splitmix(p.transcript ^ h ^ uint64(env.Round()))
 	p.invoked++
-	if s := env.sim; s.denseGather && s.allAwake() {
-		p.denseAwake++
-	} else if s.denseGather {
-		p.denseWoken++
+	p.gathers[env.sim.gather]++
+	if env.sim.gather == gatherAwake && len(env.sim.woken) > 0 {
+		p.alarmAwake++
 	}
 	p.apply(env, fzBehavior(p.cfg, env.ID(), env.Round(), h, env.Degree()))
 }
@@ -165,6 +187,9 @@ func (p *fzProg) apply(env *Env, d fzDecision) {
 			_ = env.Send(snd.port, m)
 		}
 	}
+	for _, r := range d.sleeps {
+		env.SleepUntil(r)
+	}
 	if d.halt {
 		env.Halt()
 	}
@@ -173,7 +198,8 @@ func (p *fzProg) apply(env *Env, d fzDecision) {
 // denseRef is the reference stepper: a from-scratch dense implementation
 // of the synchronous model — per-vertex per-port inboxes, every port
 // probed in delivery order, every vertex visited every round, wake on
-// mail — sharing no code with the Simulator.
+// mail or on the round its alarm names — sharing no code with the
+// Simulator.
 type denseRef struct {
 	g        *graph.Graph
 	cfg      fzConfig
@@ -182,6 +208,7 @@ type denseRef struct {
 	cur, next  [][][]Message // [vertex][port] -> delivered messages
 	sentOnPort []bool        // ports the sending vertex has used this round
 	halted     []bool
+	alarm      []int // round a sleeping vertex wakes at; 0: none
 	transcript []uint64
 	invoked    []int
 
@@ -198,6 +225,7 @@ type denseRef struct {
 func newDenseRef(g *graph.Graph, cfg fzConfig, delivery DeliveryOrder) *denseRef {
 	r := &denseRef{g: g, cfg: cfg, delivery: delivery,
 		halted:     make([]bool, g.N()),
+		alarm:      make([]int, g.N()),
 		transcript: make([]uint64, g.N()),
 		invoked:    make([]int, g.N()),
 	}
@@ -260,6 +288,13 @@ func (r *denseRef) apply(v int, d fzDecision) {
 			Message{Kind: snd.kind, Words: [MessageWords]int64{snd.word}})
 		r.messages++
 	}
+	for _, at := range d.sleeps {
+		r.halted[v] = true
+		r.alarm[v] = at
+		if at <= r.round {
+			r.alarm[v] = r.round + 1
+		}
+	}
 	if d.halt {
 		r.halted[v] = true
 	}
@@ -312,8 +347,9 @@ func (r *denseRef) step() {
 	r.round++
 	for v := 0; v < r.g.N(); v++ {
 		h, got := r.receive(v)
-		if got {
+		if got || r.alarm[v] == r.round {
 			r.halted[v] = false
+			r.alarm[v] = 0
 		}
 		if r.halted[v] {
 			continue
@@ -333,8 +369,8 @@ func (r *denseRef) quiet() bool {
 			}
 		}
 	}
-	for _, h := range r.halted {
-		if !h {
+	for v, h := range r.halted {
+		if !h || r.alarm[v] != 0 {
 			return false
 		}
 	}
@@ -454,26 +490,31 @@ func compareRun(t *testing.T, g *graph.Graph, cfg fzConfig, sc schedule, label s
 	return sim, ref.hasViol
 }
 
-// denseRounds sums the programs' dense-round counters (see fzProg).
-func denseRounds(sim *Simulator) (awake, woken int) {
+// gatherCounts sums the programs' gather-mode counters and alarmAwake
+// counts (see fzProg).
+func gatherCounts(sim *Simulator) (gathers [3]int, alarmAwake int) {
 	for v := 0; v < sim.Graph().N(); v++ {
 		p := sim.Program(v).(*fzProg)
-		awake += p.denseAwake
-		woken += p.denseWoken
+		for i, c := range p.gathers {
+			gathers[i] += c
+		}
+		alarmAwake += p.alarmAwake
 	}
-	return awake, woken
+	return gathers, alarmAwake
 }
 
 // TestFrontierMatchesDenseReference is the property test: randomized
-// Halt/wake/send programs produce identical executions on the frontier
-// stepper (every schedule) and the dense reference.
+// Halt/SleepUntil/wake/send programs produce identical executions on the
+// frontier stepper (every schedule) and the dense reference.
 func TestFrontierMatchesDenseReference(t *testing.T) {
 	for gname, g := range fzGraphs() {
 		for sname, sc := range schedules() {
 			for seed := uint64(1); seed <= 5; seed++ {
-				cfg := fzConfig{seed: seed}
-				label := fmt.Sprintf("%s/%s/seed%d", gname, sname, seed)
-				compareRun(t, g, cfg, sc, label, false, 12)
+				for _, sleepy := range []bool{false, true} {
+					cfg := fzConfig{seed: seed, sleepy: sleepy}
+					label := fmt.Sprintf("%s/%s/seed%d/sleepy=%t", gname, sname, seed, sleepy)
+					compareRun(t, g, cfg, sc, label, false, 12)
+				}
 			}
 		}
 	}
@@ -509,8 +550,8 @@ func TestFrontierMatchesDenseReferenceViolent(t *testing.T) {
 func TestFrontierQuiescenceMatchesDenseReference(t *testing.T) {
 	for gname, g := range fzGraphs() {
 		for sname, sc := range schedules() {
-			for seed := uint64(1); seed <= 4; seed++ {
-				cfg := fzConfig{seed: seed, horizon: 7}
+			for seed := uint64(1); seed <= 8; seed++ {
+				cfg := fzConfig{seed: seed, horizon: 7, sleepy: seed > 4}
 				label := fmt.Sprintf("%s/%s/seed%d", gname, sname, seed)
 				compareRun(t, g, cfg, sc, label, true, 200)
 			}
@@ -539,12 +580,13 @@ func TestFrontierDeliveryAndBandwidthVariants(t *testing.T) {
 	}
 }
 
-// TestFrontierDenseAwakeShortcut covers both sides of buildFrontier's
-// all-awake shortcut against the dense reference, on every schedule and
-// both delivery orders. With every vertex awake, dense rounds skip the
-// wake walk; with one vertex halting every round, no round may skip it,
-// and the halted vertex runs in dense rounds only because the walk woke
-// it.
+// TestFrontierDenseAwakeShortcut covers buildFrontier's dense wake
+// rule against the dense reference, on every schedule and both delivery
+// orders. With every vertex awake, dense rounds skip the wake; with a
+// third of the vertices sleeping until the dense rounds, the alarms wake
+// every halted vertex and those rounds skip it too; with one vertex
+// halting every round, no round may skip it, the halted vertex runs in
+// dense rounds only because the probe of its ports found its mail.
 func TestFrontierDenseAwakeShortcut(t *testing.T) {
 	g := gen.GNP(64, 0.2, 9, true)
 	for sname, sc := range schedules() {
@@ -553,15 +595,19 @@ func TestFrontierDenseAwakeShortcut(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				label := fmt.Sprintf("%s/delivery%d/seed%d", sname, delivery, seed)
 				sim, _ := compareRun(t, g, fzConfig{seed: seed, awake: true}, sc, label+"/awake", false, 12)
-				if awake, woken := denseRounds(sim); awake == 0 || woken != 0 {
-					t.Errorf("%s/awake: %d vertex-rounds took the shortcut, %d walked: want some and none", label, awake, woken)
+				if gs, _ := gatherCounts(sim); gs[gatherAwake] == 0 || gs[gatherProbe] != 0 {
+					t.Errorf("%s/awake: gather modes %v: want shortcut rounds and no wake", label, gs)
+				}
+				sim, _ = compareRun(t, g, fzConfig{seed: seed, awake: true, sleepy: true}, sc, label+"/alarms", false, 12)
+				if gs, alarmAwake := gatherCounts(sim); alarmAwake == 0 || gs[gatherProbe] != 0 {
+					t.Errorf("%s/alarms: gather modes %v, %d alarm-woken shortcut vertex-rounds: want some and no wake", label, gs, alarmAwake)
 				}
 				sleeper := 1 + int(seed)*17%g.N()
 				sim, _ = compareRun(t, g, fzConfig{seed: seed, awake: true, sleeper: sleeper}, sc, label+"/sleeper", false, 12)
-				if awake, _ := denseRounds(sim); awake != 0 {
-					t.Errorf("%s/sleeper: %d vertex-rounds took the shortcut with a vertex halted", label, awake)
+				if gs, _ := gatherCounts(sim); gs[gatherAwake] != 0 || gs[gatherProbe] == 0 {
+					t.Errorf("%s/sleeper: gather modes %v: want no shortcut and some probes with a vertex halted", label, gs)
 				}
-				if p := sim.Program(sleeper - 1).(*fzProg); p.denseWoken == 0 {
+				if p := sim.Program(sleeper - 1).(*fzProg); p.gathers[gatherProbe] == 0 {
 					t.Errorf("%s/sleeper: vertex %d was never woken in a dense round", label, sleeper-1)
 				}
 			}
@@ -575,6 +621,7 @@ var fuzzFrontierSeeds = []struct {
 	mode, gpick uint8
 }{
 	{42, 0, 0}, {7, 1, 1}, {0xDEAD, 2, 2}, {9, 3, 3}, {11, 7, 2},
+	{5, 8, 3}, {17, 9, 2}, {13, 10, 1}, {21, 11, 3},
 }
 
 var fuzzFrontierGraphs = []*graph.Graph{
@@ -583,11 +630,12 @@ var fuzzFrontierGraphs = []*graph.Graph{
 
 // fuzzFrontier is one FuzzFrontierVsDense case: mode picks plain,
 // violent, quiescing or awake traffic (an awake case with a sleeper when
-// mode/4 is odd), gpick the topology. It returns how many vertex-rounds
-// took the all-awake shortcut.
-func fuzzFrontier(t *testing.T, seed uint64, mode, gpick uint8) (shortcut int) {
+// mode/4 is odd) and, when mode/8 is odd, sleeping programs; gpick the
+// topology. It returns how many vertex-rounds took the all-awake
+// shortcut, and how many of those had vertices woken by alarms.
+func fuzzFrontier(t *testing.T, seed uint64, mode, gpick uint8) (shortcut, alarmAwake int) {
 	g := fuzzFrontierGraphs[int(gpick)%len(fuzzFrontierGraphs)]
-	cfg := fzConfig{seed: seed, violent: mode%4 == 1, awake: mode%4 == 3}
+	cfg := fzConfig{seed: seed, violent: mode%4 == 1, awake: mode%4 == 3, sleepy: mode/8%2 == 1}
 	if mode%4 == 2 {
 		cfg.horizon = 6
 	}
@@ -596,10 +644,11 @@ func fuzzFrontier(t *testing.T, seed uint64, mode, gpick uint8) (shortcut int) {
 	}
 	for sname, sc := range schedules() {
 		sim, _ := compareRun(t, g, cfg, sc, sname, cfg.horizon > 0, 12)
-		awake, _ := denseRounds(sim)
-		shortcut += awake
+		gs, alarms := gatherCounts(sim)
+		shortcut += gs[gatherAwake]
+		alarmAwake += alarms
 	}
-	return shortcut
+	return shortcut, alarmAwake
 }
 
 // FuzzFrontierVsDense lets the fuzzer drive the seed, topology, and mode
@@ -614,14 +663,16 @@ func FuzzFrontierVsDense(f *testing.F) {
 }
 
 // TestFuzzFrontierSeedsReachShortcut shows that the fuzz target's seed
-// corpus drives the all-awake shortcut, so the fuzzer starts from inputs
-// that exercise it.
+// corpus drives the all-awake shortcut, also with vertices woken by
+// alarms, so the fuzzer starts from inputs that exercise it.
 func TestFuzzFrontierSeedsReachShortcut(t *testing.T) {
-	shortcut := 0
+	shortcut, alarmAwake := 0, 0
 	for _, c := range fuzzFrontierSeeds {
-		shortcut += fuzzFrontier(t, c.seed, c.mode, c.gpick)
+		s, a := fuzzFrontier(t, c.seed, c.mode, c.gpick)
+		shortcut += s
+		alarmAwake += a
 	}
-	if shortcut == 0 {
-		t.Error("no seed of FuzzFrontierVsDense reached the all-awake shortcut")
+	if shortcut == 0 || alarmAwake == 0 {
+		t.Errorf("seeds of FuzzFrontierVsDense reached the all-awake shortcut in %d vertex-rounds, %d of them with alarms: want both nonzero", shortcut, alarmAwake)
 	}
 }

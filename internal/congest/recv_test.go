@@ -59,7 +59,7 @@ func (p *recvProbe) Init(env *Env) {
 }
 
 func (p *recvProbe) Round(env *Env) {
-	l := recvLog{round: env.Round(), dense: env.sim.denseGather}
+	l := recvLog{round: env.Round(), dense: env.sim.gather != gatherInbox}
 	for port, m := range env.Recv() {
 		if len(l.prefix) == 1 {
 			break
@@ -243,7 +243,7 @@ func (p *mailRecorder) Init(env *Env) {
 }
 
 func (p *mailRecorder) Round(env *Env) {
-	l := recvLog{round: env.Round(), dense: env.sim.denseGather}
+	l := recvLog{round: env.Round(), dense: env.sim.gather != gatherInbox}
 	for port, m := range env.Recv() {
 		l.all = append(l.all, recvHit{port, m})
 	}

@@ -172,6 +172,12 @@ func (nn *NearNeighbors) Round(env *congest.Env) {
 	if fwd := nn.state.fwd; sending && slot < len(fwd) {
 		_ = env.Broadcast(nnMsg(fwd[slot], nn.qdist))
 	}
+
+	// 4. After the phase's last forward only hearings are left, and
+	// they wake the vertex: sleep until the next phase start.
+	if sending && slot+1 >= len(nn.state.fwd) && slot+1 < phaseLen {
+		env.SleepUntil(env.Round() - slot + phaseLen)
+	}
 }
 
 // NNState is one vertex's Algorithm 1 state and the only implementation

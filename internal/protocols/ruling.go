@@ -130,6 +130,30 @@ func digit(id int64, pos int, b int64) int64 {
 func (rs *RulingSet) Init(env *congest.Env) {
 	rs.active = rs.Member
 	rs.forwardedWin = -1
+	rs.rest(env)
+}
+
+// rest idles the vertex until it next has work no wave brings. A vertex
+// that is no longer a candidate only forwards waves, so it halts and
+// waves wake it. An active candidate sleeps until the start of its next
+// firing window (one per digit position), or else the schedule's last
+// round, where it decides Selected.
+func (rs *RulingSet) rest(env *congest.Env) {
+	if !rs.active {
+		env.Halt()
+		return
+	}
+	r, next := env.Round(), rs.C*int(rs.B)*rs.windowLen()
+	for pos := rs.C - 1; pos >= 0; pos-- {
+		win := (rs.C-1-pos)*int(rs.B) + int(rs.B-1-digit(int64(env.ID()), pos, rs.B))
+		if start := win*rs.windowLen() + 1; start > r {
+			next = start
+			break
+		}
+	}
+	if next > r+1 {
+		env.SleepUntil(next)
+	}
 }
 
 // Round implements congest.Program.
@@ -172,6 +196,7 @@ func (rs *RulingSet) Round(env *congest.Env) {
 	if win == rs.C*int(rs.B)-1 && off == rs.windowLen()-1 {
 		rs.Selected = rs.Member && rs.active
 	}
+	rs.rest(env)
 }
 
 func waveMsg(hops int64) congest.Message {

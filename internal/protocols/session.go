@@ -33,6 +33,9 @@ type StepMetrics struct {
 	Rounds          int
 	Messages        int64
 	MaxRoundTraffic int64
+	// Invocations counts the step's program calls (congest.Metrics):
+	// the work a round schedule costs beyond its messages.
+	Invocations int64
 
 	// Replayed marks a step whose output the delta-rebuild engine
 	// spliced from a previous build's state instead of re-running the
@@ -228,6 +231,7 @@ func (s *Session) finish() error {
 		Rounds:          m.Rounds,
 		Messages:        m.Messages,
 		MaxRoundTraffic: m.MaxRoundTraffic,
+		Invocations:     m.Invocations,
 	})
 }
 
