@@ -230,8 +230,9 @@ func BenchmarkBuildDistributed1024(b *testing.B) { benchBuild(b, 1024, core.Mode
 // BenchmarkBuildDistributedGNP2048 is the spannerbench build workload
 // without the daemon: a distributed build of the connected
 // GNP(2048, 20/2047) with ε = 1/3, κ = 3, ρ = 0.49. Beyond ns/op it
-// reports ns/message and invocations/op (program calls per build), the
-// figures a change to the simulator's round loop moves.
+// reports ns/message, invocations/op (program calls per build) and
+// arena-B/op (Result.ArenaBytes), the figures a change to the
+// simulator's round loop or message store moves.
 func BenchmarkBuildDistributedGNP2048(b *testing.B) {
 	const n = 2048
 	g := gen.GNP(n, 20.0/(n-1), 1, true)
@@ -239,7 +240,7 @@ func BenchmarkBuildDistributedGNP2048(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var messages, invocations int64
+	var messages, invocations, arena int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := core.Build(context.Background(), g, p, core.Options{Mode: core.ModeDistributed})
@@ -250,9 +251,11 @@ func BenchmarkBuildDistributedGNP2048(b *testing.B) {
 		for _, st := range res.Steps {
 			invocations += st.Invocations
 		}
+		arena += res.ArenaBytes
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(messages), "ns/message")
 	b.ReportMetric(float64(invocations)/float64(b.N), "invocations/op")
+	b.ReportMetric(float64(arena)/float64(b.N), "arena-B/op")
 }
 
 // --- CONGEST simulator micro-benchmark ---
@@ -281,7 +284,8 @@ func BenchmarkEngine(b *testing.B) {
 // the long-path climb (message-driven, frontier ~1) and a large-n
 // ruling set with a sparse member set (fixed schedule; most windows move
 // few or no waves, so the message plane — not the program work — is
-// what the round cost must scale with).
+// what the round cost must scale with). Both report arena-B/op, the
+// simulator's ArenaBytes.
 func BenchmarkFrontier(b *testing.B) {
 	const n = 16384
 	g, rt, start := experiments.FrontierClimbWorkload(n)
@@ -295,6 +299,7 @@ func BenchmarkFrontier(b *testing.B) {
 			if _, err := sim.RunUntilQuietContext(context.Background(), protocols.ClimbMaxRounds(1, n)); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportMetric(float64(sim.ArenaBytes()), "arena-B/op")
 		}
 	})
 	isMember, q, c := experiments.FrontierRulingWorkload()
@@ -310,6 +315,7 @@ func BenchmarkFrontier(b *testing.B) {
 			if err := sim.RunContext(context.Background(), rounds); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportMetric(float64(sim.ArenaBytes()), "arena-B/op")
 		}
 	})
 }
@@ -317,8 +323,8 @@ func BenchmarkFrontier(b *testing.B) {
 // --- Persistent network runtime ---
 
 // BenchmarkNetworkReuse quantifies what the persistent network runtime
-// removes: the per-step simulator construction (O(m) message arenas +
-// twin table) that the pre-session world paid for every protocol step.
+// removes: the per-step simulator construction (O(m) slot tables:
+// twin, at and sent) that the pre-session world paid for every protocol step.
 // "per-step-sim" builds a fresh simulator for each of the three
 // fixed-schedule protocol steps of a phase; "persistent-network" attaches the same three steps as
 // sessions to one long-lived network (constructed outside the timed

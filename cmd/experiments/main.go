@@ -64,7 +64,7 @@ func main() {
 	benchGate := flag.String("bench-gate", "",
 		"with -bench-json: compare the fresh report against this baseline and exit nonzero on a >25% ns/op regression in any gated benchmark family")
 	scale := flag.Int("scale", 0,
-		"instead of the suite, run one scale-regime workload near this many edges (streamed GNP through the full distributed build with a lazy arena) and print its memory/time report; try 1000000 locally, 10000000 for the full smoke")
+		"instead of the suite, run one scale-regime workload near this many edges (streamed GNP through the full distributed build) and print its memory/time report; try 1000000 locally, 10000000 for the full smoke")
 	scaleVerify := flag.Int("scale-verify", 0,
 		"with -scale: run a sampled stretch verification from this many BFS sources after the build")
 	deltaChurn := flag.Int("delta-churn", 0,

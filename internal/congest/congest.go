@@ -19,8 +19,9 @@
 // produce a result that looks valid.
 //
 // Messages are stored once, by the sender: a broadcast in the compact
-// O(n) arena, a unicast in its edge's slot. A receiving program ranges
-// over Env.Recv, which reads each message in place from that store, so
+// O(n) arena, a unicast as an entry of the round's message list, which
+// a per-slot index table locates. A receiving program ranges over
+// Env.Recv, which reads each message in place from that store, so
 // delivery copies nothing per message beyond the value it yields, and
 // whose loop inlines into the program's Round, so it calls nothing per
 // message either.
@@ -40,7 +41,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"nearspan/internal/graph"
@@ -163,39 +163,37 @@ func (e *ErrBudgetExhausted) Error() string {
 		e.MaxRounds, e.Pending, kinds.String(), e.Active)
 }
 
-// msgBytes is the in-memory size of one Message.
-const msgBytes = int64(unsafe.Sizeof(Message{}))
+// uniMsg is one unicast of a round's message list: the directed-edge
+// slot it travels on and the message's fields. The slot fills the
+// padding after the kind, so an entry is no larger than a Message.
+type uniMsg struct {
+	kind  uint8
+	slot  int32
+	words [MessageWords]int64
+}
 
+// msgBytes and uniBytes are the in-memory sizes of one Message and of
+// one unicast list entry; they are equal.
 const (
-	// maxPageShift sizes unicast arena pages at 2^6 = 64 slots (2 KiB of
-	// messages). Pages this fine matter: a climb round's
-	// senders each touch one slot scattered across the whole arena, so
-	// the round's live footprint is pages × page-size — with 4096-slot
-	// pages a few thousand scattered senders pin the entire worst-case
-	// arena, with 64-slot pages they pin ~2 KiB each. The page-pointer
-	// table costs 1 pointer per 64 slots (0.4% of the full arena).
-	maxPageShift = 6
-	// minPageShift keeps pages from degenerating on tiny topologies
-	// (the geometry loop shrinks pages until a graph has at least ~8 of
-	// them).
-	minPageShift = 1
+	msgBytes = int64(unsafe.Sizeof(Message{}))
+	uniBytes = int64(unsafe.Sizeof(uniMsg{}))
 )
 
 // sendLog collects one execution scope's outbound effects for the round:
-// the slots that received their first unicast (in program send order) and
-// the vertices that issued compact broadcasts. Every concurrently-running
-// scope (one per shard) has its own log, so the send path needs no
-// synchronization, and the coordinator merges logs in ascending frontier
-// order at the barrier, making the global lists independent of the
-// shard layout.
+// the unicasts it sent (in program send order), the vertices that issued
+// compact broadcasts and those that set an alarm. Every
+// concurrently-running scope (one per shard) has its own log, so the
+// send path needs no synchronization, and the coordinator merges logs in
+// ascending frontier order at the barrier, making the global lists
+// independent of the shard layout.
 type sendLog struct {
-	dirty []int32 // slots first-touched by a unicast this round
-	bcast []int32 // vertices with pending compact broadcasts
-	sleep []int32 // vertices that set an alarm (SleepUntil)
+	uni   []uniMsg // unicasts sent this round
+	bcast []int32  // vertices with pending compact broadcasts
+	sleep []int32  // vertices that set an alarm (SleepUntil)
 }
 
 func (l *sendLog) reset() {
-	l.dirty = l.dirty[:0]
+	l.uni = l.uni[:0]
 	l.bcast = l.bcast[:0]
 	l.sleep = l.sleep[:0]
 }
@@ -204,13 +202,14 @@ func (l *sendLog) reset() {
 //
 // Round execution is frontier-driven: the per-round cost is
 // O(frontier + messages), not O(n + m). The simulator maintains a
-// dirty-slot list (the directed-edge slots that carry messages), a
-// broadcaster list (vertices whose round output is a whole-neighborhood
-// broadcast, stored once instead of once per edge), and an active list
-// (the vertices that have not halted); each round it derives the
-// frontier — active vertices plus the halted destinations of dirty slots
-// and broadcasts — and only those vertices run. See docs/ARCHITECTURE.md,
-// "Frontier scheduling", for the determinism argument.
+// unicast list (each message with the directed-edge slot it travels
+// on), a broadcaster list (vertices whose round output is a
+// whole-neighborhood broadcast, stored once instead of once per edge),
+// and an active list (the vertices that have not halted); each round it
+// derives the frontier — active vertices plus the halted destinations of
+// unicasts and broadcasts — and only those vertices run. See
+// docs/ARCHITECTURE.md, "Frontier scheduling", for the determinism
+// argument.
 type Simulator struct {
 	g     *graph.Graph
 	opts  Options
@@ -224,29 +223,25 @@ type Simulator struct {
 	// per-slot topology column the simulator stores.
 	twin []int32
 
-	// cur holds unicast messages deliverable this round; next collects
-	// sends. Slot s holds at most one message (the model's one message
-	// per edge per round), entry s&pageMask of page s>>pageShift, and
-	// curFull/nxFull flag the slots that hold one. Pages are allocated on
-	// first touch and recycled through pagePool once their round is
-	// consumed (flip), so the live page set tracks the two-round working
-	// set — O(activity) memory, not O(m) — and pageBytes is its
-	// high-water: a fresh allocation happens only when demand exceeds
-	// every page ever allocated. Recycled pages are not zeroed; the slot
-	// flags gate every read, so stale content is unreachable.
-	cur, next       []atomic.Pointer[[]Message]
-	curFull, nxFull []bool
-	pageShift       uint
-	pageMask        int
-	pageBytes       atomic.Int64 // high-water bytes of simultaneously live pages
-	poolMu          sync.Mutex
-	pagePool        []*[]Message // recycled pages free for reuse
+	// curUni lists the unicasts deliverable this round and nxUni collects
+	// the next round's, each in the order the send logs were merged
+	// (ascending sender, program send order within a sender). A slot
+	// carries at most one message per round (the model's one message per
+	// edge per round), so the lists are O(traffic), not O(m). at[s] is 1 +
+	// the index in curUni of slot s's message (0: none), filed by flip;
+	// sent[s] flags a slot that already carries a message for the next
+	// round, for the bandwidth check. uniHigh is the most unicasts the
+	// two lists have held at once, the high-water ArenaBytes reports.
+	curUni, nxUni []uniMsg
+	at            []int32
+	sent          []bool
+	uniHigh       int
 
 	// Compact broadcast arenas: a vertex whose one send this round is a
 	// Broadcast stores it once here (entry v, flagged in curBcastOn/
-	// nxBcastOn) instead of deg(v) times in the unicast arena. The
+	// nxBcastOn) instead of deg(v) times in the unicast list. The
 	// invariant — at every round barrier a vertex has either a compact
-	// broadcast or unicast slots, never both (a Send after a Broadcast
+	// broadcast or unicasts, never both (a Send after a Broadcast
 	// is a violation on its port) — is what lets the gather and frontier
 	// paths treat the two stores as disjoint. This is the difference
 	// between O(n) and O(m) memory traffic for the broadcast-heavy phases
@@ -257,13 +252,6 @@ type Simulator struct {
 	curBcastL, nxBcastL   []int32
 	curBcastSlots         int // sum of deg over curBcastL, for the dense test
 	nxBcastSlots          int
-
-	// curDirty/nxDirty list the flagged slots of cur/next, in the
-	// deterministic order the sends were merged (ascending sender,
-	// program send order within a sender). They are what makes flip,
-	// Pending, and the per-round wake derivation O(activity) instead of
-	// O(m).
-	curDirty, nxDirty []int32
 
 	// active lists the not-halted vertices in ascending order — the exact
 	// complement of the halted flags, maintained at round barriers.
@@ -348,21 +336,8 @@ func New(g *graph.Graph, progs []Program, opts Options) (*Simulator, error) {
 			s.twin[base+int32(p)] = g.Offset(w) + int32(q)
 		}
 	}
-
-	// Page geometry: 2^maxPageShift slots per page, shrunk on small
-	// topologies so lazy allocation still has granularity to work with.
-	// No page exists until traffic touches it.
-	shift := uint(maxPageShift)
-	for shift > minPageShift && nSlots>>shift < 8 {
-		shift--
-	}
-	s.pageShift = shift
-	s.pageMask = 1<<shift - 1
-	nPages := (nSlots + s.pageMask) >> shift
-	s.cur = make([]atomic.Pointer[[]Message], nPages)
-	s.next = make([]atomic.Pointer[[]Message], nPages)
-	s.curFull = make([]bool, nSlots)
-	s.nxFull = make([]bool, nSlots)
+	s.at = make([]int32, nSlots)
+	s.sent = make([]bool, nSlots)
 	s.curBcast = make([]Message, n)
 	s.nxBcast = make([]Message, n)
 	s.curBcastOn = make([]bool, n)
@@ -384,59 +359,12 @@ func NewUniform(g *graph.Graph, factory func(v int) Program, opts Options) (*Sim
 	return New(g, progs, opts)
 }
 
-// allocPage installs a page at pp, reusing a recycled page when the
-// pool has one and allocating fresh otherwise. First touches serialize
-// on the pool lock — they are rare (at most one per newly touched page
-// per round), so racing shard workers of different senders landing in
-// one page agree on a single installation and a single accounting
-// charge. A fresh page is made only when the pool is empty, which makes
-// pageBytes the high-water of simultaneously live pages; the touched
-// page set of every round and the pool level at every round boundary
-// are pure functions of the execution, so the high-water — and thus
-// ArenaBytes — is deterministic across shard layouts and runs even though
-// which worker allocates is racy. Recycled pages are not zeroed: slot
-// flags gate every read, so stale content is unreachable.
-func (s *Simulator) allocPage(pp *atomic.Pointer[[]Message]) *[]Message {
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	if pg := pp.Load(); pg != nil {
-		return pg // another worker installed it while we waited
-	}
-	var pg *[]Message
-	if n := len(s.pagePool); n > 0 {
-		pg = s.pagePool[n-1]
-		s.pagePool[n-1] = nil
-		s.pagePool = s.pagePool[:n-1]
-	} else {
-		fresh := make([]Message, s.pageMask+1)
-		pg = &fresh
-		s.pageBytes.Add(int64(len(fresh)) * msgBytes)
-	}
-	pp.Store(pg)
-	return pg
-}
-
-// writeNext stores m as slot's message in the next-round arena.
-func (s *Simulator) writeNext(slot int, m Message) {
-	pp := &s.next[slot>>s.pageShift]
-	pg := pp.Load()
-	if pg == nil {
-		pg = s.allocPage(pp)
-	}
-	(*pg)[slot&s.pageMask] = m
-}
-
-// curMsg returns the deliverable message of a flagged slot.
-func (s *Simulator) curMsg(slot int) Message {
-	return (*s.cur[slot>>s.pageShift].Load())[slot&s.pageMask]
-}
-
 // Reset swaps in new per-vertex programs and rewinds the simulator to
 // its pre-Init state while retaining every piece of graph-derived
-// machinery: the twin table, the message arenas (including every lazily
-// allocated page — the high-water is monotone), and the shard layout. A
-// sequence of protocols on the same topology therefore pays the
-// construction cost exactly once.
+// machinery: the twin table, the message stores (the unicast lists keep
+// their capacity, and their high-water is monotone), and the shard
+// layout. A sequence of protocols on the same topology therefore pays
+// the construction cost exactly once.
 //
 // Metrics, the round counter, the halted flags, any recorded violation,
 // and any still-buffered messages are cleared: after Reset the
@@ -474,25 +402,24 @@ func (s *Simulator) reset() {
 	s.roundSent = 0
 	s.gather = gatherInbox
 	// A dense rewind, deliberately: a panicking round can abort before
-	// the barrier-time log merge, leaving send logs and inbox state the
-	// incremental paths never observed. Reset is per-protocol, not
-	// per-round, so O(n + slots) here buys unconditional correctness.
+	// the barrier-time log merge, leaving send logs, sent flags and inbox
+	// state the incremental paths never observed. Reset is per-protocol,
+	// not per-round, so O(n + slots) here buys unconditional correctness.
 	// (stampGen is monotonic across resets so stale mailStamp marks can
-	// never collide with a future round's generation. Retained pages are
-	// not zeroed: a slot's message is unreachable once its flag is.)
+	// never collide with a future round's generation.)
 	clear(s.halted)
 	clear(s.wakeAt)
 	clear(s.alarms)
 	s.sleepers = 0
-	clear(s.curFull)
-	clear(s.nxFull)
+	clear(s.at)
+	clear(s.sent)
+	s.curUni = s.curUni[:0]
+	s.nxUni = s.nxUni[:0]
 	clear(s.curBcastOn)
 	clear(s.nxBcastOn)
 	s.curBcastL = s.curBcastL[:0]
 	s.nxBcastL = s.nxBcastL[:0]
 	s.curBcastSlots, s.nxBcastSlots = 0, 0
-	s.curDirty = s.curDirty[:0]
-	s.nxDirty = s.nxDirty[:0]
 	s.active = s.active[:0]
 	s.frontier = s.frontier[:0]
 	s.woken = s.woken[:0]
@@ -522,17 +449,17 @@ func (s *Simulator) reset() {
 // reused simulator leaked traffic (foreign kinds). The map is nil when
 // nothing is pending.
 func (s *Simulator) Pending() (total int, byKind map[uint8]int) {
-	if len(s.curDirty) == 0 && len(s.curBcastL) == 0 {
+	if len(s.curUni) == 0 && len(s.curBcastL) == 0 {
 		return 0, nil
 	}
 	byKind = make(map[uint8]int)
-	for _, slot := range s.curDirty {
-		byKind[s.curMsg(int(slot)).Kind]++
+	for _, u := range s.curUni {
+		byKind[u.kind]++
 	}
 	for _, u := range s.curBcastL {
 		byKind[s.curBcast[u].Kind] += s.g.Degree(int(u))
 	}
-	return len(s.curDirty) + s.curBcastSlots, byKind
+	return len(s.curUni) + s.curBcastSlots, byKind
 }
 
 // Metrics returns execution statistics since construction or the last
@@ -547,33 +474,33 @@ func (s *Simulator) Round() int { return s.round }
 // (SleepUntil).
 func (s *Simulator) Active() int { return len(s.active) + s.sleepers }
 
-// ArenaBytes returns the retained size of the simulator's message
-// machinery: the allocated unicast arena pages, the compact broadcast
-// arenas, the slot flags, and the twin table. Pages are allocated on
-// first touch and retained, so the value is a measured high-water of
-// actual traffic — it starts at zero pages and grows monotonically
-// toward (but on sparse protocols far below) the worst-case one message
-// per slot per arena. The touched-slot set is a pure function of the
-// execution, so the value depends only on the traffic: it is identical
-// across shard layouts and runs, and long-running services use it as the
-// per-build arena footprint when tracking high-water memory across
-// heterogeneous jobs.
+// ArenaBytes returns the size of the simulator's message machinery: the
+// twin, at and sent slot tables, the compact broadcast arenas, and the
+// most unicast list entries held at once — a round's delivered unicasts
+// plus those sent for the next round, the high-water over the run. A new
+// simulator holds no unicast entry, and on sparse protocols the
+// high-water stays far below one message per slot. The shard send logs
+// of a fanned-out round hold at most one more copy of that round's
+// unicasts until the barrier merges them, which the figure leaves out.
+// The unicast count of every round is a pure function of the execution,
+// so the value depends only on the traffic: it is identical across shard
+// layouts and runs, and long-running services use it as the per-build
+// arena footprint when tracking high-water memory across heterogeneous
+// jobs.
 func (s *Simulator) ArenaBytes() int64 {
-	arenas := s.pageBytes.Load()
 	bcast := int64(len(s.curBcast)+len(s.nxBcast))*msgBytes +
 		int64(len(s.curBcastOn)+len(s.nxBcastOn))
-	flags := int64(len(s.curFull) + len(s.nxFull))
-	tables := int64(len(s.twin)) * 4
-	return arenas + bcast + flags + tables
+	tables := int64(len(s.twin)+len(s.at))*4 + int64(len(s.sent))
+	return bcast + tables + int64(s.uniHigh)*uniBytes
 }
 
-// ArenaBytesWorstCase returns what ArenaBytes would be if every unicast
-// arena page were allocated — the fixed footprint of an unpaged arena.
-// The measured-vs-worst-case ratio is the scale smoke test's acceptance
-// criterion.
+// ArenaBytesWorstCase returns what ArenaBytes would be if two
+// consecutive rounds carried a unicast on every slot — the footprint of
+// a one-message-per-slot arena for a round and the next (a list entry is
+// the size of a Message). The measured-vs-worst-case ratio is the scale
+// smoke test's acceptance criterion.
 func (s *Simulator) ArenaBytesWorstCase() int64 {
-	pages := int64(len(s.cur)+len(s.next)) * int64(s.pageMask+1) * msgBytes
-	return pages + s.ArenaBytes() - s.pageBytes.Load()
+	return s.ArenaBytes() + (2*int64(len(s.twin))-int64(s.uniHigh))*uniBytes
 }
 
 // Graph returns the underlying topology (read-only).
@@ -618,24 +545,25 @@ func (e *Env) Round() int { return e.sim.round }
 // Recv yields the messages delivered to this vertex this round as
 // (arrival port, message) pairs, in the configured delivery order. Each
 // message is read in place from the sender's compact broadcast or from
-// the edge's unicast slot; nothing is copied ahead of the loop. The
+// the round's unicast list; nothing is copied ahead of the loop. The
 // sequence is valid only inside the Round callback: it may be ranged any
 // number of times there (the delivered messages do not change while the
 // round runs, sends go to the next round) and stopped early, and during
 // Init it is empty.
 //
-// The loop is driven by the vertex's inbox — the ports the dirty slots
-// and broadcasts hit, pre-sorted by buildFrontier — rather than probing
+// The loop is driven by the vertex's inbox — the ports the unicasts and
+// broadcasts hit, pre-sorted by buildFrontier — rather than probing
 // every port. In dense rounds the inboxes were skipped and the loop
 // probes every port straight off the neighbor list and twin run; both
 // paths yield the identical sequence, since a probed port without a
 // message contributes nothing. Per port, the sender's compact
 // broadcast and the slot's unicast are mutually exclusive (the
 // broadcast-or-unicast invariant), so the compact store is checked first
-// and the slot only read on miss. The loop lives in the returned literal
-// itself, not in a method it calls: Go inlines a literal that is called
-// once under a much larger budget, so the literal and each program's
-// range body inline into Round and a message costs no call.
+// and the slot's at entry only read on miss. The loop lives in the
+// returned literal itself, not in a method it calls: Go inlines a
+// literal that is called once under a much larger budget, so the literal
+// and each program's range body inline into Round and a message costs no
+// call.
 func (e *Env) Recv() iter.Seq2[int, Message] {
 	return func(yield func(int, Message) bool) {
 		s, v := e.sim, e.id
@@ -650,7 +578,7 @@ func (e *Env) Recv() iter.Seq2[int, Message] {
 		}
 		nbrs := s.g.Neighbors(v)
 		twin := s.twin[e.base : e.base+len(nbrs)] // slots of the edges (neighbor -> v)
-		bcast, bcastOn, full := s.curBcast, s.curBcastOn, s.curFull
+		bcast, bcastOn, at, uni := s.curBcast, s.curBcastOn, s.at, s.curUni
 		i, end, step := 0, n, 1
 		if s.opts.Delivery == DeliverPortDescending {
 			i, end, step = n-1, -1, -1
@@ -664,8 +592,8 @@ func (e *Env) Recv() iter.Seq2[int, Message] {
 				if !yield(p, bcast[u]) {
 					return
 				}
-			} else if src := int(twin[p]); full[src] {
-				if !yield(p, s.curMsg(src)) {
+			} else if a := at[twin[p]]; a != 0 {
+				if u := &uni[a-1]; !yield(p, Message{Kind: u.kind, Words: u.words}) {
 					return
 				}
 			}
@@ -673,10 +601,11 @@ func (e *Env) Recv() iter.Seq2[int, Message] {
 	}
 }
 
-// Send transmits m over the given port; it is delivered next round. Send
-// reports a violation error if the port is out of range or already
-// carries a message this round (from a Send or a Broadcast); the message
-// is then dropped and the violation also fails the enclosing run.
+// Send transmits m over the given port; it is delivered next round. The
+// message goes into the scope's send log and the port's sent flag is
+// set. Send reports a violation error if the port is out of range or
+// already carries a message this round (from a Send or a Broadcast); the
+// message is then dropped and the violation also fails the enclosing run.
 func (e *Env) Send(port int, m Message) error {
 	if port < 0 || port >= e.Degree() {
 		err := fmt.Errorf("%w: vertex %d port %d (degree %d)", ErrPort, e.id, port, e.Degree())
@@ -686,12 +615,17 @@ func (e *Env) Send(port int, m Message) error {
 	s := e.sim
 	e.sentUni = true
 	slot := e.base + port
-	if s.nxFull[slot] || s.nxBcastOn[e.id] {
+	if s.sent[slot] || s.nxBcastOn[e.id] {
 		return e.bandwidthViolation(port)
 	}
-	e.out.dirty = append(e.out.dirty, int32(slot))
-	s.writeNext(slot, m)
-	s.nxFull[slot] = true
+	s.sent[slot] = true
+	if len(e.out.uni) == cap(e.out.uni) {
+		// Double: a round that unicasts on most slots then leaves about
+		// its own size in outgrown arrays, where append's 1.25× steps
+		// leave about four times that.
+		e.out.uni = slices.Grow(e.out.uni, len(e.out.uni)+1)
+	}
+	e.out.uni = append(e.out.uni, uniMsg{m.Kind, int32(slot), m.Words})
 	return nil
 }
 
@@ -700,7 +634,7 @@ func (e *Env) Send(port int, m Message) error {
 //
 // A round whose one send is a broadcast — by far the dominant pattern in
 // the protocols here — stores the message once per vertex in the compact
-// broadcast arena rather than once per edge in the unicast arena: O(n)
+// broadcast arena rather than once per edge in the unicast list: O(n)
 // space and time instead of O(m) for a broadcast-all round. A Broadcast
 // after a Send falls back to per-port expansion, and a Send after a
 // Broadcast finds its port taken, so the observable execution is
@@ -847,11 +781,11 @@ func (s *Simulator) RunUntilQuietContext(ctx context.Context, maxRounds int) (in
 	return s.round - start, nil
 }
 
-// quiet is O(1): the dirty and broadcaster lists are empty exactly when
+// quiet is O(1): the unicast and broadcaster lists are empty exactly when
 // no message is buffered, the active list is empty exactly when every
 // vertex has halted, and sleepers counts the pending alarms.
 func (s *Simulator) quiet() bool {
-	return len(s.curDirty) == 0 && len(s.curBcastL) == 0 && len(s.active) == 0 && s.sleepers == 0
+	return len(s.curUni) == 0 && len(s.curBcastL) == 0 && len(s.active) == 0 && s.sleepers == 0
 }
 
 // runInit calls every vertex's Init through shard 0's scope, on the
@@ -899,7 +833,7 @@ const (
 )
 
 // buildFrontier derives the round's invocation list. It first fires the
-// round's alarms. Then every dirty slot names its destination vertex
+// round's alarms. Then every unicast's slot names its destination vertex
 // (the CSR adjacency entry at the slot index) and port (its twin's
 // offset); every compact broadcaster's adjacency range does the same for
 // its neighbors. Destinations are deduped with a generation stamp into
@@ -932,7 +866,7 @@ func (s *Simulator) buildFrontier() {
 		s.spare = b[:0]
 	}
 	switch {
-	case 2*(len(s.curDirty)+s.curBcastSlots) < len(s.twin):
+	case 2*(len(s.curUni)+s.curBcastSlots) < len(s.twin):
 		s.gather = gatherInbox
 		s.walkMail()
 	case len(s.active)+len(s.woken) == s.g.N():
@@ -985,7 +919,7 @@ func (s *Simulator) wake(v int32) {
 func (s *Simulator) hasMail(v int) bool {
 	twin := s.twin[s.g.Offset(v):]
 	for p, u := range s.g.Neighbors(v) {
-		if s.curBcastOn[u] || s.curFull[twin[p]] {
+		if s.curBcastOn[u] || s.at[twin[p]] != 0 {
 			return true
 		}
 	}
@@ -995,13 +929,13 @@ func (s *Simulator) hasMail(v int) bool {
 // walkMail walks every message of a sparse round into the mail list
 // and the inboxes, and wakes halted destinations.
 func (s *Simulator) walkMail() {
-	for _, slot := range s.curDirty {
-		d := s.g.AdjAt(int(slot))
+	for _, u := range s.curUni {
+		d := s.g.AdjAt(int(u.slot))
 		if s.mailStamp[d] != s.stampGen {
 			s.mailStamp[d] = s.stampGen
 			s.mail = append(s.mail, d)
 		}
-		s.inbox[d] = append(s.inbox[d], s.twin[slot]-s.g.Offset(int(d)))
+		s.inbox[d] = append(s.inbox[d], s.twin[u.slot]-s.g.Offset(int(d)))
 	}
 	for _, u := range s.curBcastL {
 		base := int(s.g.Offset(int(u)))
@@ -1023,15 +957,21 @@ func (s *Simulator) walkMail() {
 }
 
 // collectLog appends one scope's send log to the global next-round lists
-// and charges its messages to the round's traffic: one per dirty slot,
-// and deg per compact broadcast, identical to its per-port expansion.
+// and charges its messages to the round's traffic: one per unicast, and
+// deg per compact broadcast, identical to its per-port expansion.
 // The stepper calls it in ascending frontier order, so the merged lists
 // do not depend on the shard layout.
 func (s *Simulator) collectLog(l *sendLog) {
-	if len(l.dirty) > 0 {
-		s.roundSent += int64(len(l.dirty))
-		s.nxDirty = append(s.nxDirty, l.dirty...)
-		l.dirty = l.dirty[:0]
+	if len(l.uni) > 0 {
+		s.roundSent += int64(len(l.uni))
+		if len(s.nxUni) == 0 {
+			// The round's first log becomes the list: a one-shard round
+			// copies no unicast.
+			s.nxUni, l.uni = l.uni, s.nxUni
+		} else {
+			s.nxUni = append(s.nxUni, l.uni...)
+		}
+		l.uni = l.uni[:0]
 	}
 	if len(l.bcast) > 0 {
 		for _, u := range l.bcast {
@@ -1076,8 +1016,9 @@ func (s *Simulator) finishRound() {
 }
 
 // flip swaps the message buffers after a round: what was sent becomes
-// deliverable, and the previous round's delivered slots and broadcasters
-// — exactly the ones the outgoing lists name — are cleared. Metrics are
+// deliverable, each unicast filed in at under its slot with its sent flag
+// cleared, and the previous round's delivered slots and broadcasters —
+// exactly the ones the outgoing lists name — are cleared. Metrics are
 // updated here, from the traffic counter the log merge maintained, so
 // Init and every round share the accounting.
 func (s *Simulator) flip() {
@@ -1088,29 +1029,19 @@ func (s *Simulator) flip() {
 		s.metrics.MaxRoundTraffic = sent
 	}
 	s.metrics.Rounds = s.round
-	s.cur, s.next = s.next, s.cur
-	s.curFull, s.nxFull = s.nxFull, s.curFull
-	s.curDirty, s.nxDirty = s.nxDirty, s.curDirty
+	s.uniHigh = max(s.uniHigh, len(s.curUni)+len(s.nxUni))
+	for _, u := range s.curUni {
+		s.at[u.slot] = 0
+	}
+	s.curUni, s.nxUni = s.nxUni, s.curUni[:0]
+	for i, u := range s.curUni {
+		s.at[u.slot] = int32(i + 1)
+		s.sent[u.slot] = false
+	}
 	s.curBcast, s.nxBcast = s.nxBcast, s.curBcast
 	s.curBcastOn, s.nxBcastOn = s.nxBcastOn, s.curBcastOn
 	s.curBcastL, s.nxBcastL = s.nxBcastL, s.curBcastL
 	s.curBcastSlots, s.nxBcastSlots = s.nxBcastSlots, 0
-	// The consumed arena's touched pages go back to the pool: the live
-	// page set stays proportional to the two-round working set instead
-	// of accumulating the whole run's touched-slot union. The pool lock
-	// is uncontended here (no round is executing during flip); it only
-	// orders these writes against the next round's first touches.
-	s.poolMu.Lock()
-	for _, slot := range s.nxDirty {
-		s.nxFull[slot] = false
-		pp := &s.next[int(slot)>>s.pageShift]
-		if pg := pp.Load(); pg != nil {
-			s.pagePool = append(s.pagePool, pg)
-			pp.Store(nil)
-		}
-	}
-	s.poolMu.Unlock()
-	s.nxDirty = s.nxDirty[:0]
 	for _, u := range s.nxBcastL {
 		s.nxBcastOn[u] = false
 	}

@@ -15,7 +15,7 @@ const (
 
 // inlineWorkCutoff is the stepper's fan-out rule, decided from two
 // quantities known at round start: the frontier (program invocations)
-// and the traffic (len(curDirty) + curBcastSlots, messages delivered). A
+// and the traffic (len(curUni) + curBcastSlots, messages delivered). A
 // round fans out to the runtime when
 //
 //	max(frontier, traffic/messagesPerInvocation) > inlineWorkCutoff
@@ -64,8 +64,7 @@ func fansOut(frontier, traffic int) bool {
 // allocation padded past a cache line, so two workers appending to
 // adjacent shards' logs or rewriting adjacent shards' Envs never contend
 // on a line — the shard-affine layout that keeps large dense rounds from
-// false-sharing. (Before this layout the per-vertex Env array
-// interleaved every shard's dirty-list headers.)
+// false-sharing.
 type shardState struct {
 	log sendLog
 	env Env
@@ -123,17 +122,14 @@ func (s *Simulator) runShard(lo, hi int, st *shardState) {
 // function of len(frontier) and the worker bound, hence deterministic.
 //
 // Determinism of the execution itself is structural, not scheduled: a
-// message's position in the next-round buffer is a pure function of its
-// sender vertex and port (the CSR slot layout), so each shard writes a
-// disjoint, pre-reserved region of the outbound buffer, and each
-// shard's send log is appended only by the worker running that shard.
-// The coordinator merges the shard logs in ascending shard order at the
-// round barrier — shards cover ascending frontier ranges and run their
-// vertices in order, so the merged lists equal a one-shard round's no
-// matter how many shards there are or which workers ran them. (Arena
-// pages allocated on first touch serialize on the pool lock: which
-// worker allocates a shared page is racy, but the touched-page set is
-// deterministic, so the resulting arena is too.) The remaining
+// round's sends write no structure that two shards share. Each shard's send log
+// is appended only by the worker running that shard, and the per-vertex
+// and per-slot send flags (sent, nxBcastOn) and broadcast entries a
+// vertex sets are its own, a disjoint region per sender. The coordinator
+// merges the shard logs in ascending shard order at the round barrier —
+// shards cover ascending frontier ranges and run their vertices in
+// order, so the merged lists equal a one-shard round's no matter how
+// many shards there are or which workers ran them. The remaining
 // order-sensitive observables are canonicalized to the lowest (round,
 // vertex): the reported violation error is the one a one-shard round
 // reports, and a program panic is re-raised, wrapped with its vertex,
@@ -143,7 +139,7 @@ func (s *Simulator) runFrontier() {
 	if n == 0 {
 		return
 	}
-	if !fansOut(n, len(s.curDirty)+s.curBcastSlots) {
+	if !fansOut(n, len(s.curUni)+s.curBcastSlots) {
 		s.runShard(0, n, s.shards[0])
 		if s.panicked != nil { // inline: no other writers, no lock needed
 			panic(s.panicked)

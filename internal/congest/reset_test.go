@@ -3,6 +3,7 @@ package congest
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -114,12 +115,12 @@ func TestResetClearsRecordedPanicParallel(t *testing.T) {
 	}
 }
 
-// Reset must rewind the frontier machinery itself: the dirty-slot lists,
-// the per-vertex outbound sublists, the inbox/mail state, and the active
-// list all return to their pre-Init emptiness, so a reused simulator's
-// O(activity) bookkeeping cannot leak traffic or wakes into the next
-// protocol — and a rerun after the rewind is bit-identical to a fresh
-// simulator's.
+// Reset must rewind the frontier machinery itself: the unicast lists
+// and their at table, the sent flags, the shard send logs, the
+// inbox/mail state, and the active list all return to their pre-Init
+// emptiness, so a reused simulator's O(activity) bookkeeping cannot leak
+// traffic or wakes into the next protocol — and a rerun after the rewind
+// is bit-identical to a fresh simulator's.
 func TestResetRewindsDirtyLists(t *testing.T) {
 	g := gen.GNP(40, 0.12, 9, true)
 	newProg := func(v int) Program { return &fzProg{cfg: fzConfig{seed: 3}} }
@@ -144,13 +145,19 @@ func TestResetRewindsDirtyLists(t *testing.T) {
 		if err := sim.RunContext(context.Background(), 3); err != nil {
 			t.Fatal(err)
 		}
-		if len(sim.curDirty) == 0 && len(sim.curBcastL) == 0 {
-			t.Fatalf("%s: workload left no messages in flight — weak test setup", label)
+		if len(sim.curUni) == 0 || len(sim.curBcastL) == 0 {
+			t.Fatalf("%s: workload left no unicasts or no broadcasts in flight — weak test setup", label)
 		}
 		sim.ResetUniform(newProg)
-		if len(sim.curDirty) != 0 || len(sim.nxDirty) != 0 {
-			t.Errorf("%s: Reset left dirty lists: cur %d, next %d",
-				label, len(sim.curDirty), len(sim.nxDirty))
+		if len(sim.curUni) != 0 || len(sim.nxUni) != 0 {
+			t.Errorf("%s: Reset left unicast lists: cur %d, next %d",
+				label, len(sim.curUni), len(sim.nxUni))
+		}
+		if i := slices.IndexFunc(sim.at, func(a int32) bool { return a != 0 }); i >= 0 {
+			t.Errorf("%s: Reset left slot %d filed at %d", label, i, sim.at[i])
+		}
+		if i := slices.Index(sim.sent, true); i >= 0 {
+			t.Errorf("%s: Reset left slot %d flagged sent", label, i)
 		}
 		if len(sim.active) != 0 || len(sim.frontier) != 0 || len(sim.mail) != 0 || len(sim.woken) != 0 {
 			t.Errorf("%s: Reset left scheduling state: active %d frontier %d mail %d woken %d",
@@ -161,9 +168,9 @@ func TestResetRewindsDirtyLists(t *testing.T) {
 				label, len(sim.curBcastL), len(sim.nxBcastL))
 		}
 		for i, st := range sim.shards {
-			if l := st.log; len(l.dirty) != 0 || len(l.bcast) != 0 {
-				t.Errorf("%s: Reset left shard %d's send log (%d dirty, %d bcast)",
-					label, i, len(l.dirty), len(l.bcast))
+			if l := st.log; len(l.uni) != 0 || len(l.bcast) != 0 || len(l.sleep) != 0 {
+				t.Errorf("%s: Reset left shard %d's send log (%d unicasts, %d bcast, %d sleep)",
+					label, i, len(l.uni), len(l.bcast), len(l.sleep))
 			}
 		}
 		for v := range sim.inbox {
@@ -191,6 +198,92 @@ func TestResetRewindsDirtyLists(t *testing.T) {
 			}
 		}
 		restore()
+	}
+}
+
+// uniPanic unicasts on every port in Init and in round 1, where the boom
+// vertex panics after its sends: the aborted round leaves sent flags and
+// unmerged shard-log unicasts behind.
+type uniPanic struct{ boom bool }
+
+func (p *uniPanic) Init(env *Env) { sendAll(env, 0) }
+func (p *uniPanic) Round(env *Env) {
+	sendAll(env, 0)
+	if p.boom {
+		panic("intentional test panic")
+	}
+}
+
+// uniEcho unicasts on every port in Init and its first rounds, each
+// message carrying a hash of what it received, then halts.
+type uniEcho struct{ transcript uint64 }
+
+func (p *uniEcho) Init(env *Env) { sendAll(env, 0) }
+func (p *uniEcho) Round(env *Env) {
+	for port, m := range env.Recv() {
+		p.transcript = fzFold(p.transcript, port, m)
+	}
+	if env.Round() < 4 {
+		sendAll(env, int64(p.transcript))
+	} else {
+		env.Halt()
+	}
+}
+
+func sendAll(env *Env, w int64) {
+	for port := range env.Degree() {
+		_ = env.Send(port, Message{Kind: 5, Words: [MessageWords]int64{w, int64(env.ID())}})
+	}
+}
+
+// A round that panics after some vertices sent unicasts must leave
+// nothing behind a Reset: a unicast protocol on the reset simulator
+// reports no bandwidth violation on the slots the aborted round flagged
+// and matches a fresh simulator, with every round inline and with every
+// round dispatched.
+func TestResetAfterPanicMidUnicastRound(t *testing.T) {
+	g := gen.GNP(80, 0.1, 5, true)
+	newEcho := func(v int) Program { return &uniEcho{} }
+	for _, label := range []string{"sequential", "parallel-dispatch"} {
+		t.Run(label, func(t *testing.T) {
+			sc := schedules()[label]
+			defer sc.force()()
+			fresh, err := NewUniform(g, newEcho, sc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fresh.RunUntilQuietContext(context.Background(), 10); err != nil {
+				t.Fatal(err)
+			}
+
+			sim, err := NewUniform(g, func(v int) Program { return &uniPanic{boom: v == 40} }, sc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != "vertex 40: intentional test panic" {
+						t.Errorf("recovered %v, want vertex 40's panic", r)
+					}
+				}()
+				_ = sim.RunContext(context.Background(), 2)
+			}()
+			if !slices.Contains(sim.sent, true) {
+				t.Fatal("the aborted round left no sent flag — weak test setup")
+			}
+			sim.ResetUniform(newEcho)
+			if _, err := sim.RunUntilQuietContext(context.Background(), 10); err != nil {
+				t.Fatalf("unicast run after panic+reset: %v", err)
+			}
+			if sim.Metrics() != fresh.Metrics() {
+				t.Errorf("reused metrics %+v, fresh %+v", sim.Metrics(), fresh.Metrics())
+			}
+			for v := 0; v < g.N(); v++ {
+				if got, want := sim.Program(v).(*uniEcho).transcript, fresh.Program(v).(*uniEcho).transcript; got != want {
+					t.Errorf("vertex %d: reused transcript %x, fresh %x", v, got, want)
+				}
+			}
+		})
 	}
 }
 

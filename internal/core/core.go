@@ -147,17 +147,17 @@ type Result struct {
 	// messages.
 	Steps []protocols.StepMetrics
 
-	// ArenaBytes is the retained size of the simulator's message arenas
-	// and slot tables in ModeDistributed (zero in ModeCentralized) —
-	// the build's arena footprint, tracked as a high-water mark by the
-	// service layer. Message pages are allocated only as traffic touches
-	// them, so this is a measured quantity: it reflects the slots the
-	// protocols actually used, not the worst-case topology bound, and it
+	// ArenaBytes is the size of the simulator's message stores and slot
+	// tables in ModeDistributed (zero in ModeCentralized) — the build's
+	// arena footprint, tracked as a high-water mark by the service layer.
+	// The unicast lists are counted at the busiest unicast round's
+	// length, so this is a measured quantity: it reflects the traffic the
+	// protocols actually sent, not the worst-case topology bound, and it
 	// does not depend on how the simulator schedules its rounds.
 	ArenaBytes int64
 
-	// ArenaBytesWorstCase is what ArenaBytes would have been with every
-	// message page of both arenas allocated. The measured/worst-case
+	// ArenaBytesWorstCase is what ArenaBytes would have been had some
+	// round carried a unicast on every slot. The measured/worst-case
 	// ratio is the scale regime's memory headroom.
 	ArenaBytesWorstCase int64
 

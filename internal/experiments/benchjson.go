@@ -252,13 +252,13 @@ func BenchJSON(w io.Writer) error {
 		runtime.GOMAXPROCS(prev)
 	}
 
-	// --- Scale regime: streaming generation and a lazy-arena build ---
+	// --- Scale regime: streaming generation and a distributed build ---
 	// The generator pair measures the streaming CSR path against the
 	// materializing Builder path on the same 500k-edge GNP draw (both
 	// yield the bit-identical graph; the streaming row is the one the
 	// 10⁷-edge workloads use). The build row is the -scale 500k workload:
-	// the full distributed construction with a fully lazy arena (the
-	// row keeps its name so the perf trajectory stays continuous).
+	// the full distributed construction (the row keeps its name so the
+	// perf trajectory stays continuous).
 	const sn = 8192
 	sprob := 2 * 500_000 / (float64(sn) * float64(sn-1))
 	record("scale/gen/gnp-500k/builder", func(b *testing.B) {

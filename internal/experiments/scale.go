@@ -39,8 +39,8 @@ type ScaleResult struct {
 	TotalRounds  int
 	Messages     int64
 	// ArenaBytes / ArenaWorstCase is the measured-arena headroom: how
-	// far the lazily-grown footprint stayed below an arena with every
-	// page allocated on the same topology.
+	// far the footprint the traffic grew stayed below a
+	// one-message-per-slot arena on the same topology.
 	ArenaBytes     int64
 	ArenaWorstCase int64
 	// SysBytes is runtime.MemStats.Sys after the build — the memory

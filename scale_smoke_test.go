@@ -11,8 +11,8 @@ import (
 )
 
 // TestScaleSmoke10M is the 10⁷-edge end-to-end smoke: stream-generate a
-// GNP graph at n = 65536, run the full distributed construction with a
-// fully lazy arena, and verify the scale-regime
+// GNP graph at n = 65536, run the full distributed construction with
+// unicast lists grown by the traffic, and verify the scale-regime
 // acceptance criteria — the build completes, the measured arena sits at
 // least 4× below the worst-case preallocation it replaced, and a
 // sampled stretch check passes. Gated behind the `scale` build tag (CI
