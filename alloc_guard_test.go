@@ -7,9 +7,9 @@ import (
 	"nearspan"
 	"nearspan/internal/congest"
 	"nearspan/internal/core"
-	"nearspan/internal/edgeset"
 	"nearspan/internal/experiments"
 	"nearspan/internal/gen"
+	"nearspan/internal/graph"
 	"nearspan/internal/params"
 	"nearspan/internal/protocols"
 )
@@ -22,43 +22,43 @@ import (
 // regression to the map plane (an order of magnitude above), loose
 // enough to survive runtime version noise.
 
-// Set.Add averages well under one allocation per edge (tail growth plus
-// occasional run merges, amortized by the logarithmic method).
+// Builder.Add averages well under one allocation per edge (bucket growth
+// by append; run merges reuse one scratch buffer).
 func TestAllocBudgetSetAdd(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
 	}
 	stream := experiments.AssemblyWorkload(5000, 40_000)
 	avg := testing.AllocsPerRun(10, func() {
-		s := edgeset.NewSet(5000)
+		b := graph.NewBuilder(5000)
 		for _, e := range stream {
-			s.Add(int(e[0]), int(e[1]))
+			b.Add(int(e[0]), int(e[1]))
 		}
 	})
 	perAdd := avg / float64(len(stream))
 	if perAdd > 0.6 {
-		t.Errorf("Set.Add allocates %.3f allocs/edge (budget 0.6) — %v allocs for %d edges",
+		t.Errorf("Builder.Add allocates %.3f allocs/edge (budget 0.6) — %v allocs for %d edges",
 			perAdd, avg, len(stream))
 	}
 }
 
-// Set.Graph emits the CSR in a constant number of allocations once the
-// set is compacted: offsets, adjacency, fill cursor, and the iterator
-// plumbing — independent of edge count.
+// Builder.Build emits the CSR in a constant number of allocations once
+// the buckets are compacted: degrees, offsets, adjacency, and the
+// iterator plumbing — independent of edge count.
 func TestAllocBudgetSetGraph(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
 	}
-	s := edgeset.NewSet(5000)
+	b := graph.NewBuilder(5000)
 	for _, e := range experiments.AssemblyWorkload(5000, 40_000) {
-		s.Add(int(e[0]), int(e[1]))
+		b.Add(int(e[0]), int(e[1]))
 	}
-	s.Graph() // compact once; steady-state emission is what we pin
+	b.Build() // compact once; steady-state emission is what we pin
 	avg := testing.AllocsPerRun(20, func() {
-		s.Graph()
+		b.Build()
 	})
 	if avg > 12 {
-		t.Errorf("Set.Graph allocates %v per emission (budget 12)", avg)
+		t.Errorf("Builder.Build allocates %v per emission (budget 12)", avg)
 	}
 }
 
@@ -160,7 +160,7 @@ func TestAllocBudgetSparseClimb(t *testing.T) {
 // Streaming generation emits a million-edge GNP in O(1) allocations per
 // vertex: the degree pass and fill pass replay the RNG without buffering
 // edges, and the CSR is cut in a single allocation per column. A
-// regression to per-edge buffering (the Builder path's run directory)
+// regression to per-edge buffering (a Builder bucket per vertex)
 // sits two orders of magnitude above this budget.
 func TestAllocBudgetStreamGNP(t *testing.T) {
 	if raceEnabled {

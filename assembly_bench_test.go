@@ -8,10 +8,10 @@ import (
 
 // BenchmarkSpannerAssembly compares the two spanner-assembly data
 // planes on the 500k-edge workload: "map-plane" is the pre-columnar
-// pipeline (map[Edge]bool accumulation, global key sort, re-deduping
-// graph.Builder, per-vertex CSR sorts) preserved as the reference;
-// "columnar" is the edgeset.Set plane (bucketed sorted-run dedupe,
-// direct CSR emission). Both produce the identical graph (asserted
+// pipeline (map[[2]int32]bool accumulation, global key sort, then a
+// re-deduping graph.Builder) preserved as the reference; "columnar" is
+// the graph.Builder plane alone (bucketed sorted-run dedupe, direct CSR
+// emission). Both produce the identical graph (asserted
 // below). The shared workload and plane implementations live in
 // internal/experiments so `cmd/experiments -bench-json` records exactly
 // these measurements in the BENCH_core.json perf-trajectory artifact.

@@ -25,7 +25,6 @@ import (
 	"math"
 
 	"nearspan/internal/cluster"
-	"nearspan/internal/edgeset"
 	"nearspan/internal/graph"
 	"nearspan/internal/params"
 	"nearspan/internal/rng"
@@ -118,10 +117,10 @@ func BuildEN17(g *graph.Graph, p *EN17Params, seed uint64) (*EN17Result, error) 
 		return nil, fmt.Errorf("baseline: EN17 params n=%d, graph n=%d", p.N, g.N())
 	}
 	res := &EN17Result{Beta: p.Beta(), EpsPrime: p.EpsPrime()}
-	h := edgeset.NewSet(g.N())
+	h := graph.NewBuilder(g.N())
 	cur := cluster.Singletons(g.N())
-	superclustered := edgeset.NewAssignment(g.N())
-	assignment := edgeset.NewAssignment(g.N())
+	superclustered := cluster.NewAssignment(g.N())
+	assignment := cluster.NewAssignment(g.N())
 
 	for i := 0; i <= p.L; i++ {
 		ph := EN17Phase{Index: i, Deg: p.Deg[i], Delta: p.Delta[i], Clusters: cur.Len()}
@@ -152,7 +151,11 @@ func BuildEN17(g *graph.Graph, p *EN17Params, seed uint64) (*EN17Result, error) 
 				}
 			}
 			// Forest root paths are added to H.
-			ph.EdgesSC = h.AddSet(forestPaths(g, centers, dist, parent, superclustered))
+			for u, v := range forestPaths(g, centers, dist, parent, superclustered).All() {
+				if h.Add(int(u), int(v)) {
+					ph.EdgesSC++
+				}
+			}
 
 			var err error
 			next, err = cur.Merge(g.N(), assignment)
@@ -178,14 +181,14 @@ func BuildEN17(g *graph.Graph, p *EN17Params, seed uint64) (*EN17Result, error) 
 			cur = next
 		}
 	}
-	res.Spanner = h.Graph()
+	res.Spanner = h.Build()
 	return res, nil
 }
 
 // en17Interconnect adds a shortest path from every unsuperclustered
 // center to every center within delta directly into h, returning the
 // number of new edges and the pair count.
-func en17Interconnect(g *graph.Graph, centers []int, superclustered *edgeset.Assignment, delta int32, h *edgeset.Set) (added, pairs int) {
+func en17Interconnect(g *graph.Graph, centers []int, superclustered *cluster.Assignment, delta int32, h *graph.Builder) (added, pairs int) {
 	isCenter := make([]bool, g.N())
 	for _, c := range centers {
 		isCenter[c] = true
@@ -217,8 +220,8 @@ func en17Interconnect(g *graph.Graph, centers []int, superclustered *edgeset.Ass
 // MultiBFS forest. The step-local set preserves the walk's early-exit
 // semantics (stop once this step already marked the rest of the path);
 // the caller merges it into H for the phase's new-edge count.
-func forestPaths(g *graph.Graph, centers []int, dist []int32, parent []int32, spanned *edgeset.Assignment) *edgeset.Set {
-	edges := edgeset.NewSet(g.N())
+func forestPaths(g *graph.Graph, centers []int, dist []int32, parent []int32, spanned *cluster.Assignment) *graph.Builder {
+	edges := graph.NewBuilder(g.N())
 	for _, c := range centers {
 		if !spanned.Has(c) || dist[c] == graph.Infinity {
 			continue

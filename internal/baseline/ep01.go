@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"nearspan/internal/cluster"
-	"nearspan/internal/edgeset"
 	"nearspan/internal/graph"
 	"nearspan/internal/params"
 )
@@ -93,10 +92,10 @@ func BuildEP01(g *graph.Graph, p *EP01Params) (*EP01Result, error) {
 		return nil, fmt.Errorf("baseline: EP01 params n=%d, graph n=%d", p.N, g.N())
 	}
 	res := &EP01Result{Beta: p.Beta(), EpsPrime: p.EpsPrime()}
-	h := edgeset.NewSet(g.N())
+	h := graph.NewBuilder(g.N())
 	cur := cluster.Singletons(g.N())
-	superclustered := edgeset.NewAssignment(g.N())
-	assignment := edgeset.NewAssignment(g.N())
+	superclustered := cluster.NewAssignment(g.N())
+	assignment := cluster.NewAssignment(g.N())
 
 	for i := 0; i <= p.L; i++ {
 		ph := EP01Phase{Index: i, Deg: p.Deg[i], Delta: p.Delta[i], Clusters: cur.Len()}
@@ -176,6 +175,6 @@ func BuildEP01(g *graph.Graph, p *EP01Params) (*EP01Result, error) {
 			cur = next
 		}
 	}
-	res.Spanner = h.Graph()
+	res.Spanner = h.Build()
 	return res, nil
 }

@@ -5,7 +5,7 @@ import (
 	"math"
 	"slices"
 
-	"nearspan/internal/edgeset"
+	"nearspan/internal/cluster"
 	"nearspan/internal/graph"
 	"nearspan/internal/rng"
 )
@@ -27,7 +27,7 @@ func BuildBaswanaSen(g *graph.Graph, kappa int, seed uint64) (*graph.Graph, erro
 	}
 	n := g.N()
 	r := rng.New(seed)
-	spanner := edgeset.NewSet(n)
+	spanner := graph.NewBuilder(n)
 
 	// clusterOf[v] is the center of v's cluster, or -1 once v retires.
 	clusterOf := make([]int32, n)
@@ -41,7 +41,7 @@ func BuildBaswanaSen(g *graph.Graph, kappa int, seed uint64) (*graph.Graph, erro
 
 	// seen is the per-vertex neighboring-cluster dedupe, cleared per
 	// vertex in O(1) by generation bump.
-	seen := edgeset.NewAssignment(n)
+	seen := cluster.NewAssignment(n)
 
 	for it := 0; it < kappa-1; it++ {
 		// Sample surviving cluster centers (in sorted order, so the
@@ -115,7 +115,7 @@ func BuildBaswanaSen(g *graph.Graph, kappa int, seed uint64) (*graph.Graph, erro
 			spanner.Add(v, int(w))
 		}
 	}
-	return spanner.Graph(), nil
+	return spanner.Build(), nil
 }
 
 // BuildGreedy constructs the Althöfer et al. greedy (2κ−1)-spanner:

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"slices"
 
-	"nearspan/internal/edgeset"
 	"nearspan/internal/graph"
 )
 
@@ -107,7 +106,7 @@ func (c *Collection) IsCenter(v int) bool {
 // already sorted — no intermediate map[int][]int32, no member sort, and
 // disjointness holds by construction (each old cluster lands in exactly
 // one supercluster), so no revalidation pass either.
-func (c *Collection) Merge(n int, assignment *edgeset.Assignment) (*Collection, error) {
+func (c *Collection) Merge(n int, assignment *Assignment) (*Collection, error) {
 	// Reject assignments keyed by non-centers (same contract as before).
 	for v := 0; v < n; v++ {
 		if assignment.Has(v) && !c.IsCenter(v) {

@@ -3,15 +3,14 @@ package cluster
 import (
 	"testing"
 
-	"nearspan/internal/edgeset"
 	"nearspan/internal/gen"
 	"nearspan/internal/graph"
 )
 
 // asg builds a dense Assignment from a literal old-center → new-center
 // map, the test-friendly face of the columnar merge input.
-func asg(n int, m map[int]int) *edgeset.Assignment {
-	a := edgeset.NewAssignment(n)
+func asg(n int, m map[int]int) *Assignment {
+	a := NewAssignment(n)
 	for k, v := range m {
 		a.Set(k, int32(v))
 	}

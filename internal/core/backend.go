@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"nearspan/internal/congest"
-	"nearspan/internal/edgeset"
 	"nearspan/internal/graph"
 	"nearspan/internal/protocols"
 )
@@ -76,7 +75,7 @@ func (d *distributedBackend) forest(ctx context.Context, roots []int, depth int3
 	return protocols.RunForest(ctx, d.net, func(v int) bool { return isR[v] }, depth)
 }
 
-func (d *distributedBackend) climb(ctx context.Context, step string, rt *protocols.Routing, start [][]int64, keysPerVertex, pathLen int, h *edgeset.Set) (int, error) {
+func (d *distributedBackend) climb(ctx context.Context, step string, rt *protocols.Routing, start [][]int64, keysPerVertex, pathLen int, h *graph.Builder) (int, error) {
 	for _, s := range start {
 		if len(s) > 0 {
 			return protocols.RunClimb(ctx, d.net, step, rt, start, keysPerVertex, pathLen, h)
@@ -163,7 +162,7 @@ func (c *centralBackend) forest(ctx context.Context, roots []int, depth int32) (
 // program — reproduces the protocol's forward-once-per-key dedupe, so
 // the marked edge set is identical. The new-edge count is taken against
 // h itself, matching the distributed extraction.
-func (c *centralBackend) climb(ctx context.Context, step string, rt *protocols.Routing, start [][]int64, keysPerVertex, pathLen int, h *edgeset.Set) (int, error) {
+func (c *centralBackend) climb(ctx context.Context, step string, rt *protocols.Routing, start [][]int64, keysPerVertex, pathLen int, h *graph.Builder) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}

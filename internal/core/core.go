@@ -35,7 +35,6 @@ import (
 
 	"nearspan/internal/cluster"
 	"nearspan/internal/congest"
-	"nearspan/internal/edgeset"
 	"nearspan/internal/graph"
 	"nearspan/internal/params"
 	"nearspan/internal/protocols"
@@ -201,7 +200,7 @@ type backend interface {
 	nearNeighbors(ctx context.Context, centers []int, deg int, delta int32, rec *protocols.TranscriptRecorder) (protocols.NNResult, error)
 	rulingSet(ctx context.Context, members []int, q int32, c int) ([]int, error)
 	forest(ctx context.Context, roots []int, depth int32) (protocols.ForestResult, error)
-	climb(ctx context.Context, step string, rt *protocols.Routing, start [][]int64, keysPerVertex, pathLen int, h *edgeset.Set) (int, error)
+	climb(ctx context.Context, step string, rt *protocols.Routing, start [][]int64, keysPerVertex, pathLen int, h *graph.Builder) (int, error)
 	arenaBytes() int64
 	arenaWorstCase() int64
 }
@@ -254,14 +253,14 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 	if opts.KeepRebuildState || hook != nil {
 		state = &RebuildState{Graph: g, Params: p}
 	}
-	h := edgeset.NewSet(g.N())
+	h := graph.NewBuilder(g.N())
 	cur := cluster.Singletons(g.N())
 
 	// superclustered flags this phase's absorbed centers; the assignment
 	// maps absorbed old centers to their new supercluster centers. Both
 	// are dense and reset per phase in O(1).
-	superclustered := edgeset.NewAssignment(g.N())
-	assignment := edgeset.NewAssignment(g.N())
+	superclustered := cluster.NewAssignment(g.N())
+	assignment := cluster.NewAssignment(g.N())
 
 	for i := 0; i <= p.L; i++ {
 		if err := ctx.Err(); err != nil {
@@ -344,7 +343,7 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 		}
 	}
 
-	res.Spanner = h.Graph()
+	res.Spanner = h.Build()
 	res.Rebuild = state
 	// The phase and result totals are derived from the ledger's steps.
 	res.Steps = led.Steps()
@@ -373,8 +372,8 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 // It fills the superclustered set and the old-center → new-center
 // assignment, adds forest paths to h, and updates ps in place.
 func superclusterPhase(ctx context.Context, bk backend, g *graph.Graph, p *params.Params, i int,
-	cur *cluster.Collection, nn protocols.NNResult, h *edgeset.Set,
-	superclustered, assignment *edgeset.Assignment, ps *PhaseStats) (*cluster.Collection, error) {
+	cur *cluster.Collection, nn protocols.NNResult, h *graph.Builder,
+	superclustered, assignment *cluster.Assignment, ps *PhaseStats) (*cluster.Collection, error) {
 
 	centers := cur.Centers()
 	var popular []int
@@ -432,7 +431,7 @@ func superclusterPhase(ctx context.Context, bk backend, g *graph.Graph, p *param
 // each initiating center's start-key set is its key run in that table —
 // no copies, already sorted.
 func interconnect(ctx context.Context, bk backend, g *graph.Graph, centers []int, nn protocols.NNResult,
-	superclustered *edgeset.Assignment, delta int32, h *edgeset.Set) (int, error) {
+	superclustered *cluster.Assignment, delta int32, h *graph.Builder) (int, error) {
 
 	start := make([][]int64, g.N())
 	maxKeys := 0

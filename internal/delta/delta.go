@@ -130,8 +130,7 @@ func Apply(g *graph.Graph, b *Batch) (*graph.Graph, error) {
 	if err := Check(g, b); err != nil {
 		return nil, err
 	}
-	m := g.M() + len(b.Insert) - len(b.Delete)
-	return graph.FromSortedEdgeSeq(g.N(), m, mergedEdges(g, b)), nil
+	return graph.FromSortedEdgeSeq(g.N(), mergedEdges(g, b)), nil
 }
 
 // mergedEdges yields g's edges merged with the batch's sorted inserts,

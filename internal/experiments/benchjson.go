@@ -15,7 +15,6 @@ import (
 	"nearspan/internal/congest"
 	"nearspan/internal/core"
 	"nearspan/internal/delta"
-	"nearspan/internal/edgeset"
 	"nearspan/internal/gen"
 	"nearspan/internal/graph"
 	"nearspan/internal/oracle"
@@ -460,38 +459,38 @@ func AssemblyWorkload(n, m int) [][2]int32 {
 }
 
 // AssembleMapPlane is the pre-columnar assembly pipeline, preserved as
-// the benchmark reference: map[Edge]bool accumulation, a global key
+// the benchmark reference: map[[2]int32]bool accumulation, a global key
 // sort to recover determinism, then the re-deduping graph.Builder.
 func AssembleMapPlane(n int, stream [][2]int32) *graph.Graph {
-	h := make(map[protocols.Edge]bool)
+	h := make(map[[2]int32]bool)
 	for _, e := range stream {
-		h[protocols.Edge{U: e[0], V: e[1]}] = true
+		h[e] = true
 	}
-	edges := make([]protocols.Edge, 0, len(h))
+	edges := make([][2]int32, 0, len(h))
 	for e := range h {
 		edges = append(edges, e)
 	}
-	slices.SortFunc(edges, func(a, c protocols.Edge) int {
-		if a.U != c.U {
-			return int(a.U) - int(c.U)
+	slices.SortFunc(edges, func(a, c [2]int32) int {
+		if a[0] != c[0] {
+			return int(a[0]) - int(c[0])
 		}
-		return int(a.V) - int(c.V)
+		return int(a[1]) - int(c[1])
 	})
 	hb := graph.NewBuilder(n)
 	for _, e := range edges {
-		if err := hb.AddEdge(int(e.U), int(e.V)); err != nil {
+		if err := hb.AddEdge(int(e[0]), int(e[1])); err != nil {
 			panic("experiments: map-plane assembly: " + err.Error())
 		}
 	}
 	return hb.Build()
 }
 
-// AssembleColumnar is the current assembly pipeline: edgeset.Set
+// AssembleColumnar is the current assembly pipeline: graph.Builder
 // accumulation with direct CSR emission.
 func AssembleColumnar(n int, stream [][2]int32) *graph.Graph {
-	h := edgeset.NewSet(n)
+	h := graph.NewBuilder(n)
 	for _, e := range stream {
 		h.Add(int(e[0]), int(e[1]))
 	}
-	return h.Graph()
+	return h.Build()
 }

@@ -208,3 +208,85 @@ func FuzzReadEdgeList(f *testing.F) {
 		checkRoundTrips(t, g)
 	})
 }
+
+// FuzzBuilderSortedRunDedup feeds arbitrary byte streams as edge
+// sequences into the bucketed sorted-run machinery (tail → carry
+// merges → compaction) and cross-checks every observable against a map
+// model. Each pair of bytes is an edge; a third byte's parity picks
+// AddEdge or Add, and a zero third byte emits the graph mid-stream so
+// later additions land in compacted buckets. The vertex universe is
+// small (n=48) so the fuzzer hammers duplicate handling, and large
+// enough that one bucket reaches two full blocks and merges.
+func FuzzBuilderSortedRunDedup(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 1, 0, 1, 2, 3, 0})
+	f.Add([]byte{5, 6, 1, 6, 5, 2, 5, 7, 1, 5, 8, 1, 5, 9, 1, 5, 10, 1, 5, 11, 1, 5, 12, 1, 5, 13, 1, 5, 6, 2})
+	f.Add([]byte{})
+	// One bucket filled past two blocks in scrambled order, then probed
+	// with every edge again: carries and run merges under duplicates.
+	var crowd []byte
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < 47; i++ {
+			crowd = append(crowd, 0, byte(1+i*13%47), byte(1+pass))
+		}
+	}
+	f.Add(crowd)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const n = 48
+		b := NewBuilder(n)
+		ref := map[[2]int32]bool{}
+		check := func() {
+			t.Helper()
+			if b.NumEdges() != len(ref) {
+				t.Fatalf("NumEdges=%d, model %d", b.NumEdges(), len(ref))
+			}
+			prev := [2]int32{-1, -1}
+			count := 0
+			for u, v := range b.All() {
+				if !ref[[2]int32{u, v}] {
+					t.Fatalf("iteration yields {%d,%d} not in model", u, v)
+				}
+				if u < prev[0] || (u == prev[0] && v <= prev[1]) {
+					t.Fatalf("iteration unsorted/duplicated at {%d,%d}", u, v)
+				}
+				prev = [2]int32{u, v}
+				count++
+			}
+			if count != len(ref) {
+				t.Fatalf("iterated %d edges, model %d", count, len(ref))
+			}
+			g := b.Build()
+			checkCSR(t, g)
+			if g.M() != len(ref) {
+				t.Fatalf("emitted graph has %d edges, model %d", g.M(), len(ref))
+			}
+			for k := range ref {
+				if !g.HasEdge(int(k[0]), int(k[1])) {
+					t.Fatalf("emitted graph missing {%d,%d}", k[0], k[1])
+				}
+			}
+		}
+		for i := 0; i+2 < len(data); i += 3 {
+			u, v, op := int(data[i])%n, int(data[i+1])%n, data[i+2]
+			if op == 0 {
+				check()
+			}
+			if u == v {
+				continue
+			}
+			k := [2]int32{int32(min(u, v)), int32(max(u, v))}
+			wantNew := !ref[k]
+			ref[k] = true
+			if op%2 == 1 {
+				if err := b.AddEdge(u, v); (err == nil) != wantNew {
+					t.Fatalf("AddEdge(%d,%d) = %v: newness disagrees with model", u, v, err)
+				}
+			} else if b.Add(u, v) != wantNew {
+				t.Fatalf("Add(%d,%d): newness disagrees with model", u, v)
+			}
+			if !b.HasEdge(u, v) || !b.HasEdge(v, u) {
+				t.Fatalf("HasEdge(%d,%d) false right after adding it", u, v)
+			}
+		}
+		check()
+	})
+}

@@ -1,5 +1,5 @@
 // Package graph provides the unweighted undirected graph substrate used by
-// every algorithm in this repository: a mutable edge-list builder, an
+// every algorithm in this repository: an append-only edge builder, an
 // immutable CSR (compressed sparse row) view for fast traversal, BFS-based
 // exact distance computation, and structural queries (connectivity,
 // diameter, degeneracy).
@@ -15,47 +15,47 @@ import (
 	"slices"
 )
 
-// Builder accumulates edges and produces an immutable Graph. The zero
-// value is unusable; construct with NewBuilder.
+// Builder is a deterministic, append-only accumulator of undirected
+// edges over vertices [0, n) that freezes into an immutable Graph. It
+// builds the inputs (generators, ReadEdgeList) and every spanner H,
+// which the construction grows only by appending edges, some of them
+// already present. The zero value is unusable; construct with
+// NewBuilder. Not safe for concurrent use.
 //
-// Duplicate detection is sort-based rather than hash-based: edges live
-// in a short unsorted buffer plus a stack of sorted runs of roughly
-// geometric sizes (the classic logarithmic method). Membership is a
-// linear scan of the small buffer plus one binary search per run
-// (O(log² m)), and runs are merged as the buffer flushes, for O(m log m)
-// total build work. Compared to a map[[2]int32]bool seen-set this keeps
-// peak memory at a few compact edge arrays — on million-edge generated
-// workloads the dominant builder cost used to be the hash table.
+// Duplicate detection is sort-based rather than hash-based. Edges are
+// normalized to u < v and bucketed by u, and each bucket is one slice
+// laid out by the logarithmic method in blocks of bucketBlock entries:
+// with q = len/bucketBlock, the front holds a sorted run of
+// bucketBlock<<i entries for each set bit i of q, largest first, and the
+// last len%bucketBlock entries are an unsorted tail. The layout is a
+// function of the length alone, so a bucket costs one slice header and
+// no run directory. Runs are mutually duplicate-free, so membership is
+// a scan of the tail plus one binary search per run; a full tail becomes
+// a run and equal runs merge like a binary counter's carries, for
+// O(1) amortized moves per edge. Iteration is (u, v) ascending with no
+// global sort: buckets are visited in order and each one compacts to a
+// single sorted run, which is itself a valid layout.
+//
+// Buckets are allocated lazily, up to the largest smaller endpoint seen,
+// so a vertex count alone costs nothing per vertex until Build.
 type Builder struct {
-	n    int
-	m    int          // total edges added
-	runs [][][2]int32 // sorted, duplicate-free runs; sizes shrink left to right
-	buf  [][2]int32   // recent edges, unsorted, at most builderBufLimit
-
-	// hi[i] is the largest key in runs[i] — the run directory. While the
-	// runs' key ranges are pairwise disjoint and ascending (disjoint),
-	// contains binary-searches the directory for the single run that can
-	// hold a key instead of probing every run. Generators emit edges in
-	// ascending order, which used to be the adversarial case: every flush
-	// appended a run whose range sat above all earlier ones, so each
-	// AddEdge paid one binary search per run for runs that could not
-	// possibly contain the key. Out-of-order insertions break the
-	// invariant (disjoint goes false) and probing falls back to scanning
-	// the runs whose [lo, hi] range covers the key.
-	lo, hi   [][2]int32
-	disjoint bool
+	n       int
+	m       int
+	buckets [][]int32 // buckets[u]: the larger endpoints of u's edges
+	tmp     []int32   // merge scratch
 }
 
-// builderBufLimit bounds the unsorted tail scanned linearly on every
-// duplicate check; beyond it the buffer is sorted into a run.
-const builderBufLimit = 256
+// bucketBlock is the tail length at which a bucket's unsorted tail turns
+// into a sorted run. Spanner buckets hold O(β) edges per vertex, so most
+// of them never grow a second run.
+const bucketBlock = 16
 
 // NewBuilder returns a builder for a graph on n vertices.
 func NewBuilder(n int) *Builder {
 	if n < 0 {
 		n = 0
 	}
-	return &Builder{n: n, disjoint: true}
+	return &Builder{n: n}
 }
 
 // AddEdge inserts the undirected edge {u, v}. It returns an error if the
@@ -67,133 +67,144 @@ func (b *Builder) AddEdge(u, v int) error {
 	if u < 0 || u >= b.n || v < 0 || v >= b.n {
 		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, b.n)
 	}
-	key := normEdge(int32(u), int32(v))
-	if b.contains(key) {
+	if !b.insert(min(u, v), max(u, v)) {
 		return fmt.Errorf("graph: duplicate edge {%d,%d}", u, v)
-	}
-	b.buf = append(b.buf, key)
-	b.m++
-	if len(b.buf) >= builderBufLimit {
-		b.flush()
 	}
 	return nil
 }
 
-// HasEdge reports whether {u, v} has been added.
-func (b *Builder) HasEdge(u, v int) bool {
-	if u < 0 || v < 0 || u >= b.n || v >= b.n || u == v {
-		return false
+// Add inserts the undirected edge {u, v}, reporting whether it was new.
+// It is the trusted path for adjacency-derived pairs: a self-loop or an
+// out-of-range endpoint is a construction bug, not an input error, and
+// panics.
+func (b *Builder) Add(u, v int) bool {
+	u, v = min(u, v), max(u, v)
+	if u == v || u < 0 || v >= b.n {
+		panic(fmt.Sprintf("graph: invalid edge {%d,%d} over n=%d", u, v, b.n))
 	}
-	return b.contains(normEdge(int32(u), int32(v)))
+	return b.insert(u, v)
 }
 
-func (b *Builder) contains(key [2]int32) bool {
-	if slices.Contains(b.buf, key) {
+// HasEdge reports whether {u, v} has been added.
+func (b *Builder) HasEdge(u, v int) bool {
+	u, v = min(u, v), max(u, v)
+	if u == v || u < 0 || u >= len(b.buckets) || v >= b.n {
+		return false
+	}
+	return bucketHas(b.buckets[u], int32(v))
+}
+
+// insert adds the valid edge {u, v} with u < v unless it is present.
+func (b *Builder) insert(u, v int) bool {
+	if u >= len(b.buckets) {
+		if u >= cap(b.buckets) {
+			// Double, but never past n: a smaller endpoint creeping
+			// upward would otherwise pay append's 1.25× steps.
+			grown := make([][]int32, u+1, min(b.n, max(u+1, 2*cap(b.buckets))))
+			copy(grown, b.buckets)
+			b.buckets = grown
+		}
+		b.buckets = b.buckets[:u+1]
+	}
+	s, w := b.buckets[u], int32(v)
+	if bucketHas(s, w) {
+		return false
+	}
+	s = append(s, w)
+	if len(s)%bucketBlock == 0 {
+		// The full tail becomes a run, and runs of equal size merge as
+		// a binary counter's carries propagate.
+		slices.Sort(s[len(s)-bucketBlock:])
+		for q, size := len(s)/bucketBlock, bucketBlock; q%2 == 0; q, size = q/2, 2*size {
+			b.mergeRuns(s[len(s)-2*size:], size)
+		}
+	}
+	b.buckets[u] = s
+	b.m++
+	return true
+}
+
+// bucketHas reports whether w is in bucket s: a scan of the tail, then
+// one binary search per run, smallest run first.
+func bucketHas(s []int32, w int32) bool {
+	hi := len(s) - len(s)%bucketBlock
+	if slices.Contains(s[hi:], w) {
 		return true
 	}
-	if b.disjoint {
-		// One binary search over the directory of run maxima finds the
-		// only run whose range can hold the key.
-		i, _ := slices.BinarySearchFunc(b.hi, key, cmpEdge)
-		if i >= len(b.runs) || edgeLess(key, b.lo[i]) {
-			return false
-		}
-		_, ok := slices.BinarySearchFunc(b.runs[i], key, cmpEdge)
-		return ok
-	}
-	for i, run := range b.runs {
-		if edgeLess(key, b.lo[i]) || edgeLess(b.hi[i], key) {
-			continue
-		}
-		if _, ok := slices.BinarySearchFunc(run, key, cmpEdge); ok {
-			return true
+	for q, size := hi/bucketBlock, bucketBlock; q > 0; q, size = q/2, 2*size {
+		if q%2 == 1 {
+			if _, ok := slices.BinarySearch(s[hi-size:hi], w); ok {
+				return true
+			}
+			hi -= size
 		}
 	}
 	return false
 }
 
-// flush turns the buffer into a sorted run and restores the geometric
-// run-size invariant by merging the smallest runs. AddEdge already
-// rejected duplicates, so merges need no dedupe pass. The run directory
-// (lo/hi) tracks each run's key range; merging adjacent stack entries
-// preserves the disjoint-and-ascending invariant when it held before.
-func (b *Builder) flush() {
-	if len(b.buf) == 0 {
-		return
-	}
-	run := b.buf
-	slices.SortFunc(run, cmpEdge)
-	b.buf = make([][2]int32, 0, builderBufLimit)
-	if n := len(b.runs); n > 0 && !edgeLess(b.hi[n-1], run[0]) {
-		b.disjoint = false
-	}
-	b.runs = append(b.runs, run)
-	b.lo = append(b.lo, run[0])
-	b.hi = append(b.hi, run[len(run)-1])
-	for len(b.runs) >= 2 {
-		a, c := b.runs[len(b.runs)-2], b.runs[len(b.runs)-1]
-		if len(a) > 2*len(c) {
-			break
-		}
-		b.runs = b.runs[:len(b.runs)-2]
-		b.runs = append(b.runs, mergeRuns(a, c))
-		merged := b.runs[len(b.runs)-1]
-		b.lo = b.lo[:len(b.lo)-1]
-		b.hi = b.hi[:len(b.hi)-1]
-		b.lo[len(b.lo)-1] = merged[0]
-		b.hi[len(b.hi)-1] = merged[len(merged)-1]
-	}
-}
-
-func mergeRuns(a, c [][2]int32) [][2]int32 {
-	out := make([][2]int32, 0, len(a)+len(c))
-	i, j := 0, 0
-	for i < len(a) && j < len(c) {
-		if edgeLess(a[i], c[j]) {
-			out = append(out, a[i])
+// mergeRuns merges the sorted, mutually duplicate-free runs seg[:mid]
+// and seg[mid:] in place. The first run is copied to the scratch
+// buffer; the write cursor then never passes the second run's read
+// cursor, and whatever is left of the second run is already in place.
+func (b *Builder) mergeRuns(seg []int32, mid int) {
+	a := append(b.tmp[:0], seg[:mid]...)
+	b.tmp = a
+	i, j, k := 0, mid, 0
+	for i < len(a) && j < len(seg) {
+		if a[i] < seg[j] {
+			seg[k] = a[i]
 			i++
 		} else {
-			out = append(out, c[j])
+			seg[k] = seg[j]
 			j++
 		}
+		k++
 	}
-	out = append(out, a[i:]...)
-	return append(out, c[j:]...)
+	copy(seg[k:], a[i:])
 }
 
-func edgeLess(a, c [2]int32) bool {
-	if a[0] != c[0] {
-		return a[0] < c[0]
+// compact merges every bucket into one sorted run: the tail is sorted,
+// then the runs merge into it from the smallest up. Add keeps working
+// afterwards.
+func (b *Builder) compact() {
+	for _, s := range b.buckets {
+		lo := len(s) - len(s)%bucketBlock
+		slices.Sort(s[lo:])
+		for q, size := lo/bucketBlock, bucketBlock; q > 0; q, size = q/2, 2*size {
+			if q%2 == 1 {
+				lo -= size
+				b.mergeRuns(s[lo:], size)
+			}
+		}
 	}
-	return a[1] < c[1]
-}
-
-func cmpEdge(a, c [2]int32) int {
-	if a[0] != c[0] {
-		return int(a[0]) - int(c[0])
-	}
-	return int(a[1]) - int(c[1])
 }
 
 // NumEdges returns the number of edges added so far.
 func (b *Builder) NumEdges() int { return b.m }
 
-// Build freezes the builder into an immutable Graph. The builder remains
-// usable afterwards (Build copies).
-func (b *Builder) Build() *Graph {
-	edges := make([][2]int32, 0, b.m)
-	for _, run := range b.runs {
-		edges = append(edges, run...)
+// All yields every edge as (u, v) with u < v, ascending by u then v —
+// the canonical order, produced structurally rather than by sorting.
+// An Add after the All call invalidates the sequence; call All again to
+// observe the addition.
+func (b *Builder) All() iter.Seq2[int32, int32] {
+	b.compact()
+	return func(yield func(u, v int32) bool) {
+		for u, s := range b.buckets {
+			for _, v := range s {
+				if !yield(int32(u), v) {
+					return
+				}
+			}
+		}
 	}
-	edges = append(edges, b.buf...)
-	return fromEdges(b.n, edges)
 }
 
-func normEdge(u, v int32) [2]int32 {
-	if u > v {
-		u, v = v, u
-	}
-	return [2]int32{u, v}
+// Build freezes the builder into an immutable Graph. Every adjacency
+// list fills already sorted from the canonical edge order, so there is
+// no per-vertex sort. The builder remains usable afterwards (Build
+// copies).
+func (b *Builder) Build() *Graph {
+	return FromSortedEdgeSeq(b.n, b.All())
 }
 
 // Graph is an immutable simple undirected graph in CSR form.
@@ -205,113 +216,62 @@ type Graph struct {
 	degMax int
 }
 
-// fromEdges builds the CSR arrays from a deduplicated edge list.
-func fromEdges(n int, edges [][2]int32) *Graph {
-	deg := make([]int32, n)
-	for _, e := range edges {
-		deg[e[0]]++
-		deg[e[1]]++
-	}
-	offs := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		offs[v+1] = offs[v] + deg[v]
-	}
-	adj := make([]int32, 2*len(edges))
-	fill := make([]int32, n)
-	copy(fill, offs[:n])
-	for _, e := range edges {
-		u, v := e[0], e[1]
-		adj[fill[u]] = v
-		fill[u]++
-		adj[fill[v]] = u
-		fill[v]++
-	}
-	degMax := 0
-	for v := 0; v < n; v++ {
-		lo, hi := offs[v], offs[v+1]
-		slices.Sort(adj[lo:hi])
-		if d := int(hi - lo); d > degMax {
-			degMax = d
-		}
-	}
-	return &Graph{n: n, m: len(edges), offs: offs, adj: adj, degMax: degMax}
-}
-
-// FromSortedEdgeSeq builds a CSR graph directly from a re-iterable
-// stream of exactly m deduplicated edges, each normalized u < v and
-// yielded in ascending (u, v) order. This is the emission path of
-// edgeset.Set: because edges arrive sorted by the smaller endpoint, each
-// vertex w receives first its smaller neighbors (from buckets a < w, in
-// ascending a) and then its larger neighbors (from bucket w, in
-// ascending v) — every adjacency list fills already sorted, so unlike
-// Builder.Build no per-vertex sort and no duplicate probe is needed.
+// FromSortedEdgeSeq builds a CSR graph from a re-iterable stream of
+// deduplicated edges, each normalized u < v and yielded in ascending
+// (u, v) order: one pass counts degrees, and FromDegreeEdgeSeq replays
+// the stream to fill the arrays. Because edges arrive sorted by the
+// smaller endpoint, each vertex w receives first its smaller neighbors
+// (from edges {a, w} with a < w, in ascending a) and then its larger
+// ones (from edges {w, v}, in ascending v), so every adjacency list
+// fills already sorted.
 //
 // The caller guarantees order, dedup, and range validity; violations
-// corrupt the adjacency structure rather than erroring. seq must yield
-// the same edges on both passes (degree count, then fill).
-func FromSortedEdgeSeq(n, m int, seq iter.Seq2[int32, int32]) *Graph {
-	offs := make([]int32, n+1)
+// corrupt the adjacency order rather than erroring. A stream that
+// yields different edges on its two passes panics.
+func FromSortedEdgeSeq(n int, seq iter.Seq2[int32, int32]) *Graph {
+	deg := make([]int32, n)
 	for u, v := range seq {
-		offs[u+1]++
-		offs[v+1]++
+		deg[u]++
+		deg[v]++
 	}
-	for v := 0; v < n; v++ {
-		offs[v+1] += offs[v]
-	}
-	adj := make([]int32, 2*m)
-	fill := make([]int32, n)
-	copy(fill, offs[:n])
-	for u, v := range seq {
-		adj[fill[u]] = v
-		fill[u]++
-		adj[fill[v]] = u
-		fill[v]++
-	}
-	degMax := 0
-	for v := 0; v < n; v++ {
-		if d := int(offs[v+1] - offs[v]); d > degMax {
-			degMax = d
-		}
-	}
-	return &Graph{n: n, m: m, offs: offs, adj: adj, degMax: degMax}
+	return FromDegreeEdgeSeq(deg, seq)
 }
 
 // FromDegreeEdgeSeq builds a CSR graph from a single pass over a sorted
 // deduplicated edge stream whose per-vertex degrees are already known.
-// It is FromSortedEdgeSeq minus the counting pass: streaming generators
-// compute exact degrees during their one structural sweep, so the CSR
-// arrays are allocated once, at exactly the right size, and the stream
-// is replayed exactly once to fill them. The caller guarantees the same
-// stream contract as FromSortedEdgeSeq (normalized u < v, ascending,
-// in-range, duplicate-free) and that deg matches the stream; a degree
-// mismatch is detected (the fill cursor diverges from the offsets) and
-// panics rather than returning a corrupt graph.
+// Streaming generators compute exact degrees during their one
+// structural sweep, so the CSR arrays are allocated once, at exactly
+// the right size, and the stream is replayed exactly once to fill them.
+// The caller guarantees the stream contract of FromSortedEdgeSeq
+// (normalized u < v, ascending, in-range, duplicate-free) and that deg
+// matches the stream; a degree mismatch is detected and panics rather
+// than returning a corrupt graph.
 func FromDegreeEdgeSeq(deg []int32, seq iter.Seq2[int32, int32]) *Graph {
 	n := len(deg)
+	// offs[v+1] starts at v's first slot and is v's fill cursor, so a
+	// complete fill leaves it at v's end: the finished CSR offsets.
 	offs := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		offs[v+1] = offs[v] + deg[v]
+	var total int32
+	for v, d := range deg {
+		offs[v+1] = total
+		total += d
 	}
-	adj := make([]int32, offs[n])
-	fill := make([]int32, n)
-	copy(fill, offs[:n])
+	adj := make([]int32, total)
 	m := 0
 	for u, v := range seq {
-		adj[fill[u]] = v
-		fill[u]++
-		adj[fill[v]] = u
-		fill[v]++
+		adj[offs[u+1]] = v
+		offs[u+1]++
+		adj[offs[v+1]] = u
+		offs[v+1]++
 		m++
 	}
 	degMax := 0
-	for v := 0; v < n; v++ {
-		if fill[v] != offs[v+1] {
+	for v, d := range deg {
+		if got := offs[v+1] - offs[v]; got != d {
 			panic(fmt.Sprintf("graph: FromDegreeEdgeSeq degree mismatch at vertex %d: declared %d, stream filled %d",
-				v, deg[v], fill[v]-offs[v]))
+				v, d, got))
 		}
-		if d := int(offs[v+1] - offs[v]); d > degMax {
-			degMax = d
-		}
+		degMax = max(degMax, int(d))
 	}
 	return &Graph{n: n, m: m, offs: offs, adj: adj, degMax: degMax}
 }

@@ -41,15 +41,15 @@ var ErrVertexCount = errors.New("graph: header vertex count exceeds int32 vertex
 // ReadEdgeList parses the edge-list format written by WriteEdgeList.
 // Lines starting with '#' and blank lines are ignored; the first
 // non-comment line must be the "n m" header. Duplicate edges, self
-// loops, and out-of-range endpoints are rejected with the offending
-// line number; so is a header n above math.MaxInt32 (ErrVertexCount).
+// loops, out-of-range endpoints, and a header whose m disagrees with
+// the edge lines are rejected with the offending line number; so is a
+// header n above math.MaxInt32 (ErrVertexCount).
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	lineNo := 0
 	var b *Builder
-	wantEdges := -1
-	edges := 0
+	headerLine, wantEdges, edges := 0, -1, 0
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -76,7 +76,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("%w: line %d has n = %d", ErrVertexCount, lineNo, a)
 			}
 			b = NewBuilder(a)
-			wantEdges = c
+			headerLine, wantEdges = lineNo, c
 			continue
 		}
 		if err := b.AddEdge(a, c); err != nil {
@@ -91,7 +91,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: empty input")
 	}
 	if wantEdges >= 0 && edges != wantEdges {
-		return nil, fmt.Errorf("graph: header claims %d edges, found %d", wantEdges, edges)
+		return nil, fmt.Errorf("graph: line %d: header claims %d edges, found %d", headerLine, wantEdges, edges)
 	}
 	return b.Build(), nil
 }

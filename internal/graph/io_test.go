@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -86,5 +87,22 @@ func TestReadEdgeListRejectsOversizedHeader(t *testing.T) {
 		if _, err := ReadEdgeList(strings.NewReader(in)); !errors.Is(err, ErrVertexCount) {
 			t.Errorf("%q: err = %v, want ErrVertexCount", in, err)
 		}
+	}
+}
+
+// The vertex count of an upload is untrusted: a header-only input must
+// cost the CSR offsets and the degree count (8 bytes per vertex), not a
+// builder bucket per vertex on top.
+func TestReadEdgeListHeaderOnlyFootprint(t *testing.T) {
+	const n = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := ReadEdgeList(strings.NewReader("1048576 0\n"))
+	runtime.ReadMemStats(&after)
+	if err != nil || g.N() != n || g.M() != 0 {
+		t.Fatalf("ReadEdgeList = (%v, %v)", g, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 10*n {
+		t.Errorf("header-only n=%d allocated %d bytes (%.1f per vertex, budget 10)", n, got, float64(got)/n)
 	}
 }

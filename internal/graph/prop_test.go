@@ -159,3 +159,64 @@ func TestPropBallMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPropBuilderMatchesMapModel: under a random interleaving of Add,
+// HasEdge and mid-stream emission, the Builder agrees with a
+// map[[2]int32]bool model on every Add return, HasEdge probe and
+// NumEdges, and the iterated edge list is sorted and exactly the
+// model's set — before and after later additions to compacted buckets.
+// Half the edges land in buckets 0 and 1, which grow to several runs.
+func TestPropBuilderMatchesMapModel(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 2 + r.Intn(150)
+		b := NewBuilder(n)
+		ref := map[[2]int32]bool{}
+		matches := func() bool {
+			prev := [2]int32{-1, -1}
+			seen := 0
+			for u, v := range b.All() {
+				k := [2]int32{u, v}
+				if !ref[k] || u < prev[0] || (u == prev[0] && v <= prev[1]) {
+					t.Logf("iteration yields {%d,%d} out of order or not in model", u, v)
+					return false
+				}
+				prev = k
+				seen++
+			}
+			return seen == len(ref) && b.NumEdges() == len(ref)
+		}
+		ops := 1 + r.Intn(1500)
+		for i := 0; i < ops; i++ {
+			u, v := r.Intn(n), r.Intn(n)
+			if r.Intn(2) == 0 { // crowd two buckets so they carry and merge runs
+				u = r.Intn(2)
+			}
+			if u == v {
+				continue
+			}
+			k := [2]int32{int32(min(u, v)), int32(max(u, v))}
+			switch op := r.Intn(20); {
+			case op < 12: // Add, biased to dominate
+				if b.Add(u, v) == ref[k] {
+					t.Logf("Add(%d,%d) disagrees with model", u, v)
+					return false
+				}
+				ref[k] = true
+			case op < 19:
+				if b.HasEdge(u, v) != ref[k] {
+					t.Logf("HasEdge(%d,%d) disagrees with model", u, v)
+					return false
+				}
+			default: // emit mid-stream: compacts every bucket
+				if !matches() {
+					return false
+				}
+			}
+		}
+		return matches()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+}

@@ -23,7 +23,7 @@ func TestFromDegreeEdgeSeq(t *testing.T) {
 	edges := [][2]int32{{0, 1}, {0, 3}, {1, 2}, {2, 3}}
 	deg, seq := degSeq(4, edges)
 	g := FromDegreeEdgeSeq(deg, seq)
-	want := FromSortedEdgeSeq(4, len(edges), seq)
+	want := FromSortedEdgeSeq(4, seq)
 	gm, gh := Fingerprint(g)
 	wm, wh := Fingerprint(want)
 	if gm != wm || gh != wh {
@@ -62,6 +62,25 @@ func TestFromDegreeEdgeSeqDegreeMismatchPanics(t *testing.T) {
 		}
 	}()
 	FromDegreeEdgeSeq(deg, short)
+}
+
+// FromSortedEdgeSeq counts its degrees from the stream, so a stream that
+// yields different edges on the fill pass panics instead of emitting a
+// mis-sized CSR.
+func TestFromSortedEdgeSeqUnstableStreamPanics(t *testing.T) {
+	passes := 0
+	unstable := func(yield func(int32, int32) bool) {
+		passes++
+		if yield(0, 1) && passes == 1 {
+			yield(1, 2)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FromSortedEdgeSeq did not panic on a stream that changed between passes")
+		}
+	}()
+	FromSortedEdgeSeq(3, unstable)
 }
 
 // TestFingerprintSampledEquivalence: with samples >= n, the sampled
@@ -121,11 +140,10 @@ func TestFingerprintSampledPartial(t *testing.T) {
 	}
 }
 
-// BenchmarkBuilderInsert measures AddEdge across insertion orders. The
-// "sorted" order is the adversarial case for the old linear run probe:
-// every flush produces a run disjoint from (and after) all previous
-// runs, so runs accumulate without merging and each contains() walked
-// all of them. The run directory binary-search makes it O(log runs).
+// BenchmarkBuilderInsert measures AddEdge across insertion orders:
+// "sorted" is the (u, v)-ascending order the generators emit, which
+// grows the bucket array one vertex at a time; "scattered" revisits
+// every bucket once per stride.
 func BenchmarkBuilderInsert(b *testing.B) {
 	const n = 1 << 14
 	orders := map[string]func(add func(u, v int)){
@@ -168,10 +186,9 @@ func BenchmarkBuilderInsert(b *testing.B) {
 	}
 }
 
-// TestBuilderAdversarialSorted pins the directory fast path: fully
-// sorted insertion keeps runs disjoint, and duplicate probes against
-// old runs must still be caught (via the directory search, not the
-// fallback scan).
+// TestBuilderAdversarialSorted: fully sorted insertion, the generators'
+// order, grows the bucket array as it goes, and duplicate probes
+// against edges added long before must still be caught.
 func TestBuilderAdversarialSorted(t *testing.T) {
 	const n = 2000
 	b := NewBuilder(n)

@@ -4,7 +4,7 @@ import (
 	"slices"
 
 	"nearspan/internal/congest"
-	"nearspan/internal/edgeset"
+	"nearspan/internal/graph"
 )
 
 // Climb traces paths through per-vertex routing pointers and records the
@@ -142,22 +142,11 @@ func (c *Climb) pump(env *congest.Env) {
 	}
 }
 
-// Edge is an undirected edge, normalized U < V.
-type Edge struct{ U, V int32 }
-
-// NormEdge normalizes an edge to U < V.
-func NormEdge(u, v int) Edge {
-	if u > v {
-		u, v = v, u
-	}
-	return Edge{U: int32(u), V: int32(v)}
-}
-
 // ExtractClimbEdges adds the union of marked edges from a finished Climb
 // simulation into the given set, returning how many were new to it. The
 // construction passes the spanner accumulator H directly, so climb
 // results land in the spanner without an intermediate edge map.
-func ExtractClimbEdges(sim *congest.Simulator, into *edgeset.Set) int {
+func ExtractClimbEdges(sim *congest.Simulator, into *graph.Builder) int {
 	g := sim.Graph()
 	added := 0
 	for v := 0; v < g.N(); v++ {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"nearspan/internal/congest"
-	"nearspan/internal/edgeset"
 	"nearspan/internal/gen"
 	"nearspan/internal/graph"
 )
@@ -482,14 +481,14 @@ func TestForestClimbMarksRootPaths(t *testing.T) {
 	if _, err := csim.RunUntilQuietContext(context.Background(), ClimbMaxRounds(1, int(depth))); err != nil {
 		t.Fatal(err)
 	}
-	edges := edgeset.NewSet(g.N())
+	edges := graph.NewBuilder(g.N())
 	ExtractClimbEdges(csim, edges)
 	// Every starter's full parent path must be marked.
 	for _, s := range starters {
 		v := s
 		for forest.ParentPort[v] >= 0 {
 			u := g.Neighbor(v, forest.ParentPort[v])
-			if !edges.Contains(v, u) {
+			if !edges.HasEdge(v, u) {
 				t.Fatalf("edge %d-%d on %d's root path not marked", v, u, s)
 			}
 			v = u
@@ -536,10 +535,10 @@ func TestKeyedClimbTracesToCenters(t *testing.T) {
 	if _, err := csim.RunUntilQuietContext(context.Background(), ClimbMaxRounds(8, 10)); err != nil {
 		t.Fatal(err)
 	}
-	edges := edgeset.NewSet(g.N())
+	edges := graph.NewBuilder(g.N())
 	ExtractClimbEdges(csim, edges)
 	// Build the marked subgraph and verify connectivity at exact distance.
-	h := edges.Graph()
+	h := edges.Build()
 	for _, pair := range expect {
 		want, _ := res.DistTo(pair[0], int64(pair[1]))
 		if got := h.Distance(pair[0], pair[1]); got != want {
@@ -569,13 +568,13 @@ func TestClimbRespectsBandwidth(t *testing.T) {
 	if _, err := csim.RunUntilQuietContext(context.Background(), 100); err != nil {
 		t.Fatalf("climb violated bandwidth: %v", err)
 	}
-	edges := edgeset.NewSet(g.N())
+	edges := graph.NewBuilder(g.N())
 	ExtractClimbEdges(csim, edges)
-	if !edges.Contains(0, 19) {
+	if !edges.HasEdge(0, 19) {
 		t.Error("hub-to-target edge not marked")
 	}
-	if edges.Len() != 10 {
-		t.Errorf("marked %d edges, want 10", edges.Len())
+	if edges.NumEdges() != 10 {
+		t.Errorf("marked %d edges, want 10", edges.NumEdges())
 	}
 }
 
@@ -666,7 +665,7 @@ func TestClimbOrderIndependentEdges(t *testing.T) {
 		targets, _ := res.Known(c)
 		start[c] = targets
 	}
-	edgesFor := func(delivery congest.DeliveryOrder) *edgeset.Set {
+	edgesFor := func(delivery congest.DeliveryOrder) *graph.Builder {
 		sim, err := congest.NewUniform(g, NewClimb(&res.Routing, start), congest.Options{Delivery: delivery})
 		if err != nil {
 			t.Fatal(err)
@@ -674,17 +673,17 @@ func TestClimbOrderIndependentEdges(t *testing.T) {
 		if _, err := sim.RunUntilQuietContext(context.Background(), ClimbMaxRounds(10, 4)); err != nil {
 			t.Fatal(err)
 		}
-		edges := edgeset.NewSet(g.N())
+		edges := graph.NewBuilder(g.N())
 		ExtractClimbEdges(sim, edges)
 		return edges
 	}
 	a := edgesFor(congest.DeliverPortAscending)
 	b := edgesFor(congest.DeliverPortDescending)
-	if a.Len() != b.Len() {
-		t.Fatalf("climb edge sets differ in size: %d vs %d", a.Len(), b.Len())
+	if a.NumEdges() != b.NumEdges() {
+		t.Fatalf("climb edge sets differ in size: %d vs %d", a.NumEdges(), b.NumEdges())
 	}
 	for u, v := range a.All() {
-		if !b.Contains(int(u), int(v)) {
+		if !b.HasEdge(int(u), int(v)) {
 			t.Errorf("climb edge {%d,%d} only under ascending delivery", u, v)
 		}
 	}

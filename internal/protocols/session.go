@@ -9,7 +9,6 @@ import (
 	"slices"
 
 	"nearspan/internal/congest"
-	"nearspan/internal/edgeset"
 	"nearspan/internal/graph"
 )
 
@@ -277,7 +276,7 @@ func RunForest(ctx context.Context, net *Network, isRoot func(v int) bool, depth
 // the marked edges into the given set; it returns how many were new to
 // the set. The construction passes the spanner accumulator directly, so
 // the new-edge count is the step's contribution to |E_H|.
-func RunClimb(ctx context.Context, net *Network, step string, rt *Routing, start [][]int64, keysPerVertex, pathLen int, into *edgeset.Set) (int, error) {
+func RunClimb(ctx context.Context, net *Network, step string, rt *Routing, start [][]int64, keysPerVertex, pathLen int, into *graph.Builder) (int, error) {
 	if err := net.Session(step, kindClimb).RunUntilQuiet(ctx, NewClimb(rt, start), ClimbMaxRounds(keysPerVertex, pathLen)); err != nil {
 		return 0, err
 	}

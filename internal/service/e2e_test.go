@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -114,7 +115,9 @@ func TestServiceE2EGoldenFingerprint(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
-	if view.State != StateQueued && view.State != StateRunning {
+	// A loaded machine can finish the build before the 202 is rendered,
+	// so done is a valid answer too; a failed job is not.
+	if view.State != StateQueued && view.State != StateRunning && view.State != StateDone {
 		t.Fatalf("submit: state %q", view.State)
 	}
 
@@ -344,6 +347,87 @@ func TestServiceEdgeListUpload(t *testing.T) {
 	_, fp := graph.Fingerprint(want.Spanner)
 	if v.Result == nil || v.Result.Fingerprint != fp {
 		t.Errorf("uploaded-edge-list spanner differs from the direct build")
+	}
+}
+
+// Every edge-list upload goes through graph.ReadEdgeList: a malformed
+// list is a 400 whose body names the offending line, an unrepresentable
+// vertex count is ErrVertexCount, and the degenerate but valid lists (a
+// single vertex, a disconnected graph) build like a direct core.Build.
+func TestServiceEdgeListUploadValidation(t *testing.T) {
+	_, url, shutdown := startDaemon(t, Options{})
+	defer shutdown()
+	const query = "/v1/jobs?wait=1&eps=0.3333333333333333&kappa=3&rho=0.49"
+	upload := func(body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(url+query, "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, raw
+	}
+
+	for name, c := range map[string]struct{ body, want string }{
+		"duplicate edge":     {"3 2\n0 1\n1 0\n", "line 3: graph: duplicate edge {1,0}"},
+		"self-loop":          {"# comment\n3 1\n2 2\n", "line 3: graph: self-loop on vertex 2"},
+		"out of range":       {"3 1\n0 3\n", "line 2: graph: edge {0,3} out of range [0,3)"},
+		"edge count differs": {"\n4 3\n0 1\n1 2\n", "line 2: header claims 3 edges, found 2"},
+		"n above int32":      {"2147483648 0\n", graph.ErrVertexCount.Error()},
+	} {
+		code, raw := upload(c.body)
+		var e apiError
+		if err := json.Unmarshal(raw, &e); err != nil {
+			t.Errorf("%s: body %q is not an error document: %v", name, raw, err)
+			continue
+		}
+		if code != http.StatusBadRequest || !strings.Contains(e.Error, c.want) {
+			t.Errorf("%s: status %d error %q, want 400 naming %q", name, code, e.Error, c.want)
+		}
+	}
+
+	for name, c := range map[string]struct {
+		body  string
+		edges [][2]int
+		n     int
+	}{
+		"single vertex":         {"1 0", nil, 1},
+		"disconnected 4-vertex": {"4 2\n0 1\n2 3\n", [][2]int{{0, 1}, {2, 3}}, 4},
+	} {
+		code, raw := upload(c.body)
+		var v JobView
+		if err := json.Unmarshal(raw, &v); err != nil {
+			t.Fatalf("%s: decode %q: %v", name, raw, err)
+		}
+		if code != http.StatusOK || v.State != StateDone || v.Result == nil {
+			t.Fatalf("%s: status %d state %q (%+v)", name, code, v.State, v.Error)
+		}
+		b := graph.NewBuilder(c.n)
+		for _, e := range c.edges {
+			if err := b.AddEdge(e[0], e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, err := params.New(1.0/3, 3, 0.49, c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.Build(context.Background(), b.Build(), p, core.Options{Mode: core.ModeDistributed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, fp := graph.Fingerprint(want.Spanner)
+		if v.Result.Edges != want.Spanner.M() || v.Result.Fingerprint != fp {
+			t.Errorf("%s: served (%d edges, %s), direct build (%d edges, %s)",
+				name, v.Result.Edges, v.Result.Fingerprint, want.Spanner.M(), fp)
+		}
+		if c.n == 1 && v.Result.Edges != 0 {
+			t.Errorf("%s: %d edges, want 0", name, v.Result.Edges)
+		}
 	}
 }
 
