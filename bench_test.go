@@ -1,5 +1,6 @@
 // Benchmarks regenerating the paper's evaluation artifacts — one bench
-// per table and figure (DESIGN.md §3), plus component benchmarks for the
+// per table and figure (README.md, "Command-line tools"), plus component
+// benchmarks for the
 // protocol stack. Run with:
 //
 //	go test -bench=. -benchmem

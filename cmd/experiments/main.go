@@ -1,7 +1,6 @@
 // Command experiments runs the full reproduction suite: Table 1, Table 2,
 // the Figure 1-8 structural experiments, the quantitative per-lemma
-// claims, and the ablations. The output of this command is the content
-// recorded in EXPERIMENTS.md.
+// claims, and the ablations (README.md, "Command-line tools").
 //
 // The suite fans its configuration grids over the shared execution
 // runtime, so distributed builds for independent workloads run

@@ -1,6 +1,7 @@
 // Command figures renders the reproductions of the paper's Figures 1–8:
 // each illustrative figure becomes a verified structural experiment plus
-// an ASCII rendering on a grid workload (see DESIGN.md §3.2).
+// an ASCII rendering on a grid workload (see README.md, "Command-line
+// tools").
 package main
 
 import (

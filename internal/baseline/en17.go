@@ -17,7 +17,8 @@
 //
 // The remaining rows of Table 2 (Elk05, EZ06, TZ06, DGP07, DGPV08,
 // DGPV09, Pet09, Pet10, ABP17) are reported analytically by the
-// experiment harness; see DESIGN.md §1.5 for the substitution rationale.
+// experiment harness: their published bounds with O-constants = 1 (see
+// internal/experiments and README.md, "Command-line tools").
 package baseline
 
 import (

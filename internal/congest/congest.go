@@ -479,9 +479,15 @@ func (s *Simulator) Active() int { return len(s.active) + s.sleepers }
 // most unicast list entries held at once — a round's delivered unicasts
 // plus those sent for the next round, the high-water over the run. A new
 // simulator holds no unicast entry, and on sparse protocols the
-// high-water stays far below one message per slot. The shard send logs
-// of a fanned-out round hold at most one more copy of that round's
-// unicasts until the barrier merges them, which the figure leaves out.
+// high-water stays far below one message per slot. The figure counts
+// entries, not the capacity behind them, and leaves out:
+//   - the shard send logs of a fanned-out round, which hold at most one
+//     more copy of that round's unicasts until the barrier merges them;
+//   - the spare capacity of the arrays the send logs and the two lists
+//     rotate: each keeps the largest round it held, and grows to that
+//     round or to double its capacity, so it can hold up to twice the
+//     entries it was last grown for.
+//
 // The unicast count of every round is a pure function of the execution,
 // so the value depends only on the traffic: it is identical across shard
 // layouts and runs, and long-running services use it as the per-build
@@ -800,7 +806,7 @@ func (s *Simulator) runInit() {
 		env.sentUni = false
 		s.progs[v].Init(env)
 	}
-	s.collectLog(&st.log)
+	s.collectLog(&st.log, len(st.log.uni))
 	s.active = s.active[:0]
 	for v := 0; v < s.g.N(); v++ {
 		if !s.halted[v] {
@@ -960,15 +966,22 @@ func (s *Simulator) walkMail() {
 // and charges its messages to the round's traffic: one per unicast, and
 // deg per compact broadcast, identical to its per-port expansion.
 // The stepper calls it in ascending frontier order, so the merged lists
-// do not depend on the shard layout.
-func (s *Simulator) collectLog(l *sendLog) {
+// do not depend on the shard layout; uni is the round's unicast count
+// over all its logs.
+func (s *Simulator) collectLog(l *sendLog, uni int) {
 	if len(l.uni) > 0 {
 		s.roundSent += int64(len(l.uni))
-		if len(s.nxUni) == 0 {
-			// The round's first log becomes the list: a one-shard round
-			// copies no unicast.
+		if len(s.nxUni) == 0 && cap(l.uni) >= uni {
+			// The round's first log becomes the list when it holds the
+			// round: a one-shard round copies no unicast.
 			s.nxUni, l.uni = l.uni, s.nxUni
 		} else {
+			if cap(s.nxUni) < uni {
+				// Grow once per round, to the round or to double, as
+				// Env.Send does: append's 1.25× steps, one per log,
+				// leave several outgrown arrays behind.
+				s.nxUni = append(make([]uniMsg, 0, max(uni, 2*cap(s.nxUni))), s.nxUni...)
+			}
 			s.nxUni = append(s.nxUni, l.uni...)
 		}
 		l.uni = l.uni[:0]

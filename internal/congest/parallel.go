@@ -144,7 +144,7 @@ func (s *Simulator) runFrontier() {
 		if s.panicked != nil { // inline: no other writers, no lock needed
 			panic(s.panicked)
 		}
-		s.collectLog(&s.shards[0].log)
+		s.collectLog(&s.shards[0].log, len(s.shards[0].log.uni))
 		return
 	}
 	workers := min(s.opts.Runtime.Workers(), n)
@@ -169,7 +169,11 @@ func (s *Simulator) runFrontier() {
 	}
 	// Merge in shard order = ascending frontier order: bit-identical to
 	// the one-shard round's merge.
+	uni := 0
 	for i := 0; i < shards; i++ {
-		s.collectLog(&s.shards[i].log)
+		uni += len(s.shards[i].log.uni)
+	}
+	for i := 0; i < shards; i++ {
+		s.collectLog(&s.shards[i].log, uni)
 	}
 }

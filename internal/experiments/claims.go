@@ -12,8 +12,8 @@ import (
 	"nearspan/internal/stats"
 )
 
-// Claims runs the quantitative per-lemma experiments of DESIGN.md §3.3
-// on one configuration: radius growth (Lemma 2.7 / eq. 6), cluster decay
+// Claims runs the quantitative per-lemma experiments on one
+// configuration: radius growth (Lemma 2.7 / eq. 6), cluster decay
 // (Lemmas 2.10–2.11), per-phase rounds (Lemma 2.8 / Cor. 2.9), and size
 // (Lemma 2.12 / Cor. 2.13).
 func Claims(ctx context.Context, w io.Writer, cfg Config) error {

@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §3 for the experiment index): Table 1
+// evaluation (README.md, "Command-line tools", runs it): Table 1
 // (deterministic CONGEST algorithms), Table 2 (the near-additive spanner
 // panorama), structural experiments for Figures 1–8, the quantitative
 // per-lemma claims of §2.4, and the ablations.

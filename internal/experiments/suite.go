@@ -6,7 +6,7 @@ import (
 	"io"
 )
 
-// Suite runs the full experiment set — the content of EXPERIMENTS.md —
+// Suite runs the full experiment set (README.md, "Command-line tools"),
 // writing the report to w.
 //
 // Within each section the configuration grid fans out concurrently over

@@ -14,7 +14,7 @@ import (
 // Table1 regenerates the paper's Table 1: the comparison of
 // deterministic CONGEST-model near-additive spanner algorithms. [Elk05]
 // is reported analytically (its defining property is a super-linear
-// round bound; see DESIGN.md §1.5); the paper's algorithm is reported
+// round bound); the paper's algorithm is reported
 // both analytically and as measured on the workload. The per-workload
 // builds and stretch verifications fan out concurrently over the shared
 // execution runtime; rows render in configuration order.

@@ -141,7 +141,7 @@ func invPow(eps float64, i int) float64 {
 
 // GuaranteeOK reports whether the parameters satisfy the preconditions of
 // the stretch analysis (§2.4: ε <= 1/10 and ρ̂ >= 10ε, normalizing the
-// paper's "ρ ≥ 10" typo; see DESIGN.md).
+// paper's "ρ ≥ 10" typo, which no ρ < 1/2 meets).
 func (p *Params) GuaranteeOK() bool {
 	rhoHat := 1 / float64(p.C)
 	return p.Eps <= 0.1+1e-12 && rhoHat >= 10*p.Eps-1e-12

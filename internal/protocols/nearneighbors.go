@@ -76,13 +76,45 @@ import (
 //     index the sorted adjacency (see graph.Neighbor), so the smallest
 //     port is the smallest sender ID, and no hearing needs a neighbor-ID
 //     lookup.
+//
+// A phase that repeats the one before is not heard, the rule the
+// centralized twin applies to its receivers. A forward carries a flag
+// (Words[2] = 1) when the sender's last Finalize left its list unchanged.
+// Every non-empty list goes out at send slot 0, so a phase's first
+// arrivals come from every neighbor with a list, and a receiver whose
+// first arrivals are all flagged, from as many senders as the phase
+// before (round 1's announcements count as phase 0's), goes deaf: it
+// hears none of that phase's arrivals and skips the Finalize that would
+// close it, so its buffer stays empty. The skip is exact:
+//
+//   - Each flagged sender sent the same list in the phase before, so it
+//     is one of that phase's senders. Equal counts make the two sender
+//     sets the same ports, with the same lists, so the phase's hearings
+//     repeat the last phase's.
+//   - Hearing what it heard last phase, a vertex forwards the same
+//     smallest Deg+1 centers, and stores nothing new: the last Finalize
+//     either stored every new center it heard, or its buffer was full
+//     and held at least Deg+1 new centers, so the storage quota is met.
+//     Its list stays unchanged, and its own forwards go out flagged.
+//   - The final Finalize (dist == Delta) still runs, on the empty
+//     buffer: it stores nothing, as the hearings would not, and clears
+//     the list, so nothing is sent in the last round.
+//
+// The small fields sit in the padding of the larger ones: a vertex's
+// program is 192 bytes.
 type NearNeighbors struct {
 	IsCenter bool
+	same     bool  // this phase's forwards repeat the last phase's
+	deaf     bool  // this phase repeats the last: its arrivals go unread
 	Deg      int   // popularity threshold (paper deg_i)
 	Delta    int32 // exploration radius (paper delta_i)
+	qdist    int32 // distance carried by this phase's forwards
 
 	state NNState // known centers, hearings and forwards
-	qdist int32   // distance carried by this phase's forwards
+
+	// senders counts the ports of this phase's first arrivals, last the
+	// phase before's.
+	senders, last int32
 
 	// rec, when non-nil, receives this vertex's per-phase forward
 	// selections (the delta-rebuild transcript). Each program instance
@@ -132,7 +164,7 @@ func (nn *NearNeighbors) Popular() bool {
 func (nn *NearNeighbors) Init(env *congest.Env) {
 	if nn.IsCenter {
 		// Announce <own ID, distance 0>; neighbors hear it in phase 0.
-		_ = env.Broadcast(nnMsg(int64(env.ID()), 0))
+		_ = env.Broadcast(nnMsg(int64(env.ID()), 0, false))
 	}
 }
 
@@ -147,37 +179,65 @@ func (nn *NearNeighbors) Round(env *congest.Env) {
 		slot = (env.Round() - 2) % phaseLen
 	}
 
-	// 1. Phase start: process the previous phase's hearings. Phase p
-	// starts at round (p-1)*phaseLen+2, so the hearings carry distance p.
+	// 1. Phase start: process the previous phase's hearings, unless they
+	// repeated the phase before's. Phase p starts at round
+	// (p-1)*phaseLen+2, so the hearings carry distance p.
 	if sending && slot == 0 {
 		dist := int32((env.Round()-2)/phaseLen) + 1
-		fwd, _ := nn.state.Finalize(dist, nn.Deg, nn.Delta)
-		if nn.rec != nil && dist < nn.Delta {
-			nn.rec.Set(env.ID(), dist, fwd)
+		changed := false
+		if !nn.deaf || dist == nn.Delta {
+			_, changed = nn.state.Finalize(dist, nn.Deg, nn.Delta)
 		}
-		nn.qdist = dist
+		if nn.rec != nil && dist < nn.Delta {
+			nn.rec.Set(env.ID(), dist, nn.state.fwd)
+		}
+		nn.qdist, nn.same = dist, !changed
+		// Until its first arrivals say otherwise the phase has no sender,
+		// and repeats the last if that had none either: a vertex that no
+		// arrival wakes at slot 1 never reaches step 2.
+		nn.last, nn.senders = nn.senders, 0
+		nn.deaf = nn.last == 0
 	}
 
-	// 2. Buffer this round's arrivals (all hearings of a phase carry the
+	// 2. The phase's first arrivals (send slot 1, or round 1's
+	// announcements) decide whether it repeats the last.
+	if slot == 1 || !sending {
+		nn.deaf = nn.repeats(env)
+	}
+
+	// 3. Buffer this round's arrivals (all hearings of a phase carry the
 	// same distance). Most arrivals repeat the center just heard on a
 	// smaller port: the inlined heard check drops them without a call.
-	self := int64(env.ID())
-	for port, m := range env.Recv() {
-		if c := m.Words[0]; m.Kind == kindNN && c != self && !nn.state.heard(c, int32(port)) {
-			nn.state.Hear(c, int32(port), nn.Deg)
+	if !nn.deaf {
+		self := int64(env.ID())
+		for port, m := range env.Recv() {
+			if c := m.Words[0]; m.Kind == kindNN && c != self && !nn.state.heard(c, int32(port)) {
+				nn.state.Hear(c, int32(port), nn.Deg)
+			}
 		}
 	}
 
-	// 3. Send slot: forward one selected center over every edge.
+	// 4. Send slot: forward one selected center over every edge.
 	if fwd := nn.state.fwd; sending && slot < len(fwd) {
-		_ = env.Broadcast(nnMsg(fwd[slot], nn.qdist))
+		_ = env.Broadcast(nnMsg(fwd[slot], nn.qdist, nn.same))
 	}
 
-	// 4. After the phase's last forward only hearings are left, and
+	// 5. After the phase's last forward only hearings are left, and
 	// they wake the vertex: sleep until the next phase start.
 	if sending && slot+1 >= len(nn.state.fwd) && slot+1 < phaseLen {
 		env.SleepUntil(env.Round() - slot + phaseLen)
 	}
+}
+
+// repeats counts the phase's first arrivals and reports whether they
+// come from as many senders as the phase before's, all flagged.
+func (nn *NearNeighbors) repeats(env *congest.Env) bool {
+	same := true
+	for _, m := range env.Recv() {
+		nn.senders++
+		same = same && m.Words[2] != 0
+	}
+	return same && nn.senders == nn.last
 }
 
 // NNState is one vertex's Algorithm 1 state and the only implementation
@@ -348,8 +408,14 @@ func (s *NNState) Seed(keys []int64, dist, ports []int32, phase int32) {
 	}
 }
 
-func nnMsg(center int64, dist int32) congest.Message {
-	return congest.Message{Kind: kindNN, Words: [congest.MessageWords]int64{center, int64(dist)}}
+// nnMsg is a forward of center over dist edges, flagged (Words[2] = 1)
+// when the sender's list repeats its last phase's.
+func nnMsg(center int64, dist int32, same bool) congest.Message {
+	m := congest.Message{Kind: kindNN, Words: [congest.MessageWords]int64{center, int64(dist)}}
+	if same {
+		m.Words[2] = 1
+	}
+	return m
 }
 
 // NNResult is the aggregate outcome of a NearNeighbors run, stored

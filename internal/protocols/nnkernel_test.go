@@ -168,3 +168,56 @@ func BenchmarkNearNeighbors(b *testing.B) {
 		}
 	})
 }
+
+// TestNearNeighborsSkipsWhatTwinSkips runs every near-neighbors step of
+// the golden matrix's paper builds (the graphs and parameter sets of
+// testdata/golden_spanners.json) and requires the distributed program to
+// skip exactly the (vertex, phase) pairs the centralized twin leaves out
+// of its receivers. A change that stops skipping keeps every output and
+// only runs slower, so this is the test that catches it.
+func TestNearNeighborsSkipsWhatTwinSkips(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"gnp-256", gen.GNP(256, 16.0/256, 256, true)},
+		{"gnp-600", gen.GNP(600, 20.0/600, 42, true)},
+		{"grid-24x24", gen.Grid(24, 24)},
+		{"torus-16x16", gen.Torus(16, 16)},
+		{"tree-300", gen.RandomTree(300, 9)},
+		{"communities", gen.Communities(6, 40, 0.3, 0.01, 5)},
+		{"hypercube-8", gen.Hypercube(8)},
+	}
+	sets := []struct {
+		eps   float64
+		kappa int
+		rho   float64
+	}{{1.0 / 3, 3, 0.49}, {0.25, 4, 0.3}}
+	skipped := 0
+	for _, gr := range graphs {
+		for _, ps := range sets {
+			p, err := params.New(ps.eps, ps.kappa, ps.rho, gr.g.N())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.Build(context.Background(), gr.g, p, core.Options{KeepRebuildState: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, ph := range res.Rebuild.Phases {
+				if len(ph.Centers) == 0 {
+					continue
+				}
+				s, d := protocols.NNSkipsMatchTwin(gr.g, ph.Centers, p.Deg[i], p.Delta[i])
+				if d != "" {
+					t.Fatalf("%s κ=%d phase %d: %s", gr.name, ps.kappa, i, d)
+				}
+				skipped += s
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no (vertex, phase) pair was skipped")
+	}
+	t.Logf("%d (vertex, phase) pairs skipped", skipped)
+}

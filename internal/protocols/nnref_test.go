@@ -182,7 +182,8 @@ func DiffNNTables(n int, delta int32, got NNResult, gotT NNTranscript, want NNRe
 // FuzzNearNeighborsVsReference decodes bytes into a small graph (n <= 48),
 // a center mask, deg and delta, and requires the distributed program and
 // the centralized twin to reproduce the reference exactly: rows,
-// popularity and forward transcripts.
+// popularity and forward transcripts. The distributed program must also
+// skip exactly the phases the twin skips.
 func FuzzNearNeighborsVsReference(f *testing.F) {
 	f.Add([]byte{10, 0xff, 0x0f, 2, 3, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 0, 5})
 	f.Add([]byte{0, 0, 0, 0, 0})
@@ -239,5 +240,75 @@ func FuzzNearNeighborsVsReference(f *testing.F) {
 		if d := DiffNNTables(n, delta, ExtractNN(sim), rec.Finish(), want, wantT); d != "" {
 			t.Fatalf("distributed vs reference (deg %d, delta %d, centers %v): %s", deg, delta, centers, d)
 		}
+		if _, d := nnSkipsMatchTwin(g, centers, deg, delta); d != "" {
+			t.Fatalf("skipped phases (deg %d, delta %d, centers %v): %s", deg, delta, centers, d)
+		}
 	})
+}
+
+// NNSkipsMatchTwin exports nnSkipsMatchTwin to the external test package.
+var NNSkipsMatchTwin = nnSkipsMatchTwin
+
+// nnSkipsMatchTwin runs the distributed program round by round and the
+// centralized twin on the same inputs, and compares, phase by phase, the
+// vertices whose hearings the program ignores (it went deaf in the
+// rounds that deliver them) with the vertices the twin leaves out of the
+// phase's receivers. It returns the number of skipped (vertex, phase)
+// pairs and a description of the first difference, or "".
+//
+// At phase 1 the twin also wakes every center, to replace its
+// announcement by its first forwards. A center that heard no announcement
+// finalizes an empty buffer there; the distributed program announces
+// from Init, holds no list to replace, and skips it.
+func nnSkipsMatchTwin(g *graph.Graph, centers []int, deg int, delta int32) (skipped int, diff string) {
+	n := g.N()
+	isC := make([]bool, n)
+	for _, c := range centers {
+		isC[c] = true
+	}
+	want := make([][]bool, delta+1) // want[p][v]: the twin skips v at phase p
+	for p := range want {
+		want[p] = make([]bool, n)
+		for v := range want[p] {
+			want[p][v] = true
+		}
+	}
+	centralNearNeighbors(g, centers, deg, delta, nil, func(p int32, receivers []int32) {
+		for _, u := range receivers {
+			want[p][u] = false
+		}
+	})
+	for _, c := range centers {
+		if !slices.ContainsFunc(g.Neighbors(c), func(u int32) bool { return isC[u] }) {
+			want[1][c] = true
+		}
+	}
+
+	sim, err := congest.NewUniform(g, NewNearNeighbors(func(v int) bool { return isC[v] }, deg, delta), congest.Options{})
+	if err != nil {
+		return 0, err.Error()
+	}
+	ctx := context.Background()
+	phaseLen := deg + 2
+	for p := int32(1); p <= delta; p++ {
+		// Phase p's hearings arrive in round 1 (p = 1) or from send slot
+		// 1 of the protocol phase before on; that slot decides deafness.
+		decide := 1
+		if p > 1 {
+			decide = int(p-2)*phaseLen + 3
+		}
+		if err := sim.RunContext(ctx, decide-sim.Round()); err != nil {
+			return 0, err.Error()
+		}
+		for v := 0; v < n; v++ {
+			got := sim.Program(v).(*NearNeighbors).deaf
+			if got != want[p][v] {
+				return skipped, fmt.Sprintf("phase %d vertex %d: distributed skips %v, twin skips %v", p, v, got, want[p][v])
+			}
+			if got {
+				skipped++
+			}
+		}
+	}
+	return skipped, ""
 }

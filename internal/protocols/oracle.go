@@ -35,6 +35,12 @@ func CentralNearNeighbors(g *graph.Graph, centers []int, deg int, delta int32) N
 // distributed run with the same inputs records — the forward selections
 // are bit-equal across modes, and the encoder is shared.
 func CentralNearNeighborsRec(g *graph.Graph, centers []int, deg int, delta int32, rec *TranscriptRecorder) (NNResult, NNTranscript) {
+	return centralNearNeighbors(g, centers, deg, delta, rec, nil)
+}
+
+// centralNearNeighbors is CentralNearNeighborsRec; onPhase, when non-nil,
+// is shown each phase's receivers, the vertices the phase recomputes.
+func centralNearNeighbors(g *graph.Graph, centers []int, deg int, delta int32, rec *TranscriptRecorder, onPhase func(p int32, receivers []int32)) (NNResult, NNTranscript) {
 	n := g.N()
 	st := make([]NNState, n)
 	isCenter := make([]bool, n)
@@ -67,6 +73,9 @@ func CentralNearNeighborsRec(g *graph.Graph, centers []int, deg int, delta int32
 		}
 	}
 	for p := int32(1); p <= delta && len(receivers) > 0; p++ {
+		if onPhase != nil {
+			onPhase(p, receivers)
+		}
 		// Each receiver pulls its neighbors' forward lists; the port
 		// toward a neighbor is its position in the sorted adjacency.
 		for _, u := range receivers {
