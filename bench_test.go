@@ -169,8 +169,8 @@ func BenchmarkFigure6NeighboringClusters(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// The verification work: one BFS in H per U-cluster center.
 		for _, u := range res.U {
-			for _, cl := range u.Clusters {
-				_ = res.Spanner.BFS(cl.Center)
+			for _, c := range u.Centers() {
+				_ = res.Spanner.BFS(c)
 			}
 		}
 	}

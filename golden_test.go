@@ -80,7 +80,7 @@ func TestGoldenSpannersMatchMapImplementation(t *testing.T) {
 			}
 			spanner = res.Spanner
 		case "en17":
-			p, err := baseline.NewEN17Params(e.Eps, e.Kappa, e.Rho, g.N())
+			p, err := baseline.NewSchedule(e.Eps, e.Kappa, e.Rho, g.N())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestGoldenSpannersMatchMapImplementation(t *testing.T) {
 			}
 			spanner = res.Spanner
 		case "ep01":
-			p, err := baseline.NewEP01Params(e.Eps, e.Kappa, e.Rho, g.N())
+			p, err := baseline.NewSchedule(e.Eps, e.Kappa, e.Rho, g.N())
 			if err != nil {
 				t.Fatal(err)
 			}

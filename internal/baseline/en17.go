@@ -61,35 +61,34 @@ type EN17Phase struct {
 	EdgesIC     int
 }
 
-// EN17Params derives the EN17 phase schedule. The phase count and degree
-// sequence match the deterministic algorithm (the paper keeps both "as
-// in [EN17]"); the radius recurrence differs: a sampled center grows its
-// supercluster by a BFS of depth δ_i directly, so
+// Schedule is the phase schedule of the EN17 and EP01 constructions.
+// The phase count and degree sequence match the deterministic algorithm
+// (the paper keeps both "as in [EN17]"); the radius recurrence differs:
+// a sampled (EN17) or picked (EP01) center grows its supercluster by a
+// BFS of depth δ_i directly, so
 //
 //	R_{i+1} = δ_i + R_i = ε^{-i} + 3R_i        (no 1/ρ̂ inflation)
 //
 // which is exactly why β_EN is smaller than the deterministic β — the
 // quantity the paper calls "slightly inferior" (§2.1). The experiment
-// harness reports the two β side by side (ablation A1).
-type EN17Params struct {
+// harness reports the β of all three constructions side by side
+// (ablation A1).
+type Schedule struct {
 	Eps   float64
-	Kappa int
-	Rho   float64
 	N     int
 	L     int
-	I0    int
 	Deg   []int
 	Delta []int32
 	R     []int32
 }
 
-// NewEN17Params validates and derives the schedule.
-func NewEN17Params(eps float64, kappa int, rho float64, n int) (*EN17Params, error) {
+// NewSchedule validates and derives the schedule.
+func NewSchedule(eps float64, kappa int, rho float64, n int) (*Schedule, error) {
 	base, err := params.New(eps, kappa, rho, n)
 	if err != nil {
 		return nil, err
 	}
-	p := &EN17Params{Eps: eps, Kappa: kappa, Rho: rho, N: n, L: base.L, I0: base.I0, Deg: base.Deg}
+	p := &Schedule{Eps: eps, N: n, L: base.L, Deg: base.Deg}
 	p.R = make([]int32, p.L+2)
 	p.Delta = make([]int32, p.L+1)
 	for i := 0; i <= p.L; i++ {
@@ -99,35 +98,33 @@ func NewEN17Params(eps float64, kappa int, rho float64, n int) (*EN17Params, err
 	return p, nil
 }
 
-// Beta is ε^{-ℓ} for EN17's schedule.
-func (p *EN17Params) Beta() int32 {
+// Beta is ε^{-ℓ} for the schedule.
+func (p *Schedule) Beta() int32 {
 	return int32(math.Ceil(math.Pow(1/p.Eps, float64(p.L)) - 1e-9))
 }
 
-// EpsPrime mirrors the §2.4.4 rescaling shape for EN17's radii: the
-// segment analysis pays O(ε·i) per phase without the 1/ρ̂ factor.
-func (p *EN17Params) EpsPrime() float64 {
+// EpsPrime mirrors the §2.4.4 rescaling shape for the schedule's radii:
+// the segment analysis pays O(ε·i) per phase without the 1/ρ̂ factor.
+func (p *Schedule) EpsPrime() float64 {
 	return 30 * p.Eps * float64(p.L)
 }
 
 // BuildEN17 constructs the EN17 spanner with the given seed. The
 // construction is centralized but makes exactly the decisions of the
 // distributed algorithm; ScheduledRounds charges its round budget.
-func BuildEN17(g *graph.Graph, p *EN17Params, seed uint64) (*EN17Result, error) {
+func BuildEN17(g *graph.Graph, p *Schedule, seed uint64) (*EN17Result, error) {
 	if p.N != g.N() {
 		return nil, fmt.Errorf("baseline: EN17 params n=%d, graph n=%d", p.N, g.N())
 	}
 	res := &EN17Result{Beta: p.Beta(), EpsPrime: p.EpsPrime()}
 	h := graph.NewBuilder(g.N())
-	cur := cluster.Singletons(g.N())
+	centers := allVertices(g.N()) // S_i; S_{i+1} is the sampled centers
 	superclustered := cluster.NewAssignment(g.N())
-	assignment := cluster.NewAssignment(g.N())
 
 	for i := 0; i <= p.L; i++ {
-		ph := EN17Phase{Index: i, Deg: p.Deg[i], Delta: p.Delta[i], Clusters: cur.Len()}
-		centers := cur.Centers()
+		ph := EN17Phase{Index: i, Deg: p.Deg[i], Delta: p.Delta[i], Clusters: len(centers)}
 		superclustered.Reset()
-		var next *cluster.Collection
+		next := centers
 
 		if i < p.L && len(centers) > 0 {
 			// Sample each center with probability 1/deg_i.
@@ -143,12 +140,10 @@ func BuildEN17(g *graph.Graph, p *EN17Params, seed uint64) (*EN17Result, error) 
 
 			// Sampled centers grow superclusters by BFS to depth δ_i;
 			// every spanned center joins its nearest sampled center.
-			dist, root, parent := g.MultiBFS(sampled, p.Delta[i])
-			assignment.Reset()
+			dist, _, parent := g.MultiBFS(sampled, p.Delta[i])
 			for _, c := range centers {
 				if dist[c] != graph.Infinity {
-					assignment.Set(c, root[c])
-					superclustered.Set(c, 1)
+					superclustered.Set(c)
 				}
 			}
 			// Forest root paths are added to H.
@@ -157,12 +152,7 @@ func BuildEN17(g *graph.Graph, p *EN17Params, seed uint64) (*EN17Result, error) 
 					ph.EdgesSC++
 				}
 			}
-
-			var err error
-			next, err = cur.Merge(g.N(), assignment)
-			if err != nil {
-				return nil, fmt.Errorf("baseline: EN17 phase %d merge: %w", i, err)
-			}
+			next = sampled
 			// Charge the BFS + climb rounds.
 			res.ScheduledRounds += 2 * int(p.Delta[i])
 		}
@@ -170,26 +160,31 @@ func BuildEN17(g *graph.Graph, p *EN17Params, seed uint64) (*EN17Result, error) 
 		// Interconnection: unsuperclustered centers connect to every
 		// center within δ_i (no popularity cap — EN17 bounds the count
 		// in expectation via the sampling).
-		icEdges, icPairs := en17Interconnect(g, centers, superclustered, p.Delta[i], h)
-		_ = icPairs
-		ph.EdgesIC = icEdges
+		ph.EdgesIC = en17Interconnect(g, centers, superclustered, p.Delta[i], h)
 		ph.Unclustered = len(centers) - superclustered.Len()
 		// Charge the exploration schedule: deg_i·δ_i rounds, the
 		// Bellman-Ford budget of the randomized interconnection.
 		res.ScheduledRounds += p.Deg[i] * int(p.Delta[i])
 		res.Phases = append(res.Phases, ph)
-		if next != nil {
-			cur = next
-		}
+		centers = next
 	}
 	res.Spanner = h.Build()
 	return res, nil
 }
 
+// allVertices returns S_0 = V: the centers of the singleton clusters.
+func allVertices(n int) []int {
+	centers := make([]int, n)
+	for v := range centers {
+		centers[v] = v
+	}
+	return centers
+}
+
 // en17Interconnect adds a shortest path from every unsuperclustered
 // center to every center within delta directly into h, returning the
-// number of new edges and the pair count.
-func en17Interconnect(g *graph.Graph, centers []int, superclustered *cluster.Assignment, delta int32, h *graph.Builder) (added, pairs int) {
+// number of new edges.
+func en17Interconnect(g *graph.Graph, centers []int, superclustered *cluster.Assignment, delta int32, h *graph.Builder) (added int) {
 	isCenter := make([]bool, g.N())
 	for _, c := range centers {
 		isCenter[c] = true
@@ -203,7 +198,6 @@ func en17Interconnect(g *graph.Graph, centers []int, superclustered *cluster.Ass
 			if v == c || !isCenter[v] || dist[v] == graph.Infinity {
 				continue
 			}
-			pairs++
 			// Walk the BFS parents back to c, adding the path.
 			for x := v; x != c; {
 				px := int(parent[x])
@@ -214,7 +208,7 @@ func en17Interconnect(g *graph.Graph, centers []int, superclustered *cluster.Ass
 			}
 		}
 	}
-	return added, pairs
+	return added
 }
 
 // forestPaths collects root paths for all spanned centers from a

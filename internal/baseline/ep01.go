@@ -2,11 +2,9 @@ package baseline
 
 import (
 	"fmt"
-	"math"
 
 	"nearspan/internal/cluster"
 	"nearspan/internal/graph"
-	"nearspan/internal/params"
 )
 
 // EP01Result is the outcome of the centralized Elkin–Peleg construction.
@@ -31,54 +29,6 @@ type EP01Phase struct {
 	EdgesIC     int
 }
 
-// EP01Params derives the schedule of the centralized construction. The
-// sequential scans let a supercluster center absorb everything within
-// δ_i directly, so the radius recurrence is the tightest of the three
-// superclustering variants:
-//
-//	R_{i+1} = δ_i + R_i  with superclusters built around *popular
-//	centers themselves* (not ruling-set survivors), one scan at a time.
-//
-// This is the existential benchmark: β_EP ≈ ε^{-ℓ} over these radii is
-// what the distributed algorithms give away (EN17 a little, the
-// deterministic CONGEST algorithm a (1/ρ̂) factor per phase).
-type EP01Params struct {
-	Eps   float64
-	Kappa int
-	Rho   float64 // used only for the shared phase count ℓ
-	N     int
-	L     int
-	Deg   []int
-	Delta []int32
-	R     []int32
-}
-
-// NewEP01Params validates and derives the schedule.
-func NewEP01Params(eps float64, kappa int, rho float64, n int) (*EP01Params, error) {
-	base, err := params.New(eps, kappa, rho, n)
-	if err != nil {
-		return nil, err
-	}
-	p := &EP01Params{Eps: eps, Kappa: kappa, Rho: rho, N: n, L: base.L, Deg: base.Deg}
-	p.R = make([]int32, p.L+2)
-	p.Delta = make([]int32, p.L+1)
-	for i := 0; i <= p.L; i++ {
-		p.Delta[i] = int32(math.Ceil(math.Pow(1/eps, float64(i)))) + 2*p.R[i]
-		p.R[i+1] = p.Delta[i] + p.R[i]
-	}
-	return p, nil
-}
-
-// Beta is ε^{-ℓ} for EP01's schedule.
-func (p *EP01Params) Beta() int32 {
-	return int32(math.Ceil(math.Pow(1/p.Eps, float64(p.L)) - 1e-9))
-}
-
-// EpsPrime mirrors the rescaling shape for EP01's radii.
-func (p *EP01Params) EpsPrime() float64 {
-	return 30 * p.Eps * float64(p.L)
-}
-
 // BuildEP01 runs the centralized deterministic superclustering-and-
 // interconnection construction. Superclustering is by repeated exact
 // scans over the *remaining* clusters: while some unassigned center has
@@ -87,21 +37,25 @@ func (p *EP01Params) EpsPrime() float64 {
 // therefore absorbs > deg_i clusters, giving the |P_{i+1}| <=
 // |P_i|/deg_i decay directly — the invariant the distributed algorithms
 // must approximate with sampling or ruling sets.
-func BuildEP01(g *graph.Graph, p *EP01Params) (*EP01Result, error) {
+//
+// EP01 runs on the same Schedule as EN17: a picked center absorbs its
+// δ_i-neighborhood directly, so its radii obey the same recurrence, and
+// ablation A1 prints the same R_1, R_2 and β for both. EP01's edge over
+// EN17 is the deterministic |P_{i+1}| <= |P_i|/deg_i decay, not a
+// tighter radius.
+func BuildEP01(g *graph.Graph, p *Schedule) (*EP01Result, error) {
 	if p.N != g.N() {
 		return nil, fmt.Errorf("baseline: EP01 params n=%d, graph n=%d", p.N, g.N())
 	}
 	res := &EP01Result{Beta: p.Beta(), EpsPrime: p.EpsPrime()}
 	h := graph.NewBuilder(g.N())
-	cur := cluster.Singletons(g.N())
+	centers := allVertices(g.N()) // S_i; S_{i+1} is the picks
 	superclustered := cluster.NewAssignment(g.N())
-	assignment := cluster.NewAssignment(g.N())
 
 	for i := 0; i <= p.L; i++ {
-		ph := EP01Phase{Index: i, Deg: p.Deg[i], Delta: p.Delta[i], Clusters: cur.Len()}
-		centers := cur.Centers()
+		ph := EP01Phase{Index: i, Deg: p.Deg[i], Delta: p.Delta[i], Clusters: len(centers)}
 		superclustered.Reset()
-		var next *cluster.Collection
+		next := centers
 
 		if i < p.L && len(centers) > 0 {
 			// Pairwise near-center lists, one bounded BFS per center.
@@ -128,7 +82,10 @@ func BuildEP01(g *graph.Graph, p *EP01Params) (*EP01Result, error) {
 				return k
 			}
 
-			assignment.Reset()
+			// The picks come out ascending: each scan restarts at the
+			// smallest center, and an unpicked center's remaining count
+			// only falls, so no center below a pick qualifies later.
+			var picks []int
 			for {
 				// Smallest unassigned center with >= deg_i unassigned
 				// near centers.
@@ -143,15 +100,14 @@ func BuildEP01(g *graph.Graph, p *EP01Params) (*EP01Result, error) {
 					break
 				}
 				ph.Superclst++
+				picks = append(picks, pick)
 				dist, _, parent := g.MultiBFS([]int{pick}, p.Delta[i])
-				assignment.Set(pick, int32(pick))
-				superclustered.Set(pick, 1)
+				superclustered.Set(pick)
 				for _, other := range near[pick] {
 					if superclustered.Has(other) || dist[other] == graph.Infinity {
 						continue
 					}
-					assignment.Set(other, int32(pick))
-					superclustered.Set(other, 1)
+					superclustered.Set(other)
 					for x := other; x != pick; {
 						px := int(parent[x])
 						if h.Add(x, px) {
@@ -161,19 +117,13 @@ func BuildEP01(g *graph.Graph, p *EP01Params) (*EP01Result, error) {
 					}
 				}
 			}
-			var err error
-			next, err = cur.Merge(g.N(), assignment)
-			if err != nil {
-				return nil, fmt.Errorf("baseline: EP01 phase %d merge: %w", i, err)
-			}
+			next = picks
 		}
 
-		ph.EdgesIC, _ = en17Interconnect(g, centers, superclustered, p.Delta[i], h)
+		ph.EdgesIC = en17Interconnect(g, centers, superclustered, p.Delta[i], h)
 		ph.Unclustered = len(centers) - superclustered.Len()
 		res.Phases = append(res.Phases, ph)
-		if next != nil {
-			cur = next
-		}
+		centers = next
 	}
 	res.Spanner = h.Build()
 	return res, nil

@@ -91,7 +91,7 @@ func BuildBaswanaSen(g *graph.Graph, kappa int, seed uint64) (*graph.Graph, erro
 				if cw < 0 || seen.Has(int(cw)) || cw == clusterOf[v] {
 					continue
 				}
-				seen.Set(int(cw), 1)
+				seen.Set(int(cw))
 				spanner.Add(v, int(w))
 			}
 			next[v] = -1
@@ -111,7 +111,7 @@ func BuildBaswanaSen(g *graph.Graph, kappa int, seed uint64) (*graph.Graph, erro
 			if cw < 0 || cw == clusterOf[v] || seen.Has(int(cw)) {
 				continue
 			}
-			seen.Set(int(cw), 1)
+			seen.Set(int(cw))
 			spanner.Add(v, int(w))
 		}
 	}

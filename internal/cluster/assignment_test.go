@@ -8,20 +8,14 @@ import (
 
 func TestAssignment(t *testing.T) {
 	a := NewAssignment(4)
-	if a.Len() != 0 || a.Cap() != 4 {
-		t.Fatalf("fresh assignment: Len=%d Cap=%d", a.Len(), a.Cap())
+	if a.Len() != 0 {
+		t.Fatalf("fresh assignment: Len=%d", a.Len())
 	}
-	a.Set(2, 7)
-	a.Set(0, -1)
-	a.Set(2, 9) // overwrite, not a new entry
-	if a.Len() != 2 {
-		t.Errorf("Len=%d, want 2", a.Len())
-	}
-	if x, ok := a.Get(2); !ok || x != 9 {
-		t.Errorf("Get(2)=(%d,%v)", x, ok)
-	}
-	if x, ok := a.Get(0); !ok || x != -1 {
-		t.Errorf("Get(0)=(%d,%v): negative values must round-trip", x, ok)
+	a.Set(2)
+	a.Set(0)
+	a.Set(2) // already present, not a new entry
+	if a.Len() != 2 || !a.Has(2) || !a.Has(0) {
+		t.Errorf("Len=%d Has(2)=%v Has(0)=%v", a.Len(), a.Has(2), a.Has(0))
 	}
 	if a.Has(1) {
 		t.Error("Has(1) true without Set")
@@ -30,11 +24,8 @@ func TestAssignment(t *testing.T) {
 	if a.Len() != 0 || a.Has(2) || a.Has(0) {
 		t.Error("Reset did not clear")
 	}
-	if _, ok := a.Get(2); ok {
-		t.Error("Get finds entry across Reset")
-	}
-	a.Set(3, 5)
-	if x, ok := a.Get(3); !ok || x != 5 || a.Len() != 1 {
+	a.Set(3)
+	if !a.Has(3) || a.Len() != 1 {
 		t.Error("assignment unusable after Reset")
 	}
 }
@@ -43,48 +34,41 @@ func TestAssignment(t *testing.T) {
 // entries. Simulated by forcing the counter near the wrap point.
 func TestAssignmentGenerationWrap(t *testing.T) {
 	a := NewAssignment(3)
-	a.Set(1, 42)
+	a.Set(1)
 	a.cur = ^uint32(0) // next Reset wraps
 	a.gen[2] = ^uint32(0)
 	a.Reset()
 	if a.Has(1) || a.Has(2) {
 		t.Error("stale entry visible after generation wrap")
 	}
-	a.Set(0, 1)
+	a.Set(0)
 	if !a.Has(0) || a.Has(1) || a.Has(2) {
 		t.Error("assignment inconsistent after wrap")
 	}
 }
 
 // TestPropAssignmentMatchesMapModel: Assignment under random
-// Set/Get/Reset interleavings behaves like a fresh map per generation.
+// Set/Has/Reset interleavings behaves like a fresh map per generation.
 func TestPropAssignmentMatchesMapModel(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(50)
 		a := NewAssignment(n)
-		ref := map[int]int32{}
+		ref := map[int]bool{}
 		for i := 0; i < 300; i++ {
 			v := r.Intn(n)
-			switch r.Intn(5) {
+			switch r.Intn(4) {
 			case 0, 1:
-				x := int32(r.Intn(200) - 100)
-				a.Set(v, x)
-				ref[v] = x
+				a.Set(v)
+				ref[v] = true
 			case 2:
-				gx, gok := a.Get(v)
-				wx, wok := ref[v]
-				if gok != wok || (gok && gx != wx) {
+				if a.Has(v) != ref[v] {
 					return false
 				}
 			case 3:
-				if _, ok := ref[v]; a.Has(v) != ok {
-					return false
-				}
-			case 4:
 				if r.Intn(10) == 0 { // occasional generation clear
 					a.Reset()
-					ref = map[int]int32{}
+					ref = map[int]bool{}
 				}
 			}
 			if a.Len() != len(ref) {

@@ -1,34 +1,21 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 
 	"nearspan/internal/gen"
 	"nearspan/internal/graph"
 )
 
-// asg builds a dense Assignment from a literal old-center → new-center
-// map, the test-friendly face of the columnar merge input.
-func asg(n int, m map[int]int) *Assignment {
-	a := NewAssignment(n)
-	for k, v := range m {
-		a.Set(k, int32(v))
-	}
-	return a
-}
-
 func TestSingletons(t *testing.T) {
 	c := Singletons(5)
 	if c.Len() != 5 {
 		t.Fatalf("Len=%d", c.Len())
 	}
-	for v := 0; v < 5; v++ {
-		if !c.IsCenter(v) {
-			t.Errorf("vertex %d should be a center", v)
-		}
-		cl := c.ClusterOf(v)
-		if cl.Center != v || len(cl.Members) != 1 {
-			t.Errorf("cluster of %d malformed: %+v", v, cl)
+	for i, cl := range c.Clusters() {
+		if cl.Center != i || len(cl.Members) != 1 || cl.Members[0] != int32(i) {
+			t.Errorf("cluster %d malformed: %+v", i, cl)
 		}
 	}
 	cs := c.Centers()
@@ -39,78 +26,29 @@ func TestSingletons(t *testing.T) {
 	}
 }
 
-func TestNewCollectionValidation(t *testing.T) {
-	// Overlapping clusters rejected.
-	_, err := NewCollection(4, []Cluster{
-		{Center: 0, Members: []int32{0, 1}},
-		{Center: 1, Members: []int32{1, 2}},
-	})
-	if err == nil {
-		t.Error("overlap accepted")
+func TestNext(t *testing.T) {
+	// P: {0,1} around 0, {2} around 2, {3,5} around 5, 4 unclustered.
+	p := &Collection{Center: []int32{0, 0, 2, 5, -1, 5}}
+	// Superclusters: 0 absorbs 2 and 5 roots its own. Only the centers'
+	// roots are read, so the entries of 1, 3 and 4 are arbitrary.
+	next := p.Next([]int64{0, 3, 0, 0, 0, 5})
+	want := []Cluster{
+		{Center: 0, Members: []int32{0, 1, 2}},
+		{Center: 5, Members: []int32{3, 5}},
 	}
-	// Center outside members rejected.
-	_, err = NewCollection(4, []Cluster{{Center: 3, Members: []int32{0, 1}}})
-	if err == nil {
-		t.Error("center not in members accepted")
+	if got := next.Clusters(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Next: Clusters()=%+v, want %+v", got, want)
 	}
-	// Out-of-range member rejected.
-	_, err = NewCollection(2, []Cluster{{Center: 0, Members: []int32{0, 5}}})
-	if err == nil {
-		t.Error("out-of-range member accepted")
+	if next.Len() != 2 || !reflect.DeepEqual(next.Centers(), []int{0, 5}) {
+		t.Errorf("Next: Len=%d Centers=%v", next.Len(), next.Centers())
 	}
-	// Partial cover is fine.
-	c, err := NewCollection(4, []Cluster{{Center: 2, Members: []int32{2, 3}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.ClusterOf(0) != nil {
-		t.Error("uncovered vertex has a cluster")
-	}
-	if c.IsCenter(3) {
-		t.Error("member 3 reported as center")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	base := Singletons(6)
-	// Supercluster: 0 absorbs 1 and 2; 4 absorbs 5; 3 left out.
-	next, err := base.Merge(6, asg(6, map[int]int{0: 0, 1: 0, 2: 0, 4: 4, 5: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next.Len() != 2 {
-		t.Fatalf("Len=%d, want 2", next.Len())
-	}
-	c0 := next.ClusterOf(1)
-	if c0 == nil || c0.Center != 0 || len(c0.Members) != 3 {
-		t.Errorf("cluster of 1: %+v", c0)
-	}
-	if next.ClusterOf(3) != nil {
-		t.Error("vertex 3 should be unclustered")
-	}
-	// Merging a non-center errors.
-	two, err := base.Merge(6, asg(6, map[int]int{0: 0, 1: 0}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := two.Merge(6, asg(6, map[int]int{1: 1})); err == nil {
-		t.Error("merging non-center accepted")
-	}
-}
-
-func TestSubset(t *testing.T) {
-	base := Singletons(6)
-	odd, err := base.Subset(6, func(c int) bool { return c%2 == 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if odd.Len() != 3 {
-		t.Fatalf("Len=%d", odd.Len())
-	}
-	for _, cl := range odd.Clusters {
-		if cl.Center%2 != 1 {
-			t.Errorf("kept center %d", cl.Center)
-		}
+	// Dropping the superclustered center 0 leaves U = the clusters of 2
+	// and 5.
+	drop := NewAssignment(6)
+	drop.Set(0)
+	u := p.Without(drop)
+	if !reflect.DeepEqual(u.Center, []int32{-1, -1, 2, 5, -1, 5}) {
+		t.Errorf("Without: Center=%v", u.Center)
 	}
 }
 
@@ -134,53 +72,30 @@ func TestRadius(t *testing.T) {
 
 func TestMaxRadius(t *testing.T) {
 	g := gen.Path(8)
-	col, err := NewCollection(8, []Cluster{
-		{Center: 1, Members: []int32{0, 1, 2}},
-		{Center: 5, Members: []int32{4, 5, 6, 7}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// {0,1,2} around 1 and {4,5,6,7} around 5; 3 unclustered.
+	col := &Collection{Center: []int32{1, 1, 1, -1, 5, 5, 5, 5}}
 	if r := MaxRadius(g, col); r != 2 {
 		t.Errorf("MaxRadius=%d, want 2", r)
 	}
 }
 
 func TestVerifyPartition(t *testing.T) {
-	a, err := NewCollection(6, []Cluster{
-		{Center: 0, Members: []int32{0, 1}},
-		{Center: 2, Members: []int32{2}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bcol, err := NewCollection(6, []Cluster{
-		{Center: 4, Members: []int32{3, 4, 5}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyPartition(6, []*Collection{a, bcol}); err != nil {
+	a := &Collection{Center: []int32{0, 0, 2, -1, -1, -1}}
+	b := &Collection{Center: []int32{-1, -1, -1, 4, 4, 4}}
+	if err := VerifyPartition(6, []*Collection{a, b}); err != nil {
 		t.Errorf("valid partition rejected: %v", err)
 	}
-	// Missing vertex 5.
-	ccol, err := NewCollection(6, []Cluster{
-		{Center: 4, Members: []int32{3, 4}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyPartition(6, []*Collection{a, ccol}); err == nil {
-		t.Error("incomplete cover accepted")
-	}
-	// Double cover.
-	dcol, err := NewCollection(6, []Cluster{
-		{Center: 1, Members: []int32{1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyPartition(6, []*Collection{a, bcol, dcol}); err == nil {
-		t.Error("double cover accepted")
+	for _, tc := range []struct {
+		name string
+		col  *Collection
+	}{
+		{"missing vertex 5", &Collection{Center: []int32{-1, -1, -1, 4, 4, -1}}},
+		{"double cover", &Collection{Center: []int32{-1, 1, -1, 4, 4, 4}}},
+		{"member under a non-center", &Collection{Center: []int32{-1, -1, -1, 4, 3, 4}}},
+		{"short column", &Collection{Center: []int32{-1, -1, -1, 3}}},
+	} {
+		if err := VerifyPartition(6, []*Collection{a, tc.col}); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }

@@ -2,7 +2,11 @@
 // CONGEST-model construction of (1+ε, β)-spanners (§2).
 //
 // The construction proceeds in phases over a shrinking collection of
-// clusters. Each phase i runs:
+// clusters, carried as its center list S_i: S_0 = V, and S_{i+1} = RS_i,
+// since every supercluster of P_{i+1} is rooted at a ruling-set vertex.
+// No step reads more of P_i than its centers, so the member sets are
+// built only for callers that keep them (Options.KeepClusters). Each
+// phase i runs:
 //
 //	superclustering (§2.2)
 //	  1. Algorithm 1 detects popular cluster centers W_i
@@ -31,7 +35,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"nearspan/internal/cluster"
 	"nearspan/internal/congest"
@@ -76,8 +79,9 @@ type Options struct {
 	// adversarial-scheduling check of the full phase pipeline.
 	Delivery congest.DeliveryOrder
 	// KeepClusters retains the per-phase cluster collections in the
-	// result for verification and figure rendering (memory-heavy on
-	// large graphs).
+	// result for verification and figure rendering. It costs one int32
+	// center column per P_i and U_i; the construction itself needs only
+	// the center lists.
 	KeepClusters bool
 	// Runtime is the shared execution runtime distributed builds submit
 	// their simulator rounds to; nil selects the process-wide default.
@@ -171,7 +175,10 @@ type Result struct {
 	Messages int64
 
 	// P[i] is the cluster collection entering phase i; U[i] the clusters
-	// interconnected at phase i (only when Options.KeepClusters).
+	// interconnected at phase i (only when Options.KeepClusters). Each is
+	// a center column: P[i+1] is P[i] relabelled through the phase's
+	// forest roots, U[i] is P[i] less its superclustered clusters, and
+	// Clusters() materializes the member lists.
 	P []*cluster.Collection
 	U []*cluster.Collection
 
@@ -254,24 +261,32 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 		state = &RebuildState{Graph: g, Params: p}
 	}
 	h := graph.NewBuilder(g.N())
-	cur := cluster.Singletons(g.N())
 
-	// superclustered flags this phase's absorbed centers; the assignment
-	// maps absorbed old centers to their new supercluster centers. Both
-	// are dense and reset per phase in O(1).
+	// centers is S_i, ascending: every vertex at phase 0, then each
+	// phase's ruling set, the centers of P_{i+1} (§2.2). The collection
+	// P_i itself is built only when the caller keeps it.
+	centers := make([]int, g.N())
+	for v := range centers {
+		centers[v] = v
+	}
+	var cur *cluster.Collection
+	if opts.KeepClusters {
+		cur = cluster.Singletons(g.N())
+	}
+
+	// superclustered flags this phase's absorbed centers; dense and
+	// reset per phase in O(1).
 	superclustered := cluster.NewAssignment(g.N())
-	assignment := cluster.NewAssignment(g.N())
 
 	for i := 0; i <= p.L; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: phase %d: %w", i, err)
 		}
-		if opts.KeepClusters {
+		if cur != nil {
 			res.P = append(res.P, cur)
 		}
 		led.BeginPhase(i)
-		ps := PhaseStats{Index: i, Deg: p.Deg[i], Delta: p.Delta[i], Clusters: cur.Len()}
-		centers := cur.Centers()
+		ps := PhaseStats{Index: i, Deg: p.Deg[i], Delta: p.Delta[i], Clusters: len(centers)}
 
 		// Algorithm 1: popularity detection + neighborhood knowledge —
 		// either the real protocol, or (under Rebuild's hook) a
@@ -308,16 +323,18 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 			}
 		}
 		if state != nil {
+			// Each phase's center list is fresh and never written, so
+			// the state shares it.
 			state.Phases = append(state.Phases, RebuildPhase{
-				Centers: slices.Clone(centers), NN: nn, Transcript: tr,
+				Centers: centers, NN: nn, Transcript: tr,
 			})
 		}
 
 		superclustered.Reset()
-		var next *cluster.Collection
+		var rs []int
+		var root []int64
 		if i < p.L {
-			assignment.Reset()
-			next, err = superclusterPhase(ctx, bk, g, p, i, cur, nn, h, superclustered, assignment, &ps)
+			rs, root, err = superclusterPhase(ctx, bk, g, p, i, centers, nn, h, superclustered, &ps)
 			if err != nil {
 				return nil, err
 			}
@@ -330,16 +347,15 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 		}
 
 		ps.Unclustered = len(centers) - superclustered.Len()
-		if opts.KeepClusters {
-			u, err := cur.Subset(g.N(), func(center int) bool { return !superclustered.Has(center) })
-			if err != nil {
-				return nil, fmt.Errorf("core: phase %d U_i: %w", i, err)
-			}
-			res.U = append(res.U, u)
-		}
 		res.Phases = append(res.Phases, ps)
+		if cur != nil {
+			res.U = append(res.U, cur.Without(superclustered))
+			if i < p.L {
+				cur = cur.Next(root)
+			}
+		}
 		if i < p.L {
-			cur = next
+			centers = rs
 		}
 	}
 
@@ -368,14 +384,15 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 	return res, nil
 }
 
-// superclusterPhase runs steps 2–3 of phase i and returns P_{i+1}.
-// It fills the superclustered set and the old-center → new-center
-// assignment, adds forest paths to h, and updates ps in place.
+// superclusterPhase runs steps 2–3 of phase i and returns the ruling
+// set RS_i (ascending: the centers S_{i+1}) with the forest's root
+// column, which maps every spanned center to its new center. It fills
+// the superclustered set, adds forest paths to h, and updates ps in
+// place.
 func superclusterPhase(ctx context.Context, bk backend, g *graph.Graph, p *params.Params, i int,
-	cur *cluster.Collection, nn protocols.NNResult, h *graph.Builder,
-	superclustered, assignment *cluster.Assignment, ps *PhaseStats) (*cluster.Collection, error) {
+	centers []int, nn protocols.NNResult, h *graph.Builder,
+	superclustered *cluster.Assignment, ps *PhaseStats) ([]int, []int64, error) {
 
-	centers := cur.Centers()
 	var popular []int
 	for _, c := range centers {
 		if nn.Popular[c] {
@@ -386,14 +403,14 @@ func superclusterPhase(ctx context.Context, bk backend, g *graph.Graph, p *param
 
 	rs, err := bk.rulingSet(ctx, popular, p.RulingSetQ(i), p.C)
 	if err != nil {
-		return nil, fmt.Errorf("core: phase %d ruling set: %w", i, err)
+		return nil, nil, fmt.Errorf("core: phase %d ruling set: %w", i, err)
 	}
 	ps.RulingSet = len(rs)
 
 	depth := p.SuperclusterDepth(i)
 	forest, err := bk.forest(ctx, rs, depth)
 	if err != nil {
-		return nil, fmt.Errorf("core: phase %d forest: %w", i, err)
+		return nil, nil, fmt.Errorf("core: phase %d forest: %w", i, err)
 	}
 
 	// Spanned centers join their root's supercluster; their forest root
@@ -406,8 +423,7 @@ func superclusterPhase(ctx context.Context, bk backend, g *graph.Graph, p *param
 	startKey := []int64{forestKey} // shared read-only start set
 	for _, c := range centers {
 		if forest.Dist[c] >= 0 {
-			assignment.Set(c, int32(forest.Root[c]))
-			superclustered.Set(c, 1)
+			superclustered.Set(c)
 			if forest.Dist[c] > 0 {
 				start[c] = startKey
 			}
@@ -415,14 +431,9 @@ func superclusterPhase(ctx context.Context, bk backend, g *graph.Graph, p *param
 	}
 	ps.EdgesSC, err = bk.climb(ctx, protocols.StepForestPaths, rt, start, 1, int(depth), h)
 	if err != nil {
-		return nil, fmt.Errorf("core: phase %d supercluster paths: %w", i, err)
+		return nil, nil, fmt.Errorf("core: phase %d supercluster paths: %w", i, err)
 	}
-
-	next, err := cur.Merge(g.N(), assignment)
-	if err != nil {
-		return nil, fmt.Errorf("core: phase %d merge: %w", i, err)
-	}
-	return next, nil
+	return rs, forest.Root, nil
 }
 
 // interconnect adds, for every center not superclustered this phase, a

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"testing"
 
 	"nearspan/internal/cluster"
@@ -189,9 +191,9 @@ func TestPopularCentersAreSuperclustered(t *testing.T) {
 			}
 			nn := protocols.CentralNearNeighbors(c.g, col.Centers(), p.Deg[i], p.Delta[i])
 			u := res.U[i]
-			for _, cl := range u.Clusters {
-				if nn.Popular[cl.Center] {
-					t.Errorf("%s phase %d: popular center %d in U_i", c.name, i, cl.Center)
+			for _, rc := range u.Centers() {
+				if nn.Popular[rc] {
+					t.Errorf("%s phase %d: popular center %d in U_i", c.name, i, rc)
 				}
 			}
 		}
@@ -218,8 +220,7 @@ func TestInterconnectionCompleteness(t *testing.T) {
 				isCenter[x] = true
 			}
 			u := res.U[i]
-			for _, cl := range u.Clusters {
-				rc := cl.Center
+			for _, rc := range u.Centers() {
 				dist := c.g.BFSBounded(rc, p.Delta[i])
 				distH := res.Spanner.BFS(rc)
 				for _, other := range centers {
@@ -290,8 +291,7 @@ func TestEdgeStretch(t *testing.T) {
 // endgame |P_L| <= deg_L, which is what the concluding phase relies on).
 func TestClusterDecay(t *testing.T) {
 	for _, c := range testConfigs(t) {
-		res := build(t, c, Options{})
-		p := res.Params
+		res := build(t, c, Options{KeepClusters: true})
 		for i := 0; i+1 < len(res.Phases); i++ {
 			ps := res.Phases[i]
 			if ps.RulingSet > ps.Popular {
@@ -300,9 +300,8 @@ func TestClusterDecay(t *testing.T) {
 			if ps.Popular > ps.Clusters {
 				t.Errorf("%s phase %d: |W|=%d > |P|=%d", c.name, i, ps.Popular, ps.Clusters)
 			}
-			if res.Phases[i+1].Clusters != ps.RulingSet {
-				t.Errorf("%s phase %d: |P_{i+1}|=%d != |RS_i|=%d",
-					c.name, i, res.Phases[i+1].Clusters, ps.RulingSet)
+			if got := res.P[i+1].Len(); got != ps.RulingSet {
+				t.Errorf("%s phase %d: |P_{i+1}|=%d != |RS_i|=%d", c.name, i, got, ps.RulingSet)
 			}
 		}
 		last := res.Phases[len(res.Phases)-1]
@@ -310,7 +309,33 @@ func TestClusterDecay(t *testing.T) {
 			t.Errorf("%s: |P_L|=%d exceeds deg_L=%d — concluding phase premise violated",
 				c.name, last.Clusters, last.Deg)
 		}
-		_ = p
+	}
+}
+
+// The construction carries only the center lists S_{i+1} = RS_i (§2.2:
+// every supercluster is rooted at a ruling-set vertex). The collections
+// kept for verification are derived independently, by relabelling P_i
+// through the forest roots, so their centers must equal the carried
+// lists; and keeping them must not change anything the build outputs.
+func TestCarriedCentersMatchClusters(t *testing.T) {
+	for _, c := range testConfigs(t) {
+		for _, mode := range []Mode{ModeCentralized, ModeDistributed} {
+			if mode == ModeDistributed && c.name == "path-guarantee" {
+				continue // large schedule; covered by TestGuaranteeParams
+			}
+			kept := build(t, c, Options{Mode: mode, KeepClusters: true, KeepRebuildState: true})
+			plain := build(t, c, Options{Mode: mode, KeepRebuildState: true})
+			for i, ph := range kept.Rebuild.Phases {
+				if got := kept.P[i].Centers(); !slices.Equal(got, ph.Centers) {
+					t.Errorf("%s %v phase %d: P_i centers %v, carried %v", c.name, mode, i, got, ph.Centers)
+				}
+			}
+			_, hk := graph.Fingerprint(kept.Spanner)
+			_, hp := graph.Fingerprint(plain.Spanner)
+			if hk != hp || !reflect.DeepEqual(kept.Phases, plain.Phases) || !reflect.DeepEqual(kept.Steps, plain.Steps) {
+				t.Errorf("%s %v: KeepClusters changed the build", c.name, mode)
+			}
+		}
 	}
 }
 

@@ -25,16 +25,18 @@ func AblationA1(ctx context.Context, w io.Writer, cfg Config) error {
 		fmt.Sprintf("Ablation A1 — superclustering mechanism [%s]", cfg.Name),
 		"mechanism", "R_1", "R_2", "beta", "edges", "worst add", "worst ratio", "deterministic")
 
+	pSched, err := baseline.NewSchedule(cfg.Eps, cfg.Kappa, cfg.Rho, cfg.N())
+	if err != nil {
+		return err
+	}
 	var (
 		pNew                 *params.Params
-		pEN                  *baseline.EN17Params
-		pEP                  *baseline.EP01Params
 		resNew               *core.Result
 		resEN                *baseline.EN17Result
 		resEP                *baseline.EP01Result
 		repNew, repEN, repEP verify.StretchReport
 	)
-	err := runConcurrently(ctx,
+	err = runConcurrently(ctx,
 		func(ctx context.Context) error {
 			var err error
 			if pNew, err = params.New(cfg.Eps, cfg.Kappa, cfg.Rho, cfg.N()); err != nil {
@@ -48,10 +50,7 @@ func AblationA1(ctx context.Context, w io.Writer, cfg Config) error {
 		},
 		func(ctx context.Context) error {
 			var err error
-			if pEN, err = baseline.NewEN17Params(cfg.Eps, cfg.Kappa, cfg.Rho, cfg.N()); err != nil {
-				return err
-			}
-			if resEN, err = baseline.BuildEN17(cfg.Graph, pEN, cfg.Seed); err != nil {
+			if resEN, err = baseline.BuildEN17(cfg.Graph, pSched, cfg.Seed); err != nil {
 				return err
 			}
 			repEN = verify.Stretch(cfg.Graph, resEN.Spanner, 1, 0)
@@ -59,10 +58,7 @@ func AblationA1(ctx context.Context, w io.Writer, cfg Config) error {
 		},
 		func(ctx context.Context) error {
 			var err error
-			if pEP, err = baseline.NewEP01Params(cfg.Eps, cfg.Kappa, cfg.Rho, cfg.N()); err != nil {
-				return err
-			}
-			if resEP, err = baseline.BuildEP01(cfg.Graph, pEP); err != nil {
+			if resEP, err = baseline.BuildEP01(cfg.Graph, pSched); err != nil {
 				return err
 			}
 			repEP = verify.Stretch(cfg.Graph, resEP.Spanner, 1, 0)
@@ -81,11 +77,11 @@ func AblationA1(ctx context.Context, w io.Writer, cfg Config) error {
 	t.Add("ruling set (New)", stats.Itoa(int(pNew.R[1])), r2(pNew.R),
 		stats.Itoa(int(pNew.BetaInt())), stats.Itoa(resNew.EdgeCount()),
 		stats.Itoa(int(repNew.WorstAdditive)), stats.F(repNew.WorstRatio, 3), "yes")
-	t.Add("sampling (EN17)", stats.Itoa(int(pEN.R[1])), r2(pEN.R),
-		stats.Itoa(int(pEN.Beta())), stats.Itoa(resEN.Spanner.M()),
+	t.Add("sampling (EN17)", stats.Itoa(int(pSched.R[1])), r2(pSched.R),
+		stats.Itoa(int(pSched.Beta())), stats.Itoa(resEN.Spanner.M()),
 		stats.Itoa(int(repEN.WorstAdditive)), stats.F(repEN.WorstRatio, 3), "no")
-	t.Add("exact scans (EP01)", stats.Itoa(int(pEP.R[1])), r2(pEP.R),
-		stats.Itoa(int(pEP.Beta())), stats.Itoa(resEP.Spanner.M()),
+	t.Add("exact scans (EP01)", stats.Itoa(int(pSched.R[1])), r2(pSched.R),
+		stats.Itoa(int(pSched.Beta())), stats.Itoa(resEP.Spanner.M()),
 		stats.Itoa(int(repEP.WorstAdditive)), stats.F(repEP.WorstRatio, 3), "yes (centralized)")
 	t.Note("the ruling-set radii carry the (2/rho_hat) domination factor — the price of determinism the paper pays")
 	t.Render(w)

@@ -111,7 +111,7 @@ func figure1(w io.Writer, fc FigureConfig, res *core.Result, popular, rs []int) 
 		len(popular), len(rs), res.P[1].Len())
 	// Lemma 2.4: popular ⊆ superclustered (i.e. no popular center in U_0).
 	inU := make(map[int]bool)
-	for _, cl := range res.U[0].Clusters {
+	for _, cl := range res.U[0].Clusters() {
 		inU[cl.Center] = true
 	}
 	violations := 0
@@ -176,7 +176,7 @@ func figure4(w io.Writer, g *graph.Graph, p *params.Params, res *core.Result, rs
 	fmt.Fprintf(w, "Figure 4 — root paths of the supercluster forest\n")
 	depth := p.SuperclusterDepth(0)
 	worst, bad := int32(0), 0
-	for _, cl := range res.P[1].Clusters {
+	for _, cl := range res.P[1].Clusters() {
 		dh := res.Spanner.BFS(cl.Center)
 		// Old centers absorbed into this supercluster: members that were
 		// centers of P_0 (phase 0: all vertices are centers, so measure
@@ -199,7 +199,7 @@ func figure4(w io.Writer, g *graph.Graph, p *params.Params, res *core.Result, rs
 func figure5(w io.Writer, g *graph.Graph, p *params.Params, res *core.Result, nn protocols.NNResult) {
 	fmt.Fprintf(w, "Figure 5 — interconnection of unsuperclustered clusters\n")
 	checked, bad := 0, 0
-	for _, cl := range res.U[0].Clusters {
+	for _, cl := range res.U[0].Clusters() {
 		rc := cl.Center
 		dG := g.BFSBounded(rc, p.Delta[0])
 		dH := res.Spanner.BFS(rc)
@@ -223,8 +223,9 @@ func figure6(w io.Writer, g *graph.Graph, p *params.Params, res *core.Result) {
 	phaseOf := make([]int, g.N())
 	clusterOf := make([]*cluster.Cluster, g.N())
 	for i, u := range res.U {
-		for ci := range u.Clusters {
-			cl := &u.Clusters[ci]
+		cls := u.Clusters()
+		for ci := range cls {
+			cl := &cls[ci]
 			for _, m := range cl.Members {
 				phaseOf[m] = i
 				clusterOf[m] = cl

@@ -101,7 +101,7 @@ func Table2(ctx context.Context, w io.Writer, cfg Config) error {
 			return nil
 		},
 		func(ctx context.Context) error {
-			pEN, err := baseline.NewEN17Params(eps, kappa, rho, n)
+			pEN, err := baseline.NewSchedule(eps, kappa, rho, n)
 			if err != nil {
 				return err
 			}
@@ -112,7 +112,7 @@ func Table2(ctx context.Context, w io.Writer, cfg Config) error {
 			return nil
 		},
 		func(ctx context.Context) error {
-			pEP, err := baseline.NewEP01Params(eps, kappa, rho, n)
+			pEP, err := baseline.NewSchedule(eps, kappa, rho, n)
 			if err != nil {
 				return err
 			}

@@ -60,15 +60,6 @@ func (t *NNTranscript) ForwardsAt(v int, p int32) []int64 {
 	return segs[lo-1].IDs
 }
 
-// Segments returns the total segment count — a size diagnostic.
-func (t *NNTranscript) Segments() int {
-	total := 0
-	for _, s := range t.Segs {
-		total += len(s)
-	}
-	return total
-}
-
 // TranscriptRecorder builds an NNTranscript incrementally. Set may be
 // called sparsely: phases between two Set calls for the same vertex
 // repeat the earlier list (the centralized twin records a vertex only

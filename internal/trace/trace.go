@@ -17,7 +17,7 @@ import (
 // GridClusters renders cluster membership: each cluster gets a letter
 // (cycling a–z), its center is uppercase, unclustered vertices are '.'.
 func GridClusters(rows, cols int, col *cluster.Collection) string {
-	letter := make(map[int]rune) // cluster index -> letter
+	letter := make(map[int32]rune) // center -> letter
 	next := 0
 	var sb strings.Builder
 	for r := 0; r < rows; r++ {
@@ -26,18 +26,18 @@ func GridClusters(rows, cols int, col *cluster.Collection) string {
 			if c > 0 {
 				sb.WriteByte(' ')
 			}
-			idx := int(col.Of[v])
-			if idx < 0 {
+			center := col.Center[v]
+			if center < 0 {
 				sb.WriteByte('.')
 				continue
 			}
-			ch, ok := letter[idx]
+			ch, ok := letter[center]
 			if !ok {
 				ch = rune('a' + next%26)
-				letter[idx] = ch
+				letter[center] = ch
 				next++
 			}
-			if col.Clusters[idx].Center == v {
+			if int(center) == v {
 				ch = ch - 'a' + 'A'
 			}
 			sb.WriteRune(ch)

@@ -11,13 +11,7 @@ import (
 )
 
 func TestGridClusters(t *testing.T) {
-	col, err := cluster.NewCollection(6, []cluster.Cluster{
-		{Center: 0, Members: []int32{0, 1, 3}},
-		{Center: 5, Members: []int32{5}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := &cluster.Collection{Center: []int32{0, 0, -1, 0, -1, 5}}
 	out := GridClusters(2, 3, col)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 2 {
@@ -101,16 +95,7 @@ func TestStepTableEmpty(t *testing.T) {
 }
 
 func TestManyClustersCycleLetters(t *testing.T) {
-	n := 30
-	clusters := make([]cluster.Cluster, n)
-	for i := 0; i < n; i++ {
-		clusters[i] = cluster.Cluster{Center: i, Members: []int32{int32(i)}}
-	}
-	col, err := cluster.NewCollection(n, clusters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := GridClusters(5, 6, col)
+	out := GridClusters(5, 6, cluster.Singletons(30))
 	if !strings.Contains(out, "A") || !strings.Contains(out, "Z") {
 		t.Errorf("letter cycling broken:\n%s", out)
 	}

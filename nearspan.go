@@ -101,7 +101,9 @@ type Config struct {
 	Rho float64
 	// Mode selects the execution backend (default CentralizedMode).
 	Mode Mode
-	// KeepClusters retains per-phase cluster collections in the result.
+	// KeepClusters retains per-phase cluster collections in the result
+	// (one int32 center column per P_i and U_i); the construction itself
+	// carries only the center lists.
 	KeepClusters bool
 	// OnStep, when set, receives each protocol step's metrics as it
 	// completes — a progress stream for long builds. It is called
@@ -220,7 +222,7 @@ func IsSubgraph(h, g *Graph) bool { return verify.Subgraph(h, g) }
 
 // BuildEN17 constructs the randomized Elkin–Neiman (SODA 2017) spanner.
 func BuildEN17(g *Graph, eps float64, kappa int, rho float64, seed uint64) (*baseline.EN17Result, error) {
-	p, err := baseline.NewEN17Params(eps, kappa, rho, g.N())
+	p, err := baseline.NewSchedule(eps, kappa, rho, g.N())
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +231,7 @@ func BuildEN17(g *Graph, eps float64, kappa int, rho float64, seed uint64) (*bas
 
 // BuildEP01 constructs the centralized Elkin–Peleg (STOC 2001) spanner.
 func BuildEP01(g *Graph, eps float64, kappa int, rho float64) (*baseline.EP01Result, error) {
-	p, err := baseline.NewEP01Params(eps, kappa, rho, g.N())
+	p, err := baseline.NewSchedule(eps, kappa, rho, g.N())
 	if err != nil {
 		return nil, err
 	}
