@@ -143,7 +143,7 @@ func BenchmarkFigure5Interconnection(b *testing.B) {
 	deg, delta := 12, int32(3)
 	rounds := protocols.NearNeighborsRounds(deg, delta)
 	for i := 0; i < b.N; i++ {
-		sim, err := congest.NewUniform(g, protocols.NewNearNeighbors(isCenter, deg, delta), congest.Options{})
+		sim, err := congest.NewUniform(g, protocols.NewNearNeighborsRec(isCenter, deg, delta, nil), congest.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func BenchmarkEngine(b *testing.B) {
 	rounds := protocols.NearNeighborsRounds(6, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim, err := congest.NewUniform(g, protocols.NewNearNeighbors(isCenter, 6, 8), congest.Options{})
+		sim, err := congest.NewUniform(g, protocols.NewNearNeighborsRec(isCenter, 6, 8, nil), congest.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -344,7 +344,7 @@ func BenchmarkNetworkReuse(b *testing.B) {
 				factory func(v int) congest.Program
 				rounds  int
 			}{
-				{protocols.NewNearNeighbors(isCenter, deg, delta), protocols.NearNeighborsRounds(deg, delta)},
+				{protocols.NewNearNeighborsRec(isCenter, deg, delta, nil), protocols.NearNeighborsRounds(deg, delta)},
 				{protocols.NewRulingSet(isCenter, q, c, g.N()), protocols.RulingSetRounds(q, c, g.N())},
 				{protocols.NewBFSForest(func(v int) bool { return v == 0 }, 6), protocols.ForestRounds(6)},
 			}

@@ -213,10 +213,10 @@ type backend interface {
 }
 
 // nnHook lets Rebuild substitute the near-neighbors step of each phase
-// with a transcript-diff splice. It returns handled = false to fall
-// through to the real protocol, or an error to abort the build (the
+// with a replay of the previous build's run. It returns the run and the
+// number of vertices it recomputed, or an error to abort the build (the
 // fallback-to-full signal surfaces this way).
-type nnHook func(ctx context.Context, phase int, centers []int) (nn protocols.NNResult, tr protocols.NNTranscript, tracked int, handled bool, err error)
+type nnHook func(ctx context.Context, phase int, centers []int) (run protocols.NNRun, tracked int, err error)
 
 // Build constructs the spanner for g under p. Cancelling the context
 // aborts the construction — within one simulated round in distributed
@@ -289,59 +289,49 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 		ps := PhaseStats{Index: i, Deg: p.Deg[i], Delta: p.Delta[i], Clusters: len(centers)}
 
 		// Algorithm 1: popularity detection + neighborhood knowledge —
-		// either the real protocol, or (under Rebuild's hook) a
-		// transcript-diff splice recorded as a replayed step.
-		var nn protocols.NNResult
-		var tr protocols.NNTranscript
+		// either the real protocol, or (under Rebuild's hook) a replay of
+		// the previous build's run, recorded as a replayed step.
+		run := protocols.NNRun{Centers: centers}
 		var err error
-		handled := false
 		if hook != nil {
 			var tracked int
-			nn, tr, tracked, handled, err = hook(ctx, i, centers)
-			if err != nil {
-				return nil, fmt.Errorf("core: phase %d near-neighbors: %w", i, err)
+			run, tracked, err = hook(ctx, i, centers)
+			if err == nil {
+				err = led.Record(protocols.StepMetrics{Step: protocols.StepNearNeighbors,
+					Rounds: protocols.NearNeighborsRounds(p.Deg[i], p.Delta[i]), Replayed: true})
 			}
-			if handled {
-				if err := led.Record(protocols.StepMetrics{Step: protocols.StepNearNeighbors,
-					Rounds: protocols.NearNeighborsRounds(p.Deg[i], p.Delta[i]), Replayed: true}); err != nil {
-					return nil, fmt.Errorf("core: phase %d near-neighbors: %w", i, err)
-				}
-				res.Tracked += tracked
-			}
-		}
-		if !handled {
+			res.Tracked += tracked
+		} else {
 			var rec *protocols.TranscriptRecorder
 			if state != nil {
 				rec = protocols.NewTranscriptRecorder(g.N())
 			}
-			nn, err = bk.nearNeighbors(ctx, centers, p.Deg[i], p.Delta[i], rec)
-			if err != nil {
-				return nil, fmt.Errorf("core: phase %d near-neighbors: %w", i, err)
-			}
+			run.NN, err = bk.nearNeighbors(ctx, centers, p.Deg[i], p.Delta[i], rec)
 			if rec != nil {
-				tr = rec.Finish()
+				run.Transcript = rec.Finish()
 			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: phase %d near-neighbors: %w", i, err)
 		}
 		if state != nil {
 			// Each phase's center list is fresh and never written, so
 			// the state shares it.
-			state.Phases = append(state.Phases, RebuildPhase{
-				Centers: centers, NN: nn, Transcript: tr,
-			})
+			state.Phases = append(state.Phases, run)
 		}
 
 		superclustered.Reset()
 		var rs []int
 		var root []int64
 		if i < p.L {
-			rs, root, err = superclusterPhase(ctx, bk, g, p, i, centers, nn, h, superclustered, &ps)
+			rs, root, err = superclusterPhase(ctx, bk, g, p, i, centers, run.NN, h, superclustered, &ps)
 			if err != nil {
 				return nil, err
 			}
 		}
 
 		// Interconnection (all phases; phase ℓ has U_ℓ = P_ℓ).
-		ps.EdgesIC, err = interconnect(ctx, bk, g, centers, nn, superclustered, p.Delta[i], h)
+		ps.EdgesIC, err = interconnect(ctx, bk, g, centers, run.NN, superclustered, p.Delta[i], h)
 		if err != nil {
 			return nil, fmt.Errorf("core: phase %d interconnect: %w", i, err)
 		}

@@ -189,7 +189,7 @@ func TestPopularCentersAreSuperclustered(t *testing.T) {
 			if col.Len() == 0 {
 				continue
 			}
-			nn := protocols.CentralNearNeighbors(c.g, col.Centers(), p.Deg[i], p.Delta[i])
+			nn, _ := protocols.CentralNearNeighborsRec(c.g, col.Centers(), p.Deg[i], p.Delta[i], nil)
 			u := res.U[i]
 			for _, rc := range u.Centers() {
 				if nn.Popular[rc] {

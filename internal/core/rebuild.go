@@ -12,21 +12,14 @@ import (
 )
 
 // RebuildState is the state a delta rebuild replays against: the source
-// graph and, per construction phase, the center set, the near-neighbors
-// table, and the forward transcript. Build retains it under
+// graph and, per construction phase, the near-neighbors run (center set,
+// table and forward transcript). Build retains it under
 // Options.KeepRebuildState; Rebuild results always carry a fresh one, so
 // rebuilds chain across an arbitrary churn sequence.
 type RebuildState struct {
 	Graph  *graph.Graph
 	Params *params.Params
-	Phases []RebuildPhase
-}
-
-// RebuildPhase is one phase's retained state.
-type RebuildPhase struct {
-	Centers    []int
-	NN         protocols.NNResult
-	Transcript protocols.NNTranscript
+	Phases []protocols.NNRun
 }
 
 // maxAffectedFraction is Rebuild's fallback-to-full threshold: a dirty
@@ -42,8 +35,9 @@ var errAffectedTooLarge = errors.New("core: delta affected region exceeds fallba
 
 // Rebuild constructs the spanner of prev's graph patched by batch,
 // reusing prev's retained state: each phase's near-neighbors step — the
-// dominant cost of a build — is recomputed only on the dirty frontier
-// the delta actually perturbs (see delta.DiffNN), and the cheap steps
+// dominant cost of a build — replays prev's run, recomputing only the
+// vertices the delta can reach and only in the phases their hearings
+// change (see protocols.ReplayNearNeighbors), and the cheap steps
 // (ruling sets, forests, climbs) re-run in full on the patched graph
 // over the spliced tables. The result is bit-identical to Build on the
 // patched graph — same spanner fingerprint, same table contents — in
@@ -74,22 +68,21 @@ func Rebuild(ctx context.Context, prev *Result, batch *delta.Batch, opts Options
 	maxTracked := max(int(maxAffectedFraction*float64(g2.N())), 1)
 	seeds := batch.Endpoints() // batch is normalized by Apply
 
-	hook := func(ctx context.Context, phase int, centers []int) (protocols.NNResult, protocols.NNTranscript, int, bool, error) {
+	hook := func(ctx context.Context, phase int, centers []int) (protocols.NNRun, int, error) {
 		if err := ctx.Err(); err != nil {
-			return protocols.NNResult{}, protocols.NNTranscript{}, 0, false, err
+			return protocols.NNRun{}, 0, err
 		}
 		if phase >= len(st.Phases) {
 			// Same params, same n: the phase schedule cannot differ.
-			return protocols.NNResult{}, protocols.NNTranscript{}, 0, false,
+			return protocols.NNRun{}, 0,
 				fmt.Errorf("core: rebuild state has %d phases, build reached phase %d", len(st.Phases), phase)
 		}
-		pr := &st.Phases[phase]
-		d, ok := delta.DiffNN(g2, &pr.NN, &pr.Transcript, centers, pr.Centers, seeds,
+		run, tracked, ok := protocols.ReplayNearNeighbors(g2, &st.Phases[phase], centers, seeds,
 			p.Deg[phase], p.Delta[phase], maxTracked)
 		if !ok {
-			return protocols.NNResult{}, protocols.NNTranscript{}, 0, false, errAffectedTooLarge
+			return protocols.NNRun{}, 0, errAffectedTooLarge
 		}
-		return d.NN, d.Transcript, d.Tracked, true, nil
+		return run, tracked, nil
 	}
 
 	res, err := buildWith(ctx, g2, p, opts, hook)

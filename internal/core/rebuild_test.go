@@ -8,7 +8,9 @@ import (
 
 	"nearspan/internal/congest"
 	"nearspan/internal/delta"
+	"nearspan/internal/gen"
 	"nearspan/internal/graph"
+	"nearspan/internal/params"
 )
 
 // churnBatch draws k random deletions and k random insertions against g.
@@ -276,5 +278,41 @@ func TestRebuildStepMetricsMarkReplayed(t *testing.T) {
 		if s.Replayed {
 			t.Fatal("full build recorded a replayed step")
 		}
+	}
+}
+
+// The replay's frontier is pinned: a chain of growing batches on a fixed
+// graph must track exactly these vertex counts and fall back exactly
+// where they pass a quarter of n. A replay that recomputes a different
+// vertex set than its join rule names moves these counts or the fallback.
+func TestRebuildFrontierPinned(t *testing.T) {
+	g := gen.GNP(600, 10.0/599, 5, true)
+	p, err := params.New(1.0/3, 3, 0.49, g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := Build(context.Background(), g, p, Options{Mode: ModeCentralized, KeepRebuildState: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		k           int
+		tracked     int
+		incremental bool
+	}{{1, 21, true}, {2, 33, true}, {4, 94, true}, {8, 192, true}, {16, 0, false}, {2, 69, true}, {3, 58, true}}
+	for step, w := range want {
+		b := delta.RandomBatch(g, w.k, uint64(step+1))
+		next, err := Rebuild(context.Background(), cur, b, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.Tracked != w.tracked || next.Incremental != w.incremental {
+			t.Fatalf("step %d (%d+%d ops): tracked %d incremental %v, want %d %v",
+				step, w.k, w.k, next.Tracked, next.Incremental, w.tracked, w.incremental)
+		}
+		if g, err = delta.Apply(g, b); err != nil {
+			t.Fatal(err)
+		}
+		cur = next
 	}
 }

@@ -1,15 +1,9 @@
 // Package delta implements the edge-delta side of incremental spanner
 // rebuilds: validated insert/delete batches, CSR graph patching, and the
-// transcript-diff near-neighbors engine that recomputes Algorithm 1's
-// table only on the dirty frontier a delta actually perturbs.
-//
-// The package deliberately knows nothing about the construction pipeline
-// (internal/core orchestrates rebuilds and imports this package, not the
-// other way around). Its contract is exact, not approximate: DiffNN's
-// spliced table is bit-identical to what a from-scratch run of the
-// near-neighbors protocol on the patched graph would produce — the
-// property the golden-fingerprint rebuild guarantee rests on, and the
-// one the randomized churn suite pins.
+// random batches of the churn workloads. It knows nothing about the
+// construction: internal/core orchestrates rebuilds, and the
+// near-neighbors replay that recomputes Algorithm 1's table only where a
+// delta reaches is protocols.ReplayNearNeighbors.
 package delta
 
 import (

@@ -84,7 +84,7 @@ func Figures(ctx context.Context, w io.Writer, fc FigureConfig) error {
 
 	// Recompute phase-0 internals for the renderings.
 	centers := res.P[0].Centers()
-	nn := protocols.CentralNearNeighbors(g, centers, p.Deg[0], p.Delta[0])
+	nn, _ := protocols.CentralNearNeighborsRec(g, centers, p.Deg[0], p.Delta[0], nil)
 	var popular []int
 	for _, c := range centers {
 		if nn.Popular[c] {

@@ -56,8 +56,8 @@ import (
 //     its >= Deg stored centers would all lie within Delta of the
 //     downstream center, forcing it to be popular by Lemma A.1.)
 //
-// A vertex's state is an NNState, the kernel the centralized twin and the
-// delta replay drive too. It holds no maps:
+// A vertex's state is an NNState, the kernel the replay drives too (the
+// centralized twin and the delta rebuild). It holds no maps:
 //
 //   - Known centers are an ascending run of at most Deg IDs, with the
 //     distance and the Via port beside each. Via is the port toward the
@@ -125,14 +125,9 @@ type NearNeighbors struct {
 
 var _ congest.Program = (*NearNeighbors)(nil)
 
-// NewNearNeighbors returns the program factory for the given center set,
-// popularity threshold deg, and radius delta.
-func NewNearNeighbors(isCenter func(v int) bool, deg int, delta int32) func(v int) congest.Program {
-	return NewNearNeighborsRec(isCenter, deg, delta, nil)
-}
-
-// NewNearNeighborsRec is NewNearNeighbors with optional forward-
-// transcript recording (nil rec disables it).
+// NewNearNeighborsRec returns the program factory for the given center
+// set, popularity threshold deg, and radius delta. When rec is non-nil,
+// every vertex records its per-phase forward selections into it.
 func NewNearNeighborsRec(isCenter func(v int) bool, deg int, delta int32, rec *TranscriptRecorder) func(v int) congest.Program {
 	return func(v int) congest.Program {
 		return &NearNeighbors{IsCenter: isCenter(v), Deg: deg, Delta: delta, rec: rec}
@@ -241,11 +236,11 @@ func (nn *NearNeighbors) repeats(env *congest.Env) bool {
 }
 
 // NNState is one vertex's Algorithm 1 state and the only implementation
-// of its hear and finalize rules: the distributed program, the
-// centralized twin (CentralNearNeighborsRec) and the delta replay
-// (delta.DiffNN) all drive it. See NearNeighbors for its layout and why
-// the bounded hearing buffer is exact. Every slice is reused across
-// phases.
+// of its hear and finalize rules: the distributed program and the
+// replay (ReplayNearNeighbors, which the centralized twin
+// CentralNearNeighborsRec runs from the empty run) both drive it. See
+// NearNeighbors for its layout and why the bounded hearing buffer is
+// exact. Every slice is reused across phases.
 type NNState struct {
 	keys  []int64 // known centers, ascending; at most deg
 	dist  []int32 // distance to keys[i]
@@ -392,13 +387,15 @@ func (s *NNState) Known() (keys []int64, dist []int32, ports []int32) {
 	return s.keys, s.dist, s.ports
 }
 
-// Seed resets the state to the entries of a stored row (ascending keys,
-// parallel dist and ports) whose distance is below phase. Entries are
-// stored in the phase equal to their distance, so this is the state the
-// vertex held when that phase began.
-func (s *NNState) Seed(keys []int64, dist, ports []int32, phase int32) {
+// Seed resets the state to the one a vertex held when phase began, in a
+// run where it stored the row (ascending keys, parallel dist and ports)
+// and forwarded fwd in the phase before (its announcement before phase
+// 1). Entries are stored in the phase equal to their distance, so the
+// state keeps those whose distance is below phase. fwd is copied.
+func (s *NNState) Seed(keys []int64, dist, ports []int32, fwd []int64, phase int32) {
 	s.keys, s.dist, s.ports = s.keys[:0], s.dist[:0], s.ports[:0]
 	s.bufC, s.bufP = s.bufC[:0], s.bufP[:0]
+	s.fwd = append(s.fwd[:0], fwd...)
 	for i, c := range keys {
 		if dist[i] < phase {
 			s.keys = append(s.keys, c)

@@ -40,9 +40,9 @@ func toggleDelta(r *rand.Rand, g *graph.Graph, k int) *delta.Batch {
 	return b
 }
 
-// All three callers of the shared NNState kernel — the distributed
-// program, the centralized twin, and DiffNN replaying a
-// random 4-op delta — must reproduce the map-based reference exactly:
+// Every path through the shared NNState kernel — the distributed
+// program, the centralized twin, and the replay of a random 4-op delta —
+// must reproduce the map-based reference exactly:
 // rows (keys, distances, ports), popularity and forward transcripts. The
 // shapes include stars and cliques, where a vertex hears far more
 // centers in one phase than the kernel's buffer holds, and the test
@@ -107,12 +107,13 @@ func TestNearNeighborsKernelMatchesReference(t *testing.T) {
 				}
 				wantNew, wantNewT, c := protocols.ReferenceNearNeighbors(gNew, centers, deg, dl, protocols.NewTranscriptRecorder(n))
 				capped += c
-				diff, ok := delta.DiffNN(gNew, &want, &wantT, centers, centers, b.Endpoints(), deg, dl, 0)
+				prev := protocols.NNRun{Centers: centers, NN: want, Transcript: wantT}
+				run, _, ok := protocols.ReplayNearNeighbors(gNew, &prev, centers, b.Endpoints(), deg, dl, 0)
 				if !ok {
-					t.Fatalf("%s: DiffNN overflowed with no budget", tag)
+					t.Fatalf("%s: replay overflowed with no budget", tag)
 				}
-				if d := protocols.DiffNNTables(n, dl, diff.NN, diff.Transcript, wantNew, wantNewT); d != "" {
-					t.Fatalf("%s: DiffNN vs reference: %s", tag, d)
+				if d := protocols.DiffNNTables(n, dl, run.NN, run.Transcript, wantNew, wantNewT); d != "" {
+					t.Fatalf("%s: replay vs reference: %s", tag, d)
 				}
 			}
 		}
@@ -150,8 +151,8 @@ func BenchmarkNearNeighbors(b *testing.B) {
 	b.Run("distributed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sim, err := congest.NewUniform(g, protocols.NewNearNeighbors(
-				func(v int) bool { return isC[v] }, deg, dl), congest.Options{})
+			sim, err := congest.NewUniform(g, protocols.NewNearNeighborsRec(
+				func(v int) bool { return isC[v] }, deg, dl, nil), congest.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -164,7 +165,7 @@ func BenchmarkNearNeighbors(b *testing.B) {
 	b.Run("central", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			nnSink = protocols.CentralNearNeighbors(g, centers, deg, dl)
+			nnSink, _ = protocols.CentralNearNeighborsRec(g, centers, deg, dl, nil)
 		}
 	})
 }

@@ -11,13 +11,13 @@ import (
 )
 
 // This file holds the map-based implementation of Algorithm 1's phase
-// rules that the centralized twin used before the three paths (the
-// distributed program, CentralNearNeighborsRec and delta.DiffNN) came to
-// share one NNState kernel. It keeps every hearing in an unbounded
-// per-vertex map, breaks ties by sender ID, sorts the whole heard set and
-// finalizes every vertex that heard anything each phase, so it checks
-// the kernel's bounded buffer, its port tie-break and the twin's
-// change-driven phase loop rather than restating them.
+// rules that the centralized twin used before its two callers (the
+// distributed program and the replay behind CentralNearNeighborsRec and
+// ReplayNearNeighbors) came to share one NNState kernel. It keeps every
+// hearing in an unbounded per-vertex map, breaks ties by sender ID, sorts
+// the whole heard set and finalizes every vertex that heard anything each
+// phase, so it checks the kernel's bounded buffer, its port tie-break and
+// the replay's change-driven phase loop rather than restating them.
 
 // refHearing records the best (smallest sender ID) announcement of a
 // center during one phase.
@@ -27,7 +27,7 @@ type refHearing struct {
 }
 
 // ReferenceNearNeighbors exports the reference to the external test
-// package, which also drives delta.DiffNN.
+// package, which also replays patched graphs.
 var ReferenceNearNeighbors = referenceNearNeighbors
 
 // referenceNearNeighbors is the map-based Algorithm 1. capped counts the
@@ -194,30 +194,11 @@ func FuzzNearNeighborsVsReference(f *testing.F) {
 	}
 	f.Add(star)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 5 {
+		g, centers, deg, delta, ok := decodeNNFuzz(data)
+		if !ok {
 			return
 		}
-		n := 2 + int(data[0])%47
-		mask := uint64(data[1]) | uint64(data[2])<<8
-		deg := 1 + int(data[3])%4
-		delta := int32(1 + int(data[4])%5)
-		b := graph.NewBuilder(n)
-		for i := 5; i+1 < len(data); i += 2 {
-			u, v := int(data[i])%n, int(data[i+1])%n
-			if u != v && !b.HasEdge(u, v) {
-				if err := b.AddEdge(u, v); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		g := b.Build()
-		var centers []int
-		for v := 0; v < n; v++ {
-			// The 16-bit mask repeats over larger vertex sets.
-			if mask&(1<<(v%16)) != 0 {
-				centers = append(centers, v)
-			}
-		}
+		n := g.N()
 		want, wantT, _ := referenceNearNeighbors(g, centers, deg, delta, NewTranscriptRecorder(n))
 
 		central, centralT := CentralNearNeighborsRec(g, centers, deg, delta, NewTranscriptRecorder(n))
@@ -246,6 +227,118 @@ func FuzzNearNeighborsVsReference(f *testing.F) {
 	})
 }
 
+// decodeNNFuzz decodes a near-neighbors fuzz input: a graph on n <= 48
+// vertices from data[0] and the byte pairs from data[5] on, a 16-bit
+// center mask (data[1:3]), deg (data[3]) and delta (data[4]).
+func decodeNNFuzz(data []byte) (g *graph.Graph, centers []int, deg int, delta int32, ok bool) {
+	if len(data) < 5 {
+		return nil, nil, 0, 0, false
+	}
+	n := 2 + int(data[0])%47
+	mask := uint64(data[1]) | uint64(data[2])<<8
+	deg = 1 + int(data[3])%4
+	delta = int32(1 + int(data[4])%5)
+	b := graph.NewBuilder(n)
+	for i := 5; i+1 < len(data); i += 2 {
+		if u, v := int(data[i])%n, int(data[i+1])%n; u != v {
+			b.Add(u, v)
+		}
+	}
+	for v := 0; v < n; v++ {
+		// The 16-bit mask repeats over larger vertex sets.
+		if mask&(1<<(v%16)) != 0 {
+			centers = append(centers, v)
+		}
+	}
+	return b.Build(), centers, deg, delta, true
+}
+
+// FuzzReplayNearNeighborsVsReference patches a decoded graph and center
+// set — 1–4 vertex pairs toggled, one vertex's centerhood flipped — and
+// requires the replay from the first run to reproduce the reference on
+// the patched inputs, and the replay back to reproduce the first run.
+// The input is data[0] (the toggle count), data[1] (the flipped vertex)
+// and the toggled pairs, followed by a FuzzNearNeighborsVsReference input.
+func FuzzReplayNearNeighborsVsReference(f *testing.F) {
+	f.Add([]byte{1, 3, 0, 5, 10, 0xff, 0x0f, 2, 3, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 0, 5})
+	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 6, 0, 0, 0, 0, 0})
+	// A replay that ignores a clean neighbor's list changes leaves
+	// vertex 5's row empty on the way back.
+	f.Add([]byte("100800\x0f20087\xf9\v8"))
+	// A replay that ignores a vertex's own prev-list changes keeps a
+	// stale row at vertex 7 on the way back.
+	f.Add([]byte("117200X0A007082"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		k := 1 + int(data[0])%4
+		if len(data) < 2+2*k {
+			return
+		}
+		g, centers, deg, delta, ok := decodeNNFuzz(data[2+2*k:])
+		if !ok {
+			return
+		}
+		n := g.N()
+		toggled := make(map[[2]int]bool)
+		for i := 2; i < 2+2*k; i += 2 {
+			u, v := int(data[i])%n, int(data[i+1])%n
+			if u != v {
+				e := [2]int{min(u, v), max(u, v)}
+				toggled[e] = !toggled[e]
+			}
+		}
+		b := graph.NewBuilder(n)
+		g.Edges(func(u, v int) {
+			if !toggled[[2]int{u, v}] {
+				b.Add(u, v)
+			}
+		})
+		var seeds []int
+		for e, on := range toggled {
+			if on {
+				seeds = append(seeds, e[0], e[1])
+				if !g.HasEdge(e[0], e[1]) {
+					b.Add(e[0], e[1])
+				}
+			}
+		}
+		g2 := b.Build()
+		flip := int(data[1]) % n
+		centers2 := slices.DeleteFunc(slices.Clone(centers), func(c int) bool { return c == flip })
+		if len(centers2) == len(centers) {
+			centers2 = append(centers2, flip)
+			slices.Sort(centers2)
+		}
+
+		first := refRun(g, centers, deg, delta)
+		want := refRun(g2, centers2, deg, delta)
+		got, _, ok := ReplayNearNeighbors(g2, &first, centers2, seeds, deg, delta, 0)
+		if !ok {
+			t.Fatal("replay overflowed with no budget")
+		}
+		if d := DiffNNTables(n, delta, got.NN, got.Transcript, want.NN, want.Transcript); d != "" {
+			t.Fatalf("replay vs reference (deg %d, delta %d, centers %v -> %v, toggled %v): %s",
+				deg, delta, centers, centers2, toggled, d)
+		}
+		back, _, ok := ReplayNearNeighbors(g, &got, centers, seeds, deg, delta, 0)
+		if !ok {
+			t.Fatal("replay overflowed with no budget")
+		}
+		if d := DiffNNTables(n, delta, back.NN, back.Transcript, first.NN, first.Transcript); d != "" {
+			t.Fatalf("replay back vs reference (deg %d, delta %d, centers %v -> %v, toggled %v): %s",
+				deg, delta, centers2, centers, toggled, d)
+		}
+	})
+}
+
+// refRun is the reference's run on g.
+func refRun(g *graph.Graph, centers []int, deg int, delta int32) NNRun {
+	nn, tr, _ := referenceNearNeighbors(g, centers, deg, delta, NewTranscriptRecorder(g.N()))
+	return NNRun{Centers: centers, NN: nn, Transcript: tr}
+}
+
 // NNSkipsMatchTwin exports nnSkipsMatchTwin to the external test package.
 var NNSkipsMatchTwin = nnSkipsMatchTwin
 
@@ -255,11 +348,6 @@ var NNSkipsMatchTwin = nnSkipsMatchTwin
 // rounds that deliver them) with the vertices the twin leaves out of the
 // phase's receivers. It returns the number of skipped (vertex, phase)
 // pairs and a description of the first difference, or "".
-//
-// At phase 1 the twin also wakes every center, to replace its
-// announcement by its first forwards. A center that heard no announcement
-// finalizes an empty buffer there; the distributed program announces
-// from Init, holds no list to replace, and skips it.
 func nnSkipsMatchTwin(g *graph.Graph, centers []int, deg int, delta int32) (skipped int, diff string) {
 	n := g.N()
 	isC := make([]bool, n)
@@ -273,18 +361,13 @@ func nnSkipsMatchTwin(g *graph.Graph, centers []int, deg int, delta int32) (skip
 			want[p][v] = true
 		}
 	}
-	centralNearNeighbors(g, centers, deg, delta, nil, func(p int32, receivers []int32) {
+	replayNearNeighbors(g, &NNRun{}, centers, nil, deg, delta, 0, nil, func(p int32, receivers []int32) {
 		for _, u := range receivers {
 			want[p][u] = false
 		}
 	})
-	for _, c := range centers {
-		if !slices.ContainsFunc(g.Neighbors(c), func(u int32) bool { return isC[u] }) {
-			want[1][c] = true
-		}
-	}
 
-	sim, err := congest.NewUniform(g, NewNearNeighbors(func(v int) bool { return isC[v] }, deg, delta), congest.Options{})
+	sim, err := congest.NewUniform(g, NewNearNeighborsRec(func(v int) bool { return isC[v] }, deg, delta, nil), congest.Options{})
 	if err != nil {
 		return 0, err.Error()
 	}

@@ -13,102 +13,269 @@ import (
 // reference implementation of the spanner construction (internal/core),
 // whose output must be identical to the distributed one.
 
-// CentralNearNeighbors is the phase-level simulation of Algorithm 1: it
-// reproduces the distributed NearNeighbors protocol's outputs (known
+// CentralNearNeighborsRec is the phase-level simulation of Algorithm 1:
+// it reproduces the distributed NearNeighbors protocol's outputs (known
 // centers, distances, Via ports, popularity) exactly, without the round
-// machinery.
+// machinery. It is the replay from the empty run (ReplayNearNeighbors),
+// in which every vertex that hears a center joins.
 //
-// Phase p delivers announcements that traversed p edges. Each vertex
-// selects up to deg+1 of the phase's heard centers (smallest IDs first,
-// known or not; see the forward-budget finding on NearNeighbors) as the
-// next phase's forwards, and stores first-heard centers up to deg stored
-// entries. Both modes apply these rules through the same NNState.
-func CentralNearNeighbors(g *graph.Graph, centers []int, deg int, delta int32) NNResult {
-	nn, _ := CentralNearNeighborsRec(g, centers, deg, delta, nil)
-	return nn
-}
-
-// CentralNearNeighborsRec is CentralNearNeighbors with optional forward-
-// transcript recording: when rec is non-nil, every vertex's per-phase
-// forward selections are recorded and the finished transcript returned
-// (zero-value otherwise). The recorded segments are identical to those a
-// distributed run with the same inputs records — the forward selections
-// are bit-equal across modes, and the encoder is shared.
+// When rec is non-nil, every vertex's per-phase forward selections are
+// recorded and the finished transcript returned (zero-value otherwise).
+// The recorded segments are identical to those a distributed run with the
+// same inputs records — the forward selections are bit-equal across
+// modes, and the encoder is shared.
 func CentralNearNeighborsRec(g *graph.Graph, centers []int, deg int, delta int32, rec *TranscriptRecorder) (NNResult, NNTranscript) {
-	return centralNearNeighbors(g, centers, deg, delta, rec, nil)
-}
-
-// centralNearNeighbors is CentralNearNeighborsRec; onPhase, when non-nil,
-// is shown each phase's receivers, the vertices the phase recomputes.
-func centralNearNeighbors(g *graph.Graph, centers []int, deg int, delta int32, rec *TranscriptRecorder, onPhase func(p int32, receivers []int32)) (NNResult, NNTranscript) {
-	n := g.N()
-	st := make([]NNState, n)
-	isCenter := make([]bool, n)
-	for _, c := range centers {
-		isCenter[c] = true
-	}
-
-	// A vertex's hearings change only when a neighbor's forward list
-	// does, and a vertex that hears what it heard in the phase before
-	// forwards the same list and stores nothing new: that phase stored
-	// every center it heard or filled the storage quota. So a phase
-	// recomputes only the neighbors of the vertices whose list changed in
-	// the phase before, and costs O(their degrees + hearings), not O(n).
-	// The rest keep their lists, which the recorder repeats. Phase 0's
-	// lists are the centers' announcements, which every center's phase-1
-	// selection replaces.
-	heardIn := make([]int32, n)
-	var receivers, changed []int32
-	wake := func(u int32, p int32) {
-		if heardIn[u] != p {
-			heardIn[u] = p
-			receivers = append(receivers, u)
-		}
-	}
-	for _, c := range centers {
-		st[c].fwd = append(st[c].fwd, int64(c))
-		wake(int32(c), 1)
-		for _, u := range g.Neighbors(c) {
-			wake(u, 1)
-		}
-	}
-	for p := int32(1); p <= delta && len(receivers) > 0; p++ {
-		if onPhase != nil {
-			onPhase(p, receivers)
-		}
-		// Each receiver pulls its neighbors' forward lists; the port
-		// toward a neighbor is its position in the sorted adjacency.
-		for _, u := range receivers {
-			for port, v := range g.Neighbors(int(u)) {
-				if len(st[v].fwd) > 0 {
-					st[u].HearRun(st[v].fwd, int32(port), deg, int64(u))
-				}
-			}
-		}
-		changed = changed[:0]
-		for _, u := range receivers {
-			if fwd, moved := st[u].Finalize(p, deg, delta); moved {
-				changed = append(changed, u)
-				if rec != nil && p < delta {
-					rec.Set(int(u), p, fwd)
-				}
-			}
-		}
-		receivers = receivers[:0]
-		for _, v := range changed {
-			for _, u := range g.Neighbors(int(v)) {
-				wake(u, p+1)
-			}
-		}
-	}
+	nn, _, _ := replayNearNeighbors(g, &NNRun{}, centers, nil, deg, delta, 0, rec, nil)
 	var tr NNTranscript
 	if rec != nil {
 		tr = rec.Finish()
 	}
+	return nn, tr
+}
+
+// NNRun is one near-neighbors run: its centers (ascending), its table and
+// its forward transcript. The zero NNRun is the empty run: no centers,
+// nothing stored, nothing forwarded.
+type NNRun struct {
+	Centers    []int
+	NN         NNResult
+	Transcript NNTranscript
+}
+
+// row returns v's stored row in the run.
+func (r *NNRun) row(v int) (keys []int64, dist, ports []int32) {
+	if r.NN.off == nil {
+		return nil, nil, nil
+	}
+	return r.NN.Row(v)
+}
+
+// segs returns v's forward segments in the run.
+func (r *NNRun) segs(v int32) []ForwardSeg {
+	if r.Transcript.Segs == nil {
+		return nil
+	}
+	return r.Transcript.Segs[v]
+}
+
+// ReplayNearNeighbors computes the near-neighbors run on g with the given
+// centers from prev, a run with the same deg and delta on a graph that
+// differs from g only in edges at the seeds. It recomputes only the
+// vertices whose hearings can differ from prev's and copies every other
+// row, so the result is bit-identical to a run from scratch.
+//
+// A vertex's hearings, and with them its forwards, stored centers and
+// Via ports, are a pure function of its ports and its neighbors'
+// forwards (announcements before phase 1). A vertex joins the replay at
+// phase 1 if it is a seed or a neighbor of a vertex whose centerhood
+// changed, and at phase p+1 if a neighbor's list first differs from
+// prev's at phase p. Until it joins it hears what it heard in prev. On
+// joining it is seeded with its prev row's entries of distance below the
+// join phase and its prev transcript's segments before it.
+//
+// A joined vertex is recomputed at its join phase, in a phase after a
+// neighbor's list changed (a recomputed change, a segment boundary in a
+// clean neighbor's prev transcript, or a center's announcement giving way
+// to its phase-1 list), and in a phase where its own prev list changed,
+// the one place its list can start to differ from prev's without
+// changing. In every other phase it hears what it heard in the phase
+// before, so it forwards the same list and stores nothing new (the proof
+// is NearNeighbors' skip rule), and the replay leaves it alone.
+//
+// tracked is the number of joined vertices. When it would exceed
+// maxTracked (<= 0 means unlimited) the replay stops and reports ok =
+// false, the rebuild's fallback-to-full signal.
+func ReplayNearNeighbors(g *graph.Graph, prev *NNRun, centers, seeds []int, deg int, delta int32, maxTracked int) (run NNRun, tracked int, ok bool) {
+	rec := NewTranscriptRecorder(g.N())
+	nn, tracked, ok := replayNearNeighbors(g, prev, centers, seeds, deg, delta, maxTracked, rec, nil)
+	if !ok {
+		return NNRun{}, tracked, false
+	}
+	return NNRun{Centers: centers, NN: nn, Transcript: rec.Finish()}, tracked, true
+}
+
+// nnReplay is the state of one ReplayNearNeighbors call.
+type nnReplay struct {
+	g          *graph.Graph
+	prev       *NNRun
+	maxTracked int
+	rec        *TranscriptRecorder // nil: record nothing
+
+	st      []NNState // joined vertices' state; centers' announcements
+	isC     []bool
+	joined  []bool
+	spread  []bool  // the vertex's list differed from prev's: its neighbors joined
+	stamp   []int32 // the last phase the vertex was woken for
+	tracked int
+
+	phase int32             // the phase being replayed, 0 before the first
+	next  []int32           // vertices to recompute at phase+1
+	later map[int32][]int32 // vertices to recompute at later phases
+}
+
+// replayNearNeighbors is ReplayNearNeighbors recording into rec (nil
+// records nothing). onPhase, when non-nil, is shown each phase's
+// receivers, the vertices the phase recomputes.
+func replayNearNeighbors(g *graph.Graph, prev *NNRun, centers, seeds []int, deg int, delta int32, maxTracked int, rec *TranscriptRecorder, onPhase func(p int32, receivers []int32)) (NNResult, int, bool) {
+	n := g.N()
+	r := &nnReplay{
+		g: g, prev: prev, maxTracked: maxTracked, rec: rec,
+		st: make([]NNState, n), isC: make([]bool, n), joined: make([]bool, n),
+		spread: make([]bool, n), stamp: make([]int32, n), later: map[int32][]int32{},
+	}
+	if rec != nil {
+		rec.resume(&prev.Transcript)
+	}
+	// A center's phase-0 list is its announcement; one array holds them.
+	ann := make([]int64, len(centers))
+	for i, c := range centers {
+		r.isC[c] = true
+		ann[i] = int64(c)
+		r.st[c].fwd = ann[i : i+1 : i+1]
+	}
+	moved := slices.Clone(r.isC) // centerhood differs from prev's
+	for _, c := range prev.Centers {
+		moved[c] = !r.isC[c]
+	}
+	for _, v := range seeds {
+		r.join(int32(v), 1)
+	}
+	for v, m := range moved {
+		if m {
+			for _, u := range g.Neighbors(v) {
+				r.join(u, 1)
+			}
+		}
+	}
+
+	var cur []int32
+	for r.phase < delta && (len(r.next) > 0 || len(r.later) > 0) && !r.overflowed() {
+		r.phase++
+		p := r.phase
+		cur, r.next = r.next, cur[:0]
+		for _, u := range r.later[p] {
+			if r.stamp[u] != p {
+				r.stamp[u] = p
+				cur = append(cur, u)
+			}
+		}
+		delete(r.later, p)
+		if onPhase != nil && len(cur) > 0 {
+			onPhase(p, cur)
+		}
+		// Each receiver pulls its neighbors' lists of the phase before:
+		// a joined neighbor's from its state, a clean one's from prev's
+		// transcript. The port toward a neighbor is its position in the
+		// sorted adjacency.
+		for _, u := range cur {
+			s := &r.st[u]
+			for port, w := range g.Neighbors(int(u)) {
+				fwd := r.st[w].fwd
+				if p > 1 && !r.joined[w] {
+					fwd = forwardsAt(r.prev.segs(w), p-1)
+				}
+				if len(fwd) > 0 {
+					s.HearRun(fwd, int32(port), deg, int64(u))
+				}
+			}
+		}
+		for _, u := range cur {
+			fwd, changed := r.st[u].Finalize(p, deg, delta)
+			if p == delta {
+				continue // the last phase forwards nothing
+			}
+			if changed && rec != nil {
+				rec.Set(int(u), p, fwd)
+			}
+			diverged := !r.spread[u] && !slices.Equal(fwd, forwardsAt(r.prev.segs(u), p))
+			if !changed && !diverged {
+				continue
+			}
+			r.spread[u] = r.spread[u] || diverged
+			for _, w := range g.Neighbors(int(u)) {
+				if r.joined[w] {
+					if changed {
+						r.wake(w, p+1)
+					}
+				} else if diverged {
+					r.join(w, p+1)
+				}
+			}
+		}
+	}
+	if r.overflowed() {
+		return NNResult{}, r.tracked, false
+	}
 	return NewNNResult(n, func(v int) ([]int64, []int32, []int32, bool) {
-		keys, dist, ports := st[v].Known()
-		return keys, dist, ports, isCenter[v] && len(keys) >= deg
-	}), tr
+		keys, dist, ports := prev.row(v)
+		if r.joined[v] {
+			keys, dist, ports = r.st[v].Known()
+		}
+		return keys, dist, ports, r.isC[v] && len(keys) >= deg
+	}), r.tracked, true
+}
+
+// overflowed reports whether more than maxTracked vertices joined.
+func (r *nnReplay) overflowed() bool {
+	return r.maxTracked > 0 && r.tracked > r.maxTracked
+}
+
+// join starts recomputing u at phase p, the phase after the current one,
+// from the state it held in prev when p began, and wakes it at the later
+// phases where prev's transcript says its hearings or its own list
+// changed.
+func (r *nnReplay) join(u int32, p int32) {
+	if r.joined[u] {
+		return
+	}
+	r.joined[u] = true
+	if r.tracked++; r.overflowed() {
+		return // the replay is abandoned at the end of the phase
+	}
+	segs := r.prev.segs(u)
+	cut := segsBefore(segs, p)
+	fwd := r.st[u].fwd // the announcement
+	if p > 1 {
+		fwd = forwardsAt(segs, p-1)
+	}
+	keys, dist, ports := r.prev.row(int(u))
+	r.st[u].Seed(keys, dist, ports, fwd, p)
+	if r.rec != nil {
+		r.rec.restart(int(u), segs[:cut])
+	}
+	r.wake(u, p)
+	for _, s := range segs[cut:] {
+		r.wake(u, s.From)
+	}
+	nbrs := r.g.Neighbors(int(u))
+	// A center's list changes at phase 1, when its first forwards
+	// replace its announcement.
+	if p == 1 && slices.ContainsFunc(nbrs, func(w int32) bool { return r.isC[w] }) {
+		r.wake(u, 2)
+	}
+	if r.prev.Transcript.Segs != nil {
+		for _, w := range nbrs {
+			ws := r.prev.segs(w)
+			for _, s := range ws[segsBefore(ws, p):] {
+				r.wake(u, s.From+1)
+			}
+		}
+	}
+}
+
+// wake schedules u's recomputation at phase p, after the current one.
+func (r *nnReplay) wake(u int32, p int32) {
+	if p == r.phase+1 {
+		if r.stamp[u] != p {
+			r.stamp[u] = p
+			r.next = append(r.next, u)
+		}
+		return
+	}
+	// A join wakes its vertex for a run of phases: skip repeats.
+	if l := r.later[p]; len(l) == 0 || l[len(l)-1] != u {
+		r.later[p] = append(l, u)
+	}
 }
 
 // TracePath follows Via pointers from v toward center c using the

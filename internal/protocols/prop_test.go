@@ -67,7 +67,7 @@ func TestPropPopularityGroundTruth(t *testing.T) {
 		}
 		deg := 1 + r.Intn(5)
 		delta := int32(1 + r.Intn(4))
-		res := CentralNearNeighbors(g, centers, deg, delta)
+		res, _ := CentralNearNeighborsRec(g, centers, deg, delta, nil)
 		for _, c := range centers {
 			dist := g.BFSBounded(c, delta)
 			count := 0
@@ -103,7 +103,7 @@ func TestPropUnpopularExactness(t *testing.T) {
 		}
 		deg := 2 + r.Intn(4)
 		delta := int32(2 + r.Intn(3))
-		res := CentralNearNeighbors(g, centers, deg, delta)
+		res, _ := CentralNearNeighborsRec(g, centers, deg, delta, nil)
 		for _, c := range centers {
 			if res.Popular[c] {
 				continue

@@ -126,7 +126,7 @@ func runNN(t *testing.T, g *graph.Graph, centers []int, deg int, delta int32) NN
 	for _, c := range centers {
 		isC[c] = true
 	}
-	sim := runSim(t, g, NewNearNeighbors(func(v int) bool { return isC[v] }, deg, delta),
+	sim := runSim(t, g, NewNearNeighborsRec(func(v int) bool { return isC[v] }, deg, delta, nil),
 		NearNeighborsRounds(deg, delta))
 	return ExtractNN(sim)
 }
@@ -141,7 +141,7 @@ func TestNearNeighborsMatchesCentralOracle(t *testing.T) {
 		} {
 			centers := nnCenters(g, cfg.mod)
 			dist := runNN(t, g, centers, cfg.deg, cfg.delta)
-			central := CentralNearNeighbors(g, centers, cfg.deg, cfg.delta)
+			central, _ := CentralNearNeighborsRec(g, centers, cfg.deg, cfg.delta, nil)
 			for v := 0; v < g.N(); v++ {
 				cKeys, cDist := central.Known(v)
 				dKeys, dDist := dist.Known(v)
@@ -593,7 +593,7 @@ func TestProtocolsOrderIndependent(t *testing.T) {
 	runWith := func(delivery congest.DeliveryOrder) (NNResult, []int, ForestResult) {
 		opts := congest.Options{Delivery: delivery}
 		simNN, err := congest.NewUniform(g,
-			NewNearNeighbors(func(v int) bool { return isC[v] }, deg, delta), opts)
+			NewNearNeighborsRec(func(v int) bool { return isC[v] }, deg, delta, nil), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -699,7 +699,7 @@ func TestNNRoundBudgetSufficient(t *testing.T) {
 		isC[c] = true
 	}
 	deg, delta := 3, int32(4)
-	factory := NewNearNeighbors(func(v int) bool { return isC[v] }, deg, delta)
+	factory := NewNearNeighborsRec(func(v int) bool { return isC[v] }, deg, delta, nil)
 
 	exact := runSim(t, g, factory, NearNeighborsRounds(deg, delta))
 	extra := runSim(t, g, factory, NearNeighborsRounds(deg, delta)+2*(deg+1))

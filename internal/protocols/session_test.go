@@ -19,7 +19,7 @@ func TestSessionsMatchFreshSimulators(t *testing.T) {
 	q, c := int32(2), 3
 
 	// Reference: one fresh simulator per step (the pre-session world).
-	refSim, err := congest.NewUniform(g, NewNearNeighbors(isCenter, deg, delta), congest.Options{})
+	refSim, err := congest.NewUniform(g, NewNearNeighborsRec(isCenter, deg, delta, nil), congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
