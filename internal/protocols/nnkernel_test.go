@@ -108,10 +108,7 @@ func TestNearNeighborsKernelMatchesReference(t *testing.T) {
 				wantNew, wantNewT, c := protocols.ReferenceNearNeighbors(gNew, centers, deg, dl, protocols.NewTranscriptRecorder(n))
 				capped += c
 				prev := protocols.NNRun{Centers: centers, NN: want, Transcript: wantT}
-				run, _, ok := protocols.ReplayNearNeighbors(gNew, &prev, centers, b.Endpoints(), deg, dl, 0)
-				if !ok {
-					t.Fatalf("%s: replay overflowed with no budget", tag)
-				}
+				run, _ := protocols.ReplayNearNeighbors(gNew, &prev, centers, b.Endpoints(), deg, dl)
 				if d := protocols.DiffNNTables(n, dl, run.NN, run.Transcript, wantNew, wantNewT); d != "" {
 					t.Fatalf("%s: replay vs reference: %s", tag, d)
 				}

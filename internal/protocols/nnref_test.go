@@ -314,18 +314,12 @@ func FuzzReplayNearNeighborsVsReference(f *testing.F) {
 
 		first := refRun(g, centers, deg, delta)
 		want := refRun(g2, centers2, deg, delta)
-		got, _, ok := ReplayNearNeighbors(g2, &first, centers2, seeds, deg, delta, 0)
-		if !ok {
-			t.Fatal("replay overflowed with no budget")
-		}
+		got, _ := ReplayNearNeighbors(g2, &first, centers2, seeds, deg, delta)
 		if d := DiffNNTables(n, delta, got.NN, got.Transcript, want.NN, want.Transcript); d != "" {
 			t.Fatalf("replay vs reference (deg %d, delta %d, centers %v -> %v, toggled %v): %s",
 				deg, delta, centers, centers2, toggled, d)
 		}
-		back, _, ok := ReplayNearNeighbors(g, &got, centers, seeds, deg, delta, 0)
-		if !ok {
-			t.Fatal("replay overflowed with no budget")
-		}
+		back, _ := ReplayNearNeighbors(g, &got, centers, seeds, deg, delta)
 		if d := DiffNNTables(n, delta, back.NN, back.Transcript, first.NN, first.Transcript); d != "" {
 			t.Fatalf("replay back vs reference (deg %d, delta %d, centers %v -> %v, toggled %v): %s",
 				deg, delta, centers2, centers, toggled, d)
@@ -361,7 +355,7 @@ func nnSkipsMatchTwin(g *graph.Graph, centers []int, deg int, delta int32) (skip
 			want[p][v] = true
 		}
 	}
-	replayNearNeighbors(g, &NNRun{}, centers, nil, deg, delta, 0, nil, func(p int32, receivers []int32) {
+	replayNearNeighbors(g, &NNRun{}, centers, nil, deg, delta, nil, func(p int32, receivers []int32) {
 		for _, u := range receivers {
 			want[p][u] = false
 		}

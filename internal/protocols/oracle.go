@@ -25,7 +25,7 @@ import (
 // same inputs records — the forward selections are bit-equal across
 // modes, and the encoder is shared.
 func CentralNearNeighborsRec(g *graph.Graph, centers []int, deg int, delta int32, rec *TranscriptRecorder) (NNResult, NNTranscript) {
-	nn, _, _ := replayNearNeighbors(g, &NNRun{}, centers, nil, deg, delta, 0, rec, nil)
+	nn, _ := replayNearNeighbors(g, &NNRun{}, centers, nil, deg, delta, rec, nil)
 	var tr NNTranscript
 	if rec != nil {
 		tr = rec.Finish()
@@ -82,24 +82,19 @@ func (r *NNRun) segs(v int32) []ForwardSeg {
 // before, so it forwards the same list and stores nothing new (the proof
 // is NearNeighbors' skip rule), and the replay leaves it alone.
 //
-// tracked is the number of joined vertices. When it would exceed
-// maxTracked (<= 0 means unlimited) the replay stops and reports ok =
-// false, the rebuild's fallback-to-full signal.
-func ReplayNearNeighbors(g *graph.Graph, prev *NNRun, centers, seeds []int, deg int, delta int32, maxTracked int) (run NNRun, tracked int, ok bool) {
+// tracked is the number of joined vertices. The result does not depend
+// on it: the replay equals a run from scratch however many join.
+func ReplayNearNeighbors(g *graph.Graph, prev *NNRun, centers, seeds []int, deg int, delta int32) (run NNRun, tracked int) {
 	rec := NewTranscriptRecorder(g.N())
-	nn, tracked, ok := replayNearNeighbors(g, prev, centers, seeds, deg, delta, maxTracked, rec, nil)
-	if !ok {
-		return NNRun{}, tracked, false
-	}
-	return NNRun{Centers: centers, NN: nn, Transcript: rec.Finish()}, tracked, true
+	nn, tracked := replayNearNeighbors(g, prev, centers, seeds, deg, delta, rec, nil)
+	return NNRun{Centers: centers, NN: nn, Transcript: rec.Finish()}, tracked
 }
 
 // nnReplay is the state of one ReplayNearNeighbors call.
 type nnReplay struct {
-	g          *graph.Graph
-	prev       *NNRun
-	maxTracked int
-	rec        *TranscriptRecorder // nil: record nothing
+	g    *graph.Graph
+	prev *NNRun
+	rec  *TranscriptRecorder // nil: record nothing
 
 	st      []NNState // joined vertices' state; centers' announcements
 	isC     []bool
@@ -116,10 +111,10 @@ type nnReplay struct {
 // replayNearNeighbors is ReplayNearNeighbors recording into rec (nil
 // records nothing). onPhase, when non-nil, is shown each phase's
 // receivers, the vertices the phase recomputes.
-func replayNearNeighbors(g *graph.Graph, prev *NNRun, centers, seeds []int, deg int, delta int32, maxTracked int, rec *TranscriptRecorder, onPhase func(p int32, receivers []int32)) (NNResult, int, bool) {
+func replayNearNeighbors(g *graph.Graph, prev *NNRun, centers, seeds []int, deg int, delta int32, rec *TranscriptRecorder, onPhase func(p int32, receivers []int32)) (NNResult, int) {
 	n := g.N()
 	r := &nnReplay{
-		g: g, prev: prev, maxTracked: maxTracked, rec: rec,
+		g: g, prev: prev, rec: rec,
 		st: make([]NNState, n), isC: make([]bool, n), joined: make([]bool, n),
 		spread: make([]bool, n), stamp: make([]int32, n), later: map[int32][]int32{},
 	}
@@ -149,7 +144,7 @@ func replayNearNeighbors(g *graph.Graph, prev *NNRun, centers, seeds []int, deg 
 	}
 
 	var cur []int32
-	for r.phase < delta && (len(r.next) > 0 || len(r.later) > 0) && !r.overflowed() {
+	for r.phase < delta && (len(r.next) > 0 || len(r.later) > 0) {
 		r.phase++
 		p := r.phase
 		cur, r.next = r.next, cur[:0]
@@ -203,21 +198,13 @@ func replayNearNeighbors(g *graph.Graph, prev *NNRun, centers, seeds []int, deg 
 			}
 		}
 	}
-	if r.overflowed() {
-		return NNResult{}, r.tracked, false
-	}
 	return NewNNResult(n, func(v int) ([]int64, []int32, []int32, bool) {
 		keys, dist, ports := prev.row(v)
 		if r.joined[v] {
 			keys, dist, ports = r.st[v].Known()
 		}
 		return keys, dist, ports, r.isC[v] && len(keys) >= deg
-	}), r.tracked, true
-}
-
-// overflowed reports whether more than maxTracked vertices joined.
-func (r *nnReplay) overflowed() bool {
-	return r.maxTracked > 0 && r.tracked > r.maxTracked
+	}), r.tracked
 }
 
 // join starts recomputing u at phase p, the phase after the current one,
@@ -229,9 +216,7 @@ func (r *nnReplay) join(u int32, p int32) {
 		return
 	}
 	r.joined[u] = true
-	if r.tracked++; r.overflowed() {
-		return // the replay is abandoned at the end of the phase
-	}
+	r.tracked++
 	segs := r.prev.segs(u)
 	cut := segsBefore(segs, p)
 	fwd := r.st[u].fwd // the announcement

@@ -76,10 +76,7 @@ func TestReplayNNMatchesFromScratch(t *testing.T) {
 			centerSets = append(centerSets, perturbed)
 
 			for ci, centers := range centerSets {
-				run, tracked, ok := protocols.ReplayNearNeighbors(gNew, &prev, centers, b.Endpoints(), deg, dl, 0)
-				if !ok {
-					t.Fatalf("%s seed %d set %d: unexpected overflow", w.name, seed, ci)
-				}
+				run, tracked := protocols.ReplayNearNeighbors(gNew, &prev, centers, b.Endpoints(), deg, dl)
 				want := referenceRun(gNew, centers, deg, dl)
 				if d := protocols.DiffNNTables(gNew.N(), dl, run.NN, run.Transcript, want.NN, want.Transcript); d != "" {
 					t.Fatalf("%s seed %d set %d: %s", w.name, seed, ci, d)
@@ -108,34 +105,12 @@ func TestReplayNNChains(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			next, _, ok := protocols.ReplayNearNeighbors(gNew, &run, run.Centers, b.Endpoints(), deg, dl, 0)
-			if !ok {
-				t.Fatalf("seed %d step %d: unexpected overflow", seed, step)
-			}
+			next, _ := protocols.ReplayNearNeighbors(gNew, &run, run.Centers, b.Endpoints(), deg, dl)
 			want := referenceRun(gNew, run.Centers, deg, dl)
 			if d := protocols.DiffNNTables(gNew.N(), dl, next.NN, next.Transcript, want.NN, want.Transcript); d != "" {
 				t.Fatalf("seed %d step %d: %s", seed, step, d)
 			}
 			g, run = gNew, next
 		}
-	}
-}
-
-// A tiny maxTracked must trip the overflow signal on a batch that
-// perturbs more than one vertex.
-func TestReplayNNOverflow(t *testing.T) {
-	g := gen.Grid(8, 8)
-	deg, dl := 3, int32(4)
-	prev := centralRun(g, []int{0, 9, 27, 45, 63}, deg, dl)
-	b := &delta.Batch{Delete: []delta.Edge{{U: 0, V: 1}, {U: 8, V: 16}}}
-	gNew, err := delta.Apply(g, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := protocols.ReplayNearNeighbors(gNew, &prev, prev.Centers, b.Endpoints(), deg, dl, 2); ok {
-		t.Fatal("the replay did not report overflow with maxTracked=2")
-	}
-	if _, _, ok := protocols.ReplayNearNeighbors(gNew, &prev, prev.Centers, b.Endpoints(), deg, dl, 0); !ok {
-		t.Fatal("the replay overflowed with unlimited budget")
 	}
 }

@@ -38,7 +38,8 @@ type StepMetrics struct {
 
 	// Replayed marks a step whose output the delta-rebuild engine
 	// spliced from a previous build's state instead of re-running the
-	// protocol. Replayed steps still report their schedule rounds (a
+	// protocol: every near-neighbors step of a core.Rebuild, and no
+	// other. Replayed steps still report their schedule rounds (a
 	// rebuilt job fits the same per-job round cap as a full build) but
 	// moved no messages.
 	Replayed bool

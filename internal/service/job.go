@@ -133,9 +133,13 @@ const (
 // graph.Fingerprint of the spanner — two builds agree bit for bit
 // exactly when their fingerprints (and edge counts) agree. After a
 // PATCH …/edges rebuild the document describes the latest spanner:
-// Deltas counts the applied batches, Incremental reports whether the
-// last rebuild took the frontier-scoped path or fell back to a full
-// build, and BuildMS is the last (re)build's wall clock.
+// Deltas counts the applied batches, Incremental reports that the last
+// rebuild replayed the job's retained state (core.Rebuild) — false only
+// for the first PATCH of a job restored from a snapshot, which carries
+// no rebuild state and builds from scratch — and BuildMS is the last
+// (re)build's wall clock. Every rebuild replays its near-neighbors
+// steps, which send no messages, so after a replayed PATCH Messages
+// counts the other steps only.
 type JobResult struct {
 	Edges       int    `json:"edges"`
 	TotalRounds int    `json:"total_rounds"`

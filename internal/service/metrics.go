@@ -29,7 +29,7 @@ type metrics struct {
 	buildNanos atomic.Int64 // cumulative wall-clock build time
 
 	rebuilds         atomic.Int64 // PATCH edge-delta rebuilds applied
-	rebuildFallbacks atomic.Int64 // rebuilds that fell back to a full build
+	rebuildFallbacks atomic.Int64 // PATCH rebuilds of restored jobs, which build from scratch
 
 	recoveredSnapshot   atomic.Int64 // boot recoveries served from a verified snapshot
 	recoveredRebuild    atomic.Int64 // boot recoveries that rebuilt from journaled inputs
@@ -142,7 +142,7 @@ func (m *metrics) render(queueDepth int, draining bool, qp oracle.PoolStats, ps 
 
 	counter("spannerd_rebuilds_total", "Edge-delta rebuilds applied (PATCH .../edges).", m.rebuilds.Load())
 	counter("spannerd_rebuild_fallbacks_total",
-		"Delta rebuilds whose dirty frontier exceeded the threshold and fell back to a full build.",
+		"PATCH rebuilds that ran a full build because the job carried no rebuild state (restored from a snapshot).",
 		m.rebuildFallbacks.Load())
 
 	// Durability: how jobs came back at the last boot, and whether the

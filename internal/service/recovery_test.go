@@ -66,7 +66,9 @@ func waitReady(t *testing.T, s *Server) {
 // sees one job fail, and is replaced by a fresh process on the same
 // data directory. The successor must present the identical job registry
 // — same ids, same terminal states, bit-identical fingerprints — and
-// its reloaded query pool must answer.
+// its reloaded query pool must answer. The live delta replays, however
+// far it reaches; the restored job carries no rebuild state, so its
+// first delta is the one spannerd_rebuild_fallbacks_total counts.
 func TestServiceRecoveryRestartRestoresJobs(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
@@ -82,11 +84,15 @@ func TestServiceRecoveryRestartRestoresJobs(t *testing.T) {
 	if job1.State() != StateDone {
 		t.Fatalf("job1 finished %q", job1.State())
 	}
-	batch := sampleBatch(t, jobGraph(job1), 3)
-	if jerr := s1.RebuildJob(job1, batch); jerr != nil {
+	// This batch's replay tracks more than a quarter of the vertices.
+	if jerr := s1.RebuildJob(job1, delta.RandomBatch(jobGraph(job1), 16, 7)); jerr != nil {
 		t.Fatalf("patch: %+v", jerr)
 	}
 	v1 := job1.View()
+	if !v1.Result.Incremental || s1.met.rebuildFallbacks.Load() != 0 {
+		t.Fatalf("live patch: incremental %v, fallbacks %d; want true, 0",
+			v1.Result.Incremental, s1.met.rebuildFallbacks.Load())
+	}
 
 	// Job 2: exhausts its round budget — a terminal failure.
 	failSpec := recoverySpec
@@ -149,6 +155,13 @@ func TestServiceRecoveryRestartRestoresJobs(t *testing.T) {
 		t.Fatal("job1 has no query pool after restart")
 	} else if d := pool.Dist(0, 1); d < 0 {
 		t.Fatalf("restored pool answered %d", d)
+	}
+	if jerr := s2.RebuildJob(r1, sampleBatch(t, jobGraph(r1), 2)); jerr != nil {
+		t.Fatalf("patch after restart: %+v", jerr)
+	}
+	if r1.View().Result.Incremental || s2.met.rebuildFallbacks.Load() != 1 {
+		t.Fatalf("restored job's first patch: incremental %v, fallbacks %d; want false, 1",
+			r1.View().Result.Incremental, s2.met.rebuildFallbacks.Load())
 	}
 
 	// Job 2 is failed again with the journaled error.

@@ -169,11 +169,12 @@ type DeltaBatch = delta.Batch
 // near-neighbors tables — the dominant build cost — are recomputed only
 // on the dirty frontier the delta perturbs, and the cheap steps re-run
 // on the patched graph. The result is bit-identical to BuildSpanner on
-// the patched graph; Result.Incremental reports whether the incremental
-// path was taken (false after a fallback to a full build, which happens
-// when the delta's dirty frontier passes a quarter of the vertices) and
-// Result.Tracked how many vertices were replayed. Rebuild results retain
-// state themselves, so rebuilds chain across a churn sequence.
+// the patched graph, however large the batch: the replay's cost grows
+// with the frontier it tracks, and no batch falls back to a full build
+// (docs/ARCHITECTURE.md measures why). Result.Incremental is set on
+// every rebuild result, and Result.Tracked reports how many vertices
+// were replayed. Rebuild results retain state themselves, so
+// rebuilds chain across a churn sequence.
 func RebuildSpanner(prev *Result, batch *DeltaBatch, cfg Config) (*Result, error) {
 	return RebuildSpannerContext(context.Background(), prev, batch, cfg)
 }
