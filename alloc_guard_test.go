@@ -158,10 +158,10 @@ func TestAllocBudgetSparseClimb(t *testing.T) {
 }
 
 // Streaming generation emits a million-edge GNP in O(1) allocations per
-// vertex: the degree pass and fill pass replay the RNG without buffering
-// edges, and the CSR is cut in a single allocation per column. A
-// regression to per-edge buffering (a Builder bucket per vertex)
-// sits two orders of magnitude above this budget.
+// vertex: the one pair sweep appends each edge's larger endpoint to a
+// single presized buffer, and the CSR is cut in a single allocation per
+// column. A regression to per-vertex buffering (a Builder bucket per
+// vertex) sits two orders of magnitude above this budget.
 func TestAllocBudgetStreamGNP(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")

@@ -235,6 +235,7 @@ type Job struct {
 	mu         sync.Mutex
 	state      string
 	submitted  time.Time
+	generate   time.Duration // newJob's graph materialization, in this process
 	started    time.Time
 	finished   time.Time
 	result     *JobResult
@@ -248,13 +249,16 @@ type Job struct {
 }
 
 // newJob validates spec against the server defaults and materializes
-// the graph and parameter schedule. Validation errors are reported at
-// submission time (HTTP 400), not at build time.
+// the graph and parameter schedule, timing the graph's generation.
+// Validation errors are reported at submission time (HTTP 400), not at
+// build time.
 func newJob(id string, spec JobSpec, defaultTimeout, maxTimeout time.Duration, now time.Time) (*Job, error) {
+	genStart := time.Now()
 	g, err := spec.Graph.build()
 	if err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}
+	generate := time.Since(genStart)
 	var p *params.Params
 	switch {
 	case spec.TargetEpsPrime > 0:
@@ -295,6 +299,7 @@ func newJob(id string, spec JobSpec, defaultTimeout, maxTimeout time.Duration, n
 		mode:      mode,
 		state:     StateQueued,
 		submitted: now,
+		generate:  generate,
 		timeout:   timeout,
 		done:      make(chan struct{}),
 	}, nil
@@ -343,6 +348,11 @@ func (j *Job) GraphN() int {
 }
 
 // JobView is the wire form of a job — everything a status poll needs.
+// A job submitted to this process is stamped submitted_at before its
+// graph is generated, so started_at − submitted_at is generate_ms plus
+// the time it waited in the queue. GenerateMS is the time spent
+// materializing the input graph from the spec; for a job recovered from
+// the journal it is the time that took at restart.
 type JobView struct {
 	ID        string `json:"id"`
 	Name      string `json:"name,omitempty"`
@@ -354,6 +364,8 @@ type JobView struct {
 	Started   string `json:"started_at,omitempty"`
 	Finished  string `json:"finished_at,omitempty"`
 	StepsSeen int    `json:"steps_seen"`
+
+	GenerateMS float64 `json:"generate_ms"`
 
 	Result *JobResult `json:"result,omitempty"`
 	Error  *JobError  `json:"error,omitempty"`
@@ -373,6 +385,8 @@ func (j *Job) View() JobView {
 		Submitted: j.submitted.UTC().Format(time.RFC3339Nano),
 		Result:    j.result,
 		Error:     j.jobErr,
+
+		GenerateMS: float64(j.generate) / float64(time.Millisecond),
 	}
 	if !j.started.IsZero() {
 		v.Started = j.started.UTC().Format(time.RFC3339Nano)

@@ -260,6 +260,44 @@ func TestServiceJobTimeout(t *testing.T) {
 	}
 }
 
+// A job's document reports how long its input graph took to generate,
+// and started_at − submitted_at covers that time: the submission is
+// stamped before the graph exists.
+func TestServiceJobReportsGenerateMS(t *testing.T) {
+	s := New(Options{SchedWorkers: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	}()
+
+	spec := JobSpec{
+		Name:  "generate",
+		Graph: GraphSpec{Type: "gnp", N: 4096, P: 1.0 / 4096, Seed: 3, Connected: true},
+		Eps:   1.0 / 3, Kappa: 3, Rho: 0.49, Mode: "centralized",
+	}
+	resp, v := postJSON(t, ts.URL+"/v1/jobs?wait=1", spec)
+	if resp.StatusCode != http.StatusOK || v.State != StateDone {
+		t.Fatalf("status %d, %+v", resp.StatusCode, v)
+	}
+	if !(v.GenerateMS > 0) {
+		t.Fatalf("generate_ms = %v for a gnp n=4096 job, want > 0", v.GenerateMS)
+	}
+	submitted, err := time.Parse(time.RFC3339Nano, v.Submitted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, err := time.Parse(time.RFC3339Nano, v.Started)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gap := float64(started.Sub(submitted)) / float64(time.Millisecond); gap < v.GenerateMS {
+		t.Errorf("started_at − submitted_at = %.3f ms < generate_ms %.3f", gap, v.GenerateMS)
+	}
+}
+
 // A round budget the build cannot fit in surfaces as the typed
 // budget-exhausted failure — HTTP 422 with the exhausted budget and, for
 // a cut inside an executed session, the live in-flight histogram. The

@@ -290,9 +290,9 @@ func Torus(rows, cols int) *Graph { return gen.Torus(rows, cols) }
 // Hypercube returns the d-dimensional hypercube graph.
 func Hypercube(d int) *Graph { return gen.Hypercube(d) }
 
-// GNP returns an Erdős–Rényi G(n, p) graph.
+// GNP returns an Erdős–Rényi G(n, p) graph, built through StreamGNP.
 func GNP(n int, p float64, seed uint64, ensureConnected bool) *Graph {
-	return gen.GNP(n, p, seed, ensureConnected)
+	return gen.StreamGNP(n, p, seed, ensureConnected).Graph()
 }
 
 // RandomRegular returns a (near-)d-regular graph.
@@ -306,9 +306,9 @@ func PreferentialAttachment(n, m int, seed uint64) (*Graph, error) {
 }
 
 // Communities returns a planted-partition graph with k communities of
-// commSize vertices.
+// commSize vertices, built through StreamCommunities.
 func Communities(k, commSize int, pIn, pOut float64, seed uint64) *Graph {
-	return gen.Communities(k, commSize, pIn, pOut, seed)
+	return gen.StreamCommunities(k, commSize, pIn, pOut, seed).Graph()
 }
 
 // RandomTree returns a uniform random attachment tree.
@@ -324,11 +324,13 @@ func RandomGeometric(n int, radius float64, seed uint64, ensureConnected bool) *
 // one "u v" line per edge; '#' comments allowed).
 func ReadEdgeList(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
 
-// Streaming generators, for graphs too large to hold as an edge buffer.
-// An EdgeStream knows the exact vertex count, edge count, and degree
-// sequence of its graph before any edge is materialized, and replays its
-// sorted edge sequence as many times as asked; EdgeStream.Graph builds
-// the CSR in a single allocation and a single fill pass. A streamed
+// Streaming generators, for graphs too large for a builder. An
+// EdgeStream knows the exact vertex count, edge count, and degree
+// sequence of its graph before the CSR exists, and replays its sorted
+// edge sequence as many times as asked; EdgeStream.Graph builds the CSR
+// in a single allocation and a single fill pass. The random kinds draw
+// their pairs once, at construction, and keep each edge's larger
+// endpoint (4 B per edge); the lattices keep nothing. A streamed
 // generator yields the bit-identical graph to its materialized
 // counterpart with the same parameters.
 
