@@ -7,7 +7,6 @@ import (
 	"nearspan"
 	"nearspan/internal/congest"
 	"nearspan/internal/core"
-	"nearspan/internal/experiments"
 	"nearspan/internal/gen"
 	"nearspan/internal/graph"
 	"nearspan/internal/params"
@@ -28,7 +27,7 @@ func TestAllocBudgetSetAdd(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
 	}
-	stream := experiments.AssemblyWorkload(5000, 40_000)
+	stream := assemblyWorkload(5000, 40_000)
 	avg := testing.AllocsPerRun(10, func() {
 		b := graph.NewBuilder(5000)
 		for _, e := range stream {
@@ -50,7 +49,7 @@ func TestAllocBudgetSetGraph(t *testing.T) {
 		t.Skip("allocation counts are distorted under -race")
 	}
 	b := graph.NewBuilder(5000)
-	for _, e := range experiments.AssemblyWorkload(5000, 40_000) {
+	for _, e := range assemblyWorkload(5000, 40_000) {
 		b.Add(int(e[0]), int(e[1]))
 	}
 	b.Build() // compact once; steady-state emission is what we pin

@@ -279,48 +279,6 @@ func BenchmarkEngine(b *testing.B) {
 	}
 }
 
-// --- Sparse-activity (frontier) benchmarks ---
-
-// BenchmarkFrontier measures the simulator on frontier ≪ n workloads:
-// the long-path climb (message-driven, frontier ~1) and a large-n
-// ruling set with a sparse member set (fixed schedule; most windows move
-// few or no waves, so the message plane — not the program work — is
-// what the round cost must scale with). Both report arena-B/op, the
-// simulator's ArenaBytes.
-func BenchmarkFrontier(b *testing.B) {
-	const n = 16384
-	g, rt, start := experiments.FrontierClimbWorkload(n)
-	b.Run("climb-path-16k", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sim, err := congest.NewUniform(g, protocols.NewClimb(rt, start), congest.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sim.RunUntilQuietContext(context.Background(), protocols.ClimbMaxRounds(1, n)); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(sim.ArenaBytes()), "arena-B/op")
-		}
-	})
-	isMember, q, c := experiments.FrontierRulingWorkload()
-	rounds := protocols.RulingSetRounds(q, c, n)
-	b.Run("ruling-path-16k", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sim, err := congest.NewUniform(g, protocols.NewRulingSet(isMember, q, c, n),
-				congest.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sim.RunContext(context.Background(), rounds); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(sim.ArenaBytes()), "arena-B/op")
-		}
-	})
-}
-
 // --- Persistent network runtime ---
 
 // BenchmarkNetworkReuse quantifies what the persistent network runtime
@@ -380,47 +338,6 @@ func BenchmarkNetworkReuse(b *testing.B) {
 			}
 		}
 	})
-}
-
-// --- Full distributed construction per workload shape ---
-
-// BenchmarkEngineComparison runs the complete distributed construction
-// over the workload shapes the Table 1/Table 2 harness cares about: GNP
-// (dense superclustering), grid (sparse, symmetric), and preferential
-// attachment (degree-skewed — the shard work-stealing stress case). The
-// simulator fans a round out only when its frontier or its traffic is
-// large (see inlineWorkCutoff in internal/congest). On the 1024-vertex
-// rows no round is, so they run every round inline. gnp-2048 (mean
-// degree 20, the spannerd benchmark's build shape) fans out its dense
-// near-neighbors rounds, which carry nearly all of its messages; compare
-// its row at -cpu 1 and -cpu 2 to see what the second core buys.
-func BenchmarkEngineComparison(b *testing.B) {
-	pa, err := gen.PreferentialAttachment(1024, 3, 9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	workloads := []struct {
-		name string
-		g    *nearspan.Graph
-	}{
-		{"gnp-1024", gen.GNP(1024, 16.0/1024, 17, true)},
-		{"grid-1024", gen.Grid(32, 32)},
-		{"pa-1024", pa},
-		{"gnp-2048", gen.GNP(2048, 20.0/2047, 7, true)},
-	}
-	for _, wl := range workloads {
-		p, err := params.New(1.0/3, 3, 0.49, wl.g.N())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(wl.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Build(context.Background(), wl.g, p, core.Options{Mode: core.ModeDistributed}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // --- Shared execution runtime ---

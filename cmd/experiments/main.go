@@ -12,34 +12,27 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 
 	"nearspan/internal/experiments"
 )
 
-// gate compares the fresh report at freshPath against the committed
-// baseline at basePath and fails on a >25% ns/op regression in any
-// gated benchmark family (experiments.GatedPrefixes).
-func gate(freshPath, basePath string) error {
-	load := func(path string) (experiments.BenchReport, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return experiments.BenchReport{}, err
-		}
-		defer f.Close()
-		return experiments.LoadBenchReport(f)
-	}
-	baseline, err := load(basePath)
+// gate compares the fresh report against the committed baseline at
+// basePath and fails on a >25% ns/op regression in any gated benchmark
+// family (experiments.GatedPrefixes).
+func gate(fresh experiments.BenchReport, basePath string) error {
+	f, err := os.Open(basePath)
 	if err != nil {
 		return err
 	}
-	fresh, err := load(freshPath)
+	defer f.Close()
+	baseline, err := experiments.LoadBenchReport(f)
 	if err != nil {
 		return err
 	}
@@ -53,13 +46,31 @@ func gate(freshPath, basePath string) error {
 	return nil
 }
 
+// writeBenchJSON converts `go test -bench` output on stdin into the
+// perf report at path.
+func writeBenchJSON(path string) (experiments.BenchReport, error) {
+	rep, err := experiments.ParseBench(os.Stdin)
+	if err != nil {
+		return rep, err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return rep, err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	err = enc.Encode(rep)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return rep, err
+}
+
 func main() {
 	quick := flag.Bool("quick", false, "run the reduced workload suite")
 	timeout := flag.Duration("timeout", 0, "abort the suite after this duration (0 = no limit); sections already printed stay valid")
 	benchJSON := flag.String("bench-json", "",
-		"instead of the suite, run the assembly + engine + frontier benchmarks and write the machine-readable perf baseline (ns/op, B/op, allocs/op) to this path")
-	cpu := flag.Int("cpu", runtime.GOMAXPROCS(0),
-		"GOMAXPROCS for the -bench-json run; the value actually used is recorded as go_maxprocs in the report")
+		"instead of the suite, read the output of go test -run '^$' -bench '^BenchmarkBaseline$' -benchmem -cpu N . on stdin and write it as the machine-readable perf report (ns/op, B/op, allocs/op, go_maxprocs) to this path")
 	benchGate := flag.String("bench-gate", "",
 		"with -bench-json: compare the fresh report against this baseline and exit nonzero on a >25% ns/op regression in any gated benchmark family")
 	scale := flag.Int("scale", 0,
@@ -80,25 +91,14 @@ func main() {
 		os.Exit(1)
 	}
 	if *benchJSON != "" {
-		if *cpu > 0 {
-			runtime.GOMAXPROCS(*cpu)
-		}
-		f, err := os.Create(*benchJSON)
+		rep, err := writeBenchJSON(*benchJSON)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}
-		err = experiments.BenchJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote perf baseline to %s (GOMAXPROCS %d)\n", *benchJSON, runtime.GOMAXPROCS(0))
+		fmt.Printf("wrote perf report to %s (%d rows, GOMAXPROCS %d)\n", *benchJSON, len(rep.Benchmarks), rep.MaxProcs)
 		if *benchGate != "" {
-			if err := gate(*benchJSON, *benchGate); err != nil {
+			if err := gate(rep, *benchGate); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 				os.Exit(1)
 			}

@@ -109,6 +109,10 @@ func run() error {
 	fmt.Printf("spanner: %d edges (%.1f%% of G), guarantee (1+%.3f)d + %d\n",
 		res.EdgeCount(), 100*float64(res.EdgeCount())/math.Max(1, float64(g.M())),
 		pp.EpsPrime(), pp.BetaInt())
+	if !pp.GuaranteeOK() {
+		fmt.Printf("regime: eps=%.3g, rho^=%.3g: the guarantee is checked by -verify, not implied by the theorem (it needs eps <= 0.1 and rho^ >= 10 eps)\n",
+			pp.Eps, 1/float64(pp.C))
+	}
 	if cfg.Mode == nearspan.DistributedMode {
 		fmt.Printf("CONGEST: %d rounds, %d messages\n", res.TotalRounds, res.Messages)
 	}

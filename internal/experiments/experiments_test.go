@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -227,5 +228,64 @@ func TestBenchGate(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("go_maxprocs mismatch not flagged: %v", msgs)
+	}
+}
+
+// ParseBench reads `go test -bench -benchmem` output as printed: the
+// GOMAXPROCS suffix is stripped only when it is the run's (every name
+// ends in it), rows may end in digits, ns/op is read as printed (also
+// when a row overrode it with ReportMetric), extra units and non-result
+// lines are skipped, and a failure or an empty run is an error.
+func TestParseBench(t *testing.T) {
+	const header = "goos: linux\ngoarch: amd64\npkg: nearspan\ncpu: Intel(R) Xeon(R) Processor\n"
+	const trailer = "PASS\nok  \tnearspan\t41.327s\n"
+	// Captured at -cpu 4.
+	cpu4 := header +
+		"BenchmarkBaseline/engine/gnp-1024-4                 \t      19\t  64041321 ns/op\t12469355 B/op\t   98096 allocs/op\n" +
+		"BenchmarkBaseline/frontier/climb-path-16k-4         \t     109\t  10945371 ns/op\t   1376302 arena-B/op\t 5782871 B/op\t   98363 allocs/op\n" +
+		"BenchmarkBaseline/oracle/warm-source/pool-500k-4    \t127543422\t         8.540 ns/op\t       0 B/op\t       0 allocs/op\n" +
+		"BenchmarkBaseline/oracle/point/p99-500k-4           \t   53037\t     91756 ns/op\t       0 B/op\t       0 allocs/op\n" +
+		"BenchmarkBaseline/oracle/scaling/replicas-2-4       \t   44996\t     25433 ns/op\t       0 B/op\t       0 allocs/op\n" +
+		"BenchmarkBaseline/delta/full-build/gnp-65k-1m-4              \t       1\t6474532300 ns/op\t751014840 B/op\t 3453568 allocs/op\n" +
+		trailer
+	rep, err := ParseBench(strings.NewReader(cpu4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []BenchResult{
+		{"engine/gnp-1024", 19, 64041321, 12469355, 98096},
+		{"frontier/climb-path-16k", 109, 10945371, 5782871, 98363},
+		{"oracle/warm-source/pool-500k", 127543422, 8.54, 0, 0},
+		{"oracle/point/p99-500k", 53037, 91756, 0, 0},
+		{"oracle/scaling/replicas-2", 44996, 25433, 0, 0},
+		{"delta/full-build/gnp-65k-1m", 1, 6474532300, 751014840, 3453568},
+	}
+	if rep.MaxProcs != 4 || !slices.Equal(rep.Benchmarks, want) {
+		t.Errorf("-cpu 4: go_maxprocs %d, rows %+v\nwant go_maxprocs 4, rows %+v", rep.MaxProcs, rep.Benchmarks, want)
+	}
+
+	// Captured at -cpu 1: no suffix, so names ending in digits stay whole.
+	cpu1 := header +
+		"BenchmarkBaseline/engine/gnp-1024         \t      17\t  66180025 ns/op\t12469120 B/op\t   98093 allocs/op\n" +
+		"BenchmarkBaseline/oracle/scaling/replicas-1 \t   50209\t     23781 ns/op\t       0 B/op\t       0 allocs/op\n" +
+		trailer
+	rep, err = ParseBench(strings.NewReader(cpu1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.MaxProcs != 1 || len(rep.Benchmarks) != 2 ||
+		rep.Benchmarks[0].Name != "engine/gnp-1024" || rep.Benchmarks[1].Name != "oracle/scaling/replicas-1" {
+		t.Errorf("-cpu 1: go_maxprocs %d, rows %+v", rep.MaxProcs, rep.Benchmarks)
+	}
+
+	for name, out := range map[string]string{
+		"failed row":   header + "BenchmarkBaseline/engine/gnp-1024-4 \t--- FAIL: BenchmarkBaseline/engine/gnp-1024-4\n" + "FAIL\nexit status 1\nFAIL\tnearspan\t3.1s\n",
+		"failed build": "FAIL\tnearspan [build failed]\n",
+		"no rows":      header + trailer,
+		"repeated row": header + strings.Repeat("BenchmarkBaseline/engine/gnp-1024-4 \t 19\t 64041321 ns/op\t 0 B/op\t 0 allocs/op\n", 2) + trailer,
+	} {
+		if rep, err := ParseBench(strings.NewReader(out)); err == nil {
+			t.Errorf("%s: parsed %+v, want an error", name, rep)
+		}
 	}
 }
