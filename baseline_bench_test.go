@@ -297,17 +297,32 @@ func BenchmarkBaseline(b *testing.B) {
 var sink int32
 
 // benchBuildRow times core.Build of g with ε = 1/3, κ = 3, ρ = 0.49.
+// A distributed row also reports ns/message, invocations/op (program
+// calls per build) and arena-B/op (Result.ArenaBytes), the figures a
+// change to the simulator's round loop or message store moves.
 func benchBuildRow(b *testing.B, g *graph.Graph, opts core.Options) {
 	p, err := params.New(1.0/3, 3, 0.49, g.N())
 	if err != nil {
 		b.Fatal(err)
 	}
+	var messages, invocations, arena int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Build(context.Background(), g, p, opts); err != nil {
+		res, err := core.Build(context.Background(), g, p, opts)
+		if err != nil {
 			b.Fatal(err)
 		}
+		messages += res.Messages
+		for _, st := range res.Steps {
+			invocations += st.Invocations
+		}
+		arena += res.ArenaBytes
+	}
+	if opts.Mode == core.ModeDistributed {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(messages), "ns/message")
+		b.ReportMetric(float64(invocations)/float64(b.N), "invocations/op")
+		b.ReportMetric(float64(arena)/float64(b.N), "arena-B/op")
 	}
 }
 

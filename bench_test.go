@@ -222,42 +222,12 @@ func benchBuild(b *testing.B, n int, mode core.Mode) {
 	}
 }
 
+// The 1024-vertex and GNP-2048 build shapes are BenchmarkBaseline's
+// build/centralized and engine rows; these are the scaling points
+// around them.
 func BenchmarkBuildCentralized256(b *testing.B)  { benchBuild(b, 256, core.ModeCentralized) }
-func BenchmarkBuildCentralized1024(b *testing.B) { benchBuild(b, 1024, core.ModeCentralized) }
 func BenchmarkBuildCentralized4096(b *testing.B) { benchBuild(b, 4096, core.ModeCentralized) }
 func BenchmarkBuildDistributed256(b *testing.B)  { benchBuild(b, 256, core.ModeDistributed) }
-func BenchmarkBuildDistributed1024(b *testing.B) { benchBuild(b, 1024, core.ModeDistributed) }
-
-// BenchmarkBuildDistributedGNP2048 is the spannerbench build workload
-// without the daemon: a distributed build of the connected
-// GNP(2048, 20/2047) with ε = 1/3, κ = 3, ρ = 0.49. Beyond ns/op it
-// reports ns/message, invocations/op (program calls per build) and
-// arena-B/op (Result.ArenaBytes), the figures a change to the
-// simulator's round loop or message store moves.
-func BenchmarkBuildDistributedGNP2048(b *testing.B) {
-	const n = 2048
-	g := gen.GNP(n, 20.0/(n-1), 1, true)
-	p, err := params.New(1.0/3, 3, 0.49, n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var messages, invocations, arena int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.Build(context.Background(), g, p, core.Options{Mode: core.ModeDistributed})
-		if err != nil {
-			b.Fatal(err)
-		}
-		messages += res.Messages
-		for _, st := range res.Steps {
-			invocations += st.Invocations
-		}
-		arena += res.ArenaBytes
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(messages), "ns/message")
-	b.ReportMetric(float64(invocations)/float64(b.N), "invocations/op")
-	b.ReportMetric(float64(arena)/float64(b.N), "arena-B/op")
-}
 
 // --- CONGEST simulator micro-benchmark ---
 

@@ -239,9 +239,11 @@ func TestBenchGate(t *testing.T) {
 func TestParseBench(t *testing.T) {
 	const header = "goos: linux\ngoarch: amd64\npkg: nearspan\ncpu: Intel(R) Xeon(R) Processor\n"
 	const trailer = "PASS\nok  \tnearspan\t41.327s\n"
-	// Captured at -cpu 4.
+	// Captured at -cpu 4. The extra metrics a row reports (arena-B/op,
+	// invocations/op, ns/message) are not baseline columns: they are
+	// skipped.
 	cpu4 := header +
-		"BenchmarkBaseline/engine/gnp-1024-4                 \t      19\t  64041321 ns/op\t12469355 B/op\t   98096 allocs/op\n" +
+		"BenchmarkBaseline/engine/gnp-1024-4                 \t      19\t  64041321 ns/op\t    264022 arena-B/op\t    131264 invocations/op\t         6.326 ns/message\t12469355 B/op\t   98096 allocs/op\n" +
 		"BenchmarkBaseline/frontier/climb-path-16k-4         \t     109\t  10945371 ns/op\t   1376302 arena-B/op\t 5782871 B/op\t   98363 allocs/op\n" +
 		"BenchmarkBaseline/oracle/warm-source/pool-500k-4    \t127543422\t         8.540 ns/op\t       0 B/op\t       0 allocs/op\n" +
 		"BenchmarkBaseline/oracle/point/p99-500k-4           \t   53037\t     91756 ns/op\t       0 B/op\t       0 allocs/op\n" +

@@ -19,11 +19,17 @@ import (
 	"nearspan/internal/params"
 )
 
-// jobGraph reads the job's current input graph (swapped by each delta).
-func jobGraph(j *Job) *graph.Graph {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.g
+// jobGraph returns the job's current input graph (swapped by each
+// delta) through the materializer, as a PATCH would.
+func jobGraph(t *testing.T, s *Server, j *Job) *graph.Graph {
+	t.Helper()
+	j.patchMu.Lock()
+	defer j.patchMu.Unlock()
+	g, err := s.input(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // sampleBatch builds a small delta that agrees with the given graph:
@@ -310,7 +316,7 @@ func TestServiceDeltaQueryDuringSwapRace(t *testing.T) {
 		}()
 	}
 
-	g := jobGraph(job)
+	g := jobGraph(t, s, job)
 	for step := 0; step < 6; step++ {
 		b := sampleBatch(t, g, 2)
 		g2, err := delta.Apply(g, b)

@@ -11,6 +11,7 @@ import (
 
 	"nearspan/internal/congest"
 	"nearspan/internal/core"
+	"nearspan/internal/delta"
 	"nearspan/internal/gen"
 	"nearspan/internal/graph"
 	"nearspan/internal/oracle"
@@ -215,9 +216,14 @@ type Job struct {
 	ID   string
 	Spec JobSpec
 
-	g    *graph.Graph
-	p    *params.Params
-	mode core.Mode
+	// g is the input graph, nil for a recovered job until input
+	// materializes it from the spec and pending, the journaled deltas
+	// not yet applied. n and m are g's size, known without it.
+	g       *graph.Graph
+	pending []deltaData
+	n, m    int
+	p       *params.Params
+	mode    core.Mode
 
 	// fan carries the job's OnStep stream to any number of subscribers
 	// (event streams, metrics counters); its history doubles as the
@@ -235,7 +241,7 @@ type Job struct {
 	mu         sync.Mutex
 	state      string
 	submitted  time.Time
-	generate   time.Duration // newJob's graph materialization, in this process
+	generate   time.Duration // the input graph's materialization, in this process
 	started    time.Time
 	finished   time.Time
 	result     *JobResult
@@ -259,12 +265,25 @@ func newJob(id string, spec JobSpec, defaultTimeout, maxTimeout time.Duration, n
 		return nil, fmt.Errorf("graph: %w", err)
 	}
 	generate := time.Since(genStart)
+	job, err := jobOf(id, spec, g.N(), g.M(), defaultTimeout, maxTimeout, now)
+	if err != nil {
+		return nil, err
+	}
+	job.g, job.generate = g, generate
+	return job, nil
+}
+
+// jobOf validates spec for an input graph of n vertices and m edges
+// and returns the job without its graph: recovery restores a job from
+// the journaled sizes and leaves the graph to input.
+func jobOf(id string, spec JobSpec, n, m int, defaultTimeout, maxTimeout time.Duration, now time.Time) (*Job, error) {
 	var p *params.Params
+	var err error
 	switch {
 	case spec.TargetEpsPrime > 0:
-		p, err = params.FromTarget(spec.TargetEpsPrime, spec.Kappa, spec.Rho, g.N())
+		p, err = params.FromTarget(spec.TargetEpsPrime, spec.Kappa, spec.Rho, n)
 	case spec.Eps > 0:
-		p, err = params.New(spec.Eps, spec.Kappa, spec.Rho, g.N())
+		p, err = params.New(spec.Eps, spec.Kappa, spec.Rho, n)
 	default:
 		err = fmt.Errorf("set eps or target_eps_prime")
 	}
@@ -294,15 +313,30 @@ func newJob(id string, spec JobSpec, defaultTimeout, maxTimeout time.Duration, n
 	return &Job{
 		ID:        id,
 		Spec:      spec,
-		g:         g,
+		n:         n,
+		m:         m,
 		p:         p,
 		mode:      mode,
 		state:     StateQueued,
 		submitted: now,
-		generate:  generate,
 		timeout:   timeout,
 		done:      make(chan struct{}),
 	}, nil
+}
+
+// materialize builds an input graph from journaled inputs: the spec's
+// graph with every delta batch applied in order.
+func materialize(spec GraphSpec, deltas []deltaData) (*graph.Graph, error) {
+	g, err := spec.build()
+	if err != nil {
+		return nil, fmt.Errorf("graph: %w", err)
+	}
+	for _, d := range deltas {
+		if g, err = delta.Apply(g, d.batch()); err != nil {
+			return nil, fmt.Errorf("journaled delta %d does not apply: %w", d.Seq, err)
+		}
+	}
+	return g, nil
 }
 
 // Done returns the channel closed when the job reaches a terminal
@@ -339,20 +373,16 @@ func (j *Job) QueryPool() *oracle.Pool {
 }
 
 // GraphN returns the job graph's vertex count (query bounds). Deltas
-// never add or remove vertices, but the graph pointer itself is swapped
-// on rebuild, so the read takes the lock.
-func (j *Job) GraphN() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.g.N()
-}
+// never add or remove vertices, so it is fixed at construction.
+func (j *Job) GraphN() int { return j.n }
 
 // JobView is the wire form of a job — everything a status poll needs.
 // A job submitted to this process is stamped submitted_at before its
 // graph is generated, so started_at − submitted_at is generate_ms plus
 // the time it waited in the queue. GenerateMS is the time spent
 // materializing the input graph from the spec; for a job recovered from
-// the journal it is the time that took at restart.
+// the journal it is 0 until its first PATCH or build materializes the
+// graph (the spec plus every journaled delta), and then that time.
 type JobView struct {
 	ID        string `json:"id"`
 	Name      string `json:"name,omitempty"`
@@ -379,8 +409,8 @@ func (j *Job) View() JobView {
 		ID:        j.ID,
 		Name:      j.Spec.Name,
 		State:     j.state,
-		GraphN:    j.g.N(),
-		GraphM:    j.g.M(),
+		GraphN:    j.n,
+		GraphM:    j.m,
 		Mode:      j.mode.String(),
 		Submitted: j.submitted.UTC().Format(time.RFC3339Nano),
 		Result:    j.result,

@@ -37,6 +37,7 @@ type metrics struct {
 	recoveredTerminal   atomic.Int64 // failed/cancelled jobs restored at boot
 	recoveredDropped    atomic.Int64 // journaled jobs whose spec no longer validates
 	snapshotCorruptions atomic.Int64 // snapshots that failed verification at boot
+	inputsMaterialized  atomic.Int64 // recovered jobs' input graphs built from the journal
 
 	arenaHighWater atomic.Int64 // largest per-build arena footprint seen
 
@@ -156,6 +157,9 @@ func (m *metrics) render(queueDepth int, draining bool, qp oracle.PoolStats, ps 
 	counter("spannerd_snapshot_corruptions_total",
 		"Snapshots that failed checksum or fingerprint verification at boot (each cost a rebuild).",
 		m.snapshotCorruptions.Load())
+	counter("spannerd_inputs_materialized_total",
+		"Input graphs of recovered jobs built from the journaled spec and deltas (first PATCH, re-enqueued build, or recovery rebuild).",
+		m.inputsMaterialized.Load())
 	if ps.enabled {
 		gauge("spannerd_journal_bytes", "Size of the durable job journal.", ps.journalBytes)
 		ro := int64(0)

@@ -22,7 +22,7 @@ import (
 // acceleration, not truth.
 //
 //	event     journal record   memory effect                counters                snapshot
-//	accepted  spec             none (Submit then enqueues)  —                       —
+//	accepted  spec + graph n,m none (Submit then enqueues)  —                       —
 //	running   —                running, started, cancel     —                       —
 //	done      result           done, result, query pool     done                    spanner
 //	delta     batch + result   graph, result, pool swapped  rebuilds (+ fallbacks)  spanner
@@ -35,7 +35,9 @@ import (
 // Boot replay folds the journal per job (accepted alone → re-enqueue;
 // +done (+deltas) → reload snapshot or rebuild; +failed → restore the
 // terminal error) and feeds the folded outcome through the same apply
-// with journaling off.
+// with journaling off. It restores the input graph's size from the
+// accepted record and the deltas, not the graph: input materializes
+// that on first use.
 const (
 	recAccepted = "accepted"
 	recDone     = "done"
@@ -44,8 +46,13 @@ const (
 	evRunning   = "running" // in memory only
 )
 
+// acceptedData is the accepted record: the spec and the input graph's
+// size, which lets recovery restore the job without generating the
+// graph. A record without sizes was written by an older binary.
 type acceptedData struct {
-	Spec JobSpec `json:"spec"`
+	Spec   JobSpec `json:"spec"`
+	GraphN int     `json:"graph_n,omitempty"`
+	GraphM int     `json:"graph_m,omitempty"`
 }
 
 type doneData struct {
@@ -85,6 +92,11 @@ func edgeList(ps [][2]int32) []delta.Edge {
 	return out
 }
 
+// batch is the record's normalized batch.
+func (d deltaData) batch() *delta.Batch {
+	return &delta.Batch{Insert: edgeList(d.Insert), Delete: edgeList(d.Delete)}
+}
+
 // jobEvent is one job-state change. kind selects which fields apply.
 type jobEvent struct {
 	kind string
@@ -95,7 +107,7 @@ type jobEvent struct {
 	res     *JobResult   // done, delta
 	build   *core.Result // done, delta: a fresh build with its rebuild state; nil after a snapshot reload
 	spanner *graph.Graph // done: the reloaded snapshot when build is nil
-	g       *graph.Graph // done, delta: the job's input graph from now on (nil keeps it)
+	g       *graph.Graph // delta: the job's input graph from now on
 	batch   *delta.Batch // delta: the normalized batch
 
 	err *JobError // failed
@@ -156,8 +168,9 @@ func (s *Server) apply(job *Job, ev jobEvent) error {
 	case recDone, recDelta:
 		// The old pool is not closed: it owns no goroutines, and queries
 		// in flight on it finish against their immutable old spanner.
-		if ev.g != nil {
+		if ev.kind == recDelta {
 			job.g = ev.g
+			job.m += len(ev.batch.Insert) - len(ev.batch.Delete)
 		}
 		job.result = ev.res
 		job.pool = pool
@@ -205,7 +218,7 @@ func (s *Server) journal(job *Job, ev jobEvent) error {
 	var payload any
 	switch ev.kind {
 	case recAccepted:
-		payload = acceptedData{Spec: job.Spec}
+		payload = acceptedData{Spec: job.Spec, GraphN: job.n, GraphM: job.m}
 	case recDone, recDelta:
 		payload = doneData{Result: ev.res}
 		if ev.kind == recDelta {

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"nearspan/internal/core"
-	"nearspan/internal/delta"
+	"nearspan/internal/graph"
 )
 
 // Boot-time recovery replays the journal into live server state. The
@@ -23,6 +23,14 @@ import (
 // inputs (spec + deltas) and expected outcomes (fingerprints), and the
 // construction reproduces any spanner bit-identically from its inputs,
 // so even a corrupt snapshot costs a rebuild, never a wrong answer.
+//
+// Recovery generates no input graph it does not need. A job comes back
+// with the graph's size from its accepted record and deltas, and its
+// graph is materialized on first use (see (*Server).input): by its
+// first PATCH, by the worker that runs a re-enqueued build, or by the
+// rebuild that replaces a corrupt snapshot. Only an accepted record
+// without sizes, written by an older binary, has its graph generated
+// at boot, as that binary did.
 //
 // Replay folds the journal per job, then hands the folded outcome to
 // the same (*Server).apply live operation uses, with journaling off:
@@ -43,6 +51,7 @@ import (
 type journaledJob struct {
 	id        string
 	spec      JobSpec
+	n, m      int // the input graph's size at acceptance; 0 in an older record
 	submitted time.Time
 	deltas    []deltaData
 	done      *JobResult
@@ -71,7 +80,7 @@ func (s *Server) replayJournal() {
 			if err := json.Unmarshal(rec.Data, &d); err != nil {
 				continue
 			}
-			jj := &journaledJob{id: rec.Job, spec: d.Spec, submitted: at}
+			jj := &journaledJob{id: rec.Job, spec: d.Spec, n: d.GraphN, m: d.GraphM, submitted: at}
 			byID[rec.Job] = jj
 			order = append(order, jj)
 			var n int
@@ -108,15 +117,38 @@ func (s *Server) replayJournal() {
 }
 
 func (s *Server) restoreJob(jj *journaledJob) {
-	job, err := newJob(jj.id, jj.spec, s.opts.DefaultTimeout, s.opts.MaxTimeout, jj.submitted)
-	if err != nil {
+	drop := func(err error) {
 		// Specs are validated before they are journaled, so this means
-		// the journal predates an incompatible spec change. The job
-		// cannot even materialize a graph for its view; drop it, but
-		// visibly.
+		// the journal predates an incompatible spec change. Drop the job,
+		// but visibly.
 		s.met.recoveredDropped.Add(1)
 		log.Printf("spannerd: recovery dropped job %s: journaled spec no longer validates: %v", jj.id, err)
+	}
+	// Journaled batches were normalized and checked against the graph
+	// they patched, so each changes m by exactly |Insert| − |Delete|.
+	n, m := jj.n, jj.m
+	for _, d := range jj.deltas {
+		m += len(d.Insert) - len(d.Delete)
+	}
+	var g *graph.Graph
+	var generate time.Duration
+	if n == 0 {
+		start := time.Now()
+		var err error
+		if g, err = materialize(jj.spec.Graph, jj.deltas); err != nil {
+			drop(err)
+			return
+		}
+		n, m, generate = g.N(), g.M(), time.Since(start)
+	}
+	job, err := jobOf(jj.id, jj.spec, n, m, s.opts.DefaultTimeout, s.opts.MaxTimeout, jj.submitted)
+	if err != nil {
+		drop(err)
 		return
+	}
+	job.g, job.generate = g, generate
+	if g == nil {
+		job.pending = jj.deltas
 	}
 	s.mu.Lock()
 	s.jobs[job.ID] = job
@@ -139,30 +171,22 @@ func (s *Server) restoreJob(jj *journaledJob) {
 	}
 }
 
-// restoreDone brings a completed job back: the input graph is the
-// journaled spec patched by every journaled delta, and the spanner
-// comes from the snapshot when it verifies — or from a deterministic
-// rebuild of the journaled inputs when it does not. A recovery that
-// fails leaves the job failed in memory but journals nothing, so the
-// next boot retries it.
+// restoreDone brings a completed job back with its latest journaled
+// result and its spanner: from the snapshot when it verifies, or from
+// a deterministic rebuild of the journaled inputs when it does not.
+// Only that rebuild needs the input graph; a job served from its
+// snapshot leaves the graph to its first PATCH. A recovery that fails
+// leaves the job failed in memory but journals nothing, so the next
+// boot retries it.
 func (s *Server) restoreDone(job *Job, jj *journaledJob) {
 	fail := func(jerr *JobError) {
 		s.apply(job, jobEvent{kind: recFailed, err: jerr, replay: true})
 	}
-	g, res := job.g, jj.done
-	for _, d := range jj.deltas {
-		patched, err := delta.Apply(g, &delta.Batch{Insert: edgeList(d.Insert), Delete: edgeList(d.Delete)})
-		if err != nil {
-			fail(&JobError{
-				Kind:       "error",
-				Message:    fmt.Sprintf("recovery: journaled delta %d does not apply: %v", d.Seq, err),
-				HTTPStatus: 500,
-			})
-			return
-		}
-		g, res = patched, d.Result
+	res := jj.done
+	if len(jj.deltas) > 0 {
+		res = jj.deltas[len(jj.deltas)-1].Result
 	}
-	ev := jobEvent{kind: recDone, at: jj.finished, res: res, g: g, replay: true}
+	ev := jobEvent{kind: recDone, at: jj.finished, res: res, replay: true}
 
 	if spanner, err := s.st.LoadSnapshot(job.ID, res.Fingerprint); err == nil {
 		// Snapshot reload carries no rebuild state: the first PATCH takes
@@ -181,6 +205,11 @@ func (s *Server) restoreDone(job *Job, jj *journaledJob) {
 	// Deterministic rebuild from the journaled inputs, verified against
 	// the journaled fingerprint; apply re-snapshots it, so the next boot
 	// is fast again. Drain during boot interrupts it like any build.
+	g, err := s.input(job)
+	if err != nil {
+		fail(&JobError{Kind: "error", Message: "recovery: " + err.Error(), HTTPStatus: 500})
+		return
+	}
 	built, got, err := s.build(s.buildCtx, job, func(ctx context.Context) (*core.Result, error) {
 		return core.Build(ctx, g, job.p, s.buildOptions(job))
 	})

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -84,8 +85,9 @@ func TestServiceRecoveryRestartRestoresJobs(t *testing.T) {
 	if job1.State() != StateDone {
 		t.Fatalf("job1 finished %q", job1.State())
 	}
-	// This batch's replay tracks more than a quarter of the vertices.
-	if jerr := s1.RebuildJob(job1, delta.RandomBatch(jobGraph(job1), 16, 7)); jerr != nil {
+	// A 16-pair batch: every live patch replays, however many vertices
+	// its replay tracks.
+	if jerr := s1.RebuildJob(job1, delta.RandomBatch(jobGraph(t, s1, job1), 16, 7)); jerr != nil {
 		t.Fatalf("patch: %+v", jerr)
 	}
 	v1 := job1.View()
@@ -156,7 +158,7 @@ func TestServiceRecoveryRestartRestoresJobs(t *testing.T) {
 	} else if d := pool.Dist(0, 1); d < 0 {
 		t.Fatalf("restored pool answered %d", d)
 	}
-	if jerr := s2.RebuildJob(r1, sampleBatch(t, jobGraph(r1), 2)); jerr != nil {
+	if jerr := s2.RebuildJob(r1, sampleBatch(t, jobGraph(t, s2, r1), 2)); jerr != nil {
 		t.Fatalf("patch after restart: %+v", jerr)
 	}
 	if r1.View().Result.Incremental || s2.met.rebuildFallbacks.Load() != 1 {
@@ -200,6 +202,191 @@ func TestServiceRecoveryRestartRestoresJobs(t *testing.T) {
 	waitTerminal(t, job4)
 	if got := job4.View().Result.Fingerprint; got != fp3 {
 		t.Fatalf("same spec built %s before restart and %s after", fp3, got)
+	}
+}
+
+// A restart restores done and failed jobs without generating their
+// input graphs. The job built and then patched twice comes back with
+// its document (sizes, result, timestamps) and a query pool, and
+// nothing is materialized: generate_ms and
+// spannerd_inputs_materialized_total stay 0. Its first PATCH
+// materializes the spec plus both journaled deltas and must land on
+// the spanner a from-scratch build of spec + all three batches gives.
+// A job re-enqueued at boot generates its graph on the build worker.
+func TestServiceRecoveryRestoresLazily(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	s1 := New(Options{Builds: 1, SchedWorkers: 2, Store: st, QueryReplicas: 1})
+	waitReady(t, s1)
+	job, err := s1.Submit(recoverySpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, job)
+	built := job.View().Result
+	g0 := jobGraph(t, s1, job)
+	g := g0
+	var batches []*delta.Batch
+	for k := 2; k <= 3; k++ {
+		b := sampleBatch(t, g, k)
+		if jerr := s1.RebuildJob(job, b); jerr != nil {
+			t.Fatalf("patch: %+v", jerr)
+		}
+		batches = append(batches, b)
+		g = jobGraph(t, s1, job)
+	}
+	failSpec := recoverySpec
+	failSpec.MaxRounds = 1
+	failed, err := s1.Submit(failSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, failed)
+	want := []JobView{job.View(), failed.View()}
+	if want[0].Result.Deltas != 2 || want[1].State != StateFailed {
+		t.Fatalf("before restart: deltas %d, second job %s", want[0].Result.Deltas, want[1].State)
+	}
+	drainServer(t, s1)
+	st.Close()
+
+	st = openStore(t, dir)
+	s2 := New(Options{Builds: 1, SchedWorkers: 2, Store: st, QueryReplicas: 1})
+	waitReady(t, s2)
+	for _, w := range want {
+		v := s2.Job(w.ID).View()
+		if v.GenerateMS != 0 {
+			t.Errorf("job %s: generate_ms %v after restart, want 0", w.ID, v.GenerateMS)
+		}
+		if v.State != w.State || v.GraphN != w.GraphN || v.GraphM != w.GraphM ||
+			v.Submitted != w.Submitted || v.Finished != w.Finished ||
+			!reflect.DeepEqual(v.Result, w.Result) || !reflect.DeepEqual(v.Error, w.Error) {
+			t.Errorf("job %s after restart:\n%+v\nwant\n%+v", w.ID, v, w)
+		}
+	}
+	if got := s2.met.inputsMaterialized.Load(); got != 0 {
+		t.Fatalf("inputs materialized at boot: %d, want 0", got)
+	}
+	r := s2.Job(job.ID)
+	if path, d := r.QueryPool().Path(0, 1); d < 0 || len(path) != int(d)+1 {
+		t.Fatalf("restored pool: path %v, dist %d", path, d)
+	}
+
+	b3 := sampleBatch(t, g, 4)
+	if jerr := s2.RebuildJob(r, b3); jerr != nil {
+		t.Fatalf("first patch after restart: %+v", jerr)
+	}
+	ref, err := recoverySpec.Graph.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range append(batches, b3) {
+		if ref, err = delta.Apply(ref, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refBuild, err := core.Build(context.Background(), ref, r.p, core.Options{Mode: r.mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refM, refFP := graph.Fingerprint(refBuild.Spanner)
+	v := r.View()
+	if v.Result.Fingerprint != refFP || v.Result.Edges != refM || v.Result.Deltas != 3 {
+		t.Fatalf("first patch after restart: (m=%d, %s, deltas=%d), from-scratch build (m=%d, %s, deltas=3)",
+			v.Result.Edges, v.Result.Fingerprint, v.Result.Deltas, refM, refFP)
+	}
+	if v.GraphM != ref.M() || !(v.GenerateMS > 0) || s2.met.inputsMaterialized.Load() != 1 {
+		t.Fatalf("first patch after restart: graph_m %d (want %d), generate_ms %v, materialized %d; want > 0 and 1",
+			v.GraphM, ref.M(), v.GenerateMS, s2.met.inputsMaterialized.Load())
+	}
+	drainServer(t, s2)
+	st.Close()
+
+	// A crash mid-build leaves an accepted record and no outcome.
+	st = openStore(t, dir)
+	data, _ := json.Marshal(acceptedData{Spec: recoverySpec, GraphN: g0.N(), GraphM: g0.M()})
+	if err := st.Append(store.Record{
+		Type: recAccepted, Job: "j000003",
+		Time: time.Now().UTC().Format(time.RFC3339Nano), Data: data,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	st = openStore(t, dir)
+	defer st.Close()
+	s3 := New(Options{Builds: 1, SchedWorkers: 2, Store: st, QueryReplicas: 1})
+	defer drainServer(t, s3)
+	waitReady(t, s3)
+	r3 := s3.Job("j000003")
+	waitTerminal(t, r3)
+	if v := r3.View(); v.State != StateDone || v.Result.Fingerprint != built.Fingerprint || !(v.GenerateMS > 0) {
+		t.Fatalf("re-enqueued job: %s, %+v, generate_ms %v; want done with %s", v.State, v.Result, v.GenerateMS, built.Fingerprint)
+	}
+	if got := s3.met.inputsMaterialized.Load(); got != 1 {
+		t.Fatalf("inputs materialized = %d, want 1: the worker's, none at boot", got)
+	}
+	if v := s3.Job(job.ID).View(); v.GenerateMS != 0 || v.Result.Deltas != 3 {
+		t.Fatalf("patched job after the second restart: generate_ms %v, deltas %d", v.GenerateMS, v.Result.Deltas)
+	}
+}
+
+// A journaled input that no longer materializes to the journaled size
+// fails only the PATCH that needs it, with 500: the job stays done and
+// keeps serving its spanner.
+func TestServiceRecoveryUnmaterializableInputFailsPatch(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	s1 := New(Options{Builds: 1, SchedWorkers: 2, Store: st})
+	waitReady(t, s1)
+	job, err := s1.Submit(recoverySpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, job)
+	v := job.View()
+	drainServer(t, s1)
+	st.Close()
+
+	// The same job in a fresh data dir, its snapshot copied over and its
+	// accepted record claiming one edge too many.
+	snap, err := os.ReadFile(filepath.Join(dir, "snapshots", job.ID+".snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir = t.TempDir()
+	st = openStore(t, dir)
+	if err := os.WriteFile(filepath.Join(dir, "snapshots", job.ID+".snap"), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now().UTC().Format(time.RFC3339Nano)
+	for _, rec := range []struct {
+		typ  string
+		data any
+	}{
+		{recAccepted, acceptedData{Spec: recoverySpec, GraphN: v.GraphN, GraphM: v.GraphM + 1}},
+		{recDone, doneData{Result: v.Result}},
+	} {
+		data, _ := json.Marshal(rec.data)
+		if err := st.Append(store.Record{Type: rec.typ, Job: job.ID, Time: now, Data: data}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+
+	st = openStore(t, dir)
+	defer st.Close()
+	s2 := New(Options{Builds: 1, SchedWorkers: 2, Store: st})
+	defer drainServer(t, s2)
+	waitReady(t, s2)
+	r := s2.Job(job.ID)
+	if s2.met.recoveredSnapshot.Load() != 1 {
+		t.Fatalf("recoveredSnapshot = %d, want 1", s2.met.recoveredSnapshot.Load())
+	}
+	jerr := s2.RebuildJob(r, &delta.Batch{Delete: []delta.Edge{{U: 0, V: 1}}})
+	if jerr == nil || jerr.HTTPStatus != 500 || !strings.Contains(jerr.Message, "journal records") {
+		t.Fatalf("patch of an unmaterializable input: %+v, want 500", jerr)
+	}
+	if rv := r.View(); rv.State != StateDone || rv.Result.Fingerprint != v.Result.Fingerprint || r.QueryPool().Dist(0, 1) < 0 {
+		t.Fatalf("job after the failed patch: %s, %+v", rv.State, rv.Result)
 	}
 }
 
@@ -443,7 +630,7 @@ func TestServicePersistenceErrorDegradesToReadOnly(t *testing.T) {
 	if _, err := s.Submit(recoverySpec); !errors.Is(err, ErrPersistence) {
 		t.Fatalf("submit after degrade returned %v, want ErrPersistence", err)
 	}
-	if jerr := s.RebuildJob(job, sampleBatch(t, jobGraph(job), 2)); jerr == nil || jerr.HTTPStatus != 503 {
+	if jerr := s.RebuildJob(job, sampleBatch(t, jobGraph(t, s, job), 2)); jerr == nil || jerr.HTTPStatus != 503 {
 		t.Fatalf("patch on degraded store: %+v", jerr)
 	}
 	// The query tier is untouched.

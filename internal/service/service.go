@@ -339,11 +339,20 @@ func (s *Server) runJob(job *Job) {
 		s.apply(job, cancelledEvent("cancelled before build started"))
 		return
 	}
+	// A job re-enqueued at boot generates its graph here, off the
+	// recovery path.
+	job.patchMu.Lock()
+	g, err := s.input(job)
+	job.patchMu.Unlock()
+	if err != nil {
+		s.apply(job, jobEvent{kind: recFailed, err: &JobError{Kind: "error", Message: err.Error(), HTTPStatus: 500}})
+		return
+	}
 	res, result, err := s.build(ctx, job, func(ctx context.Context) (*core.Result, error) {
 		if s.beforeBuild != nil {
 			s.beforeBuild(job)
 		}
-		return core.Build(ctx, job.g, job.p, s.buildOptions(job))
+		return core.Build(ctx, g, job.p, s.buildOptions(job))
 	})
 	if err != nil {
 		s.apply(job, jobEvent{kind: recFailed, err: classifyErr(err)})
@@ -418,6 +427,33 @@ func (s *Server) buildOptions(job *Job) core.Options {
 	}
 }
 
+// input returns the job's input graph. A job recovered from the
+// journal has none until its first use: input then materializes it
+// from the spec and the journaled deltas, checks it against the
+// journaled size, and drops the deltas. Callers hold job.patchMu (or
+// run before the server is ready), so a job materializes once.
+func (s *Server) input(job *Job) (*graph.Graph, error) {
+	job.mu.Lock()
+	g, pending, n, m := job.g, job.pending, job.n, job.m
+	job.mu.Unlock()
+	if g != nil {
+		return g, nil
+	}
+	start := time.Now()
+	g, err := materialize(job.Spec.Graph, pending)
+	if err != nil {
+		return nil, fmt.Errorf("materialize input: %w", err)
+	}
+	if g.N() != n || g.M() != m {
+		return nil, fmt.Errorf("materialize input: graph has n=%d, m=%d; journal records n=%d, m=%d", g.N(), g.M(), n, m)
+	}
+	job.mu.Lock()
+	job.g, job.pending, job.generate = g, nil, time.Since(start)
+	job.mu.Unlock()
+	s.met.inputsMaterialized.Add(1)
+	return g, nil
+}
+
 // poolFor builds the query tier over an immutable spanner.
 func (s *Server) poolFor(spanner *graph.Graph) *oracle.Pool {
 	return oracle.NewPool(spanner, oracle.PoolOptions{
@@ -434,6 +470,10 @@ func (s *Server) poolFor(spanner *graph.Graph) *oracle.Pool {
 // flight during the rebuild answer from the old snapshot; queries that
 // start after the swap see the new one. Batches serialize per job;
 // concurrent PATCHes queue.
+//
+// The first PATCH of a job recovered from the journal materializes its
+// input graph (see input); a graph that fails to materialize fails the
+// patch with 500 and the job keeps serving its spanner.
 //
 // The returned *JobError (nil on success) carries the HTTP status:
 // 404 while the job has no spanner, 409 when the batch disagrees with
@@ -457,10 +497,14 @@ func (s *Server) RebuildJob(job *Job, b *delta.Batch) *JobError {
 	defer job.patchMu.Unlock()
 
 	job.mu.Lock()
-	g, prev, cur := job.g, job.buildRes, job.result
+	prev, cur := job.buildRes, job.result
 	job.mu.Unlock()
 	if cur == nil {
 		return &JobError{Kind: "not-ready", Message: "job has no spanner to patch (not finished)", HTTPStatus: 404}
+	}
+	g, err := s.input(job)
+	if err != nil {
+		return &JobError{Kind: "error", Message: err.Error(), HTTPStatus: 500}
 	}
 	// Validate up front against the graph the delta claims to patch so a
 	// disagreeing batch is a clean 409, not a failed build. patchMu makes
